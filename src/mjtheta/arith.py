@@ -37,6 +37,7 @@ def is_square(n):
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+@lru_cache(maxsize=None)
 def sigma1(n):
     return sum(divisors(n))
 

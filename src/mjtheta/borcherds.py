@@ -23,6 +23,7 @@ from .errors import (
     InsufficientDepth, MissingSource, NoRepresentativeFound,
     NoSolutionWithinDegree, Underdetermined,
 )
+from .jacobi import NEG_INF
 from .series import QSeries, series_mul, series_pow
 
 __all__ = [
@@ -139,7 +140,8 @@ def enumerate_heegner(m, D, r):
     """
     if (D - r * r) % (4 * m) != 0:
         raise CongruenceViolation(f"D={D} is not {r}^2 mod {4 * m}")
-    assert D < 0
+    if D >= 0:
+        raise BadDiscriminant(f"Heegner forms need D < 0, got {D}")
     r %= 2 * m
     reps = []
     for A in range(m, m * m * abs(D) + 1, m):
@@ -215,6 +217,11 @@ def psi_expand(lam, D, r, order=None, table=None):
         if table is None:
             raise MissingSource(f"{lam.symbol} has no coefficient table")
     order = inf if order is None else Fraction(order)
+    if order == inf and not any(_runs_out(table, r * n)
+                                for n in range(1, 2 * m + 1)):
+        raise ExcludedDiscriminant(
+            f"{lam.symbol} D={D} r={r}: every C(D n^2, r n) is a "
+            f"structural zero, so Psi is identically 1")
     exponents = []
     n = 1
     while n < order:
@@ -240,6 +247,15 @@ def psi_expand(lam, D, r, order=None, table=None):
             factor = QSeries.from_terms([(0, 1), (n, -1 * zeta)], window)
             out = series_mul(out, series_pow(factor, k * e))
     return out
+
+
+def _runs_out(t, r):
+    """True if reads of t at residue r raise InsufficientDepth below some
+    discriminant D < 0, False if they are structural zeros at every depth."""
+    rc, _ = t.canonical(r)
+    if t.square_support or (t.parity == -1 and rc in (0, t.m)):
+        return False
+    return rc not in t.ranges or t.ranges[rc][0] != NEG_INF
 
 
 # -- rational-function fitting -------------------------------------------

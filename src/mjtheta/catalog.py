@@ -33,9 +33,7 @@ from .jacobi import (
     NEG_INF, POS_INF, CoeffTable, ez_apply, h_stream, om_group, shadow_coeff,
     table_lin_comb,
 )
-from .series import (
-    QSeries, series_eq, series_half_shift, series_rescale,
-)
+from .series import QSeries, _arg_transform, series_first_mismatch
 
 __all__ = [
     "Lambency", "HData", "load_catalog", "catalog_by_symbol", "get_lambency",
@@ -362,24 +360,6 @@ MULT_RELATIONS = {
 }
 
 
-def _arg_transform(f, a, b):
-    if b:
-        f = series_half_shift(f, Fraction(b))
-    if a != 1:
-        f = series_rescale(f, a)
-    return f
-
-
-def _first_mismatch(a, b):
-    keys = {Fraction(k, a.den) for k in a.coeffs} | \
-        {Fraction(k, b.den) for k in b.coeffs}
-    window = min(a.order, b.order)
-    for x in sorted(k for k in keys if k < window):
-        if a.coeff(x) != b.coeff(x):
-            return x, a.coeff(x), b.coeff(x)
-    return None
-
-
 def verify_mult_relation(row_id, h, order=None):
     """Check one multiplicative-relation row against ingested data.
 
@@ -410,7 +390,7 @@ def verify_mult_relation(row_id, h, order=None):
                 lhs = line.pre(r) * lhs
             rhs = line.rhs_pre(r) * _arg_transform(
                 h_stream(rhs_t, r, order / a2), a2, b2)
-            bad = _first_mismatch(lhs, rhs)
+            bad = series_first_mismatch(lhs, rhs)
             if bad is not None:
                 x, got, want = bad
                 return {"row": row_id, "status": "mismatch", "r": r,

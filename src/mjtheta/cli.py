@@ -19,7 +19,7 @@ from .catalog import (
     get_lambency, ingest_hdata, load_catalog, verify_mult_relation,
 )
 from .cyclo import cformat
-from .errors import MJTError, MissingSource
+from .errors import InsufficientDepth, MJTError, MissingSource
 from .eta import eta_dlog, eta_expand, parse_eta, verify_fricke_constant
 from .jacobi import ez_apply, shadow_kernel, sz_lift
 from .mocktheta import (
@@ -45,7 +45,7 @@ def cmd_expand(args, out=None):
     out = out or sys.stdout
     order = args.order if args.order is not None else 100
     if args.eta is not None:
-        f = eta_expand(parse_eta(args.eta), order)
+        f = eta_expand(args.eta, order)
     elif args.lambency is not None:
         f = eta_expand(get_lambency(args.lambency).eta, order)
     else:
@@ -75,6 +75,8 @@ def _case_fricke(symbol, order, _data):
 def _case_shadow(symbol, order, _data):
     lam = get_lambency(symbol)
     n_max = order
+    if n_max < 2:
+        raise InsufficientDepth(f"order {order} reaches no coefficient q^1")
     t = shadow_kernel(lam.eta, lam.m, (n_max + 1) ** 2)
     lift = sz_lift(t, 1, 1, 2, n_max)
     dl = eta_dlog(lam.eta, n_max)
@@ -264,6 +266,20 @@ def cmd_fit(args, out=None):
     return 0
 
 
+def _eta_arg(text):
+    try:
+        return parse_eta(text)
+    except MJTError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _order_arg(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mjtheta",
@@ -272,7 +288,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--order", type=int, default=None)
+        sp.add_argument("--order", type=_order_arg, default=None)
         sp.add_argument("--data", default=os.environ.get(DATA_ENV))
         sp.add_argument("--format", choices=("human", "records"),
                         default="human")
@@ -280,7 +296,8 @@ def build_parser():
 
     pe = sub.add_parser("expand", help="print a q-expansion")
     tgt = pe.add_mutually_exclusive_group(required=True)
-    tgt.add_argument("--eta", help="eta quotient, e.g. '1^24/2^24'")
+    tgt.add_argument("--eta", type=_eta_arg,
+                     help="eta quotient, e.g. '1^24/2^24'")
     tgt.add_argument("--lambency", help="catalog symbol, e.g. '6+2'")
     tgt.add_argument("--eulerian", help="mock theta name, e.g. '3:psi'")
     common(pe)

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .arith import divisors
+
 __all__ = [
     "Cyc", "ex", "cyclotomic_poly", "cadd", "csub", "cmul", "cneg",
     "cinv", "ceq", "ciszero", "cconj", "as_fraction", "cfloat", "cformat",
@@ -32,9 +34,8 @@ def cyclotomic_poly(n):
     # numerator x^n - 1
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divexact(num, cyclotomic_poly(d))
+    for d in divisors(n)[:-1]:
+        num = _poly_divexact(num, cyclotomic_poly(d))
     return tuple(num)
 
 
@@ -103,7 +104,7 @@ class Cyc:
         # skip it when the field is large enough that the linear solves would
         # dominate the arithmetic.
         if _phi(n) <= 16:
-            for d in _divisors(n)[1:-1]:
+            for d in divisors(n)[1:-1]:
                 sol = _try_demote(c, d, n, _embed_powers(d, n))
                 if sol is not None:
                     return Cyc(d, sol)
@@ -155,11 +156,6 @@ class Cyc:
 
     def __complex__(self):
         return cfloat(self)
-
-
-@lru_cache(maxsize=None)
-def _divisors(n):
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,8 @@ class WeightNotZero(MJTError):
 
 
 class LevelMismatch(MJTError):
-    """An eta factor n_i does not divide the ambient level m."""
+    """An eta factor n_i is not a positive divisor of the ambient level m,
+    or the quotient's Fricke multiplier at level m is irrational."""
 
 
 class NotConstant(MJTError):
@@ -57,7 +58,8 @@ class UnknownName(MJTError):
 
 
 class Divergent(MJTError):
-    """An infinite Pochhammer product whose factors do not stabilize."""
+    """An expansion with no justified window: an infinite Pochhammer product
+    whose factors do not stabilize, or the substitution q -> q^t, t <= 0."""
 
 
 class UnresolvableShift(MJTError):
@@ -73,7 +75,9 @@ class NoRepresentativeFound(MJTError):
 
 
 class ExcludedDiscriminant(MJTError):
-    """(m, D) combination excluded by the rationality theorem's hypothesis."""
+    """(m, D) combination excluded by the rationality theorem's hypothesis,
+    or (D, r) whose Borcherds product is identically 1 because every
+    exponent C(D n^2, r n) is a structural zero of the table."""
 
 
 class NoSolutionWithinDegree(MJTError):

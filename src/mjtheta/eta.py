@@ -6,10 +6,9 @@ exactly (exponent denominator 24).
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
 
-from .errors import LevelMismatch, NotConstant
+from .arith import prime_factorization, sigma1
+from .errors import InsufficientDepth, LevelMismatch, NotConstant, ParseError
 from .series import QSeries, series_mul
 
 __all__ = [
@@ -27,7 +26,8 @@ class EtaQuotient:
     def __init__(self, factors):
         merged = {}
         for n, d in factors:
-            assert n >= 1
+            if n < 1:
+                raise LevelMismatch(f"eta factor level {n} is not positive")
             merged[n] = merged.get(n, 0) + d
         self.factors = tuple(sorted((n, d) for n, d in merged.items() if d))
 
@@ -67,11 +67,11 @@ def parse_eta(text):
     factors = []
     for part, sign in ((num, 1), (den, -1)):
         for tok in part.split():
-            if "^" in tok:
-                n, e = tok.split("^")
-            else:
-                n, e = tok, "1"
-            factors.append((int(n), sign * int(e)))
+            n, caret, e = tok.partition("^")
+            try:
+                factors.append((int(n), sign * (int(e) if caret else 1)))
+            except ValueError:
+                raise ParseError(f"bad eta factor {tok!r}") from None
     return EtaQuotient(factors)
 
 
@@ -122,7 +122,7 @@ def _dlog_coeffs(e, count):
     b = [0] * count
     for n, d in e.factors:
         for N in range(n, count, n):
-            b[N] -= d * n * _sigma1(N // n)
+            b[N] -= d * n * sigma1(N // n)
     return b
 
 
@@ -131,7 +131,7 @@ def eta_fricke(e, m):
 
     Every factor level must divide m.  Returns (EtaQuotient, multiplier)
     where the multiplier is the exact rational constant
-    prod (m/n_i)^{d_i/2} (which must be rational, else AssertionError) and
+    prod (m/n_i)^{d_i/2} (which must be rational, else LevelMismatch) and
     eta(n tau) |W_m picks up the factor (m/n)^{1/2} * (stuff) * eta((m/n) tau)
     up to the standard automorphy; for weight-0 quotients the product of the
     tau-dependent factors cancels.
@@ -140,36 +140,18 @@ def eta_fricke(e, m):
         if m % n != 0:
             raise LevelMismatch(f"eta factor {n} does not divide level {m}")
     image = EtaQuotient(tuple((m // n, d) for n, d in e.factors))
-    # accumulate prime exponents of prod (m/n)^{d/2}
+    # accumulate prime exponents of prod (m/n)^d, then halve them
     expo = {}
     for n, d in e.factors:
-        v = m // n
-        for p in _prime_factors(v):
-            k = 0
-            while v % p == 0:
-                v //= p
-                k += 1
-            expo[p] = expo.get(p, Fraction(0)) + Fraction(d * k, 2)
+        for p, k in prime_factorization(m // n).items():
+            expo[p] = expo.get(p, 0) + d * k
     mult = Fraction(1)
     for p, a in expo.items():
-        assert a.denominator == 1, \
-            f"multiplier irrational: {p}^{a} (weight/genus mismatch)"
-        mult *= Fraction(p) ** int(a)
+        if a % 2:
+            raise LevelMismatch(f"multiplier irrational: {p}^({a}/2) "
+                                f"(weight/genus mismatch)")
+        mult *= Fraction(p) ** (a // 2)
     return image, mult
-
-
-def _prime_factors(v):
-    out = []
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            out.append(p)
-            while v % p == 0:
-                v //= p
-        p += 1
-    if v > 1:
-        out.append(v)
-    return out
 
 
 def verify_fricke_constant(e, m, order):
@@ -183,6 +165,8 @@ def verify_fricke_constant(e, m, order):
     """
     image, mult = eta_fricke(e, m)
     prod = series_mul(eta_expand(e, order), eta_expand(image, order))
+    if prod.order <= 0:
+        raise InsufficientDepth(f"order {order} does not reach q^0")
     for k in sorted(prod.coeffs):
         if k != 0:
             raise NotConstant(Fraction(k, prod.den))
@@ -200,14 +184,3 @@ def eta_dlog(e, order):
         if bN:
             coeffs[N] = Fraction(bN)
     return QSeries(coeffs, order)
-
-
-@lru_cache(maxsize=None)
-def _sigma1(n):
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d
-            if d * d != n:
-                total += n // d
-    return total

@@ -23,7 +23,8 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import divisors, is_square, kronecker, is_fundamental
+from .arith import (divisors, is_fundamental, is_square, kronecker,
+                    prime_factorization)
 from .cyclo import cadd, ciszero, cmul
 from .errors import (
     InsufficientDepth, LevelNotCoprime, NotFundamental,
@@ -210,7 +211,7 @@ class OmGroup:
     def characters(self):
         """All homomorphisms O_m -> {+-1}, as dicts a -> value."""
         gens = [n for n in self.ex_divisors
-                if n > 1 and _is_prime_power(n)]
+                if len(prime_factorization(n)) == 1]
         chars = []
         for mask in range(1 << len(gens)):
             vals = {}
@@ -222,11 +223,6 @@ class OmGroup:
                 vals[self.a_of[n]] = v
             chars.append(vals)
         return chars
-
-
-def _is_prime_power(n):
-    from .arith import prime_factorization
-    return len(prime_factorization(n)) == 1
 
 
 def om_group(m):
@@ -301,13 +297,38 @@ def _epsilon_D(D, d):
     return g * kronecker(Dg, d // g2) if Dg != 0 else 0
 
 
-def _src_bounds(t):
-    """Global justified window across the residues that carry data."""
-    los = [t.ranges[r][0] for r in t.ranges]
-    his = [t.ranges[r][1] for r in t.ranges]
-    if not los:
-        return None
-    return max(los), min(his)
+def _hecke_image(t, m2, name, window, targets, value):
+    """The skeleton shared by T_n and V_l: an index-m2 table whose window at
+    every residue is window(lo, hi) of the source's global window [lo, hi].
+    Entries are value(D, r) at the discriminants targets(Ds) reachable from
+    the stored source entries; everything else in the window is provably
+    zero.  A residue at which value reads outside the source window is
+    dropped."""
+    if any(r not in t.ranges for r in range(t.m + 1)):
+        raise InsufficientDepth(
+            f"{name} needs data (or structural zeros) at every residue")
+    lo, hi = window(max(lo for lo, _hi in t.ranges.values()),
+                    min(hi for _lo, hi in t.ranges.values()))
+    cand = set()
+    for (Ds, _rs) in t.entries:
+        for D in targets(Ds):
+            if not (lo <= D <= hi):
+                continue
+            for r in range(m2 + 1):
+                if (D - r * r) % (4 * m2) == 0:
+                    cand.add((D, r))
+    ranges = {r: (lo, hi) for r in range(m2 + 1)}
+    entries = {}
+    for D, r in cand:
+        try:
+            v = value(D, r)
+        except InsufficientDepth:
+            ranges.pop(r, None)
+            continue
+        if not ciszero(v):
+            entries[(D, r)] = v
+    entries = {key: v for key, v in entries.items() if key[1] in ranges}
+    return CoeffTable(m2, t.parity, entries, ranges, False)
 
 
 def hecke_Tn(t, n, k):
@@ -316,44 +337,17 @@ def hecke_Tn(t, n, k):
     The target window per residue is derived from the source window: for a
     target discriminant D every source read n^2 D / d^2 lies between D and
     n^2 D in magnitude, so [ceil(lo/n^2), floor(hi/n^2)] is justified.
-    Entries are evaluated at the candidate discriminants reachable from the
-    stored source entries; everything else in the window is provably zero.
     """
-    m = t.m
-    if gcd(n, m) != 1:
-        raise LevelNotCoprime(f"T_{n} needs gcd(n, {m}) = 1")
-    if any(r not in t.ranges for r in range(m + 1)):
-        raise InsufficientDepth(
-            "T_n needs data (or structural zeros) at every residue")
-    b = _src_bounds(t)
-    if b is None:
-        return CoeffTable(m, t.parity, {}, {}, False)
-    src_lo, src_hi = b
-    lo = NEG_INF if src_lo == NEG_INF else _ceil_div(src_lo, n * n)
-    hi = POS_INF if src_hi == POS_INF else src_hi // (n * n)
-    cand = set()
-    for (Ds, _rs) in t.entries:
-        for d in divisors(n * n):
-            if (Ds * d * d) % (n * n) != 0:
-                continue
-            D = Ds * d * d // (n * n)
-            if not (lo <= D <= hi):
-                continue
-            for r in range(m + 1):
-                if (D - r * r) % (4 * m) == 0:
-                    cand.add((D, r))
-    ranges = {r: (lo, hi) for r in range(m + 1)}
-    entries = {}
-    for D, r in cand:
-        try:
-            v = _hecke_value(t, n, k, D, r)
-        except InsufficientDepth:
-            ranges.pop(r, None)
-            continue
-        if not ciszero(v):
-            entries[(D, r)] = v
-    entries = {k_: v for k_, v in entries.items() if k_[1] in ranges}
-    return CoeffTable(m, t.parity, entries, ranges, False)
+    if gcd(n, t.m) != 1:
+        raise LevelNotCoprime(f"T_{n} needs gcd(n, {t.m}) = 1")
+    nn = n * n
+    return _hecke_image(
+        t, t.m, "T_n",
+        lambda lo, hi: (lo if lo == NEG_INF else _ceil_div(lo, nn),
+                        hi if hi == POS_INF else hi // nn),
+        lambda Ds: [Ds * d * d // nn for d in divisors(nn)
+                    if Ds * d * d % nn == 0],
+        lambda D, r: _hecke_value(t, n, k, D, r))
 
 
 def _ceil_div(a, b):
@@ -454,36 +448,11 @@ def hecke_Vl(t, l, k):
     Source reads are D/d^2 at residue r/d for d | l, all inside the source
     window whenever D is, so the window carries over unchanged.
     """
-    m = t.m
-    m2 = m * l
-    if any(r not in t.ranges for r in range(m + 1)):
-        raise InsufficientDepth(
-            "V_l needs data (or structural zeros) at every residue")
-    b = _src_bounds(t)
-    if b is None:
-        return CoeffTable(m2, t.parity, {}, {})
-    lo, hi = b
-    cand = set()
-    for (Ds, _rs) in t.entries:
-        for d in divisors(l):
-            D = Ds * d * d
-            if not (lo <= D <= hi):
-                continue
-            for r in range(m2 + 1):
-                if (D - r * r) % (4 * m2) == 0:
-                    cand.add((D, r))
-    ranges = {r: (lo, hi) for r in range(m2 + 1)}
-    entries = {}
-    for D, r in cand:
-        try:
-            v = _Vl_value(t, l, k, m2, D, r)
-        except InsufficientDepth:
-            ranges.pop(r, None)
-            continue
-        if not ciszero(v):
-            entries[(D, r)] = v
-    entries = {k_: v for k_, v in entries.items() if k_[1] in ranges}
-    return CoeffTable(m2, t.parity, entries, ranges, False)
+    m2 = t.m * l
+    return _hecke_image(
+        t, m2, "V_l", lambda lo, hi: (lo, hi),
+        lambda Ds: [Ds * d * d for d in divisors(l)],
+        lambda D, r: _Vl_value(t, l, k, m2, D, r))
 
 
 def sz_lift(t, D, r, k, order):

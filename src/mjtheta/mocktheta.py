@@ -22,15 +22,16 @@ UnresolvableShift is raised if that fails.
 import math
 from fractions import Fraction
 
-from .cyclo import ciszero, cmul, csub, ex
+from .cyclo import cmul, ex
 from .errors import (
     Divergent, InsufficientDepth, MissingSource, UnknownName,
     UnresolvableShift,
 )
 from .jacobi import NEG_INF, h_stream
 from .series import (
-    QSeries, series_eq, series_half_shift, series_mul, series_pow,
-    series_rescale, series_shift, series_slice,
+    QSeries, _arg_transform, series_eq, series_first_mismatch,
+    series_half_shift, series_mul, series_pow, series_rescale, series_shift,
+    series_slice,
 )
 
 __all__ = [
@@ -56,29 +57,7 @@ def pochhammer(a, x, n, order):
     """
     ca, ea = _as_monomial(a)
     cx, ex_ = _as_monomial(x)
-    order = Fraction(order)
-    out = QSeries({0: 1}, order)
-    if n is math.inf:
-        if ex_ <= 0:
-            raise Divergent("infinite product with non-increasing exponents")
-        k = 0
-        while ea + k * ex_ < order:
-            out = series_mul(out, QSeries.from_terms(
-                [(0, 1), (ea + k * ex_, cmul(-1, cmul(ca, cx ** k)))], order))
-            k += 1
-        return out
-    for k in range(n):
-        e = ea + k * ex_
-        if e >= order:
-            continue
-        out = series_mul(out, QSeries.from_terms(
-            [(0, 1), (e, cmul(-1, cmul(ca, cx ** k)))], order))
-    return out
-
-
-def _pq(c, j, k, n, order):
-    """(c q^j ; q^k)_n."""
-    return pochhammer((c, j), (1, k), n, order)
+    return _PochCache(Fraction(order)).get(ca, ea, ex_, n, x=cx)
 
 
 def _geom(c, e, order):
@@ -91,38 +70,57 @@ def _geom(c, e, order):
 
 
 class _PochCache:
-    """Incremental (c q^j; q^k)_n and its reciprocal, shared across the
-    summands of one Eulerian series (successive n reuse the prefix)."""
+    """Prefix products (c q^j; x q^k)_n = prod_{i<n} (1 - c x^i q^(j+ik))
+    and their reciprocals, built one factor at a time and shared across the
+    calls made at one window (successive n reuse the prefix).  c, j, k, x
+    are used as given: callers in the hot path pass ints."""
 
     def __init__(self, order):
         self.order = order
         self.fwd = {}
         self.inv = {}
 
-    def _extend(self, store, c, j, k, n, step):
-        key = (c, j, k)
-        seq = store.setdefault(key, [QSeries({0: 1}, self.order)])
+    def _extend(self, store, c, j, k, x, n, step):
+        seq = store.setdefault((c, j, k, x),
+                               [QSeries({0: 1}, self.order)])
         while len(seq) <= n:
             i = len(seq) - 1
             e = j + i * k
             if e >= self.order:
                 seq.append(seq[-1])
                 continue
-            seq.append(step(seq[-1], c, e))
+            seq.append(step(seq[-1], cmul(c, x ** i), e))
         return seq[n]
 
-    def get(self, c, j, k, n, power):
+    def get(self, c, j, k, n, power=1, x=1):
+        """(c q^j; x q^k)_n ^ power, for n a nonnegative integer or
+        math.inf."""
+        if n is math.inf:
+            if k <= 0:
+                raise Divergent(
+                    "infinite product with non-increasing exponents")
+            # every factor from the n-th on is 1 inside the window
+            n = 0
+            while j + n * k < self.order:
+                n += 1
         if power >= 0:
             base = self._extend(
-                self.fwd, c, j, k, n,
+                self.fwd, c, j, k, x, n,
                 lambda f, cc, e: series_mul(f, QSeries.from_terms(
                     [(0, 1), (e, cmul(-1, cc))], self.order)))
         else:
             base = self._extend(
-                self.inv, c, j, k, n,
+                self.inv, c, j, k, x, n,
                 lambda f, cc, e: series_mul(f, _geom(cc, e, self.order)))
         p = abs(power)
         return base if p == 1 else series_pow(base, p)
+
+    def product(self, factors):
+        """prod (c q^j; q^k)_n ^ power over factors (c, j, k, n, power)."""
+        out = QSeries({0: 1}, self.order)
+        for c, j, k, n, power in factors:
+            out = series_mul(out, self.get(c, j, k, n, power))
+        return out
 
 
 # -- Eulerian series ------------------------------------------------------
@@ -222,8 +220,7 @@ def eulerian(name, order):
         while n + 1 < order:
             t = series_mul(
                 QSeries.from_terms([(n + 1, 1), (2 * n + 1, 1)], order),
-                series_mul(cache.get(1, 1, 2, n, 1),
-                           cache.get(-1, 1, 1, n + 1, -1)))
+                cache.product([(1, 1, 2, n, 1), (-1, 1, 1, n + 1, -1)]))
             out = out + (-1) ** n * t
             n += 1
         return out
@@ -233,10 +230,8 @@ def eulerian(name, order):
     out = QSeries.zero(order)
     n = 0
     while lead(n) < order:
-        t = QSeries({0: 1}, order)
-        for c, j, k, cnt, e in factors(n):
-            t = series_mul(t, cache.get(c, j, k, cnt, e))
-        t = series_mul(QSeries.monomial(sign(n), lead(n), order), t)
+        t = series_mul(QSeries.monomial(sign(n), lead(n), order),
+                       cache.product(factors(n)))
         out = out + t
         n += 1
     return out
@@ -356,11 +351,7 @@ def _build_rhs(row, source, s, stream_order):
     b = Fraction(1) if row.shift is None else \
         (Fraction(1) if row.shift[0] == "pm" else row.shift[2])
     g = series_slice(combined, s, b) if s or b != 1 else combined
-    A, B = row.arg
-    if B:
-        g = series_half_shift(g, B)
-    if A != 1:
-        g = series_rescale(g, A)
+    g = _arg_transform(g, *row.arg)
     if row.pre != 1:
         g = row.pre * g
     if row.const:
@@ -420,15 +411,13 @@ def verify_table14_15(name, source=None, order=None):
                 f"{s_candidates}")
         rhs = viable[0][1]
     lhs = eulerian(name, min(order, rhs.order))
-    window = min(lhs.order, rhs.order)
-    keys = {Fraction(k, lhs.den) for k in lhs.coeffs} | \
-        {Fraction(k, rhs.den) for k in rhs.coeffs}
-    for x in sorted(k for k in keys if k < window):
-        a, b = lhs.coeff(x), rhs.coeff(x)
-        if not ciszero(csub(a, b)):
-            return {"row": name, "status": "mismatch", "exponent": x,
-                    "eulerian": a, "stream": b}
-    return {"row": name, "status": "verified", "depth": window}
+    bad = series_first_mismatch(lhs, rhs)
+    if bad is not None:
+        x, a, b = bad
+        return {"row": name, "status": "mismatch", "exponent": x,
+                "eulerian": a, "stream": b}
+    return {"row": name, "status": "verified",
+            "depth": min(lhs.order, rhs.order)}
 
 
 # -- self-contained identities -------------------------------------------
@@ -458,23 +447,17 @@ def verify_watson(order=100):
     return out
 
 
-def _aprod(parts, order):
-    out = QSeries({0: 1}, Fraction(order))
-    for c, j, k in parts:
-        out = series_mul(out, _pq(c, j, k, math.inf, order))
-    return out
-
-
 def verify_andrews_hickerson(order=100):
     """The order-6 identities: both LHS variants against each product."""
     order = Fraction(order)
     psi2 = series_shift(series_rescale(eulerian("6:psi", order / 2 + 1), 2),
                         -1)
     phi2 = series_rescale(eulerian("6:phi", order / 2 + 1), 2)
-    prod_a = _aprod([(-1, 1, 2), (-1, 1, 2), (-1, 1, 6), (-1, 5, 6),
-                     (1, 6, 6)], order)
-    prod_b = _aprod([(-1, 1, 2), (-1, 1, 2), (-1, 3, 6), (-1, 3, 6),
-                     (1, 6, 6)], order)
+    cache = _PochCache(order)
+    prod_a = cache.product([(c, j, k, math.inf, 1) for c, j, k in [
+        (-1, 1, 2), (-1, 1, 2), (-1, 1, 6), (-1, 5, 6), (1, 6, 6)]])
+    prod_b = cache.product([(c, j, k, math.inf, 1) for c, j, k in [
+        (-1, 1, 2), (-1, 1, 2), (-1, 3, 6), (-1, 3, 6), (1, 6, 6)]])
     cases = [
         ("rho", psi2 + eulerian("6:rho", order), prod_a),
         ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),

@@ -11,12 +11,13 @@ trusted.  All operations propagate the window honestly.
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import cadd, cmul, cneg, cinv, ciszero, ex, cformat
-from .errors import NonInvertibleLeadingTerm
+from .cyclo import cadd, cmul, cneg, cinv, ciszero, csub, ex, cformat
+from .errors import Divergent, NonInvertibleLeadingTerm
 
 __all__ = [
     "QSeries", "series_add", "series_mul", "series_pow", "series_rescale",
     "series_half_shift", "series_slice", "series_shift", "series_eq",
+    "series_first_mismatch",
 ]
 
 
@@ -220,7 +221,8 @@ def series_pow(a, e):
 def series_rescale(a, t):
     """q -> q^t for a positive rational t (exponents scale by t)."""
     t = Fraction(t)
-    assert t > 0
+    if t <= 0:
+        raise Divergent(f"q -> q^{t} leaves no exponent window")
     coeffs = {k * t.numerator: v for k, v in a.coeffs.items()}
     return QSeries(coeffs, a.order * t, a.den * t.denominator)
 
@@ -232,6 +234,15 @@ def series_half_shift(a, s):
     out = {k: cmul(v, ex(s * Fraction(k, a.den)))
            for k, v in a.coeffs.items()}
     return QSeries(out, a.order, a.den)
+
+
+def _arg_transform(f, A, B):
+    """f(A tau + B): the half-shift by B, then q -> q^A."""
+    if B:
+        f = series_half_shift(f, B)
+    if A != 1:
+        f = series_rescale(f, A)
+    return f
 
 
 def series_shift(a, s):
@@ -262,19 +273,26 @@ def series_slice(a, r, b):
         QSeries.zero(a.order - r)
 
 
+def series_first_mismatch(a, b):
+    """(x, a_x, b_x) at the least exponent x below both windows where the
+    coefficients of a and b differ, or None if they agree on the overlap."""
+    den, ca, cb = _align(a, b)
+    cutoff = _key_bound(min(a.order, b.order), den)
+    zero = Fraction(0)
+    for k in sorted(ca.keys() | cb.keys()):
+        if k >= cutoff:
+            break
+        va, vb = ca.get(k, zero), cb.get(k, zero)
+        if not ciszero(csub(va, vb)):
+            return Fraction(k, den), va, vb
+    return None
+
+
 def series_eq(a, b, strict=False):
     """Equality of all coefficients on the overlap of the two windows.
 
     With strict=True, require the windows to coincide as well.
     """
-    order = min(a.order, b.order)
     if strict and a.order != b.order:
         return False
-    den, ca, cb = _align(a, b)
-    cutoff = _key_bound(order, den)
-    keys = {k for k in ca if k < cutoff} | {k for k in cb if k < cutoff}
-    for k in keys:
-        d = cadd(ca.get(k, 0), cneg(cb.get(k, 0)))
-        if not ciszero(d):
-            return False
-    return True
+    return series_first_mismatch(a, b) is None

@@ -225,6 +225,20 @@ def test_psi_bad_inputs():
         psi_expand("6+2", -8, 2)
 
 
+def test_heegner_needs_negative_discriminant():
+    with pytest.raises(BadDiscriminant):
+        enumerate_heegner(6, 1, 1)
+
+
+def test_psi_structural_zero_orbit_raises():
+    # r n mod 12 runs through 3, 6, 9, 0: residue 3 vanishes under K of
+    # 6+2 and 0, 6 by antisymmetry, so no read ever runs out of depth
+    with pytest.raises(ExcludedDiscriminant, match=r"6\+2 D=-15 r=3"):
+        psi_expand("6+2", -15, 3)
+    # an explicit order still truncates the (trivial) product
+    assert psi_expand("6+2", -15, 3, order=6).items() == [(0, 1)]
+
+
 # -- rational fitting -----------------------------------------------------
 
 def T_series(order=30):

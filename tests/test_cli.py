@@ -155,3 +155,40 @@ def test_fit_missing_source(capsys):
     rc, _out, err = run(capsys, "fit", "--lambency", "2", "--D", "-7",
                         "--r", "1")
     assert rc == 1 and "MissingSource" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--eta", "1^24/2^x"],
+    ["expand", "--eta", "1^2^3"],
+    ["expand", "--eta", "0^2"],
+    ["expand", "--eta", "1^24/2^24", "--order", "-5"],
+    ["expand", "--eta", "1^24/2^24", "--order", "0"],
+    ["expand", "--eulerian", "3:psi", "--order", "x"],
+    ["verify", "fricke", "--order", "-5"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert "Traceback" not in err
+    assert [l for l in err.splitlines() if "error:" in l] == \
+        [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("suite", ["fricke", "shadow-lift"])
+def test_order_one_fails_without_traceback(capsys, suite):
+    rc, out, err = run(capsys, "verify", suite, "--order", "1",
+                       "--format", "records")
+    recs = [json.loads(l) for l in out.splitlines()]
+    assert rc == 1 and err == "" and len(recs) == 39
+    assert all("InsufficientDepth" in r["detail"] for r in recs)
+
+
+@pytest.mark.parametrize("lam, D, r", [("6+2", -15, 3), ("10+2", -15, 5)])
+def test_fit_structural_zero_orbit_stops(capsys, lam, D, r):
+    rc, _out, err = run(capsys, "fit", "--lambency", lam, "--D", str(D),
+                        "--r", str(r))
+    assert rc == 1
+    assert err.startswith("error: ExcludedDiscriminant")
+    assert f"{lam} D={D} r={r}" in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mjtheta.catalog import load_catalog
-from mjtheta.errors import LevelMismatch, NotConstant
+from mjtheta.errors import LevelMismatch, NotConstant, ParseError
 from mjtheta.eta import (
     EtaQuotient, parse_eta, format_eta, eta_expand, eta_fricke, eta_dlog,
     verify_fricke_constant,
@@ -129,6 +129,24 @@ def test_eta_expand_fractional_prefactor():
 def test_fricke_level_mismatch():
     with pytest.raises(LevelMismatch):
         eta_fricke(parse_eta("1^4 5^2"), 6)
+
+
+def test_fricke_irrational_multiplier():
+    # eta(tau)/eta(2 tau) at level 2: the multiplier is sqrt(2)
+    with pytest.raises(LevelMismatch, match="irrational"):
+        eta_fricke(parse_eta("1^1 / 2^1"), 2)
+
+
+def test_eta_factor_level_must_be_positive():
+    for n in (0, -3):
+        with pytest.raises(LevelMismatch):
+            EtaQuotient([(n, 2)])
+
+
+def test_parse_eta_malformed():
+    for text in ("1^24/2^x", "1^2^3", "a", "2^"):
+        with pytest.raises(ParseError):
+            parse_eta(text)
 
 
 def test_fricke_lambency_two():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, inf
 
 import pytest
 
@@ -248,6 +249,29 @@ def test_U1_V1_are_identity():
     t = lam2_kernel()
     assert tables_agree(hecke_Ud(t, 1), t)
     assert tables_agree(hecke_Vl(t, 1, 2), t)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_Vl_against_divisor_sum(l):
+    # phi | V_l has index 2l and C'(D, r) = sum over d | (n, r, l) of
+    # d^(k-1) C(D/d^2, r/d), where D = r^2 - 4 (2l) n
+    k, depth = 2, 200
+    t = lam2_kernel(depth)
+    v = hecke_Vl(t, l, k)
+    m2 = 2 * l
+    assert v.m == m2 and v.parity == -1
+    assert v.ranges == {r: (-inf, depth) for r in range(m2 + 1)}
+    nonzero = 0
+    for r in range(m2 + 1):
+        for D in range(-40 * m2, depth + 1):
+            if (D - r * r) % (4 * m2):
+                continue
+            g = gcd((r * r - D) // (4 * m2), r, l)
+            want = sum(d ** (k - 1) * t.get(D // (d * d), r // d)
+                       for d in range(1, g + 1) if g % d == 0)
+            assert v.get(D, r) == want, (D, r)
+            nonzero += want != 0
+    assert nonzero >= 10
 
 
 def test_Ud_index_and_values():

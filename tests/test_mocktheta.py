@@ -62,6 +62,19 @@ def test_eulerian_integer_coefficients():
             assert Fraction(v).denominator == 1, name
 
 
+@pytest.mark.parametrize("order", [Fraction(1345, 96), Fraction(23, 2)])
+def test_eulerian_keeps_fractional_window(order):
+    # the window is exactly the requested order, and the coefficients are
+    # those of the integer-order expansion below it
+    for name in EULERIAN_NAMES:
+        f = eulerian(name, order)
+        g = eulerian(name, math.ceil(order))
+        assert f.order == order and f.den == g.den == 1, name
+        assert f.coeffs == \
+            {k: v for k, v in g.coeffs.items() if k < order}, name
+    assert pochhammer(q, q, math.inf, order).order == order
+
+
 def test_eulerian_unknown_name():
     with pytest.raises(UnknownName):
         eulerian("9:zeta", 10)

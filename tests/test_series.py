@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mjtheta.cyclo import ex
-from mjtheta.errors import NonInvertibleLeadingTerm
+from mjtheta.errors import Divergent, NonInvertibleLeadingTerm
 from mjtheta.series import (
     QSeries, series_add, series_mul, series_pow, series_rescale,
     series_half_shift, series_slice, series_shift, series_eq,
+    series_first_mismatch,
 )
 
 
@@ -85,6 +86,12 @@ def test_rescale():
     c = series_rescale(a, Fraction(1, 2))
     assert c.coeff(Fraction(1, 2)) == 5
     assert c.order == 5
+
+
+def test_rescale_needs_positive_exponent():
+    for t in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(Divergent):
+            series_rescale(poly({1: 5}), t)
 
 
 def test_half_shift():
@@ -199,3 +206,58 @@ def test_mul_fractional_window_example():
     # 5q^{3/2} * q^{1/3} = 5q^{11/6} lies just past the window and is cut
     assert dict(c.items()) == {Fraction(1, 3): 1, Fraction(2, 3): -1,
                                Fraction(5, 6): 2, Fraction(7, 6): -2}
+
+
+# -- first mismatch ---------------------------------------------------------
+
+def fraction_scan(a, b):
+    """Oracle: walk the exact exponents of both supports in increasing order
+    through coeff(), stopping at the first that differs below both windows."""
+    window = min(a.order, b.order)
+    for x in sorted(set(a.support_exponents()) | set(b.support_exponents())):
+        if x < window and a.coeff(x) != b.coeff(x):
+            return x, a.coeff(x), b.coeff(x)
+    return None
+
+
+@st.composite
+def near_pairs(draw):
+    """a with den > 1 and a fractional window, and b: a re-keyed on a finer
+    grid with a few coefficients changed, and its own fractional window."""
+    a = draw(fractional_series)
+    f = draw(st.sampled_from([1, 2, 5]))
+    den = a.den * f
+    coeffs = {k * f: v for k, v in a.coeffs.items()}
+    for k, dv in draw(st.dictionaries(
+            st.integers(min_value=-6 * f, max_value=30 * f),
+            st.integers(min_value=-2, max_value=2), max_size=3)).items():
+        coeffs[k] = coeffs.get(k, 0) + dv
+    num = draw(st.integers(min_value=1, max_value=1400).filter(
+        lambda n: n % 7))
+    return a, QSeries(coeffs, Fraction(num, 7 * den), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_pairs())
+def test_first_mismatch_against_fraction_scan(pair):
+    a, b = pair
+    assert (a.order * a.den).denominator > 1
+    want = fraction_scan(a, b)
+    assert series_first_mismatch(a, b) == want
+    if want is not None:
+        x, va, vb = want
+        assert series_first_mismatch(b, a) == (x, vb, va)
+    assert series_eq(a, b) == (want is None)
+
+
+def test_first_mismatch_example():
+    # a = 1 + 2q^{1/2} + O(q^{11/6}), b = 1 + 2q^{1/2} - q^{4/3} + O(q^{5/3})
+    a = QSeries({0: Fraction(1), 1: Fraction(2)}, Fraction(11, 6), 2)
+    b = QSeries({0: Fraction(1), 3: Fraction(2), 8: Fraction(-1)},
+                Fraction(5, 3), 6)
+    assert series_first_mismatch(a, b) == (Fraction(4, 3), 0, -1)
+    # past the shorter window nothing is compared
+    c = QSeries({0: Fraction(1), 3: Fraction(2), 10: Fraction(7)},
+                Fraction(5, 3), 6)
+    assert series_first_mismatch(a, c) is None
+    assert series_eq(a, c) and not series_eq(a, c, strict=True)
