@@ -26,7 +26,7 @@ from math import gcd
 from .cyclo import cmul, ex
 from .errors import (
     CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
-    UnknownLambency,
+    UnknownLambency, UnreadableSource,
 )
 from .eta import parse_eta
 from .jacobi import (
@@ -246,41 +246,44 @@ def ingest_hdata(path):
     catalog = catalog_by_symbol()
     raw = {}
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or rec[0].startswith("#"):
-                continue
-            if lineno == 1 and rec[:1] == ["lambency"]:
-                continue
-            if len(rec) != 5:
-                raise ParseError(f"line {lineno}: expected 5 fields")
-            symbol, cls, r, D, c = rec
-            if symbol not in catalog:
-                raise UnknownLambency(f"line {lineno}: {symbol}")
-            m = catalog[symbol].m
-            try:
-                r, D, c = int(r), int(D), int(c)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer field") \
-                    from None
-            if not 0 <= r < 2 * m:
-                raise ParseError(f"line {lineno}: residue {r} out of range")
-            if (D - r * r) % (4 * m) != 0:
-                raise CongruenceViolation(
-                    f"line {lineno}: D={D} != {r}^2 mod {4 * m}")
-            key = (symbol, cls)
-            if (key, r, D) in seen:
-                raise ParseError(f"line {lineno}: duplicate key "
-                                 f"{symbol},{cls},{r},{D}")
-            seen.add((key, r, D))
-            rc, sign = (2 * m - r, -1) if r > m else (r, 1)
-            store = raw.setdefault(key, {})
-            if (D, rc) in store and store[(D, rc)] != sign * c:
-                raise ParseError(
-                    f"line {lineno}: records for C({D},{r}) conflict under "
-                    f"antisymmetry")
-            store[(D, rc)] = sign * c
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise UnreadableSource(f"{os.fspath(path)}: {reason}") from None
+    for lineno, rec in enumerate(rows, start=1):
+        if not rec or rec[0].startswith("#"):
+            continue
+        if lineno == 1 and rec[:1] == ["lambency"]:
+            continue
+        if len(rec) != 5:
+            raise ParseError(f"line {lineno}: expected 5 fields")
+        symbol, cls, r, D, c = rec
+        if symbol not in catalog:
+            raise UnknownLambency(f"line {lineno}: {symbol}")
+        m = catalog[symbol].m
+        try:
+            r, D, c = int(r), int(D), int(c)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field") from None
+        if not 0 <= r < 2 * m:
+            raise ParseError(f"line {lineno}: residue {r} out of range")
+        if (D - r * r) % (4 * m) != 0:
+            raise CongruenceViolation(
+                f"line {lineno}: D={D} != {r}^2 mod {4 * m}")
+        key = (symbol, cls)
+        if (key, r, D) in seen:
+            raise ParseError(f"line {lineno}: duplicate key "
+                             f"{symbol},{cls},{r},{D}")
+        seen.add((key, r, D))
+        rc, sign = (2 * m - r, -1) if r > m else (r, 1)
+        store = raw.setdefault(key, {})
+        if (D, rc) in store and store[(D, rc)] != sign * c:
+            raise ParseError(
+                f"line {lineno}: records for C({D},{r}) conflict under "
+                f"antisymmetry")
+        store[(D, rc)] = sign * c
     tables = {}
     for (symbol, cls), store in raw.items():
         m = catalog[symbol].m

@@ -56,14 +56,11 @@ def cmd_expand(args, out=None):
 
 # -- verification cases ---------------------------------------------------
 #
-# Each case function takes (case_key, order, data_path) and returns a
-# report dict; module-level so the worker pool can pickle the tasks.
+# Each case function takes (case_key, order, hdata) and returns a report
+# dict; module-level so the worker pool can pickle the tasks.  hdata is the
+# HData parsed from --data, once per run, or None.
 
-def _hdata(data_path):
-    return ingest_hdata(data_path) if data_path else None
-
-
-def _case_fricke(symbol, order, _data):
+def _case_fricke(symbol, order, _hdata):
     lam = get_lambency(symbol)
     f = eta_expand(lam.eta, order)
     if f.lo != -1 or f.coeff(-1) != 1:
@@ -72,7 +69,7 @@ def _case_fricke(symbol, order, _data):
     return {"status": "pass", "depth": order, "constant": str(mult)}
 
 
-def _case_shadow(symbol, order, _data):
+def _case_shadow(symbol, order, _hdata):
     lam = get_lambency(symbol)
     n_max = order
     if n_max < 2:
@@ -94,7 +91,7 @@ def _case_shadow(symbol, order, _data):
     return {"status": "pass", "depth": n_max, "c": str(c)}
 
 
-def _case_fixture(symbol, _order, _data):
+def _case_fixture(symbol, _order, _hdata):
     lam = get_lambency(symbol)
     f = lam.fixture
     if f is None:
@@ -115,21 +112,19 @@ def _case_fixture(symbol, _order, _data):
     return {"status": "pass", "depth": 15}
 
 
-def _case_mocktheta(name, order, data):
+def _case_mocktheta(name, order, hdata):
     if name == "watson":
         reps = verify_watson(order)
     elif name == "andrews-hickerson":
         reps = verify_andrews_hickerson(order)
     else:
-        h = _hdata(data)
-        lam = None
         source = None
         try:
-            if h is not None:
+            if hdata is not None:
                 from .mocktheta import ROWS
                 sym = ROWS[name].lambency
                 if get_lambency(sym).fixture is None:
-                    source = h.get(sym)
+                    source = hdata.get(sym)
         except MissingSource:
             source = None
         try:
@@ -145,7 +140,7 @@ def _case_mocktheta(name, order, data):
     return {"status": "pass", "depth": order}
 
 
-def _case_positivity(symbol, _order, data):
+def _case_positivity(symbol, _order, hdata):
     lam = get_lambency(symbol)
     ok_sigma = check_positivity_sigma(lam) == lam.in_L1_plus
     if not ok_sigma:
@@ -153,9 +148,9 @@ def _case_positivity(symbol, _order, data):
     if lam.fixture is not None:
         if check_positivity_phi(lam):
             return {"status": "fail", "detail": "phi passed outside L1+"}
-    elif data:
+    elif hdata is not None:
         try:
-            table = _hdata(data).get(lam.symbol)
+            table = hdata.get(lam.symbol)
         except MissingSource:
             return {"status": "pass", "detail": "sigma only (no phi data)"}
         if not check_positivity_phi(lam, table):
@@ -163,11 +158,11 @@ def _case_positivity(symbol, _order, data):
     return {"status": "pass"}
 
 
-def _case_mult(row_id, order, data):
-    if not data:
+def _case_mult(row_id, order, hdata):
+    if hdata is None:
         return {"status": "skipped", "detail": "no --data"}
     try:
-        rep = verify_mult_relation(row_id, _hdata(data), order=order)
+        rep = verify_mult_relation(row_id, hdata, order=order)
     except MissingSource as e:
         return {"status": "skipped", "detail": str(e)}
     if rep["status"] != "verified":
@@ -190,7 +185,7 @@ _DEFAULT_ORDERS = {
 }
 
 
-def _suite_cases(suite, order, data):
+def _suite_cases(suite, order, hdata):
     symbols = [lam.symbol for lam in load_catalog()]
     if suite in ("fricke", "shadow-lift", "positivity"):
         keys = symbols
@@ -201,13 +196,13 @@ def _suite_cases(suite, order, data):
     else:
         keys = sorted(MULT_RELATIONS)
     o = order if order is not None else _DEFAULT_ORDERS[suite]
-    return [(suite, k, o, data) for k in keys]
+    return [(suite, k, o, hdata) for k in keys]
 
 
 def _run_case(task):
-    suite, key, order, data = task
+    suite, key, order, hdata = task
     try:
-        rep = _CASE_FNS[suite](key, order, data)
+        rep = _CASE_FNS[suite](key, order, hdata)
     except MJTError as e:
         rep = {"status": "fail", "detail": f"{type(e).__name__}: {e}"}
     rep.update(suite=suite, case=key)
@@ -217,9 +212,10 @@ def _run_case(task):
 def cmd_verify(args, out=None):
     out = out or sys.stdout
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    hdata = ingest_hdata(args.data) if args.data else None
     tasks = []
     for s in suites:
-        tasks.extend(_suite_cases(s, args.order, args.data))
+        tasks.extend(_suite_cases(s, args.order, hdata))
     t0 = time.time()
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -250,7 +246,7 @@ def cmd_fit(args, out=None):
     from .borcherds import fit_case
     table = None
     if args.data and get_lambency(args.lambency).fixture is None:
-        table = _hdata(args.data).get(args.lambency)
+        table = ingest_hdata(args.data).get(args.lambency)
     rep = fit_case(args.lambency, args.D, args.r, max_deg=args.max_deg,
                    table=table)
     if args.format == "records":
@@ -324,6 +320,10 @@ def main(argv=None):
         return args.fn(args)
     except MJTError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: MemoryError: out of memory; try a smaller --order",
+              file=sys.stderr)
         return 1
 
 

@@ -53,6 +53,10 @@ class MissingSource(MJTError):
     """A construction needs data that has not been ingested."""
 
 
+class UnreadableSource(MJTError):
+    """A coefficient data file could not be opened or decoded."""
+
+
 class UnknownName(MJTError):
     """No Eulerian series registered under the requested name."""
 

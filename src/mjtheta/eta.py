@@ -6,6 +6,7 @@ exactly (exponent denominator 24).
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .arith import prime_factorization, sigma1
 from .errors import InsufficientDepth, LevelMismatch, NotConstant, ParseError
@@ -104,15 +105,9 @@ def eta_expand(e, order):
 def _unit_coeffs(e, count):
     """a_0 .. a_{count-1} of the unit part of the quotient, as ints."""
     b = _dlog_coeffs(e, count)
-    nz = [(k, bk) for k, bk in enumerate(b) if bk]
     a = [1] if count else []
     for N in range(1, count):
-        acc = 0
-        for k, bk in nz:
-            if k > N:
-                break
-            acc += bk * a[N - k]
-        a.append(acc // N)
+        a.append(sum(map(mul, b[1:N + 1], reversed(a))) // N)
     return a
 
 

@@ -197,7 +197,7 @@ EULERIAN_DEFS = {
     "8:U0": _E(lambda n: n * n,
                lambda n: [(-1, 1, 2, n, 1), (-1, 4, 4, n, -1)]),
     "8:U1": _E(lambda n: (n + 1) ** 2,
-               lambda n: [(-1, 1, 2, n, 1), (-1, 2, 4, n, -1)]),
+               lambda n: [(-1, 1, 2, n, 1), (-1, 2, 4, n + 1, -1)]),
     "8:V1": _E(lambda n: (n + 1) ** 2,
                lambda n: [(-1, 1, 2, n, 1), (1, 1, 2, n + 1, -1)]),
     # 1 + V0 in full: the n-th summand carries an overall 2

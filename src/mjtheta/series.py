@@ -9,7 +9,7 @@ trusted.  All operations propagate the window honestly.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclo import cadd, cmul, cneg, cinv, ciszero, csub, ex, cformat
 from .errors import Divergent, NonInvertibleLeadingTerm
@@ -160,13 +160,73 @@ def series_mul(a, b):
     den, ca, cb = _align(a, b)
     order = min(a.order + _lo_eff(b), b.order + _lo_eff(a))
     cutoff = _key_bound(order, den)
+    if _all_int(ca) and _all_int(cb):
+        out = _mul_kronecker(ca, cb, cutoff)
+    else:
+        out = _mul_pairs(ca, cb, cutoff)
+    return QSeries(out, order, den)
+
+
+def _all_int(coeffs):
+    return all(type(v) is int for v in coeffs.values())
+
+
+def _mul_pairs(ca, cb, cutoff):
+    """Coefficients of the product at keys below the cutoff, one pair of
+    terms at a time: the kernel for Fraction and Cyc values."""
     out = {}
     for ka, va in ca.items():
         for kb, vb in cb.items():
             k = ka + kb
             if k < cutoff:
                 out[k] = cadd(out.get(k, 0), cmul(va, vb))
-    return QSeries(out, order, den)
+    return out
+
+
+def _mul_kronecker(ca, cb, cutoff):
+    """_mul_pairs for int values by Kronecker substitution.
+
+    Each operand becomes one integer with an s-byte slot per step g of its
+    keys (g the gcd of all key offsets), so that a single bigint multiply
+    performs the convolution.  A product slot holds a sum of at most
+    min(#a, #b) terms, each at most max|a| * max|b| in size; s bytes give
+    that bound's bits plus a sign bit.  Slot values are stored offset by
+    half = 2^(8s-1), so packing and unpacking stay byte copies."""
+    if not ca or not cb:
+        return {}
+    la, lb = min(ca), min(cb)
+    # product keys below the cutoff are la + lb + j, 0 <= j < span; the
+    # window of a product lies above its lowest term, so span >= 1
+    span = cutoff - la - lb
+    ka = [k for k in ca if k - la < span]
+    kb = [k for k in cb if k - lb < span]
+    g = gcd(*(k - la for k in ka), *(k - lb for k in kb)) or 1
+    n = -(-span // g)  # product slots below the cutoff
+    bound = (max(abs(ca[k]) for k in ka) * max(abs(cb[k]) for k in kb)
+             * min(len(ka), len(kb)))
+    s = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * s - 1)
+    c = _pack(ca, ka, la, g, s, half) * _pack(cb, kb, lb, g, s, half)
+    # adding half to each of the n low slots leaves every slot in [0, 2^8s)
+    offset = int.from_bytes(half.to_bytes(s, "little") * n, "little")
+    low = (c + offset) & ((1 << (8 * s * n)) - 1)
+    raw = low.to_bytes(s * n, "little")
+    base = la + lb
+    return {base + g * j: v - half
+            for j, v in enumerate(int.from_bytes(raw[i:i + s], "little")
+                                  for i in range(0, s * n, s))
+            if v != half}
+
+
+def _pack(coeffs, keys, lo, g, s, half):
+    """sum_k coeffs[k] 2^(8s (k - lo) / g) over keys, as one int."""
+    m = (max(keys) - lo) // g + 1
+    zero = half.to_bytes(s, "little")
+    slots = [zero] * m
+    for k in keys:
+        slots[(k - lo) // g] = (coeffs[k] + half).to_bytes(s, "little")
+    return (int.from_bytes(b"".join(slots), "little")
+            - int.from_bytes(zero * m, "little"))
 
 
 def _reciprocal(a):

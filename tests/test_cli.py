@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mjtheta.catalog import MULT_RELATIONS, get_lambency
+from mjtheta.catalog import MULT_RELATIONS, get_lambency, ingest_hdata
 from mjtheta.cli import main
 from mjtheta.jacobi import h_stream
 from mjtheta.series import series_rescale
@@ -192,3 +192,49 @@ def test_fit_structural_zero_orbit_stops(capsys, lam, D, r):
     assert rc == 1
     assert err.startswith("error: ExcludedDiscriminant")
     assert f"{lam} D={D} r={r}" in err
+
+
+def test_data_file_is_parsed_once_per_run(capsys, data_file, monkeypatch):
+    from mjtheta import cli
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return ingest_hdata(path)
+
+    monkeypatch.setattr(cli, "ingest_hdata", counting)
+    rc, out, _ = run(capsys, "verify", "all", "--data", data_file,
+                     "--format", "records")
+    recs = [json.loads(l) for l in out.splitlines()]
+    assert calls == [data_file]
+    assert len(recs) == 181
+    # the parsed tables reach the cases: the one relation with data is run
+    [rec] = [r for r in recs if r["case"] == "60+12,15,20:2A"]
+    assert rec["status"] != "skipped"
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_unreadable_data_file_is_one_error_line(capsys, monkeypatch, how):
+    argv = ["verify", "mult-relations"]
+    if how == "flag":
+        argv += ["--data", "/nonexistent.csv"]
+    else:
+        monkeypatch.setenv("MJTHETA_DATA", "/nonexistent.csv")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: UnreadableSource: /nonexistent.csv")
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    from mjtheta import cli
+
+    def exhausted(e, order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "eta_expand", exhausted)
+    rc, out, err = run(capsys, "expand", "--eta", "1^24/2^24",
+                       "--order", "99999999999")
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: MemoryError")

@@ -80,6 +80,30 @@ def test_eulerian_unknown_name():
         eulerian("9:zeta", 10)
 
 
+def test_eulerian_8U1_against_defining_sum():
+    # U1 = sum_n q^((n+1)^2) (-q; q^2)_n / (-q^2; q^4)_(n+1)  (Gordon-McIntosh)
+    N = 40
+    want = [0] * N
+    n = 0
+    while (n + 1) ** 2 < N:
+        t = [0] * N
+        t[(n + 1) ** 2] = 1
+        for i in range(n):  # times (1 + q^(2i+1))
+            e = 2 * i + 1
+            for x in range(N - 1, e - 1, -1):
+                t[x] += t[x - e]
+        for i in range(n + 1):  # divided by (1 + q^(4i+2))
+            e = 4 * i + 2
+            for x in range(e, N):
+                t[x] -= t[x - e]
+        want = [w + v for w, v in zip(want, t)]
+        n += 1
+    f = eulerian("8:U1", N)
+    assert f.order == N
+    assert [f.coeff(x) for x in range(N)] == want
+    assert want[:6] == [0, 1, 0, -1, 1, 2]
+
+
 def test_eulerian_2mu_constant():
     # the registered series is 2*mu, whose constant term is 1
     assert eulerian("6:2mu", 4).coeff(0) == 1

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mjtheta import series
 from mjtheta.cyclo import ex
 from mjtheta.errors import Divergent, NonInvertibleLeadingTerm
 from mjtheta.series import (
@@ -261,3 +262,93 @@ def test_first_mismatch_example():
                 Fraction(5, 3), 6)
     assert series_first_mismatch(a, c) is None
     assert series_eq(a, c) and not series_eq(a, c, strict=True)
+
+
+# -- the Kronecker kernel against the pair loop -------------------------------
+
+def pair_loop_mul(a, b):
+    """Oracle: series_mul with every product taken by the pair loop."""
+    den, ca, cb = series._align(a, b)
+    order = min(a.order + series._lo_eff(b), b.order + series._lo_eff(a))
+    return QSeries(series._mul_pairs(ca, cb, series._key_bound(order, den)),
+                   order, den)
+
+
+def same_product(c, want):
+    assert (c.coeffs, c.order, c.den) == (want.coeffs, want.order, want.den)
+    assert all(type(v) is int for v in c.coeffs.values())
+
+
+# values at and next to the slot byte boundaries, besides uniform ones
+_edge_values = st.sampled_from(
+    [s * v for e in (7, 8, 15, 16, 63, 64, 399, 400) for s in (1, -1)
+     for v in (2 ** e - 1, 2 ** e, 2 ** e + 1)])
+
+
+@st.composite
+def int_series(draw):
+    """Int coefficients on keys offset + stride * j, negative keys allowed,
+    den from 1 to 24 and windows off the key grid (order * den = num / 7)
+    that may cut into the support or lie below it."""
+    den = draw(st.sampled_from([1, 2, 3, 24]))
+    stride = draw(st.sampled_from([1, 2, 3, 5, 24]))
+    offset = draw(st.integers(min_value=-40, max_value=40))
+    mag = draw(st.sampled_from([1, 9, 10 ** 6, 10 ** 40, 10 ** 120]))
+    values = st.one_of(st.integers(min_value=-mag, max_value=mag),
+                       _edge_values).filter(bool)
+    coeffs = draw(st.dictionaries(
+        st.integers(min_value=-5, max_value=25).map(
+            lambda j: offset + stride * j), values, max_size=8))
+    num = draw(st.integers(min_value=-300, max_value=1500))
+    return QSeries(coeffs, Fraction(num, 7 * den), den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_series(), int_series())
+@example(QSeries({0: -15}, 5), QSeries({0: 17}, 5))  # |c| = 255: 9 bits
+@example(QSeries({0: 127, 1: 127}, 9), QSeries({0: 1, 1: 1}, 9))  # 2 * 127
+@example(QSeries({0: 255, 3: -255}, 9),
+         QSeries({0: 257, 6: 1}, Fraction(58, 7)))
+@example(QSeries({}, 5), QSeries({0: 1, 1: 2}, 5))
+@example(QSeries({0: 2, 3: 5}, 5), QSeries({0: 7}, 10))  # 5 keys, stride 3
+@example(QSeries({-48: 10 ** 120}, Fraction(9, 7), 24),
+         QSeries({-1: -(10 ** 120), 2: 3}, Fraction(7, 3), 3))
+def test_kronecker_matches_pair_loop(a, b):
+    same_product(series_mul(a, b), pair_loop_mul(a, b))
+    same_product(series_mul(b, a), pair_loop_mul(b, a))
+
+
+@pytest.mark.parametrize("m", [1, 3, 10 ** 120])
+def test_kronecker_cancellation(m):
+    # m (1 - q^3) * m (1 + q^3 + q^6 + ...) = m^2 (1 - q^30): nothing but the
+    # constant survives below the window, on a stride-3 grid with den 24
+    a = QSeries({0: m, 72: -m}, 11, 24)
+    b = QSeries({72 * i: m for i in range(10)}, 10, 24)
+    c = series_mul(a, b)
+    same_product(c, pair_loop_mul(a, b))
+    assert c.coeffs == {0: m * m} and c.order == 10
+    # (q + q^2)(q - q^2) = q^2 - q^4: the q^3 terms cancel exactly
+    c = series_mul(QSeries({1: m, 2: m}, 9), QSeries({1: m, 2: -m}, 9))
+    assert c.coeffs == {2: m * m, 4: -m * m}
+    # an operand with no term inside its window is zero up to it: the
+    # product is zero up to 4/3 + 5
+    c = series_mul(QSeries({5: m}, 6), QSeries({5: -m}, Fraction(4, 3)))
+    assert c.coeffs == {} and c.order == Fraction(19, 3)
+
+
+def test_non_int_values_take_the_pair_loop(monkeypatch):
+    calls = []
+    kernel = series._mul_kronecker
+    monkeypatch.setattr(series, "_mul_kronecker",
+                        lambda *args: calls.append(args) or kernel(*args))
+    ints = QSeries({0: 1, 1: 2}, 9)
+    for other in (QSeries({0: Fraction(1, 2), 1: 3}, 9),
+                  QSeries({0: 1, 2: Fraction(3)}, 9),
+                  QSeries({0: ex(Fraction(1, 3)), 1: 1}, 9)):
+        same = series_mul(ints, other)
+        assert calls == []
+        want = pair_loop_mul(ints, other)
+        assert (same.coeffs, same.order, same.den) == \
+            (want.coeffs, want.order, want.den)
+    series_mul(ints, ints)
+    assert len(calls) == 1
