@@ -1,6 +1,11 @@
 """Command-line driver: series expansion, verification suites, and the
 rational-function fit.
 
+The verification reports below (fricke_report, lift_report,
+invariance_report, fixture_report, positivity_report, ...) are the one
+definition of each acceptance criterion they check: `mjtheta verify` runs
+them per case and tests/test_acceptance.py calls them directly.
+
 Exit codes: 0 success, 1 verification or computation failure, 2 usage error.
 Reports are one line per case; --format records emits them as JSON objects
 with identical content.
@@ -11,87 +16,106 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from .catalog import (
-    MULT_RELATIONS, check_positivity_phi, check_positivity_sigma,
-    get_lambency, ingest_hdata, load_catalog, verify_mult_relation,
+    FIXTURE_DEPTH_N, MULT_RELATIONS, catalog_by_symbol, check_positivity_phi,
+    check_positivity_sigma, get_lambency, ingest_hdata, verify_mult_relation,
 )
 from .cyclo import cformat
 from .errors import InsufficientDepth, MJTError, MissingSource
-from .eta import eta_dlog, eta_expand, parse_eta, verify_fricke_constant
+from .eta import eta_dlog, eta_expand, fricke_constant, parse_eta
 from .jacobi import ez_apply, shadow_kernel, sz_lift
 from .mocktheta import (
-    eulerian, row_names, verify_andrews_hickerson, verify_table14_15,
+    ROWS, eulerian, row_names, verify_andrews_hickerson, verify_table14_15,
     verify_watson,
 )
 
 DATA_ENV = "MJTHETA_DATA"
-SUITES = ("fricke", "shadow-lift", "fixtures", "mocktheta", "positivity",
-          "mult-relations")
 
 
 def _fmt_coeff(v):
     return cformat(v) if not isinstance(v, (int, Fraction)) else str(v)
 
 
-def _print_series(f, out):
-    for x, v in f.items():
-        out.write(f"{x} {_fmt_coeff(v)}\n")
-
-
 def cmd_expand(args, out=None):
     out = out or sys.stdout
-    order = args.order if args.order is not None else 100
     if args.eta is not None:
-        f = eta_expand(args.eta, order)
+        f = eta_expand(args.eta, args.order)
     elif args.lambency is not None:
-        f = eta_expand(get_lambency(args.lambency).eta, order)
+        f = eta_expand(get_lambency(args.lambency).eta, args.order)
     else:
-        f = eulerian(args.eulerian, order)
-    _print_series(f, out)
+        f = eulerian(args.eulerian, args.order)
+    for x, v in f.items():
+        out.write(f"{x} {_fmt_coeff(v)}\n")
     return 0
 
 
-# -- verification cases ---------------------------------------------------
+# -- verification reports ------------------------------------------------
 #
-# Each case function takes (case_key, order, hdata) and returns a report
-# dict; module-level so the worker pool can pickle the tasks.  hdata is the
+# One function per checked claim, shared by `mjtheta verify` and the
+# acceptance tests.  Each takes (case_key, order, hdata) and returns a
+# report dict whose status is "pass", "fail" or "skipped"; hdata is the
 # HData parsed from --data, once per run, or None.
 
-def _case_fricke(symbol, order, _hdata):
+def _moved(t, K):
+    """A fail report if some a in K moves an entry of t that ez_apply(t, a)
+    justifies, else None."""
+    for a in K:
+        u = ez_apply(t, a)
+        for key, v in t.entries.items():
+            if u.known(*key) and u.get(*key) != v:
+                return {"status": "fail",
+                        "detail": f"ez_apply({a}) moved C{key}"}
+    return None
+
+
+def _verdict(rep):
+    if rep["status"] != "verified":
+        return {"status": "fail", "detail": f"at q^{rep['exponent']}"}
+    return {"status": "pass", "depth": str(rep["depth"])}
+
+
+def fricke_report(symbol, order, _hdata):
+    """Criterion 1: T = q^-1 + O(q^0), and T * (T|W_m) is constant."""
     lam = get_lambency(symbol)
     f = eta_expand(lam.eta, order)
     if f.lo != -1 or f.coeff(-1) != 1:
         return {"status": "fail", "detail": f"leading term {f.lo}"}
-    mult = verify_fricke_constant(lam.eta, lam.m, order)
-    return {"status": "pass", "depth": order, "constant": str(mult)}
+    constant, window = fricke_constant(f, lam.eta, lam.m)
+    if window.denominator == 1:
+        window = int(window)
+    return {"status": "pass", "depth": window, "constant": constant}
 
 
-def _case_shadow(symbol, order, _hdata):
+def lift_report(symbol, order, _hdata):
+    """Criterion 2: the lift of the shadow table is c * dlog T at
+    q^1..q^(order-1); reports the fitted c."""
     lam = get_lambency(symbol)
-    n_max = order
-    if n_max < 2:
+    if order < 2:
         raise InsufficientDepth(f"order {order} reaches no coefficient q^1")
-    t = shadow_kernel(lam.eta, lam.m, (n_max + 1) ** 2)
-    lift = sz_lift(t, 1, 1, 2, n_max)
-    dl = eta_dlog(lam.eta, n_max)
+    t = shadow_kernel(lam.eta, lam.m, (order + 1) ** 2)
+    lift = sz_lift(t, 1, 1, 2, order)
+    dl = eta_dlog(lam.eta, order)
     c = Fraction(lift.coeff(1), dl.coeff(1))
-    for n in range(1, n_max):
+    for n in range(1, order):
         if lift.coeff(n) != c * dl.coeff(n):
             return {"status": "fail", "detail": f"n={n}"}
-    t50 = shadow_kernel(lam.eta, lam.m, 50)
-    for a in lam.K:
-        u = ez_apply(t50, a)
-        for key, v in t50.entries.items():
-            if u.entries.get(key, 0) != v:
-                return {"status": "fail",
-                        "detail": f"ez_apply({a}) moved C{key}"}
-    return {"status": "pass", "depth": n_max, "c": str(c)}
+    return {"status": "pass", "depth": order, "c": c}
 
 
-def _case_fixture(symbol, _order, _hdata):
+def invariance_report(symbol, order, _hdata):
+    """Criterion 3: the shadow table to depth `order` is fixed by every a
+    in K."""
+    lam = get_lambency(symbol)
+    t = shadow_kernel(lam.eta, lam.m, order)
+    return _moved(t, lam.K) or {"status": "pass", "depth": order}
+
+
+def fixture_report(symbol, _order, _hdata):
+    """Criterion 4: the printed table has C(1,1) = -2, C(1,r) != 0 exactly
+    for r in +-K, and is fixed by every a in K."""
     lam = get_lambency(symbol)
     f = lam.fixture
     if f is None:
@@ -103,47 +127,36 @@ def _case_fixture(symbol, _order, _hdata):
     for r in range(m2):
         if f.known(1, r) and (f.get(1, r) != 0) != (r in K):
             return {"status": "fail", "detail": f"support at r={r}"}
-    for a in lam.K:
-        g = ez_apply(f, a)
-        for key, v in f.entries.items():
-            if g.known(*key) and g.get(*key) != v:
-                return {"status": "fail",
-                        "detail": f"ez_apply({a}) moved C{key}"}
-    return {"status": "pass", "depth": 15}
+    return _moved(f, lam.K) or {"status": "pass", "depth": FIXTURE_DEPTH_N}
 
 
-def _case_mocktheta(name, order, hdata):
-    if name == "watson":
-        reps = verify_watson(order)
-    elif name == "andrews-hickerson":
-        reps = verify_andrews_hickerson(order)
-    else:
-        source = None
+def mocktheta_report(name, order, hdata):
+    """A mock theta table row, or the Watson or Andrews-Hickerson set."""
+    if name in ("watson", "andrews-hickerson"):
+        verify = verify_watson if name == "watson" else \
+            verify_andrews_hickerson
+        bad = [r for r in verify(order) if r["status"] != "verified"]
+        if bad:
+            return {"status": "fail", "detail": bad[0]["identity"]}
+        return {"status": "pass", "depth": order}
+    source = None
+    sym = ROWS[name].lambency
+    if hdata is not None and get_lambency(sym).fixture is None:
         try:
-            if hdata is not None:
-                from .mocktheta import ROWS
-                sym = ROWS[name].lambency
-                if get_lambency(sym).fixture is None:
-                    source = hdata.get(sym)
+            source = hdata.get(sym)
         except MissingSource:
-            source = None
-        try:
-            rep = verify_table14_15(name, source=source, order=order)
-        except MissingSource as e:
-            return {"status": "skipped", "detail": str(e)}
-        if rep["status"] != "verified":
-            return {"status": "fail", "detail": f"at q^{rep['exponent']}"}
-        return {"status": "pass", "depth": str(rep["depth"])}
-    bad = [r for r in reps if r["status"] != "verified"]
-    if bad:
-        return {"status": "fail", "detail": bad[0]["identity"]}
-    return {"status": "pass", "depth": order}
+            pass
+    try:
+        return _verdict(verify_table14_15(name, source=source, order=order))
+    except MissingSource as e:
+        return {"status": "skipped", "detail": str(e)}
 
 
-def _case_positivity(symbol, _order, hdata):
+def positivity_report(symbol, _order, hdata):
+    """Criterion 7: sigma-positivity holds exactly on L1+, and
+    phi-positivity fails on every fixture; with data, it holds on L1+."""
     lam = get_lambency(symbol)
-    ok_sigma = check_positivity_sigma(lam) == lam.in_L1_plus
-    if not ok_sigma:
+    if check_positivity_sigma(lam) != lam.in_L1_plus:
         return {"status": "fail", "detail": "sigma partition"}
     if lam.fixture is not None:
         if check_positivity_phi(lam):
@@ -158,51 +171,45 @@ def _case_positivity(symbol, _order, hdata):
     return {"status": "pass"}
 
 
-def _case_mult(row_id, order, hdata):
+def mult_relation_report(row_id, order, hdata):
+    """A multiplicative-relation row against the ingested data."""
     if hdata is None:
         return {"status": "skipped", "detail": "no --data"}
     try:
-        rep = verify_mult_relation(row_id, hdata, order=order)
+        return _verdict(verify_mult_relation(row_id, hdata, order=order))
     except MissingSource as e:
         return {"status": "skipped", "detail": str(e)}
-    if rep["status"] != "verified":
-        return {"status": "fail", "detail": f"at q^{rep['exponent']}"}
-    return {"status": "pass", "depth": str(rep["depth"])}
 
 
-_CASE_FNS = {
-    "fricke": _case_fricke,
-    "shadow-lift": _case_shadow,
-    "fixtures": _case_fixture,
-    "mocktheta": _case_mocktheta,
-    "positivity": _case_positivity,
-    "mult-relations": _case_mult,
+def _shadow_lift(symbol, order, hdata):
+    """The shadow-lift suite: criterion 2, then criterion 3 to depth 50."""
+    rep = lift_report(symbol, order, hdata)
+    if rep["status"] != "pass":
+        return rep
+    inv = invariance_report(symbol, 50, hdata)
+    return rep if inv["status"] == "pass" else inv
+
+
+# suite -> (report function, case keys (a callable), default order)
+SUITES = {
+    "fricke": (fricke_report, catalog_by_symbol, 100),
+    "shadow-lift": (_shadow_lift, catalog_by_symbol, 200),
+    "fixtures": (fixture_report, lambda: [
+        s for s, lam in catalog_by_symbol().items()
+        if lam.fixture is not None], None),
+    "mocktheta": (mocktheta_report,
+                  lambda: row_names() + ["watson", "andrews-hickerson"], 8),
+    "positivity": (positivity_report, catalog_by_symbol, None),
+    "mult-relations": (mult_relation_report, lambda: sorted(MULT_RELATIONS),
+                       None),
 }
 
-_DEFAULT_ORDERS = {
-    "fricke": 100, "shadow-lift": 200, "fixtures": 15, "mocktheta": 8,
-    "positivity": 15, "mult-relations": None,
-}
 
-
-def _suite_cases(suite, order, hdata):
-    symbols = [lam.symbol for lam in load_catalog()]
-    if suite in ("fricke", "shadow-lift", "positivity"):
-        keys = symbols
-    elif suite == "fixtures":
-        keys = [s for s in symbols if get_lambency(s).fixture is not None]
-    elif suite == "mocktheta":
-        keys = row_names() + ["watson", "andrews-hickerson"]
-    else:
-        keys = sorted(MULT_RELATIONS)
-    o = order if order is not None else _DEFAULT_ORDERS[suite]
-    return [(suite, k, o, hdata) for k in keys]
-
-
-def _run_case(task):
-    suite, key, order, hdata = task
+def _run_case(suite, key, order, hdata):
+    report_fn, _keys, default_order = SUITES[suite]
     try:
-        rep = _CASE_FNS[suite](key, order, hdata)
+        rep = report_fn(key, default_order if order is None else order,
+                        hdata)
     except MJTError as e:
         rep = {"status": "fail", "detail": f"{type(e).__name__}: {e}"}
     rep.update(suite=suite, case=key)
@@ -213,15 +220,15 @@ def cmd_verify(args, out=None):
     out = out or sys.stdout
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     hdata = ingest_hdata(args.data) if args.data else None
-    tasks = []
-    for s in suites:
-        tasks.extend(_suite_cases(s, args.order, hdata))
-    t0 = time.time()
-    if args.jobs and args.jobs > 1:
+    cases = [(s, k) for s in suites for k in SUITES[s][1]()]
+    run = partial(_run_case, order=args.order, hdata=hdata)
+    t0 = time.perf_counter()
+    if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_case, tasks))
+            reports = list(pool.map(run, *zip(*cases)))
     else:
-        reports = [_run_case(t) for t in tasks]
+        reports = [run(*c) for c in cases]
     reports.sort(key=lambda r: (r["suite"], str(r["case"])))
     failed = 0
     for rep in reports:
@@ -237,7 +244,7 @@ def cmd_verify(args, out=None):
                       + "\n")
     if args.format != "records":
         out.write(f"{len(reports)} cases, {failed} failed "
-                  f"({time.time() - t0:.1f}s)\n")
+                  f"({time.perf_counter() - t0:.1f}s)\n")
     return 1 if failed else 0
 
 
@@ -276,6 +283,14 @@ def _order_arg(text):
     return int(text)
 
 
+def _jobs_arg(text):
+    most = os.cpu_count() or 1
+    if not text.isdigit() or not 1 <= int(text) <= most:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 1..{most}, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mjtheta",
@@ -283,12 +298,10 @@ def build_parser():
                     "Jacobi theta functions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--order", type=_order_arg, default=None)
+    def data_and_format(sp):
         sp.add_argument("--data", default=os.environ.get(DATA_ENV))
         sp.add_argument("--format", choices=("human", "records"),
                         default="human")
-        sp.add_argument("--jobs", type=int, default=None)
 
     pe = sub.add_parser("expand", help="print a q-expansion")
     tgt = pe.add_mutually_exclusive_group(required=True)
@@ -296,12 +309,15 @@ def build_parser():
                      help="eta quotient, e.g. '1^24/2^24'")
     tgt.add_argument("--lambency", help="catalog symbol, e.g. '6+2'")
     tgt.add_argument("--eulerian", help="mock theta name, e.g. '3:psi'")
-    common(pe)
+    pe.add_argument("--order", type=_order_arg, default=100)
     pe.set_defaults(fn=cmd_expand)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=SUITES + ("all",))
-    common(pv)
+    pv.add_argument("suite", choices=(*SUITES, "all"))
+    pv.add_argument("--order", type=_order_arg, default=None)
+    data_and_format(pv)
+    pv.add_argument("--jobs", type=_jobs_arg, default=1,
+                    help="worker processes, 1..cpu_count")
     pv.set_defaults(fn=cmd_verify)
 
     pf = sub.add_parser("fit", help="fit a Borcherds product against T")
@@ -309,7 +325,7 @@ def build_parser():
     pf.add_argument("--D", type=int, required=True)
     pf.add_argument("--r", type=int, required=True)
     pf.add_argument("--max-deg", type=int, default=None)
-    common(pf)
+    data_and_format(pf)
     pf.set_defaults(fn=cmd_fit)
     return p
 

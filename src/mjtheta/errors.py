@@ -9,10 +9,6 @@ class NonInvertibleLeadingTerm(MJTError):
     """Raised when a series reciprocal is requested but no leading term exists."""
 
 
-class WeightNotZero(MJTError):
-    """Eta quotient operation that requires total weight zero."""
-
-
 class LevelMismatch(MJTError):
     """An eta factor n_i is not a positive divisor of the ambient level m,
     or the quotient's Fricke multiplier at level m is irrational."""

@@ -13,7 +13,7 @@ from .errors import InsufficientDepth, LevelMismatch, NotConstant, ParseError
 from .series import QSeries, series_mul
 
 __all__ = [
-    "EtaQuotient", "eta_expand", "eta_fricke", "eta_dlog",
+    "EtaQuotient", "eta_expand", "eta_fricke", "eta_dlog", "fricke_constant",
     "verify_fricke_constant", "parse_eta", "format_eta",
 ]
 
@@ -51,11 +51,6 @@ class EtaQuotient:
     def weight(self):
         """Weight as a modular form: (1/2) sum d_i."""
         return Fraction(sum(d for _, d in self.factors), 2)
-
-    @property
-    def level_lcm(self):
-        from math import lcm
-        return lcm(*(n for n, _ in self.factors)) if self.factors else 1
 
     def prefactor_exponent(self):
         """Exponent of the leading q-power: sum n_i d_i / 24."""
@@ -149,23 +144,28 @@ def eta_fricke(e, m):
     return image, mult
 
 
-def verify_fricke_constant(e, m, order):
-    """Check that e * (e|W_m) is constant, returning the constant.
+def fricke_constant(f, e, m):
+    """Check that e * (e|W_m) is constant, given f = eta_expand(e, order);
+    returns the constant and the window of the checked product.
 
-    Expands both the quotient and its Fricke image to the requested order and
-    multiplies the series; raises NotConstant with the first offending
-    exponent otherwise.  (For weight-0 quotients whose factors pair up as
-    d(m/n) = -d(n) the product telescopes to the multiplier; the series check
-    keeps us honest about that.)
+    Raises NotConstant with the first offending exponent otherwise.  (For
+    weight-0 quotients whose factors pair up as d(m/n) = -d(n) the product
+    telescopes to the multiplier; the series check keeps us honest.)
     """
     image, mult = eta_fricke(e, m)
-    prod = series_mul(eta_expand(e, order), eta_expand(image, order))
+    prod = series_mul(f, eta_expand(image, f.order))
     if prod.order <= 0:
-        raise InsufficientDepth(f"order {order} does not reach q^0")
+        raise InsufficientDepth(f"order {f.order} does not reach q^0")
     for k in sorted(prod.coeffs):
         if k != 0:
             raise NotConstant(Fraction(k, prod.den))
-    return Fraction(prod.coeff(0)) * mult
+    return Fraction(prod.coeff(0)) * mult, prod.order
+
+
+def verify_fricke_constant(e, m, order):
+    """Check that e * (e|W_m) is constant to the requested order, returning
+    the constant; see fricke_constant."""
+    return fricke_constant(eta_expand(e, order), e, m)[0]
 
 
 def eta_dlog(e, order):

@@ -107,12 +107,6 @@ class CoeffTable:
         except InsufficientDepth:
             return False
 
-    def known_discs(self, r):
-        """Sorted list of discriminants with stored (nonzero) entries at the
-        canonical residue of r."""
-        rc, _ = self.canonical(r)
-        return sorted(D for (D, rr) in self.entries if rr == rc)
-
     def residues_with_data(self):
         return sorted(self.ranges)
 
@@ -497,25 +491,6 @@ def shadow_coeff(eta_quotient, m, D, r):
     return Fraction(j * acc)
 
 
-class ShadowKernel(CoeffTable):
-    """The theta-type kernel attached to a principal modulus' eta quotient.
-
-    A CoeffTable (parity -1, square support) that also remembers the eta
-    quotient and the combined Omega matrix, so it can be regenerated to any
-    depth with :meth:`to_depth`.
-    """
-
-    __slots__ = ("eta_quotient",)
-
-    def omega_combo(self, r, rp):
-        """Entry (r, r') of Omega = sum_i d_i Omega_m(n_i)."""
-        return sum(d * omega_entry(self.m, n, r, rp)
-                   for n, d in self.eta_quotient.factors)
-
-    def to_depth(self, depth):
-        return shadow_kernel(self.eta_quotient, self.m, depth)
-
-
 def shadow_kernel(eta_quotient, m, depth):
     """The kernel table, justified for all discriminants D <= depth.
 
@@ -536,9 +511,7 @@ def shadow_kernel(eta_quotient, m, depth):
                 if v:
                     entries[(j * j, r)] = v
         j += 1
-    t = ShadowKernel(m, -1, entries, ranges, square_support=True)
-    t.eta_quotient = eta_quotient
-    return t
+    return CoeffTable(m, -1, entries, ranges, square_support=True)
 
 
 # -- H-streams ------------------------------------------------------------

@@ -16,12 +16,13 @@ import pytest
 from mjtheta.arith import kronecker
 from mjtheta.borcherds import enumerate_heegner, fit_case
 from mjtheta.catalog import (
-    AVERAGED_FROM, check_positivity_phi, check_positivity_sigma,
-    construct_averaged, get_lambency, ingest_hdata, load_catalog,
-    verify_mult_relation, MULT_RELATIONS,
+    AVERAGED_FROM, check_positivity_phi, construct_averaged, get_lambency,
+    ingest_hdata, load_catalog, verify_mult_relation, MULT_RELATIONS,
 )
-from mjtheta.eta import eta_dlog, eta_expand, verify_fricke_constant
-from mjtheta.jacobi import ez_apply, shadow_kernel, sz_lift
+from mjtheta.cli import (
+    fixture_report, fricke_report, invariance_report, lift_report,
+    positivity_report,
+)
 from mjtheta.mocktheta import (
     verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
@@ -35,29 +36,28 @@ def report(k, ok, msg):
     assert ok, msg
 
 
+def reports(report_fn, order):
+    """{symbol: report} over the catalog, asserting that none fails."""
+    out = {lam.symbol: report_fn(lam.symbol, order, None)
+           for lam in load_catalog()}
+    for symbol, rep in out.items():
+        assert rep["status"] != "fail", (symbol, rep)
+    return out
+
+
 def test_01_hauptmodul_characterization():
     t0 = time.monotonic()
-    for lam in load_catalog():
-        f = eta_expand(lam.eta, 100)
-        assert f.lo == -1 and f.coeff(-1) == 1, lam.symbol
-        verify_fricke_constant(lam.eta, lam.m, 100)  # raises if not constant
+    reps = reports(fricke_report, 100)  # raises if not constant
     dt = time.monotonic() - t0
-    report(1, dt < 10, f"39/39 principal moduli, q^-1+O(1) and Fricke "
-           f"constant to order 100 in {dt:.1f}s")
+    passed = sum(r["status"] == "pass" for r in reps.values())
+    report(1, passed == 39 and dt < 10, f"{passed}/39 principal moduli, "
+           f"q^-1+O(1) and Fricke constant to order 100 in {dt:.1f}s")
 
 
 def test_02_shadow_lift_identity():
     t0 = time.monotonic()
     N = 200
-    cs = set()
-    for lam in load_catalog():
-        t = shadow_kernel(lam.eta, lam.m, (N + 1) ** 2)
-        lift = sz_lift(t, 1, 1, 2, N)
-        dl = eta_dlog(lam.eta, N)
-        c = Fraction(lift.coeff(1), dl.coeff(1))
-        assert all(lift.coeff(n) == c * dl.coeff(n) for n in range(1, N)), \
-            lam.symbol
-        cs.add(c)
+    cs = {r["c"] for r in reports(lift_report, N).values()}
     dt = time.monotonic() - t0
     report(2, cs == {Fraction(-2)} and dt < 60,
            f"39/39 lifts proportional to dlog T at n=1..{N - 1}, "
@@ -65,34 +65,17 @@ def test_02_shadow_lift_identity():
 
 
 def test_03_shadow_group_invariance():
-    for lam in load_catalog():
-        t = shadow_kernel(lam.eta, lam.m, 50)
-        for a in lam.K:
-            u = ez_apply(t, a)
-            assert all(u.entries.get(k, 0) == v
-                       for k, v in t.entries.items()), (lam.symbol, a)
-    report(3, True, "39/39 shadow tables fixed by every a in K to depth 50")
+    reps = reports(invariance_report, 50)
+    passed = sum(r["status"] == "pass" for r in reps.values())
+    report(3, passed == 39,
+           f"{passed}/39 shadow tables fixed by every a in K to depth 50")
 
 
 def test_04_fixture_integrity():
-    n_fix = 0
-    for lam in load_catalog():
-        f = lam.fixture
-        if f is None:
-            continue
-        n_fix += 1
-        assert f.get(1, 1) == -2, lam.symbol
-        m2 = 2 * lam.m
-        K = set(lam.K) | {(-a) % m2 for a in lam.K}
-        for r in range(m2):
-            if f.known(1, r):
-                assert (f.get(1, r) != 0) == (r in K), (lam.symbol, r)
-        for a in lam.K:
-            g = ez_apply(f, a)
-            assert all(g.get(*k) == v for k, v in f.entries.items()
-                       if g.known(*k)), (lam.symbol, a)
+    reps = reports(fixture_report, None)
+    n_fix = sum(r["status"] == "pass" for r in reps.values())
     report(4, n_fix == 16,
-           "16/16 fixtures: C(1,1)=-2, group-invariant, support in K")
+           f"{n_fix}/16 fixtures: C(1,1)=-2, group-invariant, support in K")
 
 
 MOCK_ROWS = [("3:psi", 3), ("3:nu", 3),
@@ -121,12 +104,9 @@ def test_06_watson_andrews_hickerson():
 
 
 def test_07_positivity_audits():
-    sigma_ok = all(check_positivity_sigma(lam) == lam.in_L1_plus
-                   for lam in load_catalog())
-    phi_ok = all(not check_positivity_phi(lam) for lam in load_catalog()
-                 if lam.fixture is not None)
-    report(7, sigma_ok and phi_ok,
-           "sigma-positivity exactly on the 23 L1+ lambencies; "
+    ok = all(positivity_report(lam.symbol, None, None)["status"] == "pass"
+             for lam in load_catalog())
+    report(7, ok, "sigma-positivity exactly on the 23 L1+ lambencies; "
            "phi-positivity fails on all 16 fixtures")
 
 

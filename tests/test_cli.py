@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,10 @@ def test_verify_jobs_parallel(capsys):
                      "--format", "records")
     assert rc == 0
     assert len(out.splitlines()) == 16
+    rc, parallel, _ = run(capsys, "verify", "all", "--jobs", "2",
+                          "--format", "records")
+    rc2, serial, _ = run(capsys, "verify", "all", "--format", "records")
+    assert rc == rc2 == 0 and parallel == serial
 
 
 def synthesize(row_id, order):
@@ -130,6 +135,14 @@ def test_verify_mult_relations_with_data(capsys, data_file):
     assert sum(1 for l in lines if l.startswith("SKIPPED")) == 8
 
 
+def test_verify_mult_relations_default_order_follows_data(capsys,
+                                                         data_file):
+    rc, out, _ = run(capsys, "verify", "mult-relations", "--data",
+                     data_file)
+    assert rc == 0
+    assert sum(1 for l in out.splitlines() if l.startswith("PASS")) == 1
+
+
 def test_data_env_var(capsys, data_file, monkeypatch):
     monkeypatch.setenv("MJTHETA_DATA", data_file)
     rc, out, _ = run(capsys, "verify", "mult-relations", "--order", "5")
@@ -165,6 +178,12 @@ def test_fit_missing_source(capsys):
     ["expand", "--eta", "1^24/2^24", "--order", "0"],
     ["expand", "--eulerian", "3:psi", "--order", "x"],
     ["verify", "fricke", "--order", "-5"],
+    ["verify", "fricke", "--jobs", "0"],
+    ["verify", "fricke", "--jobs", "-1"],
+    ["verify", "fricke", "--jobs", "x"],
+    ["verify", "fricke", "--jobs", str((os.cpu_count() or 1) + 1)],
+    ["expand", "--eta", "1^24/2^24", "--format", "records"],
+    ["fit", "--lambency", "10+2", "--D", "-4", "--r", "6", "--order", "5"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as e:
@@ -211,6 +230,24 @@ def test_data_file_is_parsed_once_per_run(capsys, data_file, monkeypatch):
     # the parsed tables reach the cases: the one relation with data is run
     [rec] = [r for r in recs if r["case"] == "60+12,15,20:2A"]
     assert rec["status"] != "skipped"
+
+
+def test_fricke_expands_each_quotient_once(capsys, monkeypatch):
+    from mjtheta import cli, eta
+    calls = []
+    real = eta.eta_expand
+
+    def counting(e, order):
+        calls.append(e)
+        return real(e, order)
+
+    monkeypatch.setattr(eta, "eta_expand", counting)
+    monkeypatch.setattr(cli, "eta_expand", counting)
+    rc, out, _ = run(capsys, "verify", "fricke", "--order", "10",
+                     "--format", "records")
+    assert rc == 0 and len(out.splitlines()) == 39
+    # T and its Fricke image, once each
+    assert len(calls) == 78
 
 
 @pytest.mark.parametrize("how", ["flag", "env"])
