@@ -30,8 +30,8 @@ from .errors import (
 )
 from .eta import parse_eta
 from .jacobi import (
-    NEG_INF, POS_INF, CoeffTable, ez_apply, h_stream, om_group, shadow_coeff,
-    table_lin_comb,
+    NEG_INF, POS_INF, CoeffTable, _stream_window, ez_apply, h_stream,
+    om_group, shadow_coeff, table_lin_comb,
 )
 from .series import QSeries, _arg_transform, series_first_mismatch
 
@@ -363,24 +363,10 @@ MULT_RELATIONS = {
 }
 
 
-def _data_order(lines, t):
-    """The largest order, at most FIXTURE_DEPTH_N, to which the ingested
-    table t justifies every line: a residue justified down to D = lo gives
-    streams to (4m - lo)/4m, scaled by the line's rhs_arg factor; residues
-    that vanish by parity need no data."""
-    order = Fraction(FIXTURE_DEPTH_N)
-    for line in lines:
-        for rc in {t.canonical(r)[0] for r in line.rset} & set(t.ranges):
-            lo = t.ranges[rc][0]
-            if lo != NEG_INF and not (t.parity == -1 and rc in (0, t.m)):
-                order = min(order, line.rhs_arg[0]
-                            * Fraction(4 * t.m - lo, 4 * t.m))
-    return order
-
-
 def verify_mult_relation(row_id, h, order=None):
     """Check one multiplicative-relation row against ingested data, to
-    `order` or else as deep as the data justifies (see _data_order).
+    `order` or else as deep as the data justifies: the stream window of
+    each residue, times the line's rhs_arg factor, at most FIXTURE_DEPTH_N.
 
     Returns a report dict with status "verified" (and depth), "mismatch"
     (and location), or raises MissingSource when the ingested side is
@@ -392,7 +378,14 @@ def verify_mult_relation(row_id, h, order=None):
     if lam.fixture is None:
         raise MissingSource(f"{lhs_sym} has no fixture table")
     rhs_t = h.get(rhs_sym, cls)
-    order = Fraction(_data_order(lines, rhs_t) if order is None else order)
+    if order is None:
+        order = min([Fraction(FIXTURE_DEPTH_N)] + [
+            line.rhs_arg[0] * _stream_window(rhs_t, r)
+            for line in lines for r in line.rset])
+        if order <= 0:
+            raise InsufficientDepth(
+                f"the {rhs_sym} {cls} data reaches no coefficient")
+    order = Fraction(order)
     depth = None
     for line in lines:
         a, b = line.arg

@@ -25,7 +25,7 @@ from .catalog import (
 )
 from .cyclo import cformat
 from .errors import InsufficientDepth, MJTError, MissingSource
-from .eta import eta_dlog, eta_expand, fricke_constant, parse_eta
+from .eta import _fricke_constant, eta_dlog, eta_expand, parse_eta
 from .jacobi import ez_apply, shadow_kernel, sz_lift
 from .mocktheta import (
     ROWS, eulerian, row_names, verify_andrews_hickerson, verify_table14_15,
@@ -83,7 +83,7 @@ def fricke_report(symbol, order, _hdata):
     f = eta_expand(lam.eta, order)
     if f.lo != -1 or f.coeff(-1) != 1:
         return {"status": "fail", "detail": f"leading term {f.lo}"}
-    constant, window = fricke_constant(f, lam.eta, lam.m)
+    constant, window = _fricke_constant(f, lam.eta, lam.m)
     if window.denominator == 1:
         window = int(window)
     return {"status": "pass", "depth": window, "constant": constant}
@@ -205,6 +205,22 @@ SUITES = {
 }
 
 
+# Fewest cases per worker process; below it a pool costs more than it
+# saves.  Cold runs on 2 CPUs: each single suite (at most 39 cases) was
+# faster serially, `verify all` (181 cases) faster with 2 workers.
+CASES_PER_WORKER = 64
+
+
+def _workers(n_cases):
+    """Worker processes for a run of n_cases cases, at most one per CPU
+    this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_cases // CASES_PER_WORKER))
+
+
 def _run_case(suite, key, order, hdata):
     report_fn, _keys, default_order = SUITES[suite]
     try:
@@ -223,9 +239,10 @@ def cmd_verify(args, out=None):
     cases = [(s, k) for s in suites for k in SUITES[s][1]()]
     run = partial(_run_case, order=args.order, hdata=hdata)
     t0 = time.perf_counter()
-    if args.jobs > 1:
+    jobs = _workers(len(cases))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run, *zip(*cases)))
     else:
         reports = [run(*c) for c in cases]
@@ -283,14 +300,6 @@ def _order_arg(text):
     return int(text)
 
 
-def _jobs_arg(text):
-    most = os.cpu_count() or 1
-    if not text.isdigit() or not 1 <= int(text) <= most:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in 1..{most}, got {text!r}")
-    return int(text)
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mjtheta",
@@ -316,8 +325,6 @@ def build_parser():
     pv.add_argument("suite", choices=(*SUITES, "all"))
     pv.add_argument("--order", type=_order_arg, default=None)
     data_and_format(pv)
-    pv.add_argument("--jobs", type=_jobs_arg, default=1,
-                    help="worker processes, 1..cpu_count")
     pv.set_defaults(fn=cmd_verify)
 
     pf = sub.add_parser("fit", help="fit a Borcherds product against T")

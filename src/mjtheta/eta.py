@@ -13,7 +13,7 @@ from .errors import InsufficientDepth, LevelMismatch, NotConstant, ParseError
 from .series import QSeries, series_mul
 
 __all__ = [
-    "EtaQuotient", "eta_expand", "eta_fricke", "eta_dlog", "fricke_constant",
+    "EtaQuotient", "eta_expand", "eta_fricke", "eta_dlog",
     "verify_fricke_constant", "parse_eta", "format_eta",
 ]
 
@@ -144,7 +144,7 @@ def eta_fricke(e, m):
     return image, mult
 
 
-def fricke_constant(f, e, m):
+def _fricke_constant(f, e, m):
     """Check that e * (e|W_m) is constant, given f = eta_expand(e, order);
     returns the constant and the window of the checked product.
 
@@ -164,8 +164,8 @@ def fricke_constant(f, e, m):
 
 def verify_fricke_constant(e, m, order):
     """Check that e * (e|W_m) is constant to the requested order, returning
-    the constant; see fricke_constant."""
-    return fricke_constant(eta_expand(e, order), e, m)[0]
+    the constant; see _fricke_constant."""
+    return _fricke_constant(eta_expand(e, order), e, m)[0]
 
 
 def eta_dlog(e, order):

@@ -523,27 +523,40 @@ def _floor_strict(x):
     return f - 1 if f == x else f
 
 
+def _stream_window(t, r):
+    """The largest order h_stream(t, r, order) accepts: -D/4m for the first
+    unjustified D = r^2 mod 4m, the largest of the class below the table's
+    range for r; math.inf when no D is missing."""
+    m = t.m
+    rc, _ = t.canonical(r)
+    if t.parity == -1 and rc in (0, m):
+        return math.inf
+    if rc not in t.ranges:
+        raise InsufficientDepth(f"no data for residue {r}")
+    lo = t.ranges[rc][0]
+    if lo == NEG_INF:
+        return math.inf
+    return Fraction((lo - 1 - rc * rc) % (4 * m) + 1 - lo, 4 * m)
+
+
 def h_stream(t, r, order):
     """The r-th theta-decomposition component as a q-series:
     sum_D C(D, r) q^{-D/4m}, over all justified D with -D/4m < order.
 
-    Requires the table to be justified down to D > -4m*order; raises
-    InsufficientDepth otherwise.
+    Requires order <= _stream_window(t, r), i.e. the table justified down
+    to every D > -4m*order of the class; raises InsufficientDepth otherwise.
     """
     m = t.m
     order = Fraction(order)
     rc, _ = t.canonical(r)
     if t.parity == -1 and rc in (0, m):
         return QSeries.zero(order, 4 * m)
-    if rc not in t.ranges:
-        raise InsufficientDepth(f"no data for residue {r}")
+    window = _stream_window(t, r)
     lo, hi = t.ranges[rc]
-    need_lo = -order * 4 * m
-    # deepest discriminant of the class D = rc^2 mod 4m with -D/4m < order
-    k = (rc * rc - need_lo) / (4 * m)
-    k = _floor_strict(k)
-    need = rc * rc - 4 * m * k
-    if lo != NEG_INF and lo > need:
+    if order > window:
+        # deepest discriminant of the class with -D/4m < order
+        need = rc * rc - 4 * m * _floor_strict(
+            Fraction(rc * rc, 4 * m) + order)
         raise InsufficientDepth(
             f"residue {r}: justified down to D={lo}, need D>={need}")
     if hi == POS_INF:

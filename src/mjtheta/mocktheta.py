@@ -24,10 +24,9 @@ from fractions import Fraction
 
 from .cyclo import cmul, ex
 from .errors import (
-    Divergent, InsufficientDepth, MissingSource, UnknownName,
-    UnresolvableShift,
+    Divergent, MissingSource, UnknownName, UnresolvableShift,
 )
-from .jacobi import NEG_INF, h_stream
+from .jacobi import _stream_window, h_stream
 from .series import (
     QSeries, _arg_transform, series_eq, series_first_mismatch,
     series_half_shift, series_mul, series_pow, series_rescale, series_shift,
@@ -323,21 +322,6 @@ def row_names():
     return sorted(ROWS)
 
 
-def _avail_order(t, residues):
-    """Largest stream order justified for all the given residues."""
-    out = None
-    for r in residues:
-        rc, _ = t.canonical(r)
-        if t.parity == -1 and rc in (0, t.m):
-            continue
-        if rc not in t.ranges:
-            raise InsufficientDepth(f"no data for residue {r}")
-        lo, _hi = t.ranges[rc]
-        o = math.inf if lo == NEG_INF else Fraction(-lo + 1, 4 * t.m)
-        out = o if out is None else min(out, o)
-    return out
-
-
 def _is_integral(f):
     return all(k % f.den == 0 for k in f.coeffs)
 
@@ -383,7 +367,7 @@ def verify_table14_15(name, source=None, order=None):
         else:
             s_candidates = [row.shift[1]]
     # depth: limited by the source table through the slice and rescale
-    avail = _avail_order(source, [r for _c, r in row.terms])
+    avail = min(_stream_window(source, r) for _c, r in row.terms)
     smax = max(s_candidates)
     stream_order = min(avail, order / A + smax)
     if len(s_candidates) == 1:

@@ -11,7 +11,7 @@ from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
     CoeffTable, theta_nullwert, om_group, omega_entry, omega_product_check,
     ez_apply, project_alpha, hecke_Tn, hecke_Ud, hecke_Vl, sz_lift,
-    shadow_kernel, shadow_coeff, h_stream, table_lin_comb,
+    shadow_kernel, shadow_coeff, h_stream, table_lin_comb, _stream_window,
 )
 from mjtheta.series import QSeries, series_eq
 
@@ -299,6 +299,23 @@ def test_shadow_lift_proportional_to_dlog():
     dl = eta_dlog(e, N)
     for n in range(1, N):
         assert lift.coeff(n) == -2 * dl.coeff(n), n
+
+
+def test_stream_window_is_the_largest_accepted_order():
+    from mjtheta.catalog import load_catalog
+    # lower bounds off and on the residue classes D = r^2 mod 8
+    t = CoeffTable(2, 1, {}, {0: (-41, 0), 1: (-38, 1), 2: (-36, 4)})
+    assert [_stream_window(t, r) for r in range(3)] == \
+        [6, Fraction(39, 8), Fraction(44, 8)]
+    tables = [t] + [lam.fixture for lam in load_catalog() if lam.fixture]
+    for t in tables:
+        for r in t.ranges:
+            w = _stream_window(t, r)
+            if w == inf:
+                continue
+            h_stream(t, r, w)
+            with pytest.raises(InsufficientDepth):
+                h_stream(t, r, w + Fraction(1, 4 * t.m))
 
 
 def test_h_stream_of_kernel():
