@@ -20,7 +20,7 @@ from .arith import divisors, is_fundamental, kronecker
 from .cyclo import as_fraction, cadd, ciszero, cinv, cmul, cneg, ex
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, MissingSource, NoRepresentativeFound,
+    InsufficientDepth, LevelMismatch, MissingSource, NoRepresentativeFound,
     NoSolutionWithinDegree, Underdetermined,
 )
 from .jacobi import NEG_INF
@@ -82,7 +82,8 @@ class QuadForm:
 
 def reduce_form(Q):
     """(reduced form R, g) with Q|g = R, for positive definite Q."""
-    assert Q.A > 0 and Q.disc < 0
+    if Q.A <= 0 or Q.disc >= 0:
+        raise BadDiscriminant(f"{Q} is not positive definite")
     g = IDENT
     S = (0, -1, 1, 0)
     while True:
@@ -166,7 +167,8 @@ def genus_char(Q, D, m, bound=10 ** 4):
     found by bounded search over (A/n)x^2 + Bxy + Cny^2 with n | m."""
     if not is_fundamental(D):
         raise BadDiscriminant(f"{D} is not fundamental")
-    assert Q.A % m == 0
+    if Q.A % m:
+        raise LevelMismatch(f"level {m} does not divide A in {Q}")
     if gcd(gcd(Q.A // m, Q.B), gcd(Q.C, D)) != 1:
         return 0
     span = isqrt(bound) + 1
@@ -298,7 +300,9 @@ def fit_rational(psi, T, max_deg):
     with every justified coefficient (the overdetermined rows are the
     verification).  Returns (P, Q) as ascending coefficient lists.
     """
-    assert psi.den == 1 and T.den == 1
+    if psi.den != 1 or T.den != 1:
+        raise NoSolutionWithinDegree(
+            "fit_rational needs series in integral powers of q")
     avail = int(psi.order - min([0] + psi.support_exponents()))
     if avail < 2 * max_deg + 2:
         raise Underdetermined(

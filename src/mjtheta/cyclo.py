@@ -1,20 +1,24 @@
 """Exact arithmetic in cyclotomic fields.
 
-A :class:`Cyc` holds an element of Q(zeta_N) in the power basis
+A :class:`Cyc` holds an irrational element of Q(zeta_N) in the power basis
 1, zeta, ..., zeta^{phi(N)-1} with Fraction coordinates, reduced modulo the
 N-th cyclotomic polynomial.  Elements of different conductors combine by
-embedding into the lcm conductor.  The normal form demotes any element that
-is actually rational back to a plain Fraction, so code elsewhere can treat
-coefficient values as ``int | Fraction | Cyc`` and use the dispatch helpers
-at the bottom of this module (cadd, cmul, ...) without caring which case it
-has in hand.
+embedding into the lcm conductor.
+
+The normal form is unique: a rational value is a plain Fraction, and any
+other value sits at its minimal conductor N, which is never 2 mod 4 (there
+Q(zeta_N) = Q(zeta_{N/2})).  So two values are equal exactly when their
+(N, coordinates) pairs are, and ``==`` and ``hash`` are tuple operations.
+Code elsewhere can treat coefficient values as ``int | Fraction | Cyc`` and
+use the dispatch helpers at the bottom of this module (cadd, cmul, ...)
+without caring which case it has in hand.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
-from .arith import divisors
+from .arith import divisors, prime_factorization
 
 __all__ = [
     "Cyc", "ex", "cyclotomic_poly", "cadd", "csub", "cmul", "cneg",
@@ -55,60 +59,48 @@ def _poly_divexact(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
 def _phi(n):
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    return len(cyclotomic_poly(n)) - 1
 
 
 def _reduce_mod_phi(coeffs, n):
     """Reduce an ascending Fraction coeff list modulo Phi_n; return list of
     length phi(n)."""
-    phi = _phi(n)
     c = list(coeffs)
     mod = cyclotomic_poly(n)
-    deg = len(mod) - 1  # == phi, monic
+    deg = len(mod) - 1  # phi(n); Phi_n is monic
     for i in range(len(c) - 1, deg - 1, -1):
         lead = c[i]
         if lead:
-            for j in range(deg + 1):
-                c[i - deg + j] -= lead * mod[j]
-    c = c[:phi]
-    c += [Fraction(0)] * (phi - len(c))
-    return c
+            for j, m in enumerate(mod):
+                if m:
+                    c[i - deg + j] -= lead * m
+    return c[:deg] + [Fraction(0)] * (deg - len(c))
 
 
 class Cyc:
-    """An element of Q(zeta_n), n > 1, that is not rational.
+    """An irrational element of Q(zeta_n) at its minimal conductor n.
 
-    Use :func:`ex` or :meth:`Cyc.make` to construct; both return a plain
-    Fraction when the value lands in Q.
+    Use :func:`ex` or :meth:`Cyc.make` to construct; both return the normal
+    form, a plain Fraction when the value lands in Q.
     """
 
     __slots__ = ("n", "c")
 
     def __init__(self, n, coeffs):
-        # trusted constructor: coeffs already reduced, length phi(n),
-        # element known not to be rational at this conductor
+        # trusted constructor: coeffs already reduced, length phi(n), and
+        # n the minimal conductor of an irrational value
         self.n = n
         self.c = tuple(coeffs)
 
     @staticmethod
     def make(n, coeffs):
-        """Build from ascending coefficients of powers of zeta_n, reducing
-        and demoting to Fraction / minimal conductor where possible."""
+        """Build from ascending coefficients of powers of zeta_n: reduce
+        modulo Phi_n and return the value in normal form."""
         c = _reduce_mod_phi([Fraction(x) for x in coeffs], n)
-        if all(x == 0 for x in c[1:]):
-            return c[0] if c else Fraction(0)
-        # Try to demote to a proper-divisor conductor.  This is a cosmetic
-        # normalization (zero/rational detection above is already exact), so
-        # skip it when the field is large enough that the linear solves would
-        # dominate the arithmetic.
-        if _phi(n) <= 16:
-            for d in divisors(n)[1:-1]:
-                sol = _try_demote(c, d, n, _embed_powers(d, n))
-                if sol is not None:
-                    return Cyc(d, sol)
-        return Cyc(n, c)
+        if not any(c[1:]):
+            return c[0]
+        return Cyc(*_descend(n, c))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -138,7 +130,11 @@ class Cyc:
         return cmul(other, cinv(self))
 
     def __eq__(self, other):
-        return ceq(self, other)
+        # normal forms are unique; against any other type Python falls back
+        # to False, which is right as a Cyc is never rational
+        if isinstance(other, Cyc):
+            return self.n == other.n and self.c == other.c
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.n, self.c))
@@ -152,7 +148,8 @@ class Cyc:
         out = [Fraction(0)] * n
         for i, x in enumerate(self.c):
             out[(-i) % n] += x
-        return Cyc.make(n, out)
+        # an automorphism keeps the minimal conductor
+        return Cyc(n, _reduce_mod_phi(out, n))
 
     def __complex__(self):
         return cfloat(self)
@@ -162,58 +159,53 @@ class Cyc:
 def _embed_powers(d, n):
     """For each basis power zeta_d^i (i < phi(d)), its reduced coordinates in
     the conductor-n basis."""
-    step = n // d
-    out = []
-    for i in range(_phi(d)):
-        e = i * step
-        poly = [Fraction(0)] * (e + 1)
-        poly[e] = Fraction(1)
-        out.append(tuple(_reduce_mod_phi(poly, n)))
-    return tuple(out)
+    return tuple(
+        tuple(_reduce_mod_phi([Fraction(0)] * (i * n // d) + [Fraction(1)], n))
+        for i in range(_phi(d)))
 
 
-def _try_demote(c, d, n, emb):
-    """Solve sum_i y_i * emb[i] == c for rationals y_i, or return None."""
-    phi_n = _phi(n)
-    rows = [[emb[i][j] for i in range(len(emb))] + [c[j]] for j in range(phi_n)]
-    ncols = len(emb)
-    # Gaussian elimination
-    piv = 0
-    where = []
-    for col in range(ncols):
-        sel = next((r for r in range(piv, phi_n) if rows[r][col] != 0), None)
-        if sel is None:
-            where.append(None)
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        inv = 1 / rows[piv][col]
-        rows[piv] = [x * inv for x in rows[piv]]
-        for r in range(phi_n):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
-        where.append(piv)
-        piv += 1
-    # consistency
-    for r in range(piv, phi_n):
-        if rows[r][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for col, w in enumerate(where):
-        if w is not None:
-            sol[col] = rows[w][-1]
-    return sol
+def _descend(n, c):
+    """(d, coordinates at d) for the minimal conductor d of the irrational
+    value with coordinates c at n, one prime at a time.  A prime that fails
+    at n fails at every divisor of n, so each is tried until it fails."""
+    for p in sorted(prime_factorization(n)):
+        while n % p == 0 and n > p:
+            d = n // p
+            if d % p == 0:
+                # Phi_n(x) = Phi_d(x^p): Q(zeta_d) is spanned by the
+                # basis powers zeta_n^{pj}
+                if any(x for i, x in enumerate(c) if i % p):
+                    break
+                y = c[::p]
+            else:
+                # x lies in Q(zeta_d) iff it equals its trace to Q(zeta_d)
+                # over the degree p - 1, which is 1 for p = 2
+                y = _trace_down(c, n, p)
+                if p != 2 and _lift(Cyc(d, y), n) != c:
+                    break
+            n, c = d, y
+    return n, c
+
+
+def _trace_down(c, n, p):
+    """Coordinates at d = n/p, p prime to d, of Tr(x) / (p - 1), with Tr the
+    trace from Q(zeta_n) to Q(zeta_d): Tr(zeta_n^i) = zeta_d^{iu} times
+    p - 1 if p | i and -1 otherwise, where u = 1/p mod d."""
+    d = n // p
+    u = pow(p, -1, d)
+    poly = [Fraction(0)] * d
+    for i, x in enumerate(c):
+        if x:
+            poly[i * u % d] += x if i % p == 0 else -x / (p - 1)
+    return _reduce_mod_phi(poly, d)
 
 
 def ex(x):
     """e^{2 pi i x} for a rational x, as an exact Fraction or Cyc."""
-    x = Fraction(x)
-    frac = x - (x // 1)  # in [0, 1)
-    den = frac.denominator
-    num = frac.numerator
-    poly = [Fraction(0)] * (num + 1)
-    poly[num] = Fraction(1)
-    return Cyc.make(den, poly) if den > 1 else Fraction(1)
+    x = Fraction(x) % 1
+    if not x:
+        return Fraction(1)
+    return Cyc.make(x.denominator, [0] * x.numerator + [1])
 
 
 # -- dispatch helpers over int | Fraction | Cyc ---------------------------
@@ -228,11 +220,10 @@ def _lift(x, n):
         for i, xi in enumerate(x.c):
             if xi:
                 for j, ej in enumerate(emb[i]):
-                    out[j] += xi * ej
+                    if ej:
+                        out[j] += xi * ej
         return out
-    out = [Fraction(0)] * _phi(n)
-    out[0] = Fraction(x)
-    return out
+    return [Fraction(x)] + [Fraction(0)] * (_phi(n) - 1)
 
 
 def _conductor(x):
@@ -303,7 +294,8 @@ def cinv(a):
         r0.pop()
     assert len(r0) == 1, "inverse of zero or non-unit"
     inv_const = 1 / r0[0]
-    return Cyc.make(n, [x * inv_const for x in s0])
+    # a and 1/a generate the same field, so n stays minimal
+    return Cyc(n, _reduce_mod_phi([x * inv_const for x in s0], n))
 
 
 def _poly_divmod(a, b):
@@ -340,8 +332,7 @@ def _poly_sub(a, b):
 
 
 def ceq(a, b):
-    d = csub(a, b)
-    return not isinstance(d, Cyc) and d == 0
+    return a == b
 
 
 def ciszero(a):

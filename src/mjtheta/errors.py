@@ -11,7 +11,10 @@ class NonInvertibleLeadingTerm(MJTError):
 
 class LevelMismatch(MJTError):
     """An eta factor n_i is not a positive divisor of the ambient level m,
-    or the quotient's Fricke multiplier at level m is irrational."""
+    or the quotient's Fricke multiplier at level m is irrational; also a
+    form whose A the level m does not divide (genus_char), and a linear
+    combination of no tables or of tables of different index or parity
+    (table_lin_comb)."""
 
 
 class NotConstant(MJTError):
@@ -22,7 +25,8 @@ class NotConstant(MJTError):
 
 
 class InsufficientDepth(MJTError):
-    """A coefficient table was read outside its justified range."""
+    """A coefficient table was read, or given an entry, outside its justified
+    range, or for a residue with no range."""
 
 
 class LevelNotCoprime(MJTError):
@@ -38,7 +42,12 @@ class ParseError(MJTError):
 
 
 class CongruenceViolation(MJTError):
-    """A record violates D = r^2 mod 4m."""
+    """A record violates D = r^2 mod 4m or has a residue r outside 0..m, or
+    a multiplier a for ez_apply is not in O_m (a^2 = 1 mod 4m)."""
+
+
+class BadParity(MJTError):
+    """A coefficient table's parity is neither +1 nor -1."""
 
 
 class UnknownLambency(MJTError):
@@ -59,7 +68,8 @@ class UnknownName(MJTError):
 
 class Divergent(MJTError):
     """An expansion with no justified window: an infinite Pochhammer product
-    whose factors do not stabilize, or the substitution q -> q^t, t <= 0."""
+    whose factors do not stabilize, the substitution q -> q^t, t <= 0, or a
+    slice modulo b <= 0."""
 
 
 class UnresolvableShift(MJTError):
@@ -67,7 +77,9 @@ class UnresolvableShift(MJTError):
 
 
 class BadDiscriminant(MJTError):
-    """Kronecker symbol requires D nonzero and congruent to 0 or 1 mod 4."""
+    """Kronecker symbol requires D nonzero and congruent to 0 or 1 mod 4;
+    form reduction (reduce_form, gamma0_maps) requires a positive definite
+    form, A > 0 and discriminant < 0."""
 
 
 class NoRepresentativeFound(MJTError):
@@ -81,7 +93,8 @@ class ExcludedDiscriminant(MJTError):
 
 
 class NoSolutionWithinDegree(MJTError):
-    """No rational function of the allowed degree matches the series."""
+    """No rational function of the allowed degree matches the series, or the
+    series passed to fit_rational are not in integral powers of q."""
 
 
 class Underdetermined(MJTError):

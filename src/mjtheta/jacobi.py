@@ -27,7 +27,8 @@ from .arith import (divisors, is_fundamental, is_square, kronecker,
                     prime_factorization)
 from .cyclo import cadd, ciszero, cmul
 from .errors import (
-    InsufficientDepth, LevelNotCoprime, NotFundamental,
+    BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
+    LevelNotCoprime, NotFundamental,
 )
 from .series import QSeries
 
@@ -58,7 +59,8 @@ class CoeffTable:
     __slots__ = ("m", "parity", "entries", "ranges", "square_support")
 
     def __init__(self, m, parity, entries, ranges, square_support=False):
-        assert parity in (1, -1)
+        if parity not in (1, -1):
+            raise BadParity(f"parity {parity} is not +1 or -1")
         self.m = m
         self.parity = parity
         self.square_support = square_support
@@ -67,10 +69,13 @@ class CoeffTable:
         for (D, r), v in entries.items():
             if ciszero(v):
                 continue
-            assert 0 <= r <= m, (D, r)
-            assert (D - r * r) % (4 * m) == 0, (D, r)
-            lo, hi = self.ranges[r]
-            assert lo <= D <= hi, (D, r)
+            if not 0 <= r <= m or (D - r * r) % (4 * m):
+                raise CongruenceViolation(
+                    f"C({D}, {r}): need 0 <= r <= {m} and D = r^2 mod {4 * m}")
+            lo, hi = self.ranges.get(r, (POS_INF, NEG_INF))
+            if not lo <= D <= hi:
+                raise InsufficientDepth(
+                    f"C({D}, {r}) outside the justified range of residue {r}")
             self.entries[(D, r)] = v
 
     def canonical(self, r):
@@ -129,7 +134,9 @@ def table_lin_comb(weighted_tables):
     survive.
     """
     weighted_tables = list(weighted_tables)
-    assert weighted_tables
+    if len({(t.m, t.parity) for _, t in weighted_tables}) != 1:
+        raise LevelMismatch("table_lin_comb needs one or more tables of one "
+                            "index and parity")
     m = weighted_tables[0][1].m
     parity = weighted_tables[0][1].parity
     sq = all(t.square_support for _, t in weighted_tables)
@@ -142,7 +149,6 @@ def table_lin_comb(weighted_tables):
                 ranges[r] = (lo, hi)
     entries = {}
     for w, t in weighted_tables:
-        assert t.m == m and t.parity == parity
         for (D, r), v in t.entries.items():
             if r in ranges and ranges[r][0] <= D <= ranges[r][1]:
                 entries[(D, r)] = cadd(entries.get((D, r), 0), cmul(w, v))
@@ -249,7 +255,8 @@ def omega_product_check(m, n, np):
 def ez_apply(t, a):
     """phi . a: C'(D, r) = C(D, r a), for a in O_m."""
     m = t.m
-    assert (a * a - 1) % (4 * m) == 0, f"{a} not in O_{m}"
+    if (a * a - 1) % (4 * m):
+        raise CongruenceViolation(f"{a} is not in O_{m}: a^2 != 1 mod {4 * m}")
     by_res = {}
     for (D, r), v in t.entries.items():
         by_res.setdefault(r, []).append((D, v))

@@ -11,7 +11,7 @@ trusted.  All operations propagate the window honestly.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclo import cadd, cmul, cneg, cinv, ciszero, csub, ex, cformat
+from .cyclo import cadd, cmul, cneg, cinv, ciszero, ex, cformat
 from .errors import Divergent, NonInvertibleLeadingTerm
 
 __all__ = [
@@ -322,7 +322,8 @@ def series_slice(a, r, b):
     slice  f|[r; b] = sum_{x = r mod b} c(x) q^(x - r).
     """
     r, b = Fraction(r), Fraction(b)
-    assert b > 0
+    if b <= 0:
+        raise Divergent(f"slice modulus {b} is not positive")
     out = []
     for k, v in a.coeffs.items():
         x = Fraction(k, a.den)
@@ -343,7 +344,7 @@ def series_first_mismatch(a, b):
         if k >= cutoff:
             break
         va, vb = ca.get(k, zero), cb.get(k, zero)
-        if not ciszero(csub(va, vb)):
+        if va != vb:
             return Fraction(k, den), va, vb
     return None
 

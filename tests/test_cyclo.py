@@ -5,9 +5,10 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mjtheta.arith import divisors
 from mjtheta.cyclo import (
     Cyc, ex, cyclotomic_poly, cadd, cmul, cneg, cinv, ceq, ciszero, cconj,
-    cfloat, as_fraction, _lift,
+    cfloat, as_fraction, _lift, _reduce_mod_phi,
 )
 
 # float-embedding oracle: every exact identity is cross-checked numerically
@@ -194,3 +195,103 @@ def test_int_arithmetic_stays_int(a, b):
     # int and Fraction of one value are interchangeable keys
     assert len({cmul(a, b), Fraction(a) * Fraction(b)}) == 1
     assert ciszero(cadd(a, -a))
+
+
+# -- the normal form: every Cyc at its minimal conductor -------------------
+
+def test_equal_values_hash_equal_across_conductors():
+    # the product passes through conductor 120 and lands back in Q(i)
+    a = cmul(cmul(ex(Fraction(1, 4)), ex(Fraction(1, 120))),
+             ex(Fraction(-1, 120)))
+    b = ex(Fraction(1, 4))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.n, a.c) == (4, (0, 1))
+
+
+def test_conductor_is_never_2_mod_4():
+    assert ex(Fraction(1, 6)).n == 3
+    assert ex(Fraction(1, 10)) == cneg(cmul(ex(Fraction(1, 5)),
+                                            ex(Fraction(2, 5))))
+    assert ex(Fraction(1, 50)).n == 25
+
+
+def test_eq_with_a_non_number_is_false():
+    z = ex(Fraction(1, 4))
+    assert not z == "x" and z != "x"
+    assert not z == None and z != None  # noqa: E711
+    assert z != Fraction(1, 2) and z != 0 and 0 != z
+
+
+# Oracle: the divisor-by-divisor linear solve that the prime-by-prime descent
+# of Cyc.make replaced, with no cutoff on the size of the field.  The value
+# with coordinates c at conductor n lies in Q(zeta_d) when c is a rational
+# combination of the embedded powers zeta_d^i = zeta_n^{i n/d}; the least such
+# divisor d > 1 is the minimal conductor.
+
+def _solve_in_subfield(c, d, n):
+    """y with sum_i y_i zeta_d^i == c at conductor n, or None."""
+    emb = [_reduce_mod_phi([Fraction(0)] * (i * n // d) + [Fraction(1)], n)
+           for i in range(len(cyclotomic_poly(d)) - 1)]
+    rows = [[e[j] for e in emb] + [c[j]] for j in range(len(c))]
+    piv, where = 0, []
+    for col in range(len(emb)):
+        sel = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            where.append(None)
+            continue
+        rows[piv], rows[sel] = rows[sel], rows[piv]
+        rows[piv] = [x / rows[piv][col] for x in rows[piv]]
+        for r in range(len(rows)):
+            if r != piv and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
+        where.append(piv)
+        piv += 1
+    if any(rows[r][-1] for r in range(piv, len(rows))):
+        return None
+    return tuple(rows[w][-1] if w is not None else Fraction(0)
+                 for w in where)
+
+
+def oracle_make(n, coeffs):
+    c = _reduce_mod_phi([Fraction(x) for x in coeffs], n)
+    if not any(c[1:]):
+        return c[0]
+    for d in divisors(n)[1:]:
+        y = _solve_in_subfield(c, d, n)
+        if y is not None:
+            return d, y
+
+
+# phi(n) > 16, and n = 2 mod 4, where Q(zeta_n) = Q(zeta_{n/2})
+CONDUCTORS = (38, 45, 50, 54, 56, 60, 66, 70, 72, 84, 90, 120)
+
+
+@st.composite
+def subfield_sums(draw):
+    """(n, coefficients at n) of a sum of roots of unity drawn from one or
+    two subfields Q(zeta_d), d | n, so that the minimal conductor varies."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    coeffs = [0] * n
+    for d in draw(st.lists(st.sampled_from(divisors(n)), min_size=1,
+                           max_size=2)):
+        for k, a in draw(st.lists(st.tuples(st.integers(0, d - 1),
+                                            st.integers(-3, 3)),
+                                  min_size=1, max_size=5)):
+            coeffs[k * (n // d)] += a
+    return n, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(subfield_sums())
+def test_make_matches_the_subfield_solve(nc):
+    n, coeffs = nc
+    got, want = Cyc.make(n, coeffs), oracle_make(n, coeffs)
+    if isinstance(want, tuple):
+        assert isinstance(got, Cyc) and (got.n, got.c) == want
+    else:
+        assert got == want and not isinstance(got, Cyc)
+    # the same value entered at twice the conductor has the same normal form
+    twice = [0] * (2 * n)
+    twice[::2] = coeffs
+    same_value(Cyc.make(2 * n, twice), got)

@@ -1,0 +1,92 @@
+"""Bad arguments to public functions raise typed errors, also under -O.
+
+`python -O` strips asserts, so an assert cannot reject these inputs.  The
+cases run in this process and once more in a single `python -O` subprocess.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from mjtheta import errors
+
+SETUP = """
+from mjtheta.borcherds import QuadForm, fit_rational, gamma0_maps, \\
+    genus_char, reduce_form
+from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb
+from mjtheta.series import QSeries, series_slice
+T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
+"""
+
+# name: (error class, expression)
+CASES = {
+    "parity 0": ("BadParity", "CoeffTable(5, 0, {}, {})"),
+    "residue above m": ("CongruenceViolation",
+                        "CoeffTable(5, 1, {(-4, 6): 2}, {6: (-100, 1)})"),
+    "D not r^2 mod 4m": ("CongruenceViolation",
+                         "CoeffTable(5, -1, {(3, 1): 2}, {1: (-100, 1)})"),
+    "D outside range": ("InsufficientDepth",
+                        "CoeffTable(5, -1, {(-119, 1): 2}, {1: (-100, 1)})"),
+    "residue without range": ("InsufficientDepth",
+                              "CoeffTable(5, -1, {(-19, 1): 2}, {})"),
+    "indefinite form": ("BadDiscriminant", "reduce_form(QuadForm(1, 0, -1))"),
+    "negative definite form": ("BadDiscriminant",
+                               "reduce_form(QuadForm(-1, 1, -1))"),
+    "gamma0_maps on an indefinite form": (
+        "BadDiscriminant",
+        "gamma0_maps(QuadForm(1, 0, -1), QuadForm(1, 1, 1), 1)"),
+    "fit in powers of q^(1/2)": (
+        "NoSolutionWithinDegree",
+        "fit_rational(QSeries({1: 1}, 10, 2), QSeries({-1: 1}, 10), 1)"),
+    "genus_char with m not dividing A": (
+        "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 2)"),
+    "slice modulo 0": ("Divergent", "series_slice(QSeries({0: 1}, 5), 0, 0)"),
+    "slice modulo -1": ("Divergent",
+                        "series_slice(QSeries({0: 1}, 5), 0, -1)"),
+    "ez_apply outside O_m": ("CongruenceViolation", "ez_apply(T5, 2)"),
+    "table_lin_comb of nothing": ("LevelMismatch", "table_lin_comb([])"),
+    "table_lin_comb across indices": (
+        "LevelMismatch",
+        "table_lin_comb([(1, T5), (1, CoeffTable(6, 1, {}, {}))])"),
+    "table_lin_comb across parities": (
+        "LevelMismatch",
+        "table_lin_comb([(1, T5), (1, CoeffTable(5, -1, {}, {}))])"),
+}
+
+# Prints the optimization level, then one line per case: its name and the
+# type of what it raised.
+PROBE = SETUP + """
+import sys
+print(f"optimize: {sys.flags.optimize}")
+for name, (_, expr) in CASES.items():
+    try:
+        eval(expr)
+        got = "nothing"
+    except Exception as e:
+        got = type(e).__name__
+    print(f"{name}: {got}")
+"""
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bad_argument_raises_typed_error(name):
+    cls, expr = CASES[name]
+    scope = {}
+    exec(SETUP, scope)
+    with pytest.raises(getattr(errors, cls)):
+        eval(expr, scope)
+
+
+def test_typed_errors_survive_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", f"CASES = {CASES!r}\n" + PROBE],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = ["optimize: 1"]
+    want += [f"{name}: {cls}" for name, (cls, _) in CASES.items()]
+    assert proc.stdout.splitlines() == want
