@@ -12,19 +12,19 @@ membership in Gamma_0(m) is a congruence on the lower-left entry.
 """
 
 from fractions import Fraction
-from math import gcd, inf
-
-from math import isqrt
+from functools import lru_cache
+from math import gcd, inf, isqrt, lcm
+from operator import mul
 
 from .arith import divisors, is_fundamental, kronecker
-from .cyclo import as_fraction, cadd, ciszero, cinv, cmul, cneg, ex
+from .cyclo import Cyc, as_fraction, cformat
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, LevelMismatch, MissingSource, NoRepresentativeFound,
-    NoSolutionWithinDegree, Underdetermined,
+    NoSolutionWithinDegree, NotQuadratic, Underdetermined,
 )
 from .jacobi import NEG_INF
-from .series import QSeries, series_mul, series_pow
+from .series import QSeries, _lo_eff, series_mul
 
 __all__ = [
     "QuadForm", "reduce_form", "automorphs", "gamma0_maps",
@@ -100,15 +100,28 @@ def reduce_form(Q):
 def automorphs(R):
     """The SL_2(Z) stabilizer of a reduced definite form (order 2, 4, 6);
     all its elements have entries in {-1, 0, 1}."""
-    out = []
+    return list(_automorphs(R.key()))
+
+
+@lru_cache(maxsize=None)
+def _automorphs(key):
+    R = QuadForm(*key)
     rng = (-1, 0, 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c == 1 and R.transform((a, b, c, d)) == R:
-                        out.append((a, b, c, d))
+    out = tuple((a, b, c, d) for a in rng for b in rng for c in rng
+                for d in rng
+                if a * d - b * c == 1 and R.transform((a, b, c, d)) == R)
     assert len(out) in (2, 4, 6), R
+    return out
+
+
+def _maps(R, g1, g2, m):
+    """All gamma in Gamma_0(m) with Q1|gamma = Q2, for Q1|g1 = R = Q2|g2."""
+    g2i = _mat_inv(g2)
+    out = []
+    for u in _automorphs(R.key()):
+        g = _mat_mul(_mat_mul(g1, u), g2i)
+        if g[2] % m == 0:
+            out.append(g)
     return out
 
 
@@ -118,13 +131,7 @@ def gamma0_maps(Q1, Q2, m):
     R2, g2 = reduce_form(Q2)
     if R1 != R2:
         return []
-    g2i = _mat_inv(g2)
-    out = []
-    for u in automorphs(R1):
-        g = _mat_mul(_mat_mul(g1, u), g2i)
-        if g[2] % m == 0:
-            out.append(g)
-    return out
+    return _maps(R1, g1, g2, m)
 
 
 def gamma0_equivalent(Q1, Q2, m):
@@ -145,6 +152,9 @@ def enumerate_heegner(m, D, r):
         raise BadDiscriminant(f"Heegner forms need D < 0, got {D}")
     r %= 2 * m
     reps = []
+    # reduction matrices of the representatives, by reduced form: a
+    # candidate can only be equivalent to representatives of its own
+    by_form = {}
     for A in range(m, m * m * abs(D) + 1, m):
         # B = r mod 2m within (-A, A]: exactly A/m candidates
         b0 = ((r + A) % (2 * m)) - A
@@ -154,9 +164,12 @@ def enumerate_heegner(m, D, r):
             if (B * B - D) % (4 * A):
                 continue
             Q = QuadForm(A, B, (B * B - D) // (4 * A))
-            if any(gamma0_equivalent(Q, P, m) for P, _s in reps):
+            R, g = reduce_form(Q)
+            same = by_form.setdefault(R, [])
+            if any(_maps(R, g, h, m) for h in same):
                 continue
-            reps.append((Q, len(gamma0_maps(Q, Q, m))))
+            same.append(g)
+            reps.append((Q, len(_maps(R, g, g, m))))
     reps.sort(key=lambda qs: qs[0].key())
     return reps
 
@@ -203,7 +216,29 @@ def psi_expand(lam, D, r, order=None, table=None):
     """The Borcherds product
     prod_{n>0} prod_{b mod D} (1 - ex(b/D) q^n)^{(D/b) C(Dn^2, rn)}
     expanded exactly; truncated at the first n whose exponent the table
-    cannot justify (the returned window records this)."""
+    cannot justify (the returned window records this).
+
+    Every coefficient lies in Q(sqrt D): for the primitive character
+    (D/.), sum_b (D/b) ex(bk/D) = (D/k) G with the Gauss sum
+    G = sum_b (D/b) ex(b/D), G^2 = D, so Psi = X + G Y with X, Y over Q.
+    This is the twisted product of Bruinier--Ono ("Heegner divisors,
+    L-functions and harmonic weak Maass forms", Ann. of Math. 2010,
+    Thm 6.1).  q d/dq log Psi = -G sum_N c_N q^N with the integers
+    c_N = sum_{n | N} n C(Dn^2, rn) (D/(N/n)), so X = sum x_N q^N and
+    Y = sum y_N q^N follow N x_N = -D sum_k c_k y_{N-k} and
+    N y_N = -sum_k c_k x_{N-k} from x_0 = 1, y_0 = 0 (see _psi_coords);
+    2x_N and 2y_N are integers.  The coefficients are returned as the
+    values x_N + G y_N.
+    """
+    x2, y2, window = _psi_coords(lam, D, r, order, table)
+    G = _gauss_sum(D)
+    return QSeries({N: _quad_value(Fraction(a, 2), Fraction(b, 2), G)
+                    for N, (a, b) in enumerate(zip(x2, y2))}, window)
+
+
+def _psi_coords(lam, D, r, order=None, table=None):
+    """(x2, y2, window): the doubled coordinates 2x_N, 2y_N (ints, for
+    0 <= N < window) of Psi = X + G Y, and the window of psi_expand."""
     from .catalog import get_lambency
     if isinstance(lam, str):
         lam = get_lambency(lam)
@@ -237,18 +272,21 @@ def psi_expand(lam, D, r, order=None, table=None):
         raise InsufficientDepth(
             f"table gives no C({D}, {r}): cannot start the product")
     window = min(order, Fraction(len(exponents) + 1))
-    out = QSeries({0: 1}, window)
-    for n, e in enumerate(exponents, start=1):
-        if e == 0 or n >= window:
-            continue
-        for b in range(1, abs(D)):
-            k = kronecker(D, b)
-            if k == 0:
-                continue
-            zeta = ex(Fraction(b, D))
-            factor = QSeries.from_terms([(0, 1), (n, -1 * zeta)], window)
-            out = series_mul(out, series_pow(factor, k * e))
-    return out
+    count = max(1, -(-window.numerator // window.denominator))
+    chi = [0] + [kronecker(D, k) for k in range(1, count)]
+    c = [0] * count
+    for n, e in enumerate(exponents[:count - 1], start=1):
+        if e:
+            for N in range(n, count, n):
+                c[N] += n * e * chi[N // n]
+    x2, y2 = [2], [0]
+    for N in range(1, count):
+        cs = c[N:0:-1]  # c_N .. c_1 against the coordinates 0 .. N-1
+        xN = -D * sum(map(mul, cs, y2)) // N
+        yN = -sum(map(mul, cs, x2)) // N
+        x2.append(xN)
+        y2.append(yN)
+    return x2, y2, window
 
 
 def _runs_out(t, r):
@@ -260,36 +298,94 @@ def _runs_out(t, r):
     return rc not in t.ranges or t.ranges[rc][0] != NEG_INF
 
 
+@lru_cache(maxsize=None)
+def _gauss_sum(D):
+    """G = sum_{b mod |D|} (D/b) ex(b/D), with G^2 = D, for a negative
+    fundamental D: a Cyc at its minimal conductor |D|."""
+    n = -D
+    coeffs = [0] * n
+    for b in range(1, n):
+        coeffs[-b % n] += kronecker(D, b)  # ex(b/D) = zeta_n^(-b)
+    return Cyc.make(n, coeffs)
+
+
+def _quad_value(x, y, G):
+    """x + y G for rationals x, y, in normal form: the Fraction x when
+    y = 0, else a Cyc at G's conductor, the minimal one of Q(sqrt D)."""
+    if not y:
+        return x
+    c = [y * g for g in G.c]
+    c[0] += x
+    return Cyc(G.n, c)
+
+
 # -- rational-function fitting -------------------------------------------
 
-def _solve_exact(rows, n_unknowns):
-    """Gaussian elimination over the exact coefficient field; returns the
-    solution vector (free variables set to 0) or None if inconsistent."""
+def _solve_int(rows, n_unknowns):
+    """Gauss--Jordan elimination of integer rows [a_1 .. a_n, b], fraction
+    free: each combination is divided by its content.  Returns the solution
+    as Fractions (free variables set to 0), or None if inconsistent."""
     rows = [list(r) for r in rows]
-    pivots = {}
+    pivots = []
     rank = 0
     for col in range(n_unknowns):
-        piv = next((i for i in range(rank, len(rows))
-                    if not ciszero(rows[i][col])), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = cinv(rows[rank][col])
-        rows[rank] = [cmul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not ciszero(rows[i][col]):
-                f = cneg(rows[i][col])
-                rows[i] = [cadd(v, cmul(f, w))
-                           for v, w in zip(rows[i], rows[rank])]
-        pivots[col] = rank
+        p = rows[rank]
+        for i, row in enumerate(rows):
+            b = row[col]
+            if i != rank and b:
+                g = gcd(p[col], b)
+                a, b = p[col] // g, b // g
+                row = [a * v - b * w for v, w in zip(row, p)]
+                g = gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        pivots.append((col, rank))
         rank += 1
-    for row in rows[rank:]:
-        if not ciszero(row[-1]):
-            return None
-    sol = [0] * n_unknowns
-    for col, i in pivots.items():
-        sol[col] = rows[i][-1]
+    if any(row[-1] for row in rows[rank:]):
+        return None
+    sol = [Fraction(0)] * n_unknowns
+    for col, i in pivots:
+        sol[col] = Fraction(rows[i][-1], rows[i][col])
     return sol
+
+
+def _satisfies(rows, sol):
+    """Every integer row [a_1 .. a_n, b] has sum a_i sol_i = b."""
+    den = lcm(*(u.denominator for u in sol))
+    num = [u.numerator * (den // u.denominator) for u in sol]
+    return all(sum(map(mul, row, num)) == row[-1] * den for row in rows)
+
+
+def _split_quadratic(psi):
+    """(X, Y, G): psi = X + G Y with X, Y over Q and G the Gauss sum of the
+    one imaginary quadratic field Q(sqrt D) holding psi's coefficients;
+    Y and G are None for a rational psi."""
+    n = next((v.n for v in psi.coeffs.values() if isinstance(v, Cyc)), None)
+    if n is None:
+        return psi, None, None
+    if not is_fundamental(-n):
+        raise NotQuadratic(f"coefficients at conductor {n} lie in no "
+                           f"imaginary quadratic field")
+    G = _gauss_sum(-n)
+    i = next(i for i, g in enumerate(G.c) if i and g)
+    xs, ys = {}, {}
+    for k, v in psi.coeffs.items():
+        if not isinstance(v, Cyc):
+            xs[k] = v
+            continue
+        if v.n != n:
+            raise NotQuadratic(f"coefficients at conductors {n} and {v.n}")
+        y = v.c[i] / G.c[i]
+        rest = [a - y * g for a, g in zip(v.c, G.c)]
+        if any(rest[1:]):
+            raise NotQuadratic(f"coefficient {cformat(v)} is not in "
+                               f"Q(sqrt {-n})")
+        xs[k], ys[k] = rest[0], y
+    return (QSeries(xs, psi.order, psi.den), QSeries(ys, psi.order, psi.den),
+            G)
 
 
 def fit_rational(psi, T, max_deg):
@@ -299,65 +395,146 @@ def fit_rational(psi, T, max_deg):
     through the full shared window, and accepts only solutions consistent
     with every justified coefficient (the overdetermined rows are the
     verification).  Returns (P, Q) as ascending coefficient lists.
+
+    psi's coefficients must lie in Q or in one imaginary quadratic field
+    Q(sqrt D), T's in Q; anything else raises NotQuadratic.  There
+    psi = X + G Y with X, Y over Q and the Gauss sum G = sum_b (D/b)
+    ex(b/D), G^2 = D, as for the Borcherds products of psi_expand
+    (Bruinier--Ono, Ann. of Math. 2010, Thm 6.1).  Each unknown u of P
+    and Q is written u = u1 + G u2, and the pair (u1, u2) takes its place
+    in the unknown vector, Q's coefficients first.  Each coefficient
+    equation of (X + G Y)(Q1 + G Q2) = P1 + G P2 splits as
+    (X Q1 + D Y Q2 - P1) + G (Y Q1 + X Q2 - P2) = 0 into two rational
+    rows.  Interleaved so, the rational system has the pivots of the
+    system over Q(sqrt D), and zeroing the free variables gives the same
+    solution.  A rational psi gives just the X block, one unknown each.
     """
-    if psi.den != 1 or T.den != 1:
+    if any(isinstance(v, Cyc) for v in T.coeffs.values()):
+        raise NotQuadratic("the principal modulus must have rational "
+                           "coefficients")
+    X, Y, G = _split_quadratic(psi)
+    return _fit_coords(X, Y, G, T, max_deg)
+
+
+def _fit_coords(X, Y, G, T, max_deg):
+    """fit_rational for psi = X + G Y (Y and G None for a rational psi):
+    one rational system per degree pair, its rows scaled to integers and
+    eliminated fraction-free."""
+    if X.den != 1 or T.den != 1:
         raise NoSolutionWithinDegree(
             "fit_rational needs series in integral powers of q")
-    avail = int(psi.order - min([0] + psi.support_exponents()))
+    parts, D = ([X], 0) if Y is None else ([X, Y], -G.n)
+    keys = [k for s in parts for k in s.coeffs]
+    avail = int(X.order - min([0] + keys))
     if avail < 2 * max_deg + 2:
         raise Underdetermined(
             f"window of {avail} coefficients cannot pin degree {max_deg}")
+    # the equation times L, the common denominator of psi's coordinates
+    L = lcm(*(Fraction(v).denominator for s in parts
+              for v in s.coeffs.values()))
+    parts = [_times(s, L) for s in parts]
+    lo_psi = min(keys) if keys else X.order
     Tpow = [QSeries({0: 1}, T.order)]
     for _ in range(max_deg):
         Tpow.append(series_mul(Tpow[-1], T))
+    # columns (coordinate series, window, lowest exponent): psi T^i as the
+    # coordinate products, with the window and lowest exponent of the
+    # product over Q(sqrt D); and the rational -L T^j
+    psiT = []
+    for t in Tpow:
+        window = min(X.order + _lo_eff(t), t.order + lo_psi)
+        prods = [series_mul(s, t) for s in parts]
+        lo = min([0] + [k for s in prods for k in s.coeffs if k < window])
+        psiT.append((prods, window, lo))
+    PT = [([_times(t, -L)], t.order, min([0] + list(t.coeffs)))
+          for t in Tpow]
     pairs = sorted(((dp, dq) for dp in range(max_deg + 1)
                     for dq in range(max_deg + 1)),
                    key=lambda p: (max(p), p[0] + p[1], p[1]))
     skipped_short = False
     for dp, dq in pairs:
-        cols = [series_mul(psi, Tpow[i]) for i in range(dq)]
-        cols += [-1 * Tpow[j] for j in range(dp + 1)]
-        rhs = -1 * series_mul(psi, Tpow[dq])
-        window = min(s.order for s in cols + [rhs])
-        lo = min(min([0] + s.support_exponents()) for s in cols + [rhs])
-        xs = [x for x in range(int(lo), int(window))]
-        if len(xs) < len(cols):
+        used = psiT[:dq + 1] + PT[:dp + 1]
+        window = min(w for _c, w, _l in used)
+        lo = min(l for _c, _w, l in used)
+        xs = range(int(lo), int(window))
+        if len(xs) < dq + dp + 1:
             skipped_short = True
             continue
-        rows = [[s.coeff(x) for s in cols] + [rhs.coeff(x)] for x in xs]
-        sol = _solve_exact(rows, len(cols))
-        if sol is None:
-            continue
+        rows = _fit_rows([c for c, _w, _l in used], dq, D, xs)
+        sol = _solve_int(rows, len(rows[0]) - 1)
         # re-check every equation (free variables were zeroed)
-        ok = True
-        for row in rows:
-            acc = row[-1]
-            for v, u in zip(row[:-1], sol):
-                acc = cadd(acc, cneg(cmul(v, u)))
-            if not ciszero(acc):
-                ok = False
-                break
-        if not ok:
+        if sol is None or not _satisfies(rows, sol):
             continue
-        return list(sol[dq:]), list(sol[:dq]) + [1]
+        if Y is None:
+            vals = sol
+        else:
+            vals = [_quad_value(u1, u2, G)
+                    for u1, u2 in zip(sol[::2], sol[1::2])]
+        return vals[dq:], vals[:dq] + [1]
     if skipped_short:
         raise Underdetermined("every admissible degree pair lacked rows")
     raise NoSolutionWithinDegree(f"no fit with degrees <= {max_deg}")
 
 
+def _times(s, f):
+    """f s for a rational f, each value an int where it is whole."""
+    out = {}
+    for k, v in s.coeffs.items():
+        v = Fraction(v) * f
+        out[k] = v.numerator if v.denominator == 1 else v
+    return QSeries(out, s.order, s.den)
+
+
+def _fit_rows(cols, dq, D, xs):
+    """The integer rows at the exponents xs of
+    sum_{i<dq} q_i L psi T^i + sum_j p_j (-L T^j) = -L psi T^dq.
+
+    cols holds the coordinate series of L psi T^0 .. L psi T^dq, then of
+    -L T^0 .. -L T^dp.  With a quadratic psi (two coordinates) each
+    unknown is a pair (u1, u2), and each exponent gives the 1-row and then
+    the G-row; a row with fractions is scaled to integers."""
+    qcols, rhs, pcols = cols[:dq], cols[dq], cols[dq + 1:]
+    rows = []
+    for x in xs:
+        if len(rhs) == 1:
+            out = [[c[0].coeffs.get(x, 0) for c in qcols + pcols]
+                   + [-rhs[0].coeffs.get(x, 0)]]
+        else:
+            one, gee = [], []
+            for cx, cy in qcols:
+                a, b = cx.coeffs.get(x, 0), cy.coeffs.get(x, 0)
+                one += [a, D * b]
+                gee += [b, a]
+            for (c,) in pcols:
+                a = c.coeffs.get(x, 0)
+                one += [a, 0]
+                gee += [0, a]
+            out = [one + [-rhs[0].coeffs.get(x, 0)],
+                   gee + [-rhs[1].coeffs.get(x, 0)]]
+        for row in out:
+            if any(type(v) is not int for v in row):
+                den = lcm(*(Fraction(v).denominator for v in row))
+                row = [int(v * den) for v in row]
+            rows.append(row)
+    return rows
+
+
 def fit_case(symbol, D, r, max_deg=None, table=None):
     """End-to-end pipeline for one (lambency, D, r) case: expand Psi to the
     table's full depth, bound the degree by the Heegner divisor's poles
-    (capped by the window), and fit against the principal modulus."""
+    (capped by the window), and fit against the principal modulus.  Psi
+    stays in its rational coordinates X + G Y throughout."""
     from .catalog import get_lambency
     from .eta import eta_expand
     lam = get_lambency(symbol)
-    psi = psi_expand(lam, D, r, table=table)
+    x2, y2, window = _psi_coords(lam, D, r, table=table)
     if max_deg is None:
         div = heegner_divisor(lam, D, r)
         poles = int(sum(-w for _q, w in div if w < 0))
-        max_deg = min(poles, (int(psi.order) - 2) // 2)
-    T = eta_expand(lam.eta, psi.order + max_deg + 1)
-    P, Q = fit_rational(psi, T, max_deg)
+        max_deg = min(poles, (int(window) - 2) // 2)
+    T = eta_expand(lam.eta, window + max_deg + 1)
+    X, Y = (QSeries({N: Fraction(v, 2) for N, v in enumerate(c)}, window)
+            for c in (x2, y2))
+    P, Q = _fit_coords(X, Y, _gauss_sum(D), T, max_deg)
     return {"lambency": symbol, "D": D, "r": r, "P": P, "Q": Q,
-            "window": psi.order, "max_deg": max_deg}
+            "window": window, "max_deg": max_deg}

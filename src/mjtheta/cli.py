@@ -294,9 +294,16 @@ def _eta_arg(text):
 
 
 def _order_arg(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
+    return _int_arg(text, 1, "a positive integer")
+
+
+def _max_deg_arg(text):
+    return _int_arg(text, 0, "a non-negative integer")
+
+
+def _int_arg(text, least, what):
+    if not text.isdigit() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return int(text)
 
 
@@ -331,7 +338,7 @@ def build_parser():
     pf.add_argument("--lambency", required=True)
     pf.add_argument("--D", type=int, required=True)
     pf.add_argument("--r", type=int, required=True)
-    pf.add_argument("--max-deg", type=int, default=None)
+    pf.add_argument("--max-deg", type=_max_deg_arg, default=None)
     data_and_format(pf)
     pf.set_defaults(fn=cmd_fit)
     return p

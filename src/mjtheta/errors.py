@@ -14,7 +14,8 @@ class LevelMismatch(MJTError):
     or the quotient's Fricke multiplier at level m is irrational; also a
     form whose A the level m does not divide (genus_char), and a linear
     combination of no tables or of tables of different index or parity
-    (table_lin_comb)."""
+    (table_lin_comb), and an index that is not an exact divisor of m
+    (omega_product_check)."""
 
 
 class NotConstant(MJTError):
@@ -95,6 +96,12 @@ class ExcludedDiscriminant(MJTError):
 class NoSolutionWithinDegree(MJTError):
     """No rational function of the allowed degree matches the series, or the
     series passed to fit_rational are not in integral powers of q."""
+
+
+class NotQuadratic(MJTError):
+    """The series passed to fit_rational has coefficients outside Q and
+    outside every single imaginary quadratic field Q(sqrt D), or the
+    principal modulus has irrational coefficients."""
 
 
 class Underdetermined(MJTError):

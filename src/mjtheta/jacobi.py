@@ -237,10 +237,13 @@ def omega_entry(m, n, r, rp):
 
 
 def omega_product_check(m, n, np):
-    """Verify Omega_m(n) Omega_m(n') = Omega_m(n * n') entrywise (n exact)."""
+    """Verify Omega_m(n) Omega_m(n') = Omega_m(n * n') entrywise, for
+    exact divisors n, n' of m."""
+    for d in (n, np):
+        if d < 1 or m % d or gcd(d, m // d) != 1:
+            raise LevelMismatch(f"{d} is not an exact divisor of {m}")
     size = 2 * m
-    tgt = OmGroup(m).star(n, np) if gcd(n, m // n) == 1 else None
-    assert tgt is not None
+    tgt = OmGroup(m).star(n, np)
     for r in range(size):
         for rp in range(size):
             acc = sum(omega_entry(m, n, r, s) * omega_entry(m, np, s, rp)

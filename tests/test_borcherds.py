@@ -1,24 +1,29 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mjtheta import borcherds, cyclo, series
 from mjtheta.arith import is_fundamental, kronecker
 from mjtheta.borcherds import (
     QuadForm, automorphs, enumerate_heegner, fit_case, fit_rational,
-    gamma0_equivalent, genus_char, heegner_divisor, psi_expand, reduce_form,
+    gamma0_equivalent, gamma0_maps, genus_char, heegner_divisor, psi_expand,
+    reduce_form,
 )
-from mjtheta.catalog import get_lambency
-from mjtheta.cyclo import cconj, ceq, ciszero, cmul, csub, ex
+from mjtheta.catalog import get_lambency, load_catalog
+from mjtheta.cyclo import (
+    Cyc, as_fraction, cadd, cconj, ceq, cinv, ciszero, cmul, cneg, csub, ex,
+)
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, NoRepresentativeFound, NoSolutionWithinDegree,
-    Underdetermined,
+    NotQuadratic, Underdetermined,
 )
 from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
-from mjtheta.series import QSeries
+from mjtheta.series import QSeries, series_mul, series_pow
 
 rng = random.Random(20260824)
 
@@ -131,6 +136,31 @@ def test_class_count_invariant_under_group():
     m = 6
     for a in (1, 5, 7, 11):
         assert len(enumerate_heegner(m, -20, (2 * a) % 12)) == 2
+
+
+def pairwise_heegner(m, D, r):
+    """enumerate_heegner with every candidate tested against every
+    representative by gamma0_equivalent: the oracle for the grouping by
+    reduced form."""
+    reps = []
+    for A in range(m, m * m * abs(D) + 1, m):
+        for B in range(-A + 1, A + 1):
+            if (B - r) % (2 * m) or (B * B - D) % (4 * A):
+                continue
+            Q = QuadForm(A, B, (B * B - D) // (4 * A))
+            if not any(gamma0_equivalent(Q, P, m) for P, _s in reps):
+                reps.append((Q, len(gamma0_maps(Q, Q, m))))
+    return sorted(reps, key=lambda qs: qs[0].key())
+
+
+@pytest.mark.parametrize("m,D,r", [(2, -32, 0), (2, -28, 2), (3, -27, 3),
+                                   (6, -32, 4), (10, -16, 8)])
+def test_enumerate_matches_pairwise_equivalence(m, D, r):
+    reps = enumerate_heegner(m, D, r)
+    assert reps == pairwise_heegner(m, D, r)
+    # several classes share one reduced form, so the grouping is exercised
+    forms = [reduce_form(Q)[0] for Q, _s in reps]
+    assert len(set(forms)) < len(forms)
 
 
 def test_enumerate_congruence_violation():
@@ -308,3 +338,270 @@ def test_fit_case_beyond_depth():
 def test_heegner_divisor_weights():
     div = heegner_divisor("6+2", -20, 2)
     assert [w for _q, w in div] == [Fraction(-4), Fraction(-4)]
+
+
+# -- the product and the fit over Q(zeta_|D|): oracles ---------------------
+
+def cyc_product(lam, D, r, order=None):
+    """Psi one factor (1 - ex(b/D) q^n)^{(D/b) C(Dn^2, rn)} at a time, in
+    Q(zeta_|D|): the construction psi_expand replaced, as its oracle."""
+    table = get_lambency(lam).fixture
+    order = inf if order is None else Fraction(order)
+    exponents = []
+    n = 1
+    while n < order:
+        try:
+            e = table.get(D * n * n, r * n)
+        except InsufficientDepth:
+            break
+        exponents.append(int(as_fraction(e)))
+        n += 1
+    window = min(order, Fraction(len(exponents) + 1))
+    out = QSeries({0: 1}, window)
+    for n, e in enumerate(exponents, start=1):
+        if e == 0 or n >= window:
+            continue
+        for b in range(1, abs(D)):
+            k = kronecker(D, b)
+            if k == 0:
+                continue
+            zeta = ex(Fraction(b, D))
+            factor = QSeries.from_terms([(0, 1), (n, -1 * zeta)], window)
+            out = series_mul(out, series_pow(factor, k * e))
+    return out
+
+
+def cyc_solve(rows, n_unknowns):
+    """Gaussian elimination over Q(zeta_n), free variables set to 0: the
+    solver fit_rational replaced, as its oracle."""
+    rows = [list(r) for r in rows]
+    pivots = {}
+    rank = 0
+    for col in range(n_unknowns):
+        piv = next((i for i in range(rank, len(rows))
+                    if not ciszero(rows[i][col])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = cinv(rows[rank][col])
+        rows[rank] = [cmul(inv, v) for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not ciszero(rows[i][col]):
+                f = cneg(rows[i][col])
+                rows[i] = [cadd(v, cmul(f, w))
+                           for v, w in zip(rows[i], rows[rank])]
+        pivots[col] = rank
+        rank += 1
+    for row in rows[rank:]:
+        if not ciszero(row[-1]):
+            return None
+    sol = [0] * n_unknowns
+    for col, i in pivots.items():
+        sol[col] = rows[i][-1]
+    return sol, rank
+
+
+def cyc_fit(psi, T, max_deg):
+    """fit_rational as one linear system over Q(zeta_n) per degree pair:
+    returns (P, Q, rank of the accepted system), or raises as the fit
+    does."""
+    avail = int(psi.order - min([0] + psi.support_exponents()))
+    if avail < 2 * max_deg + 2:
+        raise Underdetermined(f"window of {avail} coefficients")
+    Tpow = [QSeries({0: 1}, T.order)]
+    for _ in range(max_deg):
+        Tpow.append(series_mul(Tpow[-1], T))
+    pairs = sorted(((dp, dq) for dp in range(max_deg + 1)
+                    for dq in range(max_deg + 1)),
+                   key=lambda p: (max(p), p[0] + p[1], p[1]))
+    skipped_short = False
+    for dp, dq in pairs:
+        cols = [series_mul(psi, Tpow[i]) for i in range(dq)]
+        cols += [-1 * Tpow[j] for j in range(dp + 1)]
+        rhs = -1 * series_mul(psi, Tpow[dq])
+        window = min(s.order for s in cols + [rhs])
+        lo = min(min([0] + s.support_exponents()) for s in cols + [rhs])
+        xs = range(int(lo), int(window))
+        if len(xs) < len(cols):
+            skipped_short = True
+            continue
+        rows = [[s.coeff(x) for s in cols] + [rhs.coeff(x)] for x in xs]
+        solved = cyc_solve(rows, len(cols))
+        if solved is None:
+            continue
+        sol, rank = solved
+        if all(ciszero(cadd(row[-1], cneg(sum(
+                (cmul(v, u) for v, u in zip(row[:-1], sol)), start=0))))
+               for row in rows):
+            return list(sol[dq:]), list(sol[:dq]) + [1], rank
+    if skipped_short:
+        raise Underdetermined("every admissible degree pair lacked rows")
+    raise NoSolutionWithinDegree(f"no fit with degrees <= {max_deg}")
+
+
+def split(v, D):
+    """(x, y) with v = x + y G, G the Gauss sum of D (G^2 = D, conj G =
+    -G): x = (v + conj v) / 2, y = (v - conj v) / 2G."""
+    G = borcherds._gauss_sum(D)
+    x = cmul(Fraction(1, 2), cadd(v, cconj(v)))
+    y = cmul(cmul(Fraction(1, 2), csub(v, cconj(v))), cinv(G))
+    return as_fraction(x), as_fraction(y)
+
+
+SWEEP = [(lam.symbol, D, r) for lam in load_catalog()
+         if lam.fixture is not None
+         for D in range(-24, -2) if is_fundamental(D)
+         for r in range(2 * lam.m) if (D - r * r) % (4 * lam.m) == 0]
+
+
+def test_gauss_sum_squares_to_D():
+    for D in sorted({D for _s, D, _r in SWEEP}):
+        G = borcherds._gauss_sum(D)
+        assert cmul(G, G) == D and G.n == -D
+        assert G == sum((cmul(kronecker(D, b), ex(Fraction(b, D)))
+                         for b in range(1, -D)), start=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWEEP), st.integers(min_value=1, max_value=8))
+def test_psi_matches_the_cyclotomic_product(case, order):
+    sym, D, r = case
+    try:
+        psi = psi_expand(sym, D, r, order=order)
+    except ExcludedDiscriminant:
+        return
+    want = cyc_product(sym, D, r, order)
+    assert psi.order == want.order
+    assert psi.coeffs == want.coeffs
+    for v in psi.coeffs.values():
+        x, y = split(v, D)
+        assert (2 * x).denominator == (2 * y).denominator == 1
+        if D % 4 == 0:
+            assert x.denominator == y.denominator == 1
+
+
+def test_psi_fractional_order_keeps_its_window():
+    # every coefficient below q^(7/2) is justified, q^3 included
+    psi = psi_expand("10+2", -4, 6, order=Fraction(7, 2))
+    assert psi.order == Fraction(7, 2)
+    assert psi.coeffs == cyc_product("10+2", -4, 6, 4).coeffs
+
+
+def test_psi_coordinates_are_half_integers():
+    # the whole window of every sweep case: 2x, 2y are ints, and x, y
+    # are ints when 4 | D
+    for sym, D, r in SWEEP:
+        try:
+            x2, y2, window = borcherds._psi_coords(sym, D, r)
+        except (ExcludedDiscriminant, InsufficientDepth):
+            continue
+        assert len(x2) == len(y2) == int(window) and x2[0] == 2
+        assert all(type(v) is int for v in x2 + y2)
+        if D % 4 == 0:
+            assert all(v % 2 == 0 for v in x2 + y2), (sym, D, r)
+        psi = psi_expand(sym, D, r)
+        G = borcherds._gauss_sum(D)
+        assert all(ceq(psi.coeff(N),
+                       cadd(Fraction(x2[N], 2), cmul(Fraction(y2[N], 2), G)))
+                   for N in range(len(x2)))
+
+
+BENCH_FITS = [("10+2", -4, 6), ("6+2", -8, 4), ("18+2", -8, 8),
+              ("33+11", -8, 28), ("15+5", -11, 7), ("15+5", -11, 13),
+              ("28+7", -7, 21), ("33+11", -8, 16), ("33+11", -11, 11)]
+
+
+@pytest.mark.parametrize("sym,D,r", BENCH_FITS)
+def test_fit_case_matches_the_cyclotomic_fit(sym, D, r):
+    rep = fit_case(sym, D, r)
+    psi = psi_expand(sym, D, r)
+    T = eta_expand(get_lambency(sym).eta, psi.order + rep["max_deg"] + 1)
+    P, Q, _rank = cyc_fit(psi, T, rep["max_deg"])
+    assert (rep["P"], rep["Q"], rep["window"]) == (P, Q, psi.order)
+    assert fit_rational(psi, T, rep["max_deg"]) == (P, Q)
+
+
+def poly_in_T(coeffs, Tpow):
+    out = QSeries.zero(Tpow[0].order)
+    for c, t in zip(coeffs, Tpow):
+        out = out + t * c
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([None, -3, -4, -7, -8, -11]),
+       st.lists(st.integers(-4, 4), min_size=2, max_size=6),
+       st.lists(st.integers(-4, 4), min_size=2, max_size=6),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2))
+def test_fit_rational_matches_the_cyclotomic_fit(D, ps, qs, dp, dq):
+    # psi = P(T)/Q(T) for random P and monic Q over Q or Q(sqrt D)
+    G = 1 if D is None else borcherds._gauss_sum(D)
+    P = [cadd(a, cmul(b, G)) for a, b in zip(ps[::2], ps[1::2])][:dp + 1]
+    Q = [cadd(a, cmul(b, G)) for a, b in zip(qs[::2], qs[1::2])][:dq] + [1]
+    T = eta_expand(get_lambency("6+2").eta, 14)
+    Tpow = [QSeries({0: 1}, T.order)]
+    for _ in range(4):
+        Tpow.append(series_mul(Tpow[-1], T))
+    psi = series_mul(poly_in_T(P, Tpow), series_pow(poly_in_T(Q, Tpow), -1))
+    try:
+        want = cyc_fit(psi, T, 2)[:2]
+    except (Underdetermined, NoSolutionWithinDegree) as e:
+        with pytest.raises(type(e)):
+            fit_rational(psi, T, 2)
+        return
+    assert fit_rational(psi, T, 2) == want
+
+
+def test_fit_with_free_variables_zeroes_them():
+    # short windows leave the accepted system (dp, dq) = (1, 1) with rank 2
+    # in 3 unknowns; both solvers set the free p_0 to 0.  In the quadratic
+    # case the rational unknowns ordered in blocks (all u1, then all u2)
+    # would give P = [-2, 2 + i], Q = [0, 1] instead.
+    i = ex(Fraction(1, 4))
+    cases = [({0: 1, 2: 1}, {-2: 1, 1: -1, 3: -1, 4: -1}),
+             ({0: 2 + i, 2: 2, 3: 2}, {-2: -1, -1: 1, 0: -1, 1: -1, 4: -1})]
+    for psi, T in cases:
+        psi, T = QSeries(psi, 4), QSeries(T, 5)
+        P, Q, rank = cyc_fit(psi, T, 1)
+        assert (rank, len(P), len(Q)) == (2, 2, 2) and P[0] == 0
+        assert fit_rational(psi, T, 1) == (P, Q)
+
+
+def test_fit_outside_one_quadratic_field_raises():
+    T = T_series()
+    for c in (ex(Fraction(1, 5)),                      # degree 4
+              ex(Fraction(1, 8)),                      # Q(zeta_8)
+              cadd(ex(Fraction(1, 8)), ex(Fraction(-1, 8)))):  # sqrt 2
+        with pytest.raises(NotQuadratic):
+            fit_rational(QSeries({0: 1, 1: c}, 25), T, 1)
+    mixed = QSeries({0: ex(Fraction(1, 4)), 1: ex(Fraction(1, 3))}, 25)
+    with pytest.raises(NotQuadratic):
+        fit_rational(mixed, T, 1)
+    with pytest.raises(NotQuadratic):
+        fit_rational(QSeries({0: 1}, 25), QSeries({-1: ex(Fraction(1, 4))},
+                                                   25), 1)
+
+
+def test_product_and_fit_do_no_cyclotomic_arithmetic(monkeypatch):
+    fit_case("15+5", -11, 7)  # caches the Gauss sum
+
+    def rational_only(real):
+        def wrapped(*args):
+            assert not any(isinstance(a, Cyc) for a in args), real.__name__
+            return real(*args)
+        return wrapped
+
+    def banned(*args):
+        raise AssertionError("Cyc.make or series_pow called")
+
+    for mod in (cyclo, series):
+        for name in ("cadd", "cmul", "cinv", "cneg"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    rational_only(getattr(cyclo, name)))
+    monkeypatch.setattr(series, "series_pow", banned)
+    monkeypatch.setattr(Cyc, "make", banned)
+    rep = fit_case("15+5", -11, 7)
+    psi_expand("15+5", -11, 7)
+    assert len(rep["P"]) == 3

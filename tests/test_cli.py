@@ -211,6 +211,7 @@ def test_fit_missing_source(capsys):
     ["verify", "fricke", "--jobs", "2"],
     ["expand", "--eta", "1^24/2^24", "--format", "records"],
     ["fit", "--lambency", "10+2", "--D", "-4", "--r", "6", "--order", "5"],
+    ["fit", "--lambency", "6+2", "--D", "-8", "--r", "4", "--max-deg", "-1"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as e:

@@ -15,7 +15,9 @@ from mjtheta import errors
 SETUP = """
 from mjtheta.borcherds import QuadForm, fit_rational, gamma0_maps, \\
     genus_char, reduce_form
-from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb
+from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
+    table_lin_comb
+from mjtheta.cyclo import ex
 from mjtheta.series import QSeries, series_slice
 T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
 """
@@ -40,6 +42,9 @@ CASES = {
     "fit in powers of q^(1/2)": (
         "NoSolutionWithinDegree",
         "fit_rational(QSeries({1: 1}, 10, 2), QSeries({-1: 1}, 10), 1)"),
+    "fit over a field that is not quadratic": (
+        "NotQuadratic",
+        "fit_rational(QSeries({0: ex('1/5')}, 10), QSeries({-1: 1}, 10), 1)"),
     "genus_char with m not dividing A": (
         "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 2)"),
     "slice modulo 0": ("Divergent", "series_slice(QSeries({0: 1}, 5), 0, 0)"),
@@ -53,6 +58,10 @@ CASES = {
     "table_lin_comb across parities": (
         "LevelMismatch",
         "table_lin_comb([(1, T5), (1, CoeffTable(5, -1, {}, {}))])"),
+    "omega_product_check with a non-exact divisor": (
+        "LevelMismatch", "omega_product_check(4, 2, 2)"),
+    "omega_product_check with a non-divisor": (
+        "LevelMismatch", "omega_product_check(4, 1, 3)"),
 }
 
 # Prints the optimization level, then one line per case: its name and the
