@@ -97,10 +97,13 @@ def reduce_form(Q):
         return Q, g
 
 
-def automorphs(R):
-    """The SL_2(Z) stabilizer of a reduced definite form (order 2, 4, 6);
-    all its elements have entries in {-1, 0, 1}."""
-    return list(_automorphs(R.key()))
+def automorphs(Q):
+    """The SL_2(Z) stabilizer of a positive definite form (order 2, 4 or
+    6): that of its reduced form R = Q|g, whose elements have entries in
+    {-1, 0, 1}, conjugated back by g."""
+    R, g = reduce_form(Q)
+    gi = _mat_inv(g)
+    return [_mat_mul(_mat_mul(g, u), gi) for u in _automorphs(R.key())]
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +113,8 @@ def _automorphs(key):
     out = tuple((a, b, c, d) for a in rng for b in rng for c in rng
                 for d in rng
                 if a * d - b * c == 1 and R.transform((a, b, c, d)) == R)
-    assert len(out) in (2, 4, 6), R
+    if len(out) not in (2, 4, 6):
+        raise BadDiscriminant(f"{R} is not a reduced positive definite form")
     return out
 
 

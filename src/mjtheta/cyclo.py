@@ -103,20 +103,22 @@ class Cyc:
         return Cyc(*_descend(n, c))
 
     # -- arithmetic -------------------------------------------------------
+    # Against anything but a number these return NotImplemented, so that the
+    # other operand (a QSeries, say) can answer.
 
     def __add__(self, other):
-        return cadd(self, other)
+        return cadd(self, other) if _is_number(other) else NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return csub(self, other)
+        return csub(self, other) if _is_number(other) else NotImplemented
 
     def __rsub__(self, other):
-        return csub(other, self)
+        return csub(other, self) if _is_number(other) else NotImplemented
 
     def __mul__(self, other):
-        return cmul(self, other)
+        return cmul(self, other) if _is_number(other) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -124,10 +126,21 @@ class Cyc:
         return Cyc(self.n, tuple(-x for x in self.c))
 
     def __truediv__(self, other):
-        return cmul(self, cinv(other))
+        return cmul(self, cinv(other)) if _is_number(other) \
+            else NotImplemented
 
     def __rtruediv__(self, other):
-        return cmul(other, cinv(self))
+        return cmul(other, cinv(self)) if _is_number(other) \
+            else NotImplemented
+
+    def __pow__(self, e):
+        """self**e for an integer e (negative: a power of the inverse)."""
+        if type(e) is not int:
+            return NotImplemented
+        base, out = (self if e >= 0 else cinv(self)), Fraction(1)
+        for _ in range(abs(e)):
+            out = cmul(out, base)
+        return out
 
     def __eq__(self, other):
         # normal forms are unique; against any other type Python falls back
@@ -224,6 +237,10 @@ def _lift(x, n):
                         out[j] += xi * ej
         return out
     return [Fraction(x)] + [Fraction(0)] * (_phi(n) - 1)
+
+
+def _is_number(x):
+    return isinstance(x, (int, Fraction, Cyc))
 
 
 def _conductor(x):

@@ -69,8 +69,9 @@ class UnknownName(MJTError):
 
 class Divergent(MJTError):
     """An expansion with no justified window: an infinite Pochhammer product
-    whose factors do not stabilize, the substitution q -> q^t, t <= 0, or a
-    slice modulo b <= 0."""
+    whose factors do not stabilize, 1/(1 - c q^e) for e <= 0
+    (series_binomial), the substitution q -> q^t, t <= 0, or a slice modulo
+    b <= 0."""
 
 
 class UnresolvableShift(MJTError):
@@ -79,8 +80,8 @@ class UnresolvableShift(MJTError):
 
 class BadDiscriminant(MJTError):
     """Kronecker symbol requires D nonzero and congruent to 0 or 1 mod 4;
-    form reduction (reduce_form, gamma0_maps) requires a positive definite
-    form, A > 0 and discriminant < 0."""
+    form reduction (reduce_form, gamma0_maps, automorphs) requires a
+    positive definite form, A > 0 and discriminant < 0."""
 
 
 class NoRepresentativeFound(MJTError):

@@ -21,6 +21,7 @@ UnresolvableShift is raised if that fails.
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from .cyclo import cmul, ex
 from .errors import (
@@ -28,9 +29,9 @@ from .errors import (
 )
 from .jacobi import _stream_window, h_stream
 from .series import (
-    QSeries, _arg_transform, series_eq, series_first_mismatch,
-    series_half_shift, series_mul, series_pow, series_rescale, series_shift,
-    series_slice,
+    QSeries, _arg_transform, series_binomial, series_eq,
+    series_first_mismatch, series_half_shift, series_mul, series_pow,
+    series_rescale, series_shift, series_slice,
 )
 
 __all__ = [
@@ -56,80 +57,68 @@ def pochhammer(a, x, n, order):
     """
     ca, ea = _as_monomial(a)
     cx, ex_ = _as_monomial(x)
-    return _PochCache(Fraction(order)).get(ca, ea, ex_, n, x=cx)
-
-
-def _geom(c, e, order):
-    """1/(1 - c q^e) as a truncated series."""
-    terms, i = [], 0
-    while i * e < order:
-        terms.append((i * e, cmul(1, c ** i) if i else 1))
-        i += 1
-    return QSeries.from_terms(terms, order)
+    return _PochCache().get(ca, ea, ex_, n, Fraction(order), x=cx)
 
 
 class _PochCache:
     """Prefix products (c q^j; x q^k)_n = prod_{i<n} (1 - c x^i q^(j+ik))
-    and their reciprocals, built one factor at a time and shared across the
-    calls made at one window (successive n reuse the prefix).  c, j, k, x
-    are used as given: callers in the hot path pass ints."""
+    and their reciprocals, one series_binomial step per factor, shared
+    across calls (successive n reuse the prefix).  A prefix is extended at
+    the window asked for; a request wider than a stored prefix's window
+    rebuilds from the longest prefix that is wide enough, so no answer is
+    narrower than asked.  c, j, k, x are used as given: callers in the hot
+    path pass ints."""
 
-    def __init__(self, order):
-        self.order = order
-        self.fwd = {}
-        self.inv = {}
+    def __init__(self):
+        self.seqs = {}
 
-    def _extend(self, store, c, j, k, x, n, step):
-        seq = store.setdefault((c, j, k, x),
-                               [QSeries({0: 1}, self.order)])
-        while len(seq) <= n:
-            i = len(seq) - 1
-            e = j + i * k
-            if e >= self.order:
-                seq.append(seq[-1])
-                continue
-            seq.append(step(seq[-1], cmul(c, x ** i), e))
-        return seq[n]
-
-    def get(self, c, j, k, n, power=1, x=1):
-        """(c q^j; x q^k)_n ^ power, for n a nonnegative integer or
-        math.inf."""
+    def get(self, c, j, k, n, w, power=1, x=1):
+        """(c q^j; x q^k)_n ^ power below the window w, for n a
+        nonnegative integer or math.inf."""
         if n is math.inf:
             if k <= 0:
                 raise Divergent(
                     "infinite product with non-increasing exponents")
             # every factor from the n-th on is 1 inside the window
             n = 0
-            while j + n * k < self.order:
+            while j + n * k < w:
                 n += 1
-        if power >= 0:
-            base = self._extend(
-                self.fwd, c, j, k, x, n,
-                lambda f, cc, e: series_mul(f, QSeries.from_terms(
-                    [(0, 1), (e, cmul(-1, cc))], self.order)))
-        else:
-            base = self._extend(
-                self.inv, c, j, k, x, n,
-                lambda f, cc, e: series_mul(f, _geom(cc, e, self.order)))
+        inverse = power < 0
+        seq = self.seqs.setdefault((c, j, k, x, inverse), [])
+        if len(seq) <= n or seq[n].order < w:
+            while seq and seq[-1].order < w:
+                seq.pop()
+            if not seq:
+                seq.append(QSeries({0: 1}, w))
+            while len(seq) <= n:
+                i = len(seq) - 1
+                e = j + i * k
+                prev = seq[-1]
+                if e >= w and prev.order <= w:
+                    # a factor 1 inside the window; for k >= 0 so is every
+                    # later one
+                    seq.extend([prev] * (n + 1 - len(seq) if k >= 0 else 1))
+                else:
+                    seq.append(series_binomial(prev, cmul(c, x ** i), e, w,
+                                               inverse))
         p = abs(power)
-        return base if p == 1 else series_pow(base, p)
+        return seq[n] if p == 1 else series_pow(seq[n], p)
 
-    def product(self, factors):
-        """prod (c q^j; q^k)_n ^ power over factors (c, j, k, n, power)."""
-        out = QSeries({0: 1}, self.order)
-        for c, j, k, n, power in factors:
-            out = series_mul(out, self.get(c, j, k, n, power))
-        return out
+    def product(self, factors, w):
+        """prod (c q^j; q^k)_n ^ power over a nonempty list of factors
+        (c, j, k, n, power), below the window w."""
+        return reduce(series_mul, [self.get(c, j, k, n, w, power)
+                                   for c, j, k, n, power in factors])
 
 
 # -- Eulerian series ------------------------------------------------------
 #
 # Each entry: (leading exponent of the n-th summand,
 #              [(c, j, k, count, power)] meaning (c q^j; q^k)_count ^ power,
-#              overall sign of the n-th summand)
+#              overall sign of the n-th summand, constant term added)
 
-def _E(lead, factors, sign=None):
-    return (lead, factors, sign or (lambda n: 1))
+def _E(lead, factors, sign=None, const=0):
+    return (lead, factors, sign or (lambda n: 1), const)
 
 _alt = lambda n: (-1) ** n
 
@@ -203,35 +192,31 @@ EULERIAN_DEFS = {
     "8:V0": _E(lambda n: n * n,
                lambda n: [(-1, 1, 2, n, 1), (1, 1, 2, n, -1)],
                lambda n: 2),
+    # 2 mu = 1 + sum (-1)^n q^(n+1) (1 + q^n) (q;q^2)_n / (-q;q)_(n+1),
+    # with 1 + q^n = (-q^n; q)_1
+    "6:2mu": _E(lambda n: n + 1,
+                lambda n: [(1, 1, 2, n, 1), (-1, 1, 1, n + 1, -1),
+                           (-1, n, 1, 1, 1)],
+                _alt, 1),
 }
 
-EULERIAN_NAMES = sorted(EULERIAN_DEFS) + ["6:2mu"]
+EULERIAN_NAMES = sorted(EULERIAN_DEFS)
 
 
 def eulerian(name, order):
-    """The named series, truncated below `order`."""
-    order = Fraction(order)
-    cache = _PochCache(order)
-    if name == "6:2mu":
-        # 2 mu = 1 + sum (-1)^n q^(n+1) (1 + q^n) (q;q^2)_n / (-q;q)_(n+1)
-        out = QSeries({0: 1}, order)
-        n = 0
-        while n + 1 < order:
-            t = series_mul(
-                QSeries.from_terms([(n + 1, 1), (2 * n + 1, 1)], order),
-                cache.product([(1, 1, 2, n, 1), (-1, 1, 1, n + 1, -1)]))
-            out = out + (-1) ** n * t
-            n += 1
-        return out
+    """The named series, truncated below `order`.  The n-th summand starts
+    at q^lead(n), so its factors are built only below order - lead(n)."""
     if name not in EULERIAN_DEFS:
         raise UnknownName(name)
-    lead, factors, sign = EULERIAN_DEFS[name]
-    out = QSeries.zero(order)
+    order = Fraction(order)
+    lead, factors, sign, const = EULERIAN_DEFS[name]
+    cache = _PochCache()
+    out = QSeries({0: const}, order)
     n = 0
     while lead(n) < order:
-        t = series_mul(QSeries.monomial(sign(n), lead(n), order),
-                       cache.product(factors(n)))
-        out = out + t
+        t = series_shift(cache.product(factors(n), order - lead(n)), lead(n))
+        s = sign(n)
+        out = out + (t if s == 1 else s * t)
         n += 1
     return out
 
@@ -437,11 +422,11 @@ def verify_andrews_hickerson(order=100):
     psi2 = series_shift(series_rescale(eulerian("6:psi", order / 2 + 1), 2),
                         -1)
     phi2 = series_rescale(eulerian("6:phi", order / 2 + 1), 2)
-    cache = _PochCache(order)
+    cache = _PochCache()
     prod_a = cache.product([(c, j, k, math.inf, 1) for c, j, k in [
-        (-1, 1, 2), (-1, 1, 2), (-1, 1, 6), (-1, 5, 6), (1, 6, 6)]])
+        (-1, 1, 2), (-1, 1, 2), (-1, 1, 6), (-1, 5, 6), (1, 6, 6)]], order)
     prod_b = cache.product([(c, j, k, math.inf, 1) for c, j, k in [
-        (-1, 1, 2), (-1, 1, 2), (-1, 3, 6), (-1, 3, 6), (1, 6, 6)]])
+        (-1, 1, 2), (-1, 1, 2), (-1, 3, 6), (-1, 3, 6), (1, 6, 6)]], order)
     cases = [
         ("rho", psi2 + eulerian("6:rho", order), prod_a),
         ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),

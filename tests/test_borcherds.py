@@ -106,6 +106,12 @@ def test_automorph_orders():
     assert len(automorphs(QuadForm(1, 0, 1))) == 4
     assert len(automorphs(QuadForm(1, 1, 1))) == 6
     assert len(automorphs(QuadForm(1, 0, 2))) == 2
+    # off reduced forms: the reduced form's stabilizer, conjugated back
+    for Q, order in [(QuadForm(1, 2, 2), 4), (QuadForm(1, 3, 3), 6),
+                     (QuadForm(3, 7, 5), 2), (QuadForm(7, 13, 7), 2)]:
+        stab = automorphs(Q)
+        assert len(set(stab)) == order
+        assert all(Q.transform(g) == Q for g in stab)
 
 
 # -- Heegner enumeration --------------------------------------------------

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
+from mjtheta.cyclo import cmul, ex
 from mjtheta.errors import (
     Divergent, MissingSource, UnknownName, UnresolvableShift,
 )
 from mjtheta.mocktheta import (
-    EULERIAN_NAMES, ROWS, eulerian, pochhammer, row_names,
-    verify_andrews_hickerson, verify_table14_15, verify_watson,
+    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _PochCache, eulerian, pochhammer,
+    row_names, verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
-from mjtheta.series import QSeries, series_eq
+from mjtheta.series import QSeries, series_eq, series_mul, series_pow
 
 q = (1, 1)
 
@@ -19,6 +22,146 @@ INTERNAL_ROWS = [
     "5:psi0", "5:psi1", "5:phi0", "5:phi1", "5:F0", "5:F1",
     "7:F0", "7:F1", "7:F2",
 ]
+
+
+# -- oracle: the full-window Pochhammer product ----------------------------
+#
+# Every factor (1 - c q^e), and every geometric series 1/(1 - c q^e), is a
+# series over the whole window, multiplied in by series_mul; so is each
+# summand's monomial.  The package takes one O(window) step per factor and
+# builds summand n only below order - lead(n).
+
+def _geom(c, e, order):
+    """1/(1 - c q^e) as a truncated series."""
+    terms, i = [], 0
+    while i * e < order:
+        terms.append((i * e, cmul(1, c ** i) if i else 1))
+        i += 1
+    return QSeries.from_terms(terms, order)
+
+
+class FullWindowPoch:
+    """Prefix products (c q^j; x q^k)_n and their reciprocals at one window,
+    one series_mul per factor."""
+
+    def __init__(self, order):
+        self.order = order
+        self.fwd = {}
+        self.inv = {}
+
+    def _extend(self, store, c, j, k, x, n, step):
+        seq = store.setdefault((c, j, k, x),
+                               [QSeries({0: 1}, self.order)])
+        while len(seq) <= n:
+            i = len(seq) - 1
+            e = j + i * k
+            if e >= self.order:
+                seq.append(seq[-1])
+                continue
+            seq.append(step(seq[-1], cmul(c, x ** i), e))
+        return seq[n]
+
+    def get(self, c, j, k, n, power=1, x=1):
+        if n is math.inf:
+            n = 0
+            while j + n * k < self.order:
+                n += 1
+        if power >= 0:
+            base = self._extend(
+                self.fwd, c, j, k, x, n,
+                lambda f, cc, e: series_mul(f, QSeries.from_terms(
+                    [(0, 1), (e, cmul(-1, cc))], self.order)))
+        else:
+            base = self._extend(
+                self.inv, c, j, k, x, n,
+                lambda f, cc, e: series_mul(f, _geom(cc, e, self.order)))
+        p = abs(power)
+        return base if p == 1 else series_pow(base, p)
+
+    def product(self, factors):
+        out = QSeries({0: 1}, self.order)
+        for c, j, k, n, power in factors:
+            out = series_mul(out, self.get(c, j, k, n, power))
+        return out
+
+
+def full_window_eulerian(name, order):
+    order = Fraction(order)
+    cache = FullWindowPoch(order)
+    if name == "6:2mu":
+        # 2 mu = 1 + sum (-1)^n q^(n+1) (1 + q^n) (q;q^2)_n / (-q;q)_(n+1)
+        out = QSeries({0: 1}, order)
+        n = 0
+        while n + 1 < order:
+            t = series_mul(
+                QSeries.from_terms([(n + 1, 1), (2 * n + 1, 1)], order),
+                cache.product([(1, 1, 2, n, 1), (-1, 1, 1, n + 1, -1)]))
+            out = out + (-1) ** n * t
+            n += 1
+        return out
+    lead, factors, sign, const = EULERIAN_DEFS[name]
+    assert const == 0
+    out = QSeries.zero(order)
+    n = 0
+    while lead(n) < order:
+        out = out + series_mul(QSeries.monomial(sign(n), lead(n), order),
+                               cache.product(factors(n)))
+        n += 1
+    return out
+
+
+def same_series(got, want):
+    assert (got.coeffs, got.den, got.order) == \
+        (want.coeffs, want.den, want.order)
+
+
+@pytest.mark.parametrize("order", [1, 7, 100, Fraction(1345, 96)])
+def test_eulerian_matches_full_window_product(order):
+    assert len(EULERIAN_NAMES) == 42
+    for name in EULERIAN_NAMES:
+        same_series(eulerian(name, order), full_window_eulerian(name, order))
+
+
+def test_prefix_cache_windows():
+    # a prefix asked for at a wider window than it was built at is rebuilt;
+    # a wider stored prefix serves a narrower request as it is; one extended
+    # at a narrower window drops to that window before factors that are 1
+    # only inside it are skipped
+    cache = _PochCache()
+    same_series(cache.get(-1, 1, 1, 6, Fraction(10)),
+                FullWindowPoch(Fraction(10)).get(-1, 1, 1, 6))
+    same_series(cache.get(-1, 1, 1, 6, Fraction(30)),
+                FullWindowPoch(Fraction(30)).get(-1, 1, 1, 6))
+    assert cache.get(-1, 1, 1, 4, Fraction(12)).order == 30
+    cache.get(1, 1, 4, 3, Fraction(30))
+    same_series(cache.get(1, 1, 4, 6, Fraction(10)),
+                FullWindowPoch(Fraction(10)).get(1, 1, 4, 6))
+    same_series(cache.get(1, 1, 4, 6, Fraction(25)),
+                FullWindowPoch(Fraction(25)).get(1, 1, 4, 6))
+
+
+_pochhammer_scalars = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from([ex(Fraction(1, 4)), ex(Fraction(2, 3))]))
+_exponents = st.builds(Fraction, st.integers(-4, 8),
+                       st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pochhammer_scalars, _exponents, _pochhammer_scalars, _exponents,
+       st.one_of(st.integers(min_value=0, max_value=8), st.just(math.inf)),
+       st.builds(Fraction, st.integers(-20, 90), st.sampled_from([1, 7])))
+# falling exponents 8, 5, 2, -1, -4: the first two factors are 1 in the
+# window, the later ones are not
+@example(1, Fraction(8), 1, Fraction(-3), 5, Fraction(5))
+def test_pochhammer_matches_full_window_product(ca, ea, cx, ex_, n, order):
+    if n is math.inf and ex_ <= 0:
+        with pytest.raises(Divergent):
+            pochhammer((ca, ea), (cx, ex_), n, order)
+        return
+    want = FullWindowPoch(order).get(ca, ea, ex_, n, x=cx)
+    same_series(pochhammer((ca, ea), (cx, ex_), n, order), want)
 
 
 # -- pochhammer -----------------------------------------------------------
@@ -107,6 +250,7 @@ def test_eulerian_8U1_against_defining_sum():
 def test_eulerian_2mu_constant():
     # the registered series is 2*mu, whose constant term is 1
     assert eulerian("6:2mu", 4).coeff(0) == 1
+    assert eulerian("6:2mu", 1).coeffs == {0: 1}
 
 
 # -- table rows against the catalog fixtures ------------------------------

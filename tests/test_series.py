@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta import series
-from mjtheta.cyclo import ex
+from mjtheta.cyclo import cmul, cneg, ex
 from mjtheta.errors import Divergent, NonInvertibleLeadingTerm
 from mjtheta.series import (
-    QSeries, series_add, series_mul, series_pow, series_rescale,
-    series_half_shift, series_slice, series_shift, series_eq,
+    QSeries, series_add, series_binomial, series_mul, series_pow,
+    series_rescale, series_half_shift, series_slice, series_shift, series_eq,
     series_first_mismatch,
 )
 
@@ -352,3 +352,88 @@ def test_non_int_values_take_the_pair_loop(monkeypatch):
             (want.coeffs, want.order, want.den)
     series_mul(ints, ints)
     assert len(calls) == 1
+
+
+# -- the binomial step against series_mul ------------------------------------
+
+def geometric(c, e, w):
+    """Oracle: 1/(1 - c q^e) as the geometric series truncated below w."""
+    terms, ce, i = {}, 1, 0
+    while i * e < w:
+        terms[i * e.numerator] = ce
+        ce, i = cmul(ce, c), i + 1
+    return QSeries(terms, w, e.denominator)
+
+
+_scalars = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([ex(Fraction(1, 3)), -ex(Fraction(1, 4)),
+                     cneg(ex(Fraction(1, 5))) + 2]))
+
+
+@st.composite
+def binomial_case(draw):
+    """f with int, Fraction or Cyc values on keys offset + stride * j
+    (negative keys allowed), den 1 to 6 and a window that may lie below its
+    support; c of any of those types, 0 and 1 included; e = m/d with
+    -9 <= m <= 18 and d in {1, 2, 3}; the factor's window w, fractional and
+    possibly not positive."""
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    offset = draw(st.integers(min_value=-12, max_value=12))
+    coeffs = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=20).map(
+            lambda j: offset + stride * j),
+        st.one_of(st.integers(min_value=-9, max_value=9), _scalars),
+        max_size=12))
+    f = QSeries(coeffs, Fraction(draw(st.integers(-100, 300)), 7 * den),
+                den)
+    c = draw(_scalars)
+    e = Fraction(draw(st.integers(-9, 18)), draw(st.sampled_from([1, 2, 3])))
+    w = Fraction(draw(st.integers(-30, 150)), 7)
+    return f, c, e, w
+
+
+def same_series(got, want):
+    assert (got.coeffs, got.den, got.order) == \
+        (want.coeffs, want.den, want.order)
+
+
+@settings(max_examples=400, deadline=None)
+@given(binomial_case())
+@example((QSeries({0: 1, 1: 2}, 9), 1, Fraction(0), Fraction(9)))  # 1 - q^0
+@example((QSeries({0: 1, 1: 2}, 9), -1, Fraction(0), Fraction(9)))  # twice
+@example((QSeries({-3: 2, 1: 5}, Fraction(17, 3), 3), 2, Fraction(-1, 2),
+          Fraction(4)))
+@example((QSeries({}, 5), 1, Fraction(1), Fraction(7)))
+def test_binomial_step_matches_series_mul(case):
+    f, c, e, w = case
+    same_series(series_binomial(f, c, e, w),
+                series_mul(f, QSeries.from_terms([(0, 1), (e, cneg(c))], w)))
+    if e > 0:
+        same_series(series_binomial(f, c, e, w, inverse=True),
+                    series_mul(f, geometric(c, e, w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_series(), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=-30, max_value=300))
+def test_binomial_step_keeps_int_values(f, c, e, w):
+    # int in, int out, as from the Kronecker kernel: later products of the
+    # result take that kernel again
+    w = Fraction(w, 7)
+    for inverse in (False, True):
+        g = series_binomial(f, c, e, w, inverse)
+        want = series_mul(f, geometric(c, Fraction(e), w) if inverse else
+                          QSeries.from_terms([(0, 1), (e, -c)], w))
+        same_series(g, want)
+        assert all(type(v) is int for v in g.coeffs.values())
+
+
+@pytest.mark.parametrize("e", [0, -1, Fraction(-1, 2)])
+def test_binomial_inverse_needs_a_positive_exponent(e):
+    # 1/(1 - c q^e) for e <= 0 has no expansion in rising powers of q
+    with pytest.raises(Divergent):
+        series_binomial(QSeries({0: 1}, 5), 1, e, 5, inverse=True)

@@ -13,8 +13,8 @@ import pytest
 from mjtheta import errors
 
 SETUP = """
-from mjtheta.borcherds import QuadForm, fit_rational, gamma0_maps, \\
-    genus_char, reduce_form
+from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
+    gamma0_maps, genus_char, reduce_form
 from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
     table_lin_comb
 from mjtheta.cyclo import ex
@@ -36,6 +36,8 @@ CASES = {
     "indefinite form": ("BadDiscriminant", "reduce_form(QuadForm(1, 0, -1))"),
     "negative definite form": ("BadDiscriminant",
                                "reduce_form(QuadForm(-1, 1, -1))"),
+    "automorphs of an indefinite form": (
+        "BadDiscriminant", "automorphs(QuadForm(1, 0, -1))"),
     "gamma0_maps on an indefinite form": (
         "BadDiscriminant",
         "gamma0_maps(QuadForm(1, 0, -1), QuadForm(1, 1, 1), 1)"),
@@ -64,8 +66,19 @@ CASES = {
         "LevelMismatch", "omega_product_check(4, 1, 3)"),
 }
 
+# Good arguments near the bad ones, with the value each must give.
+# name: (value, expression)
+VALUES = {
+    # [1, 2, 2] reduces to [1, 0, 1], whose stabilizer has order 4
+    "stabilizer of a form off reduced": (
+        4, "len(set(automorphs(QuadForm(1, 2, 2))))"),
+    "stabilizer elements fix the form": (
+        True, "all(QuadForm(1, 2, 2).transform(g) == QuadForm(1, 2, 2) "
+              "for g in automorphs(QuadForm(1, 2, 2)))"),
+}
+
 # Prints the optimization level, then one line per case: its name and the
-# type of what it raised.
+# type of what it raised; then one line per value: its name and the value.
 PROBE = SETUP + """
 import sys
 print(f"optimize: {sys.flags.optimize}")
@@ -76,7 +89,17 @@ for name, (_, expr) in CASES.items():
     except Exception as e:
         got = type(e).__name__
     print(f"{name}: {got}")
+for name, (_, expr) in VALUES.items():
+    print(f"{name}: {eval(expr)!r}")
 """
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_good_argument_gives_its_value(name):
+    want, expr = VALUES[name]
+    scope = {}
+    exec(SETUP, scope)
+    assert eval(expr, scope) == want
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -93,9 +116,11 @@ def test_typed_errors_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", f"CASES = {CASES!r}\n" + PROBE],
+        [sys.executable, "-O", "-c",
+         f"CASES = {CASES!r}\nVALUES = {VALUES!r}\n" + PROBE],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     want = ["optimize: 1"]
     want += [f"{name}: {cls}" for name, (cls, _) in CASES.items()]
+    want += [f"{name}: {value!r}" for name, (value, _) in VALUES.items()]
     assert proc.stdout.splitlines() == want
