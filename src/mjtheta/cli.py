@@ -4,7 +4,8 @@ rational-function fit.
 The verification reports below (fricke_report, lift_report,
 invariance_report, fixture_report, positivity_report, ...) are the one
 definition of each acceptance criterion they check: `mjtheta verify` runs
-them per case and tests/test_acceptance.py calls them directly.
+them per case, serially in one process, and tests/test_acceptance.py calls
+them directly.
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage error.
 Reports are one line per case; --format records emits them as JSON objects
@@ -17,7 +18,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from .catalog import (
     FIXTURE_DEPTH_N, MULT_RELATIONS, catalog_by_symbol, check_positivity_phi,
@@ -98,9 +98,11 @@ def lift_report(symbol, order, _hdata):
     t = shadow_kernel(lam.eta, lam.m, (order + 1) ** 2)
     lift = sz_lift(t, 1, 1, 2, order)
     dl = eta_dlog(lam.eta, order)
-    c = Fraction(lift.coeff(1), dl.coeff(1))
+    a, b = lift.coeffs.get(1, 0), dl.coeffs.get(1, 0)
+    c = Fraction(a, b)
     for n in range(1, order):
-        if lift.coeff(n) != c * dl.coeff(n):
+        # a_n = c b_n, cleared of the denominator b
+        if lift.coeffs.get(n, 0) * b != a * dl.coeffs.get(n, 0):
             return {"status": "fail", "detail": f"n={n}"}
     return {"status": "pass", "depth": order, "c": c}
 
@@ -205,22 +207,6 @@ SUITES = {
 }
 
 
-# Fewest cases per worker process; below it a pool costs more than it
-# saves.  Cold runs on 2 CPUs: each single suite (at most 39 cases) was
-# faster serially, `verify all` (181 cases) faster with 2 workers.
-CASES_PER_WORKER = 64
-
-
-def _workers(n_cases):
-    """Worker processes for a run of n_cases cases, at most one per CPU
-    this process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_cases // CASES_PER_WORKER))
-
-
 def _run_case(suite, key, order, hdata):
     report_fn, _keys, default_order = SUITES[suite]
     try:
@@ -236,16 +222,9 @@ def cmd_verify(args, out=None):
     out = out or sys.stdout
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     hdata = ingest_hdata(args.data) if args.data else None
-    cases = [(s, k) for s in suites for k in SUITES[s][1]()]
-    run = partial(_run_case, order=args.order, hdata=hdata)
     t0 = time.perf_counter()
-    jobs = _workers(len(cases))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, *zip(*cases)))
-    else:
-        reports = [run(*c) for c in cases]
+    reports = [_run_case(s, k, args.order, hdata)
+               for s in suites for k in SUITES[s][1]()]
     reports.sort(key=lambda r: (r["suite"], str(r["case"])))
     failed = 0
     for rep in reports:

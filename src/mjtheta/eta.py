@@ -171,11 +171,9 @@ def verify_fricke_constant(e, m, order):
 def eta_dlog(e, order):
     """Logarithmic derivative  (1/2 pi i) d/dtau log(e), as a q-series.
 
-    Constant term sum_i d_i n_i / 24; coefficient of q^N (N >= 1) is
-    -sum_{n_i | N} d_i n_i sigma_1(N / n_i).
+    Constant term sum_i d_i n_i / 24, a Fraction; coefficient of q^N
+    (N >= 1) is the int -sum_{n_i | N} d_i n_i sigma_1(N / n_i).
     """
-    coeffs = {0: e.prefactor_exponent()}
-    for N, bN in enumerate(_dlog_coeffs(e, order)):
-        if bN:
-            coeffs[N] = Fraction(bN)
+    coeffs = dict(enumerate(_dlog_coeffs(e, order)))
+    coeffs[0] = e.prefactor_exponent()
     return QSeries(coeffs, order)

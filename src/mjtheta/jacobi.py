@@ -90,18 +90,18 @@ class CoeffTable:
         m = self.m
         rc, sign = self.canonical(r)
         if (D - rc * rc) % (4 * m) != 0:
-            return Fraction(0)
+            return 0
         if self.parity == -1 and rc in (0, m):
-            return Fraction(0)
+            return 0
         if self.square_support and not (D > 0 and is_square(D)):
-            return Fraction(0)
+            return 0
         if rc not in self.ranges:
             raise InsufficientDepth(f"no data for residue {r} (index {m})")
         lo, hi = self.ranges[rc]
         if not lo <= D <= hi:
             raise InsufficientDepth(
                 f"C({D}, {r}) outside justified range [{lo}, {hi}]")
-        v = self.entries.get((D, rc), Fraction(0))
+        v = self.entries.get((D, rc), 0)
         return v if sign == 1 else cmul(sign, v)
 
     def known(self, D, r):
@@ -469,15 +469,15 @@ def sz_lift(t, D, r, k, order):
     """
     if not is_fundamental(D):
         raise NotFundamental(D)
+    chi = [0] + [kronecker(D, d) for d in range(1, order)]
+    # with e = n / d the read is C(e^2 D, e r): one per e < order
+    c = [0] + [t.get(e * e * D, e * r) for e in range(1, order)]
     coeffs = {}
     for n in range(1, order):
-        acc = Fraction(0)
+        acc = 0
         for d in divisors(n):
-            s = kronecker(D, d)
-            if s == 0:
-                continue
-            acc = cadd(acc, cmul(d ** (k - 2) * s,
-                                 t.get(n * n * D // (d * d), n * r // d)))
+            if chi[d]:
+                acc = cadd(acc, cmul(d ** (k - 2) * chi[d], c[n // d]))
         if not ciszero(acc):
             coeffs[n] = acc
     return QSeries(coeffs, order)
@@ -490,37 +490,37 @@ def shadow_coeff(eta_quotient, m, D, r):
     for D = j^2 a positive square, j (Omega_{j,r} - Omega_{-j,r}) where
     Omega = sum_i d_i Omega_m(n_i); zero for non-square D."""
     if D <= 0 or not is_square(D):
-        return Fraction(0)
+        return 0
     if (D - r * r) % (4 * m) != 0:
-        return Fraction(0)
+        return 0
     j = isqrt(D)
     acc = 0
     for n, d in eta_quotient.factors:
         acc += d * (omega_entry(m, n, j % (2 * m), r % (2 * m))
                     - omega_entry(m, n, (-j) % (2 * m), r % (2 * m)))
-    return Fraction(j * acc)
+    return j * acc
 
 
 def shadow_kernel(eta_quotient, m, depth):
     """The kernel table, justified for all discriminants D <= depth.
 
-    Coefficients come from the closed formula in shadow_coeff; parity -1 and
-    square support are structural.
+    The coefficients are those of shadow_coeff.  Its Omega entries and its
+    congruence j^2 = r^2 mod 4m depend on j only through s = j mod 2m, so
+    C(j^2, r) = j w(s, r) with w(s, r) = shadow_coeff(s^2, r) / s taken once
+    per residue pair (w(0, r) = 0).  Parity -1 and square support are
+    structural.
     """
-    from .errors import LevelMismatch
     for n, _ in eta_quotient.factors:
         if m % n != 0:
             raise LevelMismatch(f"eta factor {n} does not divide index {m}")
-    entries = {}
+    top = isqrt(max(0, math.floor(depth)))
+    weights = [[]] + [
+        [(r, w) for r in range(m + 1) if (s * s - r * r) % (4 * m) == 0
+         and (w := shadow_coeff(eta_quotient, m, s * s, r) // s)]
+        for s in range(1, min(2 * m, top + 1))]
+    entries = {(j * j, r): j * w for j in range(1, top + 1)
+               for r, w in weights[j % (2 * m)]}
     ranges = {r: (NEG_INF, depth) for r in range(m + 1)}
-    j = 1
-    while j * j <= depth:
-        for r in range(m + 1):
-            if (j * j - r * r) % (4 * m) == 0:
-                v = shadow_coeff(eta_quotient, m, j * j, r)
-                if v:
-                    entries[(j * j, r)] = v
-        j += 1
     return CoeffTable(m, -1, entries, ranges, square_support=True)
 
 

@@ -284,14 +284,15 @@ def _reciprocal(a):
     keys = sorted(a.coeffs)
     l = keys[0]
     c0 = a.coeffs[l]
-    c0inv = cinv(c0)
+    # a lead of +-1 is its own inverse, so int series stay int
+    c0inv = c0 if c0 in (1, -1) else cinv(c0)
     # a = q^(l/den) * c0 * (1 + u); invert the unit part by the standard
     # recurrence, valid over the same relative window
     rel = _floor_frac(a.order * den) - l  # relative window in key units
     u = {k - l: cmul(v, c0inv) for k, v in a.coeffs.items() if k != l}
-    binv = {0: Fraction(1)}
+    binv = {0: 1}
     for n in range(1, rel):
-        acc = Fraction(0)
+        acc = 0
         for j, uj in u.items():
             if j <= n and (n - j) in binv:
                 acc = cadd(acc, cmul(uj, binv[n - j]))

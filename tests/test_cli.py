@@ -1,12 +1,12 @@
 import csv
 import json
-import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mjtheta.catalog import MULT_RELATIONS, get_lambency, ingest_hdata
-from mjtheta.cli import main
+from mjtheta.cli import DATA_ENV, main
 from mjtheta.jacobi import h_stream
 from mjtheta.series import series_rescale
 
@@ -82,28 +82,13 @@ def test_verify_records_deterministic(capsys):
     assert all(r["status"] == "pass" for r in recs)
 
 
-def test_verify_jobs_parallel(capsys, monkeypatch):
-    from mjtheta import cli
-    monkeypatch.setattr(cli, "_workers", lambda n: 2)
-    rc, out, _ = run(capsys, "verify", "fixtures", "--format", "records")
-    assert rc == 0
-    assert len(out.splitlines()) == 16
-    rc, parallel, _ = run(capsys, "verify", "all", "--format", "records")
-    monkeypatch.setattr(cli, "_workers", lambda n: 1)
-    rc2, serial, _ = run(capsys, "verify", "all", "--format", "records")
-    assert rc == rc2 == 0 and parallel == serial
-
-
-@pytest.mark.parametrize("cpus, n_cases, workers", [
-    (1, 181, 1), (2, 181, 2), (8, 181, 2), (8, 39, 1), (8, 0, 1),
-    (8, 640, 8),
-])
-def test_worker_count_follows_cases_and_cpus(monkeypatch, cpus, n_cases,
-                                             workers):
-    from mjtheta import cli
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    assert cli._workers(n_cases) == workers
+def test_verify_all_records_are_pinned(capsys, monkeypatch):
+    # the full `verify all --format records` output, byte for byte
+    monkeypatch.delenv(DATA_ENV, raising=False)
+    rc, out, err = run(capsys, "verify", "all", "--format", "records")
+    golden = Path(__file__).parent / "data" / "verify_all_records.txt"
+    assert rc == 0 and err == ""
+    assert out == golden.read_text()
 
 
 def synthesize(row_id, order):

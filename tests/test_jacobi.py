@@ -3,7 +3,8 @@ from math import gcd, inf
 
 import pytest
 
-from mjtheta.arith import kronecker, is_fundamental
+from mjtheta.arith import divisors, is_fundamental, kronecker
+from mjtheta.cyclo import cadd, ciszero, cmul
 from mjtheta.errors import (
     BadDiscriminant, InsufficientDepth, LevelNotCoprime, NotFundamental,
 )
@@ -166,6 +167,28 @@ def test_shadow_kernel_lambency_46_23_vanishing():
     assert t.get(1, 1) != 0
 
 
+def test_shadow_kernel_against_shadow_coeff():
+    # the periodic kernel entry by entry against the closed form, for every
+    # catalog quotient, at depths 0, 1, 50, a non-square and 201^2
+    from mjtheta.catalog import load_catalog
+    depths = [0, 1, 50, 1000, 201 ** 2]
+    for lam in load_catalog():
+        m = lam.m
+        want = {}
+        for j in range(1, 202):
+            for r in range(m + 1):
+                v = shadow_coeff(lam.eta, m, j * j, r)
+                if v:
+                    want[(j * j, r)] = v
+        for depth in depths:
+            t = shadow_kernel(lam.eta, m, depth)
+            assert t.entries == {k: v for k, v in want.items()
+                                 if k[0] <= depth}, (lam.symbol, depth)
+            assert all(type(v) is int for v in t.entries.values())
+            assert t.ranges == {r: (-inf, depth) for r in range(m + 1)}
+            assert t.square_support and t.parity == -1
+
+
 # -- EZ action ------------------------------------------------------------
 
 def tables_agree(t1, t2):
@@ -282,6 +305,72 @@ def test_Ud_index_and_values():
     assert u.get(9, 3) == t.get(1, 1)
     assert u.get(9 * 9, 3 * 3) == t.get(9, 3)
     assert u.get(1, 1) == 0  # r not divisible by 3
+
+
+def sz_lift_by_pairs(t, D, r, k, order):
+    """Oracle: the lift with (D/d) taken per (n, d) pair, summed from
+    Fraction(0)."""
+    coeffs = {}
+    for n in range(1, order):
+        acc = Fraction(0)
+        for d in divisors(n):
+            s = kronecker(D, d)
+            if s == 0:
+                continue
+            acc = cadd(acc, cmul(d ** (k - 2) * s,
+                                 t.get(n * n * D // (d * d), n * r // d)))
+        if not ciszero(acc):
+            coeffs[n] = acc
+    return QSeries(coeffs, order)
+
+
+def lift_or_depth(lift, t, D, r, k, order):
+    try:
+        return lift(t, D, r, k, order)
+    except InsufficientDepth:
+        return InsufficientDepth
+
+
+def test_sz_lift_against_pair_loop():
+    # every fixture table and canonical residue, k = 2 and 3; reads off the
+    # congruence are zeros, and the deeper lifts run out of table, when
+    # both raise
+    from mjtheta.catalog import load_catalog
+    depth_errors = nonzero = 0
+    for lam in load_catalog():
+        t = lam.fixture
+        if t is None:
+            continue
+        for D in (1, -3, -4, 5, -7, 8):
+            for r in range(t.m + 1):
+                for k in (2, 3):
+                    for order in (4, 12):
+                        got = lift_or_depth(sz_lift, t, D, r, k, order)
+                        want = lift_or_depth(sz_lift_by_pairs, t, D, r, k,
+                                             order)
+                        if want is InsufficientDepth:
+                            depth_errors += 1
+                            assert got is InsufficientDepth
+                        else:
+                            assert (got.coeffs, got.order, got.den) == \
+                                (want.coeffs, want.order, want.den)
+                            nonzero += bool(got.coeffs)
+    assert depth_errors and nonzero
+
+
+def test_kernel_lift_values_are_int():
+    e = parse_eta("1^24 / 2^24")
+    t = shadow_kernel(e, 2, 31 ** 2)
+    lift = sz_lift(t, 1, 1, 2, 30)
+    assert lift.coeffs == sz_lift_by_pairs(t, 1, 1, 2, 30).coeffs
+    assert all(type(v) is int for v in lift.coeffs.values())
+    # an absent entry reads as int 0, equal and hash-equal to Fraction(0)
+    # (off the congruence, at a structural zero, off the square support,
+    # inside the window)
+    for v in (t.get(5, 1), t.get(16, 0), t.get(17, 1),
+              CoeffTable(2, 1, {}, {1: (-inf, 9)}).get(1, 1)):
+        assert type(v) is int and v == 0
+    assert hash(0) == hash(Fraction(0))
 
 
 def test_sz_lift_requires_fundamental():

@@ -318,6 +318,39 @@ def test_kronecker_matches_pair_loop(a, b):
     same_product(series_mul(b, a), pair_loop_mul(b, a))
 
 
+@st.composite
+def unit_lead_series(draw):
+    """Int coefficients led by +-1, den 1 to 24, with a window of at most
+    40 keys past the lead, off the key grid."""
+    den = draw(st.sampled_from([1, 2, 24]))
+    lead = draw(st.integers(min_value=-30, max_value=30))
+    mag = draw(st.sampled_from([1, 10 ** 6, 10 ** 40]))
+    coeffs = draw(st.dictionaries(
+        st.integers(min_value=1, max_value=40).map(lambda j: lead + j),
+        st.integers(min_value=-mag, max_value=mag).filter(bool),
+        max_size=6))
+    coeffs[lead] = draw(st.sampled_from([1, -1]))
+    num = draw(st.integers(min_value=7 * lead + 1, max_value=7 * (lead + 40)))
+    return QSeries(coeffs, Fraction(num, 7 * den), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_lead_series(), st.integers(min_value=1, max_value=3))
+@example(QSeries({0: 1, 1: -1}, 10), 1)  # 1/(1 - q) = 1 + q + q^2 + ...
+@example(QSeries({-1: -1, 1: 196884}, 10), 2)  # a pole, lead -1
+def test_negative_pow_of_int_unit_lead_stays_int(a, e):
+    # the Fraction path is the oracle; the int result takes the Kronecker
+    # kernel in later products
+    as_fractions = QSeries({k: Fraction(v) for k, v in a.coeffs.items()},
+                           a.order, a.den)
+    got, want = series_pow(a, -e), series_pow(as_fractions, -e)
+    assert (got.coeffs, got.den, got.order) == \
+        (want.coeffs, want.den, want.order)
+    assert all(type(v) is int for v in got.coeffs.values())
+    one = series_mul(series_pow(a, e), got)
+    assert series_eq(one, QSeries.one(one.order))
+
+
 @pytest.mark.parametrize("m", [1, 3, 10 ** 120])
 def test_kronecker_cancellation(m):
     # m (1 - q^3) * m (1 + q^3 + q^6 + ...) = m^2 (1 - q^30): nothing but the
