@@ -13,7 +13,7 @@ membership in Gamma_0(m) is a congruence on the lower-left entry.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, isqrt, lcm
+from math import ceil, gcd, inf, isqrt, lcm
 from operator import mul
 
 from .arith import divisors, is_fundamental, kronecker
@@ -23,13 +23,13 @@ from .errors import (
     InsufficientDepth, LevelMismatch, MissingSource, NoRepresentativeFound,
     NoSolutionWithinDegree, NotQuadratic, Underdetermined,
 )
-from .jacobi import NEG_INF
+from .jacobi import _stream_window
 from .series import QSeries, _lo_eff, series_mul
 
 __all__ = [
     "QuadForm", "reduce_form", "automorphs", "gamma0_maps",
-    "gamma0_equivalent", "enumerate_heegner", "genus_char",
-    "heegner_divisor", "psi_expand", "fit_rational", "fit_case",
+    "enumerate_heegner", "genus_char", "heegner_divisor", "psi_expand",
+    "fit_rational", "fit_case",
 ]
 
 IDENT = (1, 0, 0, 1)
@@ -136,10 +136,6 @@ def gamma0_maps(Q1, Q2, m):
     if R1 != R2:
         return []
     return _maps(R1, g1, g2, m)
-
-
-def gamma0_equivalent(Q1, Q2, m):
-    return bool(gamma0_maps(Q1, Q2, m))
 
 
 def enumerate_heegner(m, D, r):
@@ -276,7 +272,7 @@ def _psi_coords(lam, D, r, order=None, table=None):
         raise InsufficientDepth(
             f"table gives no C({D}, {r}): cannot start the product")
     window = min(order, Fraction(len(exponents) + 1))
-    count = max(1, -(-window.numerator // window.denominator))
+    count = max(1, ceil(window))
     chi = [0] + [kronecker(D, k) for k in range(1, count)]
     c = [0] * count
     for n, e in enumerate(exponents[:count - 1], start=1):
@@ -295,11 +291,15 @@ def _psi_coords(lam, D, r, order=None, table=None):
 
 def _runs_out(t, r):
     """True if reads of t at residue r raise InsufficientDepth below some
-    discriminant D < 0, False if they are structural zeros at every depth."""
-    rc, _ = t.canonical(r)
-    if t.square_support or (t.parity == -1 and rc in (0, t.m)):
+    discriminant D < 0, False if they are structural zeros at every depth.
+    A square-support table reads 0 at every D < 0; any other table runs
+    out where its stream window is finite."""
+    if t.square_support:
         return False
-    return rc not in t.ranges or t.ranges[rc][0] != NEG_INF
+    try:
+        return _stream_window(t, r) != inf
+    except InsufficientDepth:
+        return True
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,11 @@ The catalog (a static data file under ``mjtheta/data``) carries, per lambency
   C(r^2 - 4mn, r) of the distinguished optimal form, to table depth n <= 15.
 
 The printed tables only list one residue per orbit of the symbol's group K
-(acting by r -> r*a mod 2m).  Loading closes the tables under that action --
-copying rows with the antisymmetry sign, deriving forced-zero rows, and
-asserting consistency whenever two printed rows meet the same orbit.
-Residues whose orbit meets no printed row carry no data at all (reads there
-raise InsufficientDepth rather than guessing).
+(acting by r -> r*a mod 2m).  Loading closes the tables under that action
+with the residue rule of jacobi.CoeffTable -- copying rows with its sign,
+deriving forced-zero rows, and asserting consistency whenever two printed
+rows meet the same orbit.  Residues whose orbit meets no printed row carry
+no data at all (reads there raise InsufficientDepth rather than guessing).
 """
 
 import csv
@@ -23,15 +23,15 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd
 
-from .cyclo import cmul, ex
+from .cyclo import ex
 from .errors import (
     CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
     UnknownLambency, UnreadableSource,
 )
 from .eta import parse_eta
 from .jacobi import (
-    NEG_INF, POS_INF, CoeffTable, _stream_window, ez_apply, h_stream,
-    om_group, shadow_coeff, table_lin_comb,
+    NEG_INF, POS_INF, CoeffTable, _canonical, _stream_window, ez_apply,
+    h_stream, om_group, shadow_coeff, table_lin_comb,
 )
 from .series import QSeries, _arg_transform, series_first_mismatch
 
@@ -66,13 +66,13 @@ class Lambency:
     __slots__ = ("symbol", "m", "group_ns", "eta", "in_L1_plus",
                  "root_system", "fixture")
 
-    def __init__(self, symbol, eta, root_system, fixture=None):
+    def __init__(self, symbol, eta, root_system):
         self.symbol = symbol
         self.m, self.group_ns = _parse_symbol(symbol)
         self.eta = eta
         self.root_system = root_system or None
         self.in_L1_plus = bool(root_system)
-        self.fixture = fixture
+        self.fixture = None
 
     @property
     def K(self):
@@ -106,20 +106,10 @@ def _parse_symbol(symbol):
 
 # -- fixture closure ------------------------------------------------------
 
-def _orbit(m, K, r):
-    """[(canonical residue, sign)] of r*a over a in K, signs from C(D,-r) =
-    -C(D,r)."""
-    out = []
-    for a in K:
-        s = (r * a) % (2 * m)
-        if s > m:
-            out.append((2 * m - s, -1))
-        else:
-            out.append((s, 1))
-    return out
-
-def _build_fixture(symbol, m, K, rows):
-    """CoeffTable from printed rows {r: {D: coeff}}, closed under K."""
+def _build_fixture(lam, rows):
+    """The odd CoeffTable of lam from printed rows {r: {D: coeff}}, closed
+    under lam.K."""
+    symbol, m, K = lam.symbol, lam.m, lam.K
     entries = {}
     ranges = {0: (NEG_INF, POS_INF), m: (NEG_INF, POS_INF)}
     lo_of = {t: min(row) for t, row in rows.items()}
@@ -134,12 +124,12 @@ def _build_fixture(symbol, m, K, rows):
         return rows[t].get(D, 0)
 
     for r in range(1, m):
-        orbit = _orbit(m, K, r)
-        signs = {}
-        for t, sg in orbit:
+        signs = {}  # canonical residue of r*a -> signs it is met with
+        for a in K:
+            t, sg = _canonical(m, -1, r * a)
             signs.setdefault(t, set()).add(sg)
-        forced_zero = any(len(v) == 2 for v in signs.values()) or \
-            any(t in (0, m) for t in signs)
+        # met with two signs, or with a structural zero
+        forced_zero = any(len(v) == 2 or 0 in v for v in signs.values())
         printed = sorted(t for t in signs if t in rows)
         if forced_zero:
             for t in printed:
@@ -192,13 +182,10 @@ def load_catalog(path=None):
                     int(r), {})[int(D)] = int(c)
     out = []
     for symbol, eta_text, roots in meta:
-        fixture = None
+        lam = Lambency(symbol, parse_eta(eta_text), roots)
         if symbol in rows:
-            lam_m, ns = _parse_symbol(symbol)
-            g = om_group(lam_m)
-            K = [g.a_of[n] for n in ns]
-            fixture = _build_fixture(symbol, lam_m, K, rows[symbol])
-        out.append(Lambency(symbol, parse_eta(eta_text), roots, fixture))
+            lam.fixture = _build_fixture(lam, rows[symbol])
+        out.append(lam)
     assert len(out) == 39 and sum(x.in_L1_plus for x in out) == 23
     return out
 
@@ -277,7 +264,10 @@ def ingest_hdata(path):
             raise ParseError(f"line {lineno}: duplicate key "
                              f"{symbol},{cls},{r},{D}")
         seen.add((key, r, D))
-        rc, sign = (2 * m - r, -1) if r > m else (r, 1)
+        rc, sign = _canonical(m, -1, r)
+        if c and not sign:
+            raise ParseError(f"line {lineno}: C({D},{r}) = {c}, but the "
+                             f"table is odd, so it vanishes at r = {r}")
         store = raw.setdefault(key, {})
         if (D, rc) in store and store[(D, rc)] != sign * c:
             raise ParseError(

@@ -22,7 +22,7 @@ from .arith import divisors, prime_factorization
 
 __all__ = [
     "Cyc", "ex", "cyclotomic_poly", "cadd", "csub", "cmul", "cneg",
-    "cinv", "ceq", "ciszero", "cconj", "as_fraction", "cfloat", "cformat",
+    "cinv", "ciszero", "as_fraction", "cformat",
 ]
 
 
@@ -155,18 +155,6 @@ class Cyc:
     def __repr__(self):
         return cformat(self)
 
-    def conj(self):
-        """Complex conjugate (zeta -> zeta^{-1})."""
-        n = self.n
-        out = [Fraction(0)] * n
-        for i, x in enumerate(self.c):
-            out[(-i) % n] += x
-        # an automorphism keeps the minimal conductor
-        return Cyc(n, _reduce_mod_phi(out, n))
-
-    def __complex__(self):
-        return cfloat(self)
-
 
 @lru_cache(maxsize=None)
 def _embed_powers(d, n):
@@ -283,14 +271,7 @@ def cmul(a, b):
             return Fraction(0)
         return Cyc(a.n, tuple(x * b for x in a.c))
     n = lcm(a.n, b.n)
-    ca, cb = _lift(a, n), _lift(b, n)
-    prod = [Fraction(0)] * (len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca):
-        if x:
-            for j, y in enumerate(cb):
-                if y:
-                    prod[i + j] += x * y
-    return Cyc.make(n, prod)
+    return Cyc.make(n, _poly_mul(_lift(a, n), _lift(b, n)))
 
 
 def cinv(a):
@@ -348,18 +329,10 @@ def _poly_sub(a, b):
     return out
 
 
-def ceq(a, b):
-    return a == b
-
-
 def ciszero(a):
     if type(a) in _RATIONAL:
         return a == 0
     return not isinstance(a, Cyc) and Fraction(a) == 0
-
-
-def cconj(a):
-    return a.conj() if isinstance(a, Cyc) else Fraction(a)
 
 
 def as_fraction(a):
@@ -367,15 +340,6 @@ def as_fraction(a):
     if isinstance(a, Cyc):
         raise ValueError(f"not rational: {a!r}")
     return Fraction(a)
-
-
-def cfloat(a):
-    """Complex float approximation (for sanity checks only)."""
-    import cmath
-    if not isinstance(a, Cyc):
-        return complex(Fraction(a))
-    z = cmath.exp(2j * cmath.pi / a.n)
-    return sum(float(x) * z ** i for i, x in enumerate(a.c))
 
 
 def cformat(a):

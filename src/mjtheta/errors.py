@@ -44,7 +44,9 @@ class ParseError(MJTError):
 
 class CongruenceViolation(MJTError):
     """A record violates D = r^2 mod 4m or has a residue r outside 0..m, or
-    a multiplier a for ez_apply is not in O_m (a^2 = 1 mod 4m)."""
+    gives an odd table a nonzero entry at r = 0 or r = m, where the residue
+    rule forces zero; or a multiplier a for ez_apply is not in O_m
+    (a^2 = 1 mod 4m)."""
 
 
 class BadParity(MJTError):
@@ -71,7 +73,8 @@ class Divergent(MJTError):
     """An expansion with no justified window: an infinite Pochhammer product
     whose factors do not stabilize, 1/(1 - c q^e) for e <= 0
     (series_binomial), the substitution q -> q^t, t <= 0, or a slice modulo
-    b <= 0."""
+    b <= 0; or a theta constant whose l = 0 term 0^(k-1) is infinite, k < 1
+    (theta_nullwert)."""
 
 
 class UnresolvableShift(MJTError):

@@ -6,6 +6,7 @@ exactly (exponent denominator 24).
 """
 
 from fractions import Fraction
+from math import ceil
 from operator import mul
 
 from .arith import prime_factorization, sigma1
@@ -92,7 +93,7 @@ def eta_expand(e, order):
     den = shift.denominator
     # a_N sits at exponent shift + N, so N ranges over 0 <= N < order - shift
     rel = order - shift
-    a = _unit_coeffs(e, max(0, -(-rel.numerator // rel.denominator)))
+    a = _unit_coeffs(e, max(0, ceil(rel)))
     return QSeries({shift.numerator + N * den: aN for N, aN in enumerate(a)},
                    order, den)
 

@@ -2,11 +2,8 @@
 
 The central object is :class:`CoeffTable`: a sparse store of Fourier
 coefficients C(D, r) for a (mock/skew) Jacobi form of index m, indexed by the
-discriminant D = r^2 - 4mn and the residue r mod 2m.  Coefficients satisfy
-C(D, r) = parity * C(D, -r), so only canonical residues 0 <= r <= m are
-stored.  Each residue carries a justified range [lo, hi] of discriminants:
-inside the range an absent key means the coefficient is zero; outside it any
-read raises InsufficientDepth.
+discriminant D = r^2 - 4mn and the residue r mod 2m.  Its docstring states
+the residue rule that every table obeys.
 
 On top of the tables live:
 
@@ -27,8 +24,8 @@ from .arith import (divisors, is_fundamental, is_square, kronecker,
                     prime_factorization)
 from .cyclo import cadd, ciszero, cmul
 from .errors import (
-    BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
-    LevelNotCoprime, NotFundamental,
+    BadParity, CongruenceViolation, Divergent, InsufficientDepth,
+    LevelMismatch, LevelNotCoprime, NotFundamental,
 )
 from .series import QSeries
 
@@ -44,8 +41,27 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
+def _canonical(m, parity, r):
+    """(rc, sign) with C(D, r) = sign C(D, rc) and 0 <= rc <= m, for a table
+    of index m and the given parity; sign 0 where parity -1 forces
+    C(D, r) = 0, at r = 0 and r = m mod 2m."""
+    r %= 2 * m
+    if r > m:
+        return 2 * m - r, parity
+    if parity == -1 and r in (0, m):
+        return r, 0
+    return r, 1
+
+
 class CoeffTable:
     """Sparse table of coefficients C(D, r) for an index-m Jacobi form.
+
+    The residue rule: C(D, r) depends on r mod 2m, and C(D, -r) =
+    parity * C(D, r).  So every read reduces to a canonical residue
+    0 <= rc <= m with a sign (see _canonical), and an odd table (parity -1)
+    vanishes at r = 0 and r = m: those are structural zeros, never stored.
+    Inside a residue's justified range [lo, hi] an absent key means the
+    coefficient is zero; outside it any read raises InsufficientDepth.
 
     parity: s with C(D, -r) = s C(D, r).
     entries: {(D, r): value} with 0 <= r <= m, D = r^2 mod 4m, value != 0.
@@ -66,12 +82,18 @@ class CoeffTable:
         self.square_support = square_support
         self.ranges = dict(ranges)
         self.entries = {}
+        # the residues at which the rule forces C(D, r) = 0
+        zeros = [r for r in (0, m) if not _canonical(m, parity, r)[1]]
         for (D, r), v in entries.items():
             if ciszero(v):
                 continue
             if not 0 <= r <= m or (D - r * r) % (4 * m):
                 raise CongruenceViolation(
                     f"C({D}, {r}): need 0 <= r <= {m} and D = r^2 mod {4 * m}")
+            if r in zeros:
+                raise CongruenceViolation(
+                    f"C({D}, {r}) = {v}: the table is odd, so it vanishes "
+                    f"at r = {r}")
             lo, hi = self.ranges.get(r, (POS_INF, NEG_INF))
             if not lo <= D <= hi:
                 raise InsufficientDepth(
@@ -79,21 +101,15 @@ class CoeffTable:
             self.entries[(D, r)] = v
 
     def canonical(self, r):
-        """(canonical residue in 0..m, sign)."""
-        r %= 2 * self.m
-        if r > self.m:
-            return 2 * self.m - r, self.parity
-        return r, 1
+        """(canonical residue in 0..m, sign); see _canonical."""
+        return _canonical(self.m, self.parity, r)
 
     def get(self, D, r):
         """C(D, r); raises InsufficientDepth outside the justified range."""
         m = self.m
-        rc, sign = self.canonical(r)
-        if (D - rc * rc) % (4 * m) != 0:
-            return 0
-        if self.parity == -1 and rc in (0, m):
-            return 0
-        if self.square_support and not (D > 0 and is_square(D)):
+        rc, sign = _canonical(m, self.parity, r)
+        if not sign or (D - rc * rc) % (4 * m) or (
+                self.square_support and not (D > 0 and is_square(D))):
             return 0
         if rc not in self.ranges:
             raise InsufficientDepth(f"no data for residue {r} (index {m})")
@@ -165,16 +181,25 @@ def theta_nullwert(m, r, k, order):
     """
     order = Fraction(order)
     bound = order * 4 * m
+    if k < 1 and r % (2 * m) == 0 and bound > 0:
+        raise Divergent(f"the l = 0 term 0^{k - 1} of theta_{m},{r} at "
+                        f"k = {k} is infinite")
     coeffs = {}
     l = r % (2 * m)
     while l * l < bound:
-        coeffs[l * l] = cadd(coeffs.get(l * l, 0), Fraction(l ** (k - 1)))
+        coeffs[l * l] = cadd(coeffs.get(l * l, 0), _power(l, k - 1))
         l += 2 * m
     l = r % (2 * m) - 2 * m
     while l * l < bound:
-        coeffs[l * l] = cadd(coeffs.get(l * l, 0), Fraction(l ** (k - 1)))
+        coeffs[l * l] = cadd(coeffs.get(l * l, 0), _power(l, k - 1))
         l -= 2 * m
     return QSeries(coeffs, order, 4 * m)
+
+
+def _power(d, e):
+    """d^e exactly: an int for e >= 0, else a Fraction (d ** e is a float
+    there)."""
+    return d ** e if e >= 0 else Fraction(1, d ** -e)
 
 
 # -- the group O_m of exact divisors --------------------------------------
@@ -257,24 +282,37 @@ def omega_product_check(m, n, np):
 
 def ez_apply(t, a):
     """phi . a: C'(D, r) = C(D, r a), for a in O_m."""
-    m = t.m
-    if (a * a - 1) % (4 * m):
-        raise CongruenceViolation(f"{a} is not in O_{m}: a^2 != 1 mod {4 * m}")
+    if (a * a - 1) % (4 * t.m):
+        raise CongruenceViolation(
+            f"{a} is not in O_{t.m}: a^2 != 1 mod {4 * t.m}")
+    return _pullback(t, t.m, 1, lambda r: r * a)
+
+
+def _pullback(t, m2, d, source):
+    """The index-m2 table C'(D, r) = C(D/d^2, source(r)), a structural zero
+    wherever source(r) is None or a structural zero of t; each window is
+    the source residue's, scaled by d^2.  ez_apply and U_d are its cases.
+
+    Entries keep the congruence: a source entry has D = source(r)^2 mod 4m,
+    and both callers have r^2 = d^2 source(r)^2 mod 4m2, so D d^2 = r^2
+    mod 4m2."""
+    m, parity = t.m, t.parity
     by_res = {}
     for (D, r), v in t.entries.items():
         by_res.setdefault(r, []).append((D, v))
+    dd = d * d
     ranges, entries = {}, {}
-    for r in range(m + 1):
-        sc, sign = t.canonical(r * a)
-        if t.parity == -1 and sc in (0, m):
+    for r in range(m2 + 1):
+        s = source(r)
+        sc, sign = (0, 0) if s is None else _canonical(m, parity, s)
+        if not sign:
             ranges[r] = (NEG_INF, POS_INF)
-            continue
-        if sc not in t.ranges:
-            continue
-        ranges[r] = t.ranges[sc]
-        for D, v in by_res.get(sc, []):
-            entries[(D, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m, t.parity, entries, ranges, t.square_support)
+        elif sc in t.ranges:
+            lo, hi = t.ranges[sc]
+            ranges[r] = (lo * dd, hi * dd)
+            for D, v in by_res.get(sc, ()):
+                entries[(D * dd, r)] = v if sign == 1 else cmul(sign, v)
+    return CoeffTable(m2, parity, entries, ranges, t.square_support)
 
 
 def project_alpha(t, alpha):
@@ -347,15 +385,12 @@ def hecke_Tn(t, n, k):
     nn = n * n
     return _hecke_image(
         t, t.m, "T_n",
-        lambda lo, hi: (lo if lo == NEG_INF else _ceil_div(lo, nn),
-                        hi if hi == POS_INF else hi // nn),
+        lambda lo, hi: (
+            lo if lo == NEG_INF else math.ceil(Fraction(lo, nn)),
+            hi if hi == POS_INF else hi // nn),
         lambda Ds: [Ds * d * d // nn for d in divisors(nn)
                     if Ds * d * d % nn == 0],
         lambda D, r: _hecke_value(t, n, k, D, r))
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
 
 
 def _hecke_value(t, n, k, D, r):
@@ -370,7 +405,7 @@ def _hecke_value(t, n, k, D, r):
         eps = _epsilon_D(D, d) if D != 0 else _epsilon_zero(d)
         if eps == 0:
             continue
-        total = cadd(total, cmul(d ** (k - 2) * eps,
+        total = cadd(total, cmul(_power(d, k - 2) * eps,
                                  t.get(n * n * D // (d * d), rp)))
     return total
 
@@ -409,30 +444,7 @@ def hecke_Ud(t, d):
     d | r; in discriminant terms that reads C'(D, r) = C(D/d^2, r/d), the
     congruence D = r^2 mod 4md^2 forcing d^2 | D.
     """
-    m = t.m
-    m2 = m * d * d
-    ranges, entries = {}, {}
-    by_res = {}
-    for (D, r), v in t.entries.items():
-        by_res.setdefault(r, []).append((D, v))
-    for r in range(m2 + 1):
-        if r % d != 0:
-            ranges[r] = (NEG_INF, POS_INF)
-            continue
-        sc, sign = t.canonical(r // d)
-        if t.parity == -1 and sc in (0, m):
-            ranges[r] = (NEG_INF, POS_INF)
-            continue
-        if sc not in t.ranges:
-            continue
-        lo, hi = t.ranges[sc]
-        ranges[r] = (lo if lo == NEG_INF else lo * d * d,
-                     hi if hi == POS_INF else hi * d * d)
-        for D, v in by_res.get(sc, []):
-            D2 = D * d * d
-            if (D2 - r * r) % (4 * m2) == 0:
-                entries[(D2, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m2, t.parity, entries, ranges, t.square_support)
+    return _pullback(t, t.m * d * d, d, lambda r: None if r % d else r // d)
 
 
 def _Vl_value(t, l, k, m2, D, r):
@@ -442,7 +454,8 @@ def _Vl_value(t, l, k, m2, D, r):
     for d in divisors(l):
         if n4 % d or r % d or D % (d * d):
             continue
-        acc = cadd(acc, cmul(d ** (k - 1), t.get(D // (d * d), r // d)))
+        acc = cadd(acc, cmul(_power(d, k - 1),
+                             t.get(D // (d * d), r // d)))
     return acc
 
 
@@ -477,7 +490,7 @@ def sz_lift(t, D, r, k, order):
         acc = 0
         for d in divisors(n):
             if chi[d]:
-                acc = cadd(acc, cmul(d ** (k - 2) * chi[d], c[n // d]))
+                acc = cadd(acc, cmul(_power(d, k - 2) * chi[d], c[n // d]))
         if not ciszero(acc):
             coeffs[n] = acc
     return QSeries(coeffs, order)
@@ -526,20 +539,13 @@ def shadow_kernel(eta_quotient, m, depth):
 
 # -- H-streams ------------------------------------------------------------
 
-def _floor_strict(x):
-    """Largest integer strictly below x."""
-    x = Fraction(x)
-    f = x.numerator // x.denominator
-    return f - 1 if f == x else f
-
-
 def _stream_window(t, r):
     """The largest order h_stream(t, r, order) accepts: -D/4m for the first
     unjustified D = r^2 mod 4m, the largest of the class below the table's
     range for r; math.inf when no D is missing."""
     m = t.m
-    rc, _ = t.canonical(r)
-    if t.parity == -1 and rc in (0, m):
+    rc, sign = t.canonical(r)
+    if not sign:
         return math.inf
     if rc not in t.ranges:
         raise InsufficientDepth(f"no data for residue {r}")
@@ -558,15 +564,15 @@ def h_stream(t, r, order):
     """
     m = t.m
     order = Fraction(order)
-    rc, _ = t.canonical(r)
-    if t.parity == -1 and rc in (0, m):
+    rc, sign = t.canonical(r)
+    if not sign:
         return QSeries.zero(order, 4 * m)
     window = _stream_window(t, r)
     lo, hi = t.ranges[rc]
     if order > window:
         # deepest discriminant of the class with -D/4m < order
-        need = rc * rc - 4 * m * _floor_strict(
-            Fraction(rc * rc, 4 * m) + order)
+        need = rc * rc - 4 * m * (
+            math.ceil(Fraction(rc * rc, 4 * m) + order) - 1)
         raise InsufficientDepth(
             f"residue {r}: justified down to D={lo}, need D>={need}")
     if hi == POS_INF:

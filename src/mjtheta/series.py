@@ -9,7 +9,7 @@ trusted.  All operations propagate the window honestly.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from .cyclo import cadd, cmul, cneg, cinv, ciszero, ex, cformat
 from .errors import Divergent, NonInvertibleLeadingTerm
@@ -31,7 +31,8 @@ class QSeries:
     def __init__(self, coeffs, order, den=1):
         self.den = den
         self.order = Fraction(order)
-        cutoff = _key_bound(self.order, den)
+        # the least key at or above the window bound
+        cutoff = ceil(self.order * den)
         self.coeffs = {k: v for k, v in coeffs.items()
                        if not ciszero(v) and k < cutoff}
 
@@ -126,13 +127,6 @@ class QSeries:
         return series_pow(self, e)
 
 
-def _key_bound(order, den):
-    """Least integer key at or above the window bound: for an integer key k,
-    k < _key_bound(order, den) exactly when k / den < order."""
-    x = order * den
-    return -(-x.numerator // x.denominator)
-
-
 def _align(a, b):
     den = lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
@@ -159,7 +153,7 @@ def _lo_eff(s):
 def series_mul(a, b):
     den, ca, cb = _align(a, b)
     order = min(a.order + _lo_eff(b), b.order + _lo_eff(a))
-    cutoff = _key_bound(order, den)
+    cutoff = ceil(order * den)
     if _all_int(ca) and _all_int(cb):
         out = _mul_kronecker(ca, cb, cutoff)
     else:
@@ -196,7 +190,7 @@ def series_binomial(f, c, e, w, inverse=False):
     fa = den // f.den
     fs = f.coeffs if fa == 1 else {k * fa: v for k, v in f.coeffs.items()}
     step = e.numerator * (den // e.denominator)
-    cutoff = _key_bound(order, den)
+    cutoff = ceil(order * den)
     if not inverse:
         out = {k: v for k, v in fs.items() if k < cutoff}
         if not ciszero(c):
@@ -288,7 +282,7 @@ def _reciprocal(a):
     c0inv = c0 if c0 in (1, -1) else cinv(c0)
     # a = q^(l/den) * c0 * (1 + u); invert the unit part by the standard
     # recurrence, valid over the same relative window
-    rel = _floor_frac(a.order * den) - l  # relative window in key units
+    rel = floor(a.order * den) - l  # relative window in key units
     u = {k - l: cmul(v, c0inv) for k, v in a.coeffs.items() if k != l}
     binv = {0: 1}
     for n in range(1, rel):
@@ -300,10 +294,6 @@ def _reciprocal(a):
             binv[n] = cneg(acc)
     out = {k - l: cmul(v, c0inv) for k, v in binv.items()}
     return QSeries(out, Fraction(rel - l, den), den)
-
-
-def _floor_frac(x):
-    return x.numerator // x.denominator
 
 
 def series_pow(a, e):
@@ -386,7 +376,7 @@ def series_first_mismatch(a, b):
     """(x, a_x, b_x) at the least exponent x below both windows where the
     coefficients of a and b differ, or None if they agree on the overlap."""
     den, ca, cb = _align(a, b)
-    cutoff = _key_bound(min(a.order, b.order), den)
+    cutoff = ceil(min(a.order, b.order) * den)
     zero = Fraction(0)
     for k in sorted(ca.keys() | cb.keys()):
         if k >= cutoff:

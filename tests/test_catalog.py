@@ -180,6 +180,24 @@ def test_ingest_normalization_check(tmp_path):
         ingest_hdata(p)
 
 
+@pytest.mark.parametrize("r", [0, 6])
+def test_ingest_rejects_a_value_at_a_structural_zero(tmp_path, r):
+    # an odd index-6 table vanishes at r = 0 and r = 6: no read reaches the
+    # value, so it cannot enter the entries (or a positivity verdict)
+    p = write_csv(tmp_path, [("6+2", "1A", 1, 1, -2),
+                             ("6+2", "1A", r, r * r - 24, 5)])
+    with pytest.raises(ParseError, match="line 3"):
+        ingest_hdata(p)
+
+
+def test_ingest_accepts_zeros_at_structural_zeros(tmp_path):
+    p = write_csv(tmp_path, [("6+2", "1A", 1, 1, -2), ("6+2", "1A", 0, -24, 0),
+                             ("6+2", "1A", 6, 12, 0)])
+    t = ingest_hdata(p).get("6+2")
+    assert t.get(-24, 0) == 0 and t.get(12, 6) == 0
+    assert list(t.entries) == [(1, 1)]
+
+
 def test_ingest_bad_line(tmp_path):
     p = write_csv(tmp_path, [("2", "1A", "x", 1, -2)])
     with pytest.raises(ParseError) as e:

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mjtheta import jacobi
 from mjtheta.arith import divisors, is_fundamental, kronecker
 from mjtheta.cyclo import cadd, ciszero, cmul
 from mjtheta.errors import (
-    BadDiscriminant, InsufficientDepth, LevelNotCoprime, NotFundamental,
+    BadDiscriminant, Divergent, InsufficientDepth, LevelNotCoprime,
+    NotFundamental,
 )
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
@@ -309,7 +313,7 @@ def test_Ud_index_and_values():
 
 def sz_lift_by_pairs(t, D, r, k, order):
     """Oracle: the lift with (D/d) taken per (n, d) pair, summed from
-    Fraction(0)."""
+    Fraction(0), every weight factor d^(k-2) a Fraction."""
     coeffs = {}
     for n in range(1, order):
         acc = Fraction(0)
@@ -317,7 +321,7 @@ def sz_lift_by_pairs(t, D, r, k, order):
             s = kronecker(D, d)
             if s == 0:
                 continue
-            acc = cadd(acc, cmul(d ** (k - 2) * s,
+            acc = cadd(acc, cmul(Fraction(d) ** (k - 2) * s,
                                  t.get(n * n * D // (d * d), n * r // d)))
         if not ciszero(acc):
             coeffs[n] = acc
@@ -413,3 +417,98 @@ def test_h_stream_of_kernel():
     # exponents -k^2/8 for odd k: -1/8 coefficient 48 (= C(1,1))
     assert h.coeff(Fraction(-1, 8)) == 48
     assert h.coeff(Fraction(-9, 8)) == t.get(9, 1)
+
+
+# -- exact at every weight ------------------------------------------------
+
+@lru_cache(maxsize=None)
+def weight_kernel(m):
+    quotient = {2: "1^24 / 2^24", 5: "1^6 / 5^6"}[m]
+    return shadow_kernel(parse_eta(quotient), m, 400)
+
+
+def theta_by_fractions(m, r, k, order):
+    """Oracle: sum over l = r mod 2m of l^(k-1) q^(l^2/4m), each power a
+    Fraction."""
+    coeffs = {}
+    top = 2 * m * order + abs(r)
+    for l in range(-top, top + 1):
+        if (l - r) % (2 * m) == 0 and l * l < 4 * m * order:
+            coeffs[l * l] = coeffs.get(l * l, 0) + Fraction(l) ** (k - 1)
+    return coeffs
+
+
+def hecke_value_by_fractions(t, n, k, D, r):
+    """Oracle: C_{phi|T_n}(D, r) with every weight factor d^(k-2) a
+    Fraction."""
+    total = Fraction(0)
+    for d in divisors(n * n):
+        if (n * n * D) % (d * d):
+            continue
+        Ds = n * n * D // (d * d)
+        rp = jacobi._hecke_rprime(t.m, n, d, r, Ds)
+        eps = jacobi._epsilon_D(D, d) if D else jacobi._epsilon_zero(d)
+        if rp is not None and eps:
+            total += Fraction(d) ** (k - 2) * eps * t.get(Ds, rp)
+    return total
+
+
+def exact_values(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([-1, 0, 1, 2, 3]), m=st.integers(1, 6),
+       r=st.integers(-12, 12), order=st.integers(1, 6))
+def test_theta_nullwert_exact_at_every_weight(k, m, r, order):
+    if k < 1 and r % (2 * m) == 0:
+        with pytest.raises(Divergent):
+            theta_nullwert(m, r, k, order)
+        return
+    f = theta_nullwert(m, r, k, order)
+    want = theta_by_fractions(m, r, k, order)
+    assert f.coeffs == {x: v for x, v in want.items() if v}
+    assert exact_values(f.coeffs.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([-1, 0, 1, 2, 3]), D=st.sampled_from([1, 5]),
+       r=st.sampled_from([1, 2, 3]), order=st.integers(2, 12))
+@example(k=1, D=1, r=1, order=5)  # 1/3 is not a binary float
+def test_sz_lift_exact_at_every_weight(k, D, r, order):
+    t = weight_kernel(2)
+    got = sz_lift(t, D, r, k, order)
+    want = sz_lift_by_pairs(t, D, r, k, order)
+    assert got.coeffs == want.coeffs
+    assert exact_values(got.coeffs.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([-1, 0, 1, 2, 3]), n=st.sampled_from([2, 3]))
+def test_hecke_Tn_exact_at_every_weight(k, n):
+    t = weight_kernel(5)
+    tt = hecke_Tn(t, n, k)
+    assert exact_values(tt.entries.values())
+    hi = 400 // (n * n)
+    for D in range(-20, hi + 1):
+        for r in range(6):
+            if (D - r * r) % 20 == 0:
+                assert tt.get(D, r) == hecke_value_by_fractions(
+                    t, n, k, D, r), (D, r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([-1, 0, 1, 2, 3]), l=st.sampled_from([2, 3, 4]))
+def test_hecke_Vl_exact_at_every_weight(k, l):
+    t = weight_kernel(2)
+    v = hecke_Vl(t, l, k)
+    assert exact_values(v.entries.values())
+    m2 = 2 * l
+    for r in range(m2 + 1):
+        for D in range(-4 * m2, 200):
+            if (D - r * r) % (4 * m2):
+                continue
+            g = gcd((r * r - D) // (4 * m2), r, l)
+            want = sum(Fraction(d) ** (k - 1) * t.get(D // (d * d), r // d)
+                       for d in range(1, g + 1) if g % d == 0)
+            assert v.get(D, r) == want, (D, r)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -270,7 +271,7 @@ def pair_loop_mul(a, b):
     """Oracle: series_mul with every product taken by the pair loop."""
     den, ca, cb = series._align(a, b)
     order = min(a.order + series._lo_eff(b), b.order + series._lo_eff(a))
-    return QSeries(series._mul_pairs(ca, cb, series._key_bound(order, den)),
+    return QSeries(series._mul_pairs(ca, cb, ceil(order * den)),
                    order, den)
 
 

@@ -13,10 +13,11 @@ import pytest
 from mjtheta import errors
 
 SETUP = """
+from fractions import Fraction
 from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
     gamma0_maps, genus_char, reduce_form
 from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
-    table_lin_comb
+    table_lin_comb, theta_nullwert
 from mjtheta.cyclo import ex
 from mjtheta.series import QSeries, series_slice
 T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
@@ -33,6 +34,14 @@ CASES = {
                         "CoeffTable(5, -1, {(-119, 1): 2}, {1: (-100, 1)})"),
     "residue without range": ("InsufficientDepth",
                               "CoeffTable(5, -1, {(-19, 1): 2}, {})"),
+    "odd table nonzero at r = 0": (
+        "CongruenceViolation",
+        "CoeffTable(5, -1, {(-20, 0): 2}, {0: (-100, 1)})"),
+    "odd table nonzero at r = m": (
+        "CongruenceViolation",
+        "CoeffTable(5, -1, {(5, 5): 2}, {5: (-100, 5)})"),
+    "theta constant with an infinite l = 0 term": (
+        "Divergent", "theta_nullwert(3, 0, 0, 3)"),
     "indefinite form": ("BadDiscriminant", "reduce_form(QuadForm(1, 0, -1))"),
     "negative definite form": ("BadDiscriminant",
                                "reduce_form(QuadForm(-1, 1, -1))"),
@@ -75,6 +84,17 @@ VALUES = {
     "stabilizer elements fix the form": (
         True, "all(QuadForm(1, 2, 2).transform(g) == QuadForm(1, 2, 2) "
               "for g in automorphs(QuadForm(1, 2, 2)))"),
+    # an even table keeps its entries at r = 0 and r = m
+    "even table at r = 0 and r = m": (
+        {(-20, 0): 2, (5, 5): 3},
+        "CoeffTable(5, 1, {(-20, 0): 2, (5, 5): 3}, "
+        "{0: (-100, 1), 5: (-100, 5)}).entries"),
+    # 0^(k-1) = 1 at k = 1, and r = 1 has no l = 0 term: its l = -5 term
+    # at k = 0 is exactly -1/5
+    "theta constants next to the infinite one": (
+        (1, "-1/5"),
+        "(theta_nullwert(3, 0, 1, 3).coeff(0), "
+        "str(theta_nullwert(3, 1, 0, 3).coeff(Fraction(25, 12))))"),
 }
 
 # Prints the optimization level, then one line per case: its name and the
