@@ -17,11 +17,12 @@ from math import ceil, gcd, inf, isqrt, lcm
 from operator import mul
 
 from .arith import divisors, is_fundamental, kronecker
-from .cyclo import Cyc, as_fraction, cformat
+from .cyclo import Cyc, cformat
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, LevelMismatch, MissingSource, NoRepresentativeFound,
-    NoSolutionWithinDegree, NotQuadratic, Underdetermined,
+    InsufficientDepth, LevelMismatch, MissingSource, NonIntegralExponent,
+    NoRepresentativeFound, NoSolutionWithinDegree, NotQuadratic,
+    Underdetermined,
 )
 from .jacobi import _stream_window
 from .series import QSeries, _lo_eff, series_mul
@@ -266,7 +267,11 @@ def _psi_coords(lam, D, r, order=None, table=None):
             e = table.get(D * n * n, r * n)
         except InsufficientDepth:
             break
-        exponents.append(int(as_fraction(e)))
+        if isinstance(e, Cyc) or e % 1:
+            raise NonIntegralExponent(
+                f"{lam.symbol}: the exponent C({D * n * n}, {r * n}) = "
+                f"{cformat(e)} is not an integer")
+        exponents.append(int(e))
         n += 1
     if not exponents and order > 1:
         raise InsufficientDepth(

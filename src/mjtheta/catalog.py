@@ -25,15 +25,15 @@ from math import gcd
 
 from .cyclo import ex
 from .errors import (
-    CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
+    CongruenceViolation, MissingSource, ParseError,
     UnknownLambency, UnreadableSource,
 )
 from .eta import parse_eta
 from .jacobi import (
-    NEG_INF, POS_INF, CoeffTable, _canonical, _stream_window, ez_apply,
-    h_stream, om_group, shadow_coeff, table_lin_comb,
+    NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply, om_group,
+    shadow_coeff, stream_combination, table_lin_comb,
 )
-from .series import QSeries, _arg_transform, series_first_mismatch
+from .series import series_verdict
 
 __all__ = [
     "Lambency", "HData", "load_catalog", "catalog_by_symbol", "get_lambency",
@@ -154,7 +154,7 @@ def _build_fixture(lam, rows):
                     f"{symbol}: rows disagree at C({D},{r})"
         ranges[r] = (min(lo_of[t] for t in printed), POS_INF)
         for D, v in merged.items():
-            entries[(D, r)] = Fraction(v)
+            entries[(D, r)] = v
     return CoeffTable(m, -1, entries, ranges)
 
 
@@ -281,8 +281,7 @@ def ingest_hdata(path):
         for (D, rc), _v in store.items():
             lo, hi = ranges.get(rc, (D, D))
             ranges[rc] = (min(lo, D), max(hi, D))
-        entries = {k: Fraction(v) for k, v in store.items() if v}
-        t = CoeffTable(m, -1, entries, ranges)
+        t = CoeffTable(m, -1, store, ranges)
         if t.known(1, 1) and t.get(1, 1) != -2:
             raise ParseError(
                 f"{symbol} {cls}: C(1,1) = {t.get(1, 1)}, expected -2")
@@ -354,13 +353,14 @@ MULT_RELATIONS = {
 
 
 def verify_mult_relation(row_id, h, order=None):
-    """Check one multiplicative-relation row against ingested data, to
-    `order` or else as deep as the data justifies: the stream window of
-    each residue, times the line's rhs_arg factor, at most FIXTURE_DEPTH_N.
+    """Check one multiplicative-relation row against ingested data, for
+    each residue to min(order, the window both tables justify); order
+    defaults to FIXTURE_DEPTH_N.
 
-    Returns a report dict with status "verified" (and depth), "mismatch"
-    (and location), or raises MissingSource when the ingested side is
-    absent."""
+    Returns the series_verdict of the first residue that mismatches (with
+    its r), else "verified" with the least depth reached; raises
+    MissingSource when the ingested side is absent and InsufficientDepth
+    when a stream reaches no coefficient."""
     if row_id not in MULT_RELATIONS:
         raise UnknownLambency(row_id)
     lhs_sym, rhs_sym, cls, lines = MULT_RELATIONS[row_id]
@@ -368,36 +368,22 @@ def verify_mult_relation(row_id, h, order=None):
     if lam.fixture is None:
         raise MissingSource(f"{lhs_sym} has no fixture table")
     rhs_t = h.get(rhs_sym, cls)
-    if order is None:
-        order = min([Fraction(FIXTURE_DEPTH_N)] + [
-            line.rhs_arg[0] * _stream_window(rhs_t, r)
-            for line in lines for r in line.rset])
-        if order <= 0:
-            raise InsufficientDepth(
-                f"the {rhs_sym} {cls} data reaches no coefficient")
-    order = Fraction(order)
-    depth = None
+    order = FIXTURE_DEPTH_N if order is None else order
+    depths = []
     for line in lines:
-        a, b = line.arg
-        a2, b2 = line.rhs_arg
         for r in line.rset:
-            lhs = QSeries.zero(order, 1)
-            for i in range(line.count):
-                s = h_stream(lam.fixture, line.base(r) + line.step * i,
-                             order / a)
-                lhs = lhs + _arg_transform(s, a, b)
-            if line.pre is not None:
-                lhs = line.pre(r) * lhs
-            rhs = line.rhs_pre(r) * _arg_transform(
-                h_stream(rhs_t, r, order / a2), a2, b2)
-            bad = series_first_mismatch(lhs, rhs)
-            if bad is not None:
-                x, got, want = bad
-                return {"row": row_id, "status": "mismatch", "r": r,
-                        "exponent": x, "lhs": got, "rhs": want}
-            w = min(lhs.order, rhs.order)
-            depth = w if depth is None else min(depth, w)
-    return {"row": row_id, "status": "verified", "depth": depth}
+            terms = [(1, line.base(r) + line.step * i)
+                     for i in range(line.count)]
+            pre = 1 if line.pre is None else line.pre(r)
+            lhs = stream_combination(lam.fixture, terms, order, arg=line.arg,
+                                     pre=pre)
+            rhs = stream_combination(rhs_t, [(1, r)], order,
+                                     arg=line.rhs_arg, pre=line.rhs_pre(r))
+            rep = series_verdict(lhs, rhs)
+            if rep["status"] != "verified":
+                return {"row": row_id, "r": r, **rep}
+            depths.append(rep["depth"])
+    return {"row": row_id, "status": "verified", "depth": min(depths)}
 
 
 # -- positivity audits ----------------------------------------------------

@@ -22,7 +22,7 @@ from .arith import divisors, prime_factorization
 
 __all__ = [
     "Cyc", "ex", "cyclotomic_poly", "cadd", "csub", "cmul", "cneg",
-    "cinv", "ciszero", "as_fraction", "cformat",
+    "cinv", "ciszero", "cformat",
 ]
 
 
@@ -333,13 +333,6 @@ def ciszero(a):
     if type(a) in _RATIONAL:
         return a == 0
     return not isinstance(a, Cyc) and Fraction(a) == 0
-
-
-def as_fraction(a):
-    """Return a as a Fraction, or raise ValueError if irrational."""
-    if isinstance(a, Cyc):
-        raise ValueError(f"not rational: {a!r}")
-    return Fraction(a)
 
 
 def cformat(a):

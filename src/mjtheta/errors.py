@@ -27,7 +27,8 @@ class NotConstant(MJTError):
 
 class InsufficientDepth(MJTError):
     """A coefficient table was read, or given an entry, outside its justified
-    range, or for a residue with no range."""
+    range, or for a residue with no range; or the streams of a table row or
+    relation reach no coefficient (jacobi.stream_combination)."""
 
 
 class LevelNotCoprime(MJTError):
@@ -77,14 +78,14 @@ class Divergent(MJTError):
     (theta_nullwert)."""
 
 
-class UnresolvableShift(MJTError):
-    """Neither admissible exponent shift aligns the supports of a table row."""
-
-
 class BadDiscriminant(MJTError):
     """Kronecker symbol requires D nonzero and congruent to 0 or 1 mod 4;
     form reduction (reduce_form, gamma0_maps, automorphs) requires a
     positive definite form, A > 0 and discriminant < 0."""
+
+
+class NonIntegralExponent(MJTError):
+    """A Borcherds product exponent C(D n^2, r n) is not an integer."""
 
 
 class NoRepresentativeFound(MJTError):

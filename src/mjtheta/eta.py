@@ -42,17 +42,6 @@ class EtaQuotient:
     def __hash__(self):
         return hash(self.factors)
 
-    def __mul__(self, other):
-        return EtaQuotient(self.factors + other.factors)
-
-    def inverse(self):
-        return EtaQuotient(tuple((n, -d) for n, d in self.factors))
-
-    @property
-    def weight(self):
-        """Weight as a modular form: (1/2) sum d_i."""
-        return Fraction(sum(d for _, d in self.factors), 2)
-
     def prefactor_exponent(self):
         """Exponent of the leading q-power: sum n_i d_i / 24."""
         return Fraction(sum(n * d for n, d in self.factors), 24)

@@ -27,13 +27,13 @@ from .errors import (
     BadParity, CongruenceViolation, Divergent, InsufficientDepth,
     LevelMismatch, LevelNotCoprime, NotFundamental,
 )
-from .series import QSeries
+from .series import QSeries, _arg_transform, series_slice
 
 __all__ = [
     "CoeffTable", "theta_nullwert", "om_group", "OmGroup", "omega_entry",
     "omega_product_check", "ez_apply", "project_alpha", "hecke_Tn",
     "hecke_Ud", "hecke_Vl", "sz_lift", "shadow_kernel", "shadow_coeff",
-    "h_stream",
+    "h_stream", "stream_combination",
 ]
 
 
@@ -591,3 +591,34 @@ def h_stream(t, r, order):
             coeffs[-D] = v
         D -= 4 * m
     return QSeries(coeffs, order, 4 * m)
+
+
+def stream_combination(t, terms, order, s=0, b=1, arg=(1, 0), pre=1,
+                       const=0):
+    """pre * (sum_i c_i H_{r_i}) | [s; b] (A tau + B) + const, for terms
+    [(c_i, r_i)] and arg (A, B), the H_r streams of the table t.
+
+    Its window is min(order, the window t justifies through the slice and
+    the substitution); InsufficientDepth when that window reaches no
+    exponent (is <= 0).
+    """
+    A, B = arg
+    s = Fraction(s)
+    avail = min(_stream_window(t, r) for _c, r in terms)
+    stream_order = min(avail, Fraction(order) / A + s)
+    if stream_order <= s:
+        raise InsufficientDepth(
+            f"residues {sorted({r for _c, r in terms})} of the index-{t.m} "
+            f"table: window {stream_order} reaches no exponent past the "
+            f"shift {s}")
+    g = None
+    for c, r in terms:
+        f = h_stream(t, r, stream_order)
+        f = f if c == 1 else c * f
+        g = f if g is None else g + f
+    if s or b != 1:
+        g = series_slice(g, s, b)
+    g = _arg_transform(g, A, B)
+    if pre != 1:
+        g = pre * g
+    return g + const if const else g

@@ -12,11 +12,13 @@ Each table row states an identity
     eulerian(name)  =  pre * (sum_i c_i H_{r_i}) | [s; b] (A tau + B) + const
 
 where H_r is the r-th theta-coefficient stream of the named lambency's
-distinguished form.  Some rows print the shift s only up to sign (the
-source typesets it through an unexpanded macro); those are resolved by
-support alignment -- exactly one sign lands the sliced stream on the
-Eulerian side's integer exponents with the right leading term, and
-UnresolvableShift is raised if that fails.
+distinguished form (jacobi.stream_combination builds the right side).
+H_r lives on the exponents -r^2/4m + Z, so the slice meets its support
+only if s = -r^2/4m (mod b) for every term r.  The source prints some
+shifts only up to sign; the rows store them resolved, and that congruence
+fixes the sign for all of them but 2:B (s = 1/2, where both signs qualify
+and +1/2 puts the lead 1 at q^0).  6:psi and 8:S1 store the congruent
+shift that lines the stream's lead up with the Eulerian lead.
 """
 
 import math
@@ -24,14 +26,11 @@ from fractions import Fraction
 from functools import reduce
 
 from .cyclo import cmul, ex
-from .errors import (
-    Divergent, MissingSource, UnknownName, UnresolvableShift,
-)
-from .jacobi import _stream_window, h_stream
+from .errors import Divergent, MissingSource, UnknownName
+from .jacobi import stream_combination
 from .series import (
-    QSeries, _arg_transform, series_binomial, series_eq,
-    series_first_mismatch, series_half_shift, series_mul, series_pow,
-    series_rescale, series_shift, series_slice,
+    QSeries, series_binomial, series_half_shift, series_mul, series_pow,
+    series_rescale, series_shift, series_verdict,
 )
 
 __all__ = [
@@ -226,80 +225,76 @@ def eulerian(name, order):
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
-def _pm(num, den):
-    return ("pm", Fraction(num, den))
-
-def _at(num, den, b_num, b_den=1):
-    return ("exact", Fraction(num, den), Fraction(b_num, b_den))
-
 
 class Row:
     """One table row: eulerian(name) = pre*(sum c_i H_{r_i})|[s;b](A t+B)
-    + const, with s possibly known only up to sign."""
+    + const, with s and b given as Fractions or strings such as "-1/24"."""
 
-    def __init__(self, lambency, terms, shift, arg=(1, 0), pre=HALF,
+    def __init__(self, lambency, terms, s=0, b=1, arg=(1, 0), pre=HALF,
                  const=0):
         self.lambency = lambency
         self.terms = terms
-        self.shift = shift
+        self.s = Fraction(s)
+        self.b = Fraction(b)
         self.arg = (Fraction(arg[0]), Fraction(arg[1]))
         self.pre = pre
         self.const = const
 
 
 ROWS = {
-    "3:psi": Row("24+8", [(1, 2)], _pm(1, 24)),
-    "3:nu": Row("24+8", [(1, 8)], _pm(1, 3), arg=(1, -HALF)),
-    "3:f": Row("6", [(1, 5), (-1, 1)], _pm(1, 24)),
+    "3:psi": Row("24+8", [(1, 2)], "-1/24"),
+    "3:nu": Row("24+8", [(1, 8)], "1/3", arg=(1, -HALF)),
+    "3:f": Row("6", [(1, 5), (-1, 1)], "-1/24"),
     "3:phi": Row("24+8", [(-1, 1), (1, 13), (-1, 25), (1, 37)],
-                 _at(-1, 96, 1, 4), arg=(4, 0)),
+                 "-1/96", "1/4", arg=(4, 0)),
     "3:chi": Row("18", [(1, r) for r in (1, 7, 13, 19, 25, 31)],
-                 _at(-1, 72, 1, 3), arg=(3, 0), pre=-HALF),
-    "3:omega": Row("6", [(1, 2), (1, 4)], _at(1, 3, 1, 2), arg=(2, 0),
+                 "-1/72", "1/3", arg=(3, 0), pre=-HALF),
+    "3:omega": Row("6", [(1, 2), (1, 4)], "1/3", "1/2", arg=(2, 0),
                    pre=QUARTER),
     "3:rho": Row("18", [(1, r) for r in (2, 4, 14, 16, 26, 28)],
-                 _at(1, 9, 1, 6), arg=(6, 0), pre=-HALF),
-    "5:psi0": Row("60+12,15,20", [(1, 2)], _pm(1, 60)),
-    "5:psi1": Row("60+12,15,20", [(1, 14)], _pm(11, 60)),
-    "5:chi0": Row("30+6,10,15", [(1, 1)], _pm(1, 120), const=2),
-    "5:chi1": Row("30+6,10,15", [(1, 7)], _pm(71, 120)),
-    "5:phi0": Row("60+12,15,20", [(1, 1), (-1, 11)], _at(-1, 240, 1, 2),
+                 "1/9", "1/6", arg=(6, 0), pre=-HALF),
+    "5:psi0": Row("60+12,15,20", [(1, 2)], "-1/60"),
+    "5:psi1": Row("60+12,15,20", [(1, 14)], "11/60"),
+    "5:chi0": Row("30+6,10,15", [(1, 1)], "-1/120", const=2),
+    "5:chi1": Row("30+6,10,15", [(1, 7)], "71/120"),
+    "5:phi0": Row("60+12,15,20", [(1, 1), (-1, 11)], "-1/240", "1/2",
                   arg=(2, 0), pre=-HALF),
-    "5:phi1": Row("60+12,15,20", [(1, 7), (-1, 13)], _at(-49, 240, 1, 2),
+    "5:phi1": Row("60+12,15,20", [(1, 7), (-1, 13)], "-49/240", "1/2",
                   arg=(2, 0)),
-    "5:F0": Row("60+12,15,20", [(1, 2)], _at(-1, 60, 2), arg=(HALF, 0),
+    "5:F0": Row("60+12,15,20", [(1, 2)], "-1/60", 2, arg=(HALF, 0),
                 const=1),
-    "5:F1": Row("60+12,15,20", [(1, 14)], _at(71, 60, 2), arg=(HALF, 0)),
-    "6:sigma": Row("12", [(1, 2)], _pm(1, 12)),
-    "6:psi": Row("12", [(1, 3), (-1, 9)], _at(-3, 8, 1, 2), arg=(2, 0),
+    "5:F1": Row("60+12,15,20", [(1, 14)], "71/60", 2, arg=(HALF, 0)),
+    "6:sigma": Row("12", [(1, 2)], "-1/12"),
+    "6:psi": Row("12", [(1, 3), (-1, 9)], "-3/16", "1/2", arg=(2, 0),
                  pre=-HALF),
     "6:phi": Row("12", [(1, r) for r in (1, 5, 13, 17)],
-                 _at(-1, 48, 1, 2), arg=(2, 0), pre=-HALF),
+                 "-1/48", "1/2", arg=(2, 0), pre=-HALF),
     "6:gamma": Row("18", [(1, r) for r in (1, 5, 13, 17, 25, 29)],
-                   _at(-1, 72, 1, 3), arg=(3, 0), pre=-HALF),
-    "7:F0": Row("42+6,14,21", [(1, 1)], _pm(1, 168), pre=-HALF),
-    "7:F1": Row("42+6,14,21", [(1, 5)], _pm(25, 168)),
-    "7:F2": Row("42+6,14,21", [(1, 11)], _pm(47, 168)),
-    "10:phi": Row("10", [(1, 4), (-1, 14)], _at(1, 10, 1, 2), arg=(2, 0)),
-    "10:psi": Row("10", [(1, 2), (-1, 12)], _at(-1, 10, 1, 2), arg=(2, 0)),
-    "10:X": Row("10", [(1, 1), (1, 11)], _pm(1, 40), pre=-HALF),
-    "10:chi": Row("10", [(1, 3), (1, 13)], _pm(9, 40), pre=-HALF),
-    "2:mu": Row("8", [(1, r) for r in (1, 5, 9, 13)], _at(-1, 32, 1, 4),
+                   "-1/72", "1/3", arg=(3, 0), pre=-HALF),
+    "7:F0": Row("42+6,14,21", [(1, 1)], "-1/168", pre=-HALF),
+    "7:F1": Row("42+6,14,21", [(1, 5)], "-25/168"),
+    "7:F2": Row("42+6,14,21", [(1, 11)], "47/168"),
+    "10:phi": Row("10", [(1, 4), (-1, 14)], "1/10", "1/2", arg=(2, 0)),
+    "10:psi": Row("10", [(1, 2), (-1, 12)], "-1/10", "1/2", arg=(2, 0)),
+    "10:X": Row("10", [(1, 1), (1, 11)], "-1/40", pre=-HALF),
+    "10:chi": Row("10", [(1, 3), (1, 13)], "-9/40", pre=-HALF),
+    "2:mu": Row("8", [(1, r) for r in (1, 5, 9, 13)], "-1/32", "1/4",
                 arg=(4, 0), pre=-HALF),
-    "2:A": Row("8", [(1, 2)], _pm(1, 8), pre=QUARTER),
-    "2:B": Row("8", [(1, 4)], _pm(1, 2), pre=QUARTER),
-    "8:S0": Row("16", [(1, r) for r in (1, 9, 17, 25)], _at(-1, 64, 1, 4),
+    "2:A": Row("8", [(1, 2)], "-1/8", pre=QUARTER),
+    # the congruence allows -1/2 too; +1/2 keeps the lead 1 at q^0
+    "2:B": Row("8", [(1, 4)], "1/2", pre=QUARTER),
+    "8:S0": Row("16", [(1, r) for r in (1, 9, 17, 25)], "-1/64", "1/4",
                 arg=(4, 0), pre=-HALF),
-    "8:S1": Row("16", [(1, r) for r in (3, 11, 19, 27)], _at(-7, 64, 1, 4),
+    "8:S1": Row("16", [(1, r) for r in (3, 11, 19, 27)], "7/64", "1/4",
                 arg=(4, 0)),
-    "8:T0": Row("16", [(1, 2)], _pm(1, 16), arg=(1, HALF)),
-    "8:T1": Row("16", [(1, 10)], _pm(7, 16), arg=(1, HALF)),
+    "8:T0": Row("16", [(1, 2)], "-1/16", arg=(1, HALF)),
+    "8:T1": Row("16", [(1, 10)], "7/16", arg=(1, HALF)),
     "8:U0": Row("16", [(1, 1 + 4 * k) for k in range(8)],
-                _at(-1, 64, 1, 8), arg=(8, 0), pre=-HALF),
+                "-1/64", "1/8", arg=(8, 0), pre=-HALF),
     "8:U1": Row("16", [(1, 2), (ex(Fraction(-1, 4)), 10)],
-                _at(-1, 16, 1, 2), arg=(2, HALF)),
-    "8:V0": Row("16", [(1, 8)], None, pre=1, const=1),
-    "8:V1": Row("16", [(1, 4)], _pm(1, 4)),
+                "-1/16", "1/2", arg=(2, HALF)),
+    "8:V0": Row("16", [(1, 8)], pre=1, const=1),
+    "8:V1": Row("16", [(1, 4)], "-1/4"),
 }
 
 
@@ -307,32 +302,14 @@ def row_names():
     return sorted(ROWS)
 
 
-def _is_integral(f):
-    return all(k % f.den == 0 for k in f.coeffs)
-
-
-def _build_rhs(row, source, s, stream_order):
-    combined = None
-    for c, r in row.terms:
-        f = h_stream(source, r, stream_order)
-        f = c * f if c != 1 else f
-        combined = f if combined is None else combined + f
-    b = Fraction(1) if row.shift is None else \
-        (Fraction(1) if row.shift[0] == "pm" else row.shift[2])
-    g = series_slice(combined, s, b) if s or b != 1 else combined
-    g = _arg_transform(g, *row.arg)
-    if row.pre != 1:
-        g = row.pre * g
-    if row.const:
-        g = g + QSeries({0: row.const}, g.order)
-    return g
-
-
 def verify_table14_15(name, source=None, order=None):
-    """Check one row against its Eulerian series.
+    """Check one row against its Eulerian series, to min(order, the window
+    the source justifies); order defaults to 15.
 
     source: CoeffTable for the row's lambency (defaults to the catalog
-    fixture; MissingSource when there is none).  Returns a report dict.
+    fixture; MissingSource when there is none).  Returns the series_verdict
+    with the row's name; InsufficientDepth when the source reaches no
+    coefficient.
     """
     from .catalog import get_lambency
     if name not in ROWS:
@@ -343,50 +320,10 @@ def verify_table14_15(name, source=None, order=None):
         if source is None:
             raise MissingSource(
                 f"{row.lambency} needs ingested data for row {name}")
-    order = Fraction(order if order is not None else 15)
-    A, _B = row.arg
-    s_candidates = [Fraction(0)]
-    if row.shift is not None:
-        if row.shift[0] == "pm":
-            s_candidates = [row.shift[1], -row.shift[1]]
-        else:
-            s_candidates = [row.shift[1]]
-    # depth: limited by the source table through the slice and rescale
-    avail = min(_stream_window(source, r) for _c, r in row.terms)
-    smax = max(s_candidates)
-    stream_order = min(avail, order / A + smax)
-    if len(s_candidates) == 1:
-        rhs = _build_rhs(row, source, s_candidates[0], stream_order)
-    else:
-        # support alignment first; the Eulerian leading term only breaks
-        # ties when both signs land on the integer grid
-        viable = [(s, g) for s in s_candidates
-                  for g in [_build_rhs(row, source, s, stream_order)]
-                  if g.coeffs and _is_integral(g)]
-        if len(viable) > 1:
-            eul_probe = eulerian(name, 3)
-            kept = []
-            for s, g in viable:
-                probe = Fraction(min(g.coeffs), g.den)
-                try:
-                    if eul_probe.coeff(probe) == g.coeff(probe):
-                        kept.append((s, g))
-                except IndexError:
-                    kept.append((s, g))  # beyond probe window: cannot reject
-            viable = kept
-        if len(viable) != 1:
-            raise UnresolvableShift(
-                f"{name}: {len(viable)} admissible shifts among "
-                f"{s_candidates}")
-        rhs = viable[0][1]
-    lhs = eulerian(name, min(order, rhs.order))
-    bad = series_first_mismatch(lhs, rhs)
-    if bad is not None:
-        x, a, b = bad
-        return {"row": name, "status": "mismatch", "exponent": x,
-                "eulerian": a, "stream": b}
-    return {"row": name, "status": "verified",
-            "depth": min(lhs.order, rhs.order)}
+    rhs = stream_combination(source, row.terms,
+                             15 if order is None else order, row.s, row.b,
+                             row.arg, row.pre, row.const)
+    return {"row": name, **series_verdict(eulerian(name, rhs.order), rhs)}
 
 
 # -- self-contained identities -------------------------------------------
@@ -407,13 +344,8 @@ def verify_watson(order=100):
     rhs1 = _alt_q(eulerian("5:psi1", order)) + \
         -1 * series_shift(
             series_rescale(_alt_q(eulerian("5:phi1", half_order)), 2), -1)
-    out = []
-    for tag, a, b in [("f0", f0, rhs0), ("f1", f1, rhs1)]:
-        ok = series_eq(a, b)
-        out.append({"identity": f"watson:{tag}",
-                    "status": "verified" if ok else "mismatch",
-                    "depth": min(a.order, b.order)})
-    return out
+    return [{"identity": f"watson:{tag}", **series_verdict(a, b)}
+            for tag, a, b in [("f0", f0, rhs0), ("f1", f1, rhs1)]]
 
 
 def verify_andrews_hickerson(order=100):
@@ -433,10 +365,5 @@ def verify_andrews_hickerson(order=100):
         ("sigma", phi2 + 2 * eulerian("6:sigma", order), prod_b),
         ("mu", 2 * phi2 + -1 * _alt_q(eulerian("6:2mu", order)), prod_b),
     ]
-    out = []
-    for tag, lhs, rhs in cases:
-        ok = series_eq(lhs, rhs)
-        out.append({"identity": f"andrews-hickerson:{tag}",
-                    "status": "verified" if ok else "mismatch",
-                    "depth": min(lhs.order, rhs.order)})
-    return out
+    return [{"identity": f"andrews-hickerson:{tag}",
+             **series_verdict(lhs, rhs)} for tag, lhs, rhs in cases]

@@ -17,7 +17,7 @@ from .errors import Divergent, NonInvertibleLeadingTerm
 __all__ = [
     "QSeries", "series_add", "series_mul", "series_binomial", "series_pow",
     "series_rescale", "series_half_shift", "series_slice", "series_shift",
-    "series_eq", "series_first_mismatch",
+    "series_eq", "series_first_mismatch", "series_verdict",
 ]
 
 
@@ -357,19 +357,25 @@ def series_slice(a, r, b):
     """Pick exponents x = r (mod b) and shift them to x - r.
 
     r rational, b positive rational; this is the 'theta decomposition' style
-    slice  f|[r; b] = sum_{x = r mod b} c(x) q^(x - r).
+    slice  f|[r; b] = sum_{x = r mod b} c(x) q^(x - r).  The result is
+    written over the least common denominator of its exponents.
     """
     r, b = Fraction(r), Fraction(b)
     if b <= 0:
         raise Divergent(f"slice modulus {b} is not positive")
-    out = []
+    den = lcm(a.den, r.denominator)
+    f = den // a.den
+    shift = r.numerator * (den // r.denominator)
+    # x - r = j / den is a multiple of b iff j * b.den = 0 mod den * b.num
+    modulus = den * b.numerator
+    out = {}
     for k, v in a.coeffs.items():
-        x = Fraction(k, a.den)
-        if (x - r) % b == 0:
-            out.append((x - r, v))
+        j = k * f - shift
+        if j * b.denominator % modulus == 0:
+            out[j] = v
+    g = gcd(den, *out)
     # window: exponents x < order contribute shifted exponents up to order-r
-    return QSeries.from_terms(out, a.order - r) if out else \
-        QSeries.zero(a.order - r)
+    return QSeries({j // g: v for j, v in out.items()}, a.order - r, den // g)
 
 
 def series_first_mismatch(a, b):
@@ -385,6 +391,18 @@ def series_first_mismatch(a, b):
         if va != vb:
             return Fraction(k, den), va, vb
     return None
+
+
+def series_verdict(lhs, rhs):
+    """The one verdict on an identity lhs = rhs of two series:
+    {"status": "verified", "depth": w} when they agree below the shared
+    window w, else {"status": "mismatch", "exponent": x, "lhs": a,
+    "rhs": b} at the least exponent x where they differ."""
+    bad = series_first_mismatch(lhs, rhs)
+    if bad is None:
+        return {"status": "verified", "depth": min(lhs.order, rhs.order)}
+    x, a, b = bad
+    return {"status": "mismatch", "exponent": x, "lhs": a, "rhs": b}
 
 
 def series_eq(a, b, strict=False):

@@ -13,7 +13,7 @@ from mjtheta.borcherds import (
 )
 from mjtheta.catalog import get_lambency, load_catalog
 from mjtheta.cyclo import (
-    Cyc, as_fraction, cadd, cinv, ciszero, cmul, cneg, csub, ex,
+    Cyc, cadd, cinv, ciszero, cmul, cneg, csub, ex,
 )
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
@@ -25,6 +25,13 @@ from mjtheta.jacobi import CoeffTable
 from mjtheta.series import QSeries, series_mul, series_pow
 
 rng = random.Random(20260824)
+
+
+def as_fraction(a):
+    """Oracle: a as a Fraction, or ValueError if it is irrational."""
+    if isinstance(a, Cyc):
+        raise ValueError(f"not rational: {a!r}")
+    return Fraction(a)
 
 
 def cconj(a):

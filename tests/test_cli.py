@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,6 +94,34 @@ def test_verify_all_records_are_pinned(capsys, monkeypatch):
     assert out == golden.read_text()
 
 
+def test_verify_all_records_do_not_depend_on_asserts():
+    # python -O strips asserts: the records must not change without them
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop(DATA_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mjtheta.cli", "verify", "all",
+         "--format", "records"],
+        capture_output=True, text=True, env=env, timeout=300)
+    golden = Path(__file__).parent / "data" / "verify_all_records.txt"
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == golden.read_text()
+
+
+def test_shallow_data_reaches_no_coefficient(capsys, tmp_path):
+    # lambency 6 data at n = 0 only: the rows over it reach no coefficient
+    p = tmp_path / "h6.csv"
+    p.write_text("lambency,class,r,D,coeff\n6,1A,1,1,-2\n6,1A,2,4,0\n"
+                 "6,1A,4,16,0\n6,1A,5,25,0\n")
+    rc, out, _ = run(capsys, "verify", "mocktheta", "--data", str(p),
+                     "--format", "records")
+    recs = [json.loads(l) for l in out.splitlines()]
+    failed = {r["case"]: r["detail"] for r in recs if r["status"] == "fail"}
+    assert rc == 1 and sorted(failed) == ["3:f", "3:omega"]
+    assert all(d.startswith("InsufficientDepth") for d in failed.values())
+
+
 def synthesize(row_id, order):
     lhs_sym, rhs_sym, cls, lines = MULT_RELATIONS[row_id]
     (line,) = lines
@@ -139,6 +170,16 @@ def test_verify_mult_relations_default_order_follows_data(capsys,
                      data_file)
     assert rc == 0
     assert sum(1 for l in out.splitlines() if l.startswith("PASS")) == 1
+
+
+def test_verify_mult_relations_order_past_the_data(capsys, data_file):
+    # the data reaches q^5: --order 12 checks to the data's window
+    rc, out, _ = run(capsys, "verify", "mult-relations", "--data",
+                     data_file, "--order", "12", "--format", "records")
+    [rec] = [json.loads(l) for l in out.splitlines()
+             if json.loads(l)["case"] == "60+12,15,20:2A"]
+    assert rc == 0 and rec["status"] == "pass"
+    assert 5 <= Fraction(rec["depth"]) < 12
 
 
 def test_verify_mult_relations_data_without_depth_fails(capsys, tmp_path):

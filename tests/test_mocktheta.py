@@ -6,14 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.cyclo import cmul, ex
-from mjtheta.errors import (
-    Divergent, MissingSource, UnknownName, UnresolvableShift,
-)
+from mjtheta.catalog import get_lambency
+from mjtheta.errors import Divergent, MissingSource, UnknownName
+from mjtheta.jacobi import _stream_window, h_stream
 from mjtheta.mocktheta import (
     EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _PochCache, eulerian, pochhammer,
     row_names, verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
-from mjtheta.series import QSeries, series_eq, series_mul, series_pow
+from mjtheta.series import (
+    QSeries, _arg_transform, series_eq, series_mul, series_pow,
+    series_slice,
+)
 
 q = (1, 1)
 
@@ -292,11 +295,94 @@ def test_row_partition():
     assert internal == sorted(INTERNAL_ROWS)
 
 
-def test_unresolvable_shift(monkeypatch):
-    # a wrong +-shift leaves no candidate aligned with integer exponents
-    monkeypatch.setattr(ROWS["3:psi"], "shift", ("pm", Fraction(1, 5)))
-    with pytest.raises(UnresolvableShift):
-        verify_table14_15("3:psi", order=4)
+def test_wrong_shift_is_never_verified(monkeypatch):
+    # the other sign and an off-grid shift slice nothing from H_2; one a
+    # whole step lower moves the stream a step up
+    for s in [Fraction(1, 24), Fraction(1, 5), Fraction(-25, 24)]:
+        monkeypatch.setattr(ROWS["3:psi"], "s", s)
+        rep = verify_table14_15("3:psi", order=4)
+        assert rep["status"] == "mismatch", (s, rep)
+
+
+# -- the stored shifts ----------------------------------------------------
+#
+# The source prints these 18 shifts only up to sign; the rows store them
+# resolved.
+
+PM_ROWS = ["3:psi", "3:nu", "3:f", "5:psi0", "5:psi1", "5:chi0", "5:chi1",
+           "6:sigma", "7:F0", "7:F1", "7:F2", "10:X", "10:chi", "2:A",
+           "2:B", "8:T0", "8:T1", "8:V1"]
+
+
+def meets_support(row, s):
+    """s = -r^2/4m (mod b) for every term r: H_r lives on -r^2/4m + Z, so
+    only then can the slice [s; b] pick a term of it."""
+    m = get_lambency(row.lambency).m
+    return all((s + Fraction(r * r, 4 * m)) % row.b == 0
+               for _c, r in row.terms)
+
+
+@pytest.mark.parametrize("name", row_names())
+def test_row_shift_meets_the_support(name):
+    assert meets_support(ROWS[name], ROWS[name].s)
+
+
+def test_congruence_fixes_the_printed_signs():
+    # only 2:B (s = 1/2) admits both signs; it keeps +1/2, the lead 1 of
+    # 2:B(q) at q^0
+    assert all(ROWS[name].b == 1 and ROWS[name].s for name in PM_ROWS)
+    assert [name for name in PM_ROWS
+            if meets_support(ROWS[name], -ROWS[name].s)] == ["2:B"]
+    assert ROWS["2:B"].s == Fraction(1, 2)
+
+
+def resolve_pm_shift(name, s0, order):
+    """The shifts among +-s0 that the runtime resolver admitted while the
+    rows stored them up to sign: those whose sliced stream lies on integer
+    exponents, and, when both do, those that agree with the Eulerian
+    series at the stream's lead."""
+    row = ROWS[name]
+    source = get_lambency(row.lambency).fixture
+    candidates = [s0, -s0]
+    avail = min(_stream_window(source, r) for _c, r in row.terms)
+    stream_order = min(avail, order / row.arg[0] + max(candidates))
+
+    def build(s):
+        combined = None
+        for c, r in row.terms:
+            f = h_stream(source, r, stream_order)
+            f = c * f if c != 1 else f
+            combined = f if combined is None else combined + f
+        g = _arg_transform(series_slice(combined, s, 1), *row.arg)
+        g = row.pre * g if row.pre != 1 else g
+        return g + QSeries({0: row.const}, g.order) if row.const else g
+
+    viable = [(s, g) for s in candidates for g in [build(s)]
+              if g.coeffs and all(k % g.den == 0 for k in g.coeffs)]
+    if len(viable) > 1:
+        probe_series = eulerian(name, 3)
+        kept = []
+        for s, g in viable:
+            probe = Fraction(min(g.coeffs), g.den)
+            try:
+                if probe_series.coeff(probe) == g.coeff(probe):
+                    kept.append((s, g))
+            except IndexError:
+                kept.append((s, g))
+        viable = kept
+    return [s for s, _g in viable]
+
+
+def test_stored_shifts_match_the_runtime_resolver():
+    pm_with_fixtures = [name for name in PM_ROWS
+                        if get_lambency(ROWS[name].lambency).fixture]
+    assert pm_with_fixtures == ["3:psi", "3:nu", "5:psi0", "5:psi1",
+                                "7:F0", "7:F1", "7:F2"]
+    for name in pm_with_fixtures:
+        s = ROWS[name].s
+        for order in range(2, 16):
+            assert resolve_pm_shift(name, abs(s), order) == [s], \
+                (name, order)
 
 
 def test_mismatch_is_reported():
@@ -311,7 +397,10 @@ def test_mismatch_is_reported():
     bad = CoeffTable(f.m, f.parity, entries, f.ranges)
     rep = verify_table14_15("3:psi", source=bad, order=4)
     assert rep["status"] == "mismatch"
-    assert rep["exponent"] == Fraction(92, 96) - Fraction(-1, 24)
+    x = Fraction(92, 96) - Fraction(-1, 24)
+    assert rep["exponent"] == x
+    assert (rep["lhs"], rep["rhs"]) == \
+        (eulerian("3:psi", 4).coeff(x), rep["lhs"] + 1)
 
 
 # -- self-contained identities --------------------------------------------

@@ -123,6 +123,50 @@ def test_slice():
     assert not s2.coeffs and s2.order == 5 - Fraction(1, 3)
 
 
+# -- oracle: the slice one Fraction per term --------------------------------
+
+def fraction_slice(a, r, b):
+    """series_slice as it was: each exponent as a Fraction, the picked
+    terms rebuilt by QSeries.from_terms."""
+    r, b = Fraction(r), Fraction(b)
+    out = []
+    for k, v in a.coeffs.items():
+        x = Fraction(k, a.den)
+        if (x - r) % b == 0:
+            out.append((x - r, v))
+    return QSeries.from_terms(out, a.order - r) if out else \
+        QSeries.zero(a.order - r)
+
+
+@st.composite
+def slice_case(draw):
+    """A series with den > 1 allowed, negative keys and a window that may
+    cut into its support; a fractional residue r of either sign and a
+    fractional or integral modulus b > 0."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 24, 96]))
+    coeffs = draw(st.dictionaries(
+        st.integers(min_value=-3 * den, max_value=6 * den),
+        st.integers(min_value=-9, max_value=9).filter(bool), max_size=30))
+    order = Fraction(draw(st.integers(min_value=-40, max_value=120)),
+                     draw(st.sampled_from([1, 7, den])))
+    r = Fraction(draw(st.integers(min_value=-60, max_value=60)),
+                 draw(st.sampled_from([1, 2, 3, 8, 24, 96])))
+    b = Fraction(draw(st.integers(min_value=1, max_value=8)),
+                 draw(st.sampled_from([1, 2, 3, 4, 16])))
+    return QSeries(coeffs, order, den), r, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(slice_case())
+@example((QSeries({-1: 2, 23: 3, 47: 5}, 3, 24), Fraction(-1, 24), 1))
+@example((QSeries({-9: 1, 15: 2, 39: 4}, 2, 48), Fraction(-3, 16),
+          Fraction(1, 2)))
+@example((QSeries({1: 1}, 5, 2), Fraction(1, 3), 2))  # off the grid
+def test_slice_matches_fraction_slice(case):
+    a, r, b = case
+    same_series(series_slice(a, r, b), fraction_slice(a, r, b))
+
+
 def test_shift():
     a = poly({0: 1, 2: 3}, order=6)
     b = series_shift(a, Fraction(-1, 4))

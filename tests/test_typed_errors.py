@@ -15,12 +15,14 @@ from mjtheta import errors
 SETUP = """
 from fractions import Fraction
 from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
-    gamma0_maps, genus_char, reduce_form
+    gamma0_maps, genus_char, psi_expand, reduce_form
+from mjtheta.catalog import get_lambency
 from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
     table_lin_comb, theta_nullwert
 from mjtheta.cyclo import ex
 from mjtheta.series import QSeries, series_slice
 T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
+F62 = get_lambency("6+2").fixture
 """
 
 # name: (error class, expression)
@@ -62,6 +64,13 @@ CASES = {
     "slice modulo -1": ("Divergent",
                         "series_slice(QSeries({0: 1}, 5), 0, -1)"),
     "ez_apply outside O_m": ("CongruenceViolation", "ez_apply(T5, 2)"),
+    # C(-20, 2) = 16 becomes 16/3, and 16 zeta_3
+    "Borcherds exponent not an integer": (
+        "NonIntegralExponent",
+        "psi_expand('6+2', -20, 2, table=F62.scale(Fraction(1, 3)))"),
+    "Borcherds exponent not rational": (
+        "NonIntegralExponent",
+        "psi_expand('6+2', -20, 2, table=F62.scale(ex('1/3')))"),
     "table_lin_comb of nothing": ("LevelMismatch", "table_lin_comb([])"),
     "table_lin_comb across indices": (
         "LevelMismatch",
@@ -89,6 +98,10 @@ VALUES = {
         {(-20, 0): 2, (5, 5): 3},
         "CoeffTable(5, 1, {(-20, 0): 2, (5, 5): 3}, "
         "{0: (-100, 1), 5: (-100, 5)}).entries"),
+    # integral exponents held as Fractions give the product of the ints
+    "Borcherds exponents as Fractions": (
+        True, "psi_expand('6+2', -20, 2, table=F62.scale(Fraction(1)))"
+              ".coeffs == psi_expand('6+2', -20, 2).coeffs"),
     # 0^(k-1) = 1 at k = 1, and r = 1 has no l = 0 term: its l = -5 term
     # at k = 0 is exactly -1/5
     "theta constants next to the infinite one": (
