@@ -389,11 +389,9 @@ def verify_mult_relation(row_id, h, order=None):
 # -- positivity audits ----------------------------------------------------
 
 def epsilon_m(m, r):
-    """+1 on 1..m-1, 0 at 0 and m, -1 on m+1..2m-1 (mod 2m)."""
-    r %= 2 * m
-    if r in (0, m):
-        return 0
-    return 1 if r < m else -1
+    """+1 on 1..m-1, 0 at 0 and m, -1 on m+1..2m-1 (mod 2m): the sign the
+    residue rule gives an odd table at r."""
+    return _canonical(m, -1, r)[1]
 
 
 def check_positivity_sigma(lam):

@@ -28,7 +28,8 @@ class NotConstant(MJTError):
 class InsufficientDepth(MJTError):
     """A coefficient table was read, or given an entry, outside its justified
     range, or for a residue with no range; or the streams of a table row or
-    relation reach no coefficient (jacobi.stream_combination)."""
+    relation reach no coefficient (jacobi.stream_combination), or those of
+    a Watson or Andrews-Hickerson identity at an order <= 0."""
 
 
 class LevelNotCoprime(MJTError):
@@ -76,6 +77,10 @@ class Divergent(MJTError):
     (series_binomial), the substitution q -> q^t, t <= 0, or a slice modulo
     b <= 0; or a theta constant whose l = 0 term 0^(k-1) is infinite, k < 1
     (theta_nullwert)."""
+
+
+class BadPochhammer(MJTError):
+    """pochhammer(a, x, n) with a or x not a monomial, or n not in N or inf."""
 
 
 class BadDiscriminant(MJTError):

@@ -23,14 +23,15 @@ shift that lines the stream's lead up with the Eulerian lead.
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from .cyclo import cmul, ex
-from .errors import Divergent, MissingSource, UnknownName
+from .errors import (
+    BadPochhammer, Divergent, InsufficientDepth, MissingSource, UnknownName,
+)
 from .jacobi import stream_combination
 from .series import (
-    QSeries, series_binomial, series_half_shift, series_mul, series_pow,
-    series_rescale, series_shift, series_verdict,
+    QSeries, series_binomial, series_half_shift, series_rescale,
+    series_shift, series_verdict,
 )
 
 __all__ = [
@@ -42,72 +43,58 @@ __all__ = [
 # -- q-Pochhammer ---------------------------------------------------------
 
 def _as_monomial(f):
-    if isinstance(f, tuple):
+    """(coefficient, exponent) of a single-term QSeries or a pair."""
+    if isinstance(f, QSeries) and len(f.coeffs) == 1:
+        return f.items()[0][::-1]
+    if isinstance(f, tuple) and len(f) == 2:
         return f[0], Fraction(f[1])
-    [(e, c)] = list(f.items())
-    return c, e
+    raise BadPochhammer(f"{f!r} is not a single-term monomial")
 
 
 def pochhammer(a, x, n, order):
     """(a; x)_n = prod_{k=0}^{n-1} (1 - a x^k), truncated below `order`.
 
     a, x are monomials (QSeries with a single term, or (coeff, exponent)
-    pairs); n is a nonnegative integer or math.inf.
+    pairs); n is a nonnegative integer or math.inf (else BadPochhammer).
     """
-    ca, ea = _as_monomial(a)
-    cx, ex_ = _as_monomial(x)
-    return _PochCache().get(ca, ea, ex_, n, Fraction(order), x=cx)
+    if not (n == math.inf or isinstance(n, int) and n >= 0):
+        raise BadPochhammer(f"n = {n!r} is not a nonnegative int or math.inf")
+    (ca, ea), (cx, ex_) = _as_monomial(a), _as_monomial(x)
+    w = Fraction(order)
+    return _step(QSeries({0: 1}, w), {}, _powers([(ca, ea, ex_, n, 1)], w, cx),
+                 w)
 
 
-class _PochCache:
-    """Prefix products (c q^j; x q^k)_n = prod_{i<n} (1 - c x^i q^(j+ik))
-    and their reciprocals, one series_binomial step per factor, shared
-    across calls (successive n reuse the prefix).  A prefix is extended at
-    the window asked for; a request wider than a stored prefix's window
-    rebuilds from the longest prefix that is wide enough, so no answer is
-    narrower than asked.  c, j, k, x are used as given: callers in the hot
-    path pass ints."""
+def _powers(factors, w, x=1):
+    """{(c x^i, j + i k): total power} over the factors (1 - c x^i q^(j+ik)),
+    i < count, of each (c, j, k, count, power) with j + i k below the window
+    w; count is a nonnegative int, or math.inf when k > 0."""
+    out = {}
+    for c, j, k, count, power in factors:
+        if k > 0:
+            count = min(count, max(math.ceil((w - j) / k), 0))
+        elif count == math.inf:
+            raise Divergent("infinite product with non-increasing exponents")
+        for i in range(count):
+            e = j + i * k
+            if e < w:
+                key = (cmul(c, x ** i), e)
+                out[key] = out.get(key, 0) + power
+    return out
 
-    def __init__(self):
-        self.seqs = {}
 
-    def get(self, c, j, k, n, w, power=1, x=1):
-        """(c q^j; x q^k)_n ^ power below the window w, for n a
-        nonnegative integer or math.inf."""
-        if n is math.inf:
-            if k <= 0:
-                raise Divergent(
-                    "infinite product with non-increasing exponents")
-            # every factor from the n-th on is 1 inside the window
-            n = 0
-            while j + n * k < w:
-                n += 1
-        inverse = power < 0
-        seq = self.seqs.setdefault((c, j, k, x, inverse), [])
-        if len(seq) <= n or seq[n].order < w:
-            while seq and seq[-1].order < w:
-                seq.pop()
-            if not seq:
-                seq.append(QSeries({0: 1}, w))
-            while len(seq) <= n:
-                i = len(seq) - 1
-                e = j + i * k
-                prev = seq[-1]
-                if e >= w and prev.order <= w:
-                    # a factor 1 inside the window; for k >= 0 so is every
-                    # later one
-                    seq.extend([prev] * (n + 1 - len(seq) if k >= 0 else 1))
-                else:
-                    seq.append(series_binomial(prev, cmul(c, x ** i), e, w,
-                                               inverse))
-        p = abs(power)
-        return seq[n] if p == 1 else series_pow(seq[n], p)
-
-    def product(self, factors, w):
-        """prod (c q^j; q^k)_n ^ power over a nonempty list of factors
-        (c, j, k, n, power), below the window w."""
-        return reduce(series_mul, [self.get(c, j, k, n, w, power)
-                                   for c, j, k, n, power in factors])
+def _step(f, have, want, w):
+    """f times the binomial factors of `want` over those of `have`, maps
+    {(c, e): power} from _powers, below the window w: one series_binomial
+    step per factor gained and one inverse step per factor dropped, by
+    rising exponent.  Factors at or above w are 1 inside it and take no
+    step; with none to take, f is cut to w."""
+    stepped = False
+    for c, e in sorted({**have, **want}, key=lambda ce: ce[1]):
+        d = want.get((c, e), 0) - have.get((c, e), 0)
+        for _ in range(abs(d) if e < w else 0):
+            f, stepped = series_binomial(f, c, e, w, d < 0), True
+    return f if stepped else QSeries(f.coeffs, min(f.order, w), f.den)
 
 
 # -- Eulerian series ------------------------------------------------------
@@ -192,11 +179,12 @@ EULERIAN_DEFS = {
                lambda n: [(-1, 1, 2, n, 1), (1, 1, 2, n, -1)],
                lambda n: 2),
     # 2 mu = 1 + sum (-1)^n q^(n+1) (1 + q^n) (q;q^2)_n / (-q;q)_(n+1),
-    # with 1 + q^n = (-q^n; q)_1
+    # with 1 + q^n = (-q^n; q)_1 for n >= 1; at n = 0 it is the constant 2,
+    # carried in the sign (a factor at q^0 cannot be divided back out)
     "6:2mu": _E(lambda n: n + 1,
                 lambda n: [(1, 1, 2, n, 1), (-1, 1, 1, n + 1, -1),
-                           (-1, n, 1, 1, 1)],
-                _alt, 1),
+                           (-1, n, 1, min(n, 1), 1)],
+                lambda n: (-1) ** n if n else 2, 1),
 }
 
 EULERIAN_NAMES = sorted(EULERIAN_DEFS)
@@ -204,18 +192,21 @@ EULERIAN_NAMES = sorted(EULERIAN_DEFS)
 
 def eulerian(name, order):
     """The named series, truncated below `order`.  The n-th summand starts
-    at q^lead(n), so its factors are built only below order - lead(n)."""
+    at q^lead(n), so its product is needed only below order - lead(n); it
+    is the (n-1)-th summand's product stepped by the factors gained and
+    dropped (_step), at a window that only shrinks as lead(n) rises."""
     if name not in EULERIAN_DEFS:
         raise UnknownName(name)
     order = Fraction(order)
     lead, factors, sign, const = EULERIAN_DEFS[name]
-    cache = _PochCache()
-    out = QSeries({0: const}, order)
+    out, unit, have = QSeries({0: const}, order), QSeries({0: 1}, order), {}
     n = 0
     while lead(n) < order:
-        t = series_shift(cache.product(factors(n), order - lead(n)), lead(n))
+        w = order - lead(n)
+        want = _powers(factors(n), w)
+        unit, have = _step(unit, have, want, w), want
         s = sign(n)
-        out = out + (t if s == 1 else s * t)
+        out = out + series_shift(unit if s == 1 else s * unit, lead(n))
         n += 1
     return out
 
@@ -336,6 +327,8 @@ def _alt_q(f):
 def verify_watson(order=100):
     """f0(q) = -psi0(-q) + phi0(-q^2); f1(q) = psi1(-q) - q^-1 phi1(-q^2)."""
     order = Fraction(order)
+    if order <= 0:
+        raise InsufficientDepth(f"order {order} reaches no coefficient")
     half_order = order / 2 + 1
     f0 = eulerian("5:f0", order)
     f1 = eulerian("5:f1", order)
@@ -351,14 +344,17 @@ def verify_watson(order=100):
 def verify_andrews_hickerson(order=100):
     """The order-6 identities: both LHS variants against each product."""
     order = Fraction(order)
+    if order <= 0:
+        raise InsufficientDepth(f"order {order} reaches no coefficient")
     psi2 = series_shift(series_rescale(eulerian("6:psi", order / 2 + 1), 2),
                         -1)
     phi2 = series_rescale(eulerian("6:phi", order / 2 + 1), 2)
-    cache = _PochCache()
-    prod_a = cache.product([(c, j, k, math.inf, 1) for c, j, k in [
-        (-1, 1, 2), (-1, 1, 2), (-1, 1, 6), (-1, 5, 6), (1, 6, 6)]], order)
-    prod_b = cache.product([(c, j, k, math.inf, 1) for c, j, k in [
-        (-1, 1, 2), (-1, 1, 2), (-1, 3, 6), (-1, 3, 6), (1, 6, 6)]], order)
+    a = _powers([(c, j, k, math.inf, p) for c, j, k, p in [
+        (-1, 1, 2, 2), (-1, 1, 6, 1), (-1, 5, 6, 1), (1, 6, 6, 1)]], order)
+    b = _powers([(c, j, k, math.inf, p) for c, j, k, p in [
+        (-1, 1, 2, 2), (-1, 3, 6, 2), (1, 6, 6, 1)]], order)
+    prod_a = _step(QSeries({0: 1}, order), {}, a, order)
+    prod_b = _step(prod_a, a, b, order)  # by the factors that differ
     cases = [
         ("rho", psi2 + eulerian("6:rho", order), prod_a),
         ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),

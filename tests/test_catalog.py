@@ -302,6 +302,12 @@ def test_epsilon():
     assert [epsilon_m(m, r) for r in range(12)] == \
         [0, 1, 1, 1, 1, 1, 0, -1, -1, -1, -1, -1]
     assert epsilon_m(m, -1) == -1
+    for m in range(1, 13):
+        for r in range(-3 * m, 3 * m):
+            # +1 on 1..m-1, 0 at 0 and m, -1 on m+1..2m-1, mod 2m
+            rr = r % (2 * m)
+            want = 0 if rr in (0, m) else 1 if rr < m else -1
+            assert epsilon_m(m, r) == want, (m, r)
 
 
 def test_positivity_sigma_partition():

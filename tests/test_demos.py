@@ -1,5 +1,6 @@
-"""Smoke test of the narrative demos: each runs to completion in a fresh
-interpreter, exits 0 and writes nothing to stderr."""
+"""The narrative demos: each runs to completion in a fresh interpreter,
+exits 0, writes nothing to stderr, and prints exactly its pinned output
+in tests/data/demos/<demo>.txt (all five are deterministic)."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "data" / "demos"
 
 
 def test_all_five_demos_found():
@@ -22,7 +24,7 @@ def test_demo_runs_clean(demo):
         p for p in [str(ROOT / "src"), os.environ.get("PYTHONPATH")] if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert proc.stdout
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (PINNED / f"{demo.stem}.txt").read_bytes()

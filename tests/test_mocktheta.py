@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.cyclo import cmul, ex
 from mjtheta.catalog import get_lambency
+from mjtheta import mocktheta, series
 from mjtheta.errors import Divergent, MissingSource, UnknownName
 from mjtheta.jacobi import _stream_window, h_stream
 from mjtheta.mocktheta import (
-    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _PochCache, eulerian, pochhammer,
-    row_names, verify_andrews_hickerson, verify_table14_15, verify_watson,
+    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _powers, _step, eulerian,
+    pochhammer, row_names, verify_andrews_hickerson, verify_table14_15,
+    verify_watson,
 )
 from mjtheta.series import (
     QSeries, _arg_transform, series_eq, series_mul, series_pow,
@@ -125,22 +127,56 @@ def test_eulerian_matches_full_window_product(order):
         same_series(eulerian(name, order), full_window_eulerian(name, order))
 
 
-def test_prefix_cache_windows():
-    # a prefix asked for at a wider window than it was built at is rebuilt;
-    # a wider stored prefix serves a narrower request as it is; one extended
-    # at a narrower window drops to that window before factors that are 1
-    # only inside it are skipped
-    cache = _PochCache()
-    same_series(cache.get(-1, 1, 1, 6, Fraction(10)),
-                FullWindowPoch(Fraction(10)).get(-1, 1, 1, 6))
-    same_series(cache.get(-1, 1, 1, 6, Fraction(30)),
-                FullWindowPoch(Fraction(30)).get(-1, 1, 1, 6))
-    assert cache.get(-1, 1, 1, 4, Fraction(12)).order == 30
-    cache.get(1, 1, 4, 3, Fraction(30))
-    same_series(cache.get(1, 1, 4, 6, Fraction(10)),
-                FullWindowPoch(Fraction(10)).get(1, 1, 4, 6))
-    same_series(cache.get(1, 1, 4, 6, Fraction(25)),
-                FullWindowPoch(Fraction(25)).get(1, 1, 4, 6))
+def test_one_pochhammer_path(monkeypatch):
+    # every product is built by series_binomial steps alone
+    def banned(*args):
+        raise AssertionError("series_mul or series_pow called")
+
+    assert not hasattr(mocktheta, "series_mul")
+    assert not hasattr(mocktheta, "series_pow")
+    monkeypatch.setattr(series, "series_mul", banned)
+    monkeypatch.setattr(series, "series_pow", banned)
+    for name in EULERIAN_NAMES:
+        eulerian(name, 20)
+    pochhammer(q, q, math.inf, 20)
+    pochhammer((-1, 1), (1, 2), 5, 20)
+    assert all(rep["status"] == "verified"
+               for rep in verify_andrews_hickerson(20))
+
+
+@pytest.mark.parametrize("name", EULERIAN_NAMES)
+def test_lead_is_non_decreasing(name):
+    # so the window order - lead(n) of eulerian's carried product only
+    # shrinks from one summand to the next
+    lead = EULERIAN_DEFS[name][0]
+    assert all(lead(n) <= lead(n + 1) for n in range(200))
+
+
+_factor_maps = st.dictionaries(
+    st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2), ex(Fraction(1, 3))]),
+              st.integers(1, 12)),
+    st.integers(-2, 2), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_maps, _factor_maps,
+       st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 3])),
+       st.builds(Fraction, st.integers(0, 10)))
+def test_step_matches_building_from_one(have, want, w, extra):
+    # stepping the product of `have` (built at a window no narrower) to
+    # `want` is the product of `want` built from 1; integral exponents, as
+    # in eulerian, so the den is 1 both ways
+    one = QSeries({0: 1}, w + extra)
+    stepped = _step(_step(one, {}, have, w + extra), have, want, w)
+    same_series(stepped, _step(QSeries({0: 1}, w), {}, want, w))
+
+
+def test_powers_merges_factors_below_the_window():
+    assert _powers([(-1, 1, 2, math.inf, 2), (-1, 1, 1, 3, -1)], 6) == \
+        {(-1, 1): 1, (-1, 2): -1, (-1, 3): 1, (-1, 5): 2}
+    # a factor at the window bound is 1 inside it, also among falling ones
+    assert _powers([(1, 6, 1, 4, 1)], 6) == {}
+    assert _powers([(1, 6, -1, 3, 1)], 6) == {(1, 5): 1, (1, 4): 1}
 
 
 _pochhammer_scalars = st.one_of(

@@ -13,6 +13,7 @@ import pytest
 from mjtheta import errors
 
 SETUP = """
+import math
 from fractions import Fraction
 from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
     gamma0_maps, genus_char, psi_expand, reduce_form
@@ -20,6 +21,8 @@ from mjtheta.catalog import get_lambency
 from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
     table_lin_comb, theta_nullwert
 from mjtheta.cyclo import ex
+from mjtheta.mocktheta import pochhammer, verify_andrews_hickerson, \
+    verify_watson
 from mjtheta.series import QSeries, series_slice
 T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
@@ -82,6 +85,20 @@ CASES = {
         "LevelMismatch", "omega_product_check(4, 2, 2)"),
     "omega_product_check with a non-divisor": (
         "LevelMismatch", "omega_product_check(4, 1, 3)"),
+    # an order <= 0 compares nothing, so no verdict can be given
+    "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
+    "Andrews-Hickerson at order -3": (
+        "InsufficientDepth", "verify_andrews_hickerson(-3)"),
+    "pochhammer with n = -1": (
+        "BadPochhammer", "pochhammer((1, 1), (1, 1), -1, 5)"),
+    "pochhammer with n = 2.5": (
+        "BadPochhammer", "pochhammer((1, 1), (1, 1), 2.5, 5)"),
+    "pochhammer with a two-term a": (
+        "BadPochhammer",
+        "pochhammer(QSeries({0: 1, 1: 1}, 5), (1, 1), 2, 5)"),
+    "pochhammer with a two-term x": (
+        "BadPochhammer",
+        "pochhammer((1, 1), QSeries({1: 1, 2: -1}, 5), 2, 5)"),
 }
 
 # Good arguments near the bad ones, with the value each must give.
@@ -108,6 +125,15 @@ VALUES = {
         (1, "-1/5"),
         "(theta_nullwert(3, 0, 1, 3).coeff(0), "
         "str(theta_nullwert(3, 1, 0, 3).coeff(Fraction(25, 12))))"),
+    # the least order that reaches a coefficient: q^0
+    "Watson and Andrews-Hickerson at order 1": (
+        ["1"] * 6, "[str(r['depth']) for r in verify_watson(1) "
+                 "+ verify_andrews_hickerson(1)]"),
+    # (1; q)_0 = 1, and single-term QSeries serve as monomials
+    "pochhammer with n = 0, and with monomial QSeries": (
+        [{0: 1}, {0: 1, 1: -1, 2: -1}],
+        "[pochhammer((1, 0), (1, 1), 0, 3).coeffs, pochhammer(QSeries("
+        "{1: 1}, 3), QSeries({1: 1}, 3), math.inf, 3).coeffs]"),
 }
 
 # Prints the optimization level, then one line per case: its name and the
