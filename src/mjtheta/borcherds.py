@@ -13,7 +13,7 @@ membership in Gamma_0(m) is a congruence on the lower-left entry.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, inf, isqrt, lcm
+from math import ceil, gcd, inf, lcm
 from operator import mul
 
 from .arith import divisors, is_fundamental, kronecker
@@ -21,8 +21,7 @@ from .cyclo import Cyc, cformat
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, LevelMismatch, MissingSource, NonIntegralExponent,
-    NoRepresentativeFound, NoSolutionWithinDegree, NotQuadratic,
-    Underdetermined,
+    NoSolutionWithinDegree, NotQuadratic, Underdetermined,
 )
 from .jacobi import _stream_window
 from .series import QSeries, _lo_eff, series_mul
@@ -175,25 +174,35 @@ def enumerate_heegner(m, D, r):
     return reps
 
 
-def genus_char(Q, D, m, bound=10 ** 4):
+def genus_char(Q, D, m):
     """chi_D(Q) for a fundamental discriminant D: 0 when
-    gcd(A/m, B, C, D) > 1, else (D/d) for a represented d coprime to D,
-    found by bounded search over (A/n)x^2 + Bxy + Cny^2 with n | m."""
+    gcd(A/m, B, C, D) > 1, else (D/v) for any v prime to D represented by
+    some F = (A/n)x^2 + Bxy + Cny^2 with n | m (Gross--Kohnen--Zagier,
+    Math. Ann. 278, 1987, I.2), found without a search bound.
+
+    Finding v is a residue computation: F takes a value prime to D exactly
+    when no p | D divides all of F's coefficients, and p | F(x, y) depends
+    on x, y mod p only, so by CRT one lies at 0 <= x, y <= |D|,
+    (x, y) != (0, 0), and is positive.  Some n | m qualifies: for each
+    p | gcd(B, D), the p-part of n is 1 if p does not divide C, else m's.
+    """
     if not is_fundamental(D):
         raise BadDiscriminant(f"{D} is not fundamental")
     if Q.A % m:
         raise LevelMismatch(f"level {m} does not divide A in {Q}")
     if gcd(gcd(Q.A // m, Q.B), gcd(Q.C, D)) != 1:
         return 0
-    span = isqrt(bound) + 1
+    box = range(abs(D) + 1)
     for n in divisors(m):
         F = QuadForm(Q.A // n, Q.B, Q.C * n)
-        for x in range(-span, span + 1):
-            for y in range(-span, span + 1):
+        for x in box:
+            for y in box:
                 v = F.value(x, y)
-                if 0 < v <= bound and gcd(v, D) == 1:
+                if v and gcd(v, D) == 1:
                     return kronecker(D, v)
-    raise NoRepresentativeFound(f"chi_{D}({Q}) at level {m}, bound {bound}")
+    raise AssertionError(
+        f"chi_{D}({Q}) at level {m}: no n | m gives a form with no prime "
+        f"of D dividing all its coefficients")
 
 
 def heegner_divisor(lam, D, r):

@@ -160,17 +160,14 @@ def _build_fixture(lam, rows):
 
 # -- catalog loading ------------------------------------------------------
 
-def _default_catalog_path():
-    return resources.files("mjtheta") / "data" / "catalog.csv"
+CATALOG_CSV = resources.files(__package__) / "data" / "catalog.csv"
 
 
-def load_catalog(path=None):
-    """All 39 lambencies, in catalog order."""
-    src = open(path) if path is not None else \
-        _default_catalog_path().open()
+def load_catalog():
+    """All 39 lambencies, in catalog order, from the packaged CSV."""
     meta = []          # (symbol, eta text, root system)
     rows = {}          # symbol -> {r: {D: coeff}}
-    with src as fh:
+    with CATALOG_CSV.open() as fh:
         for rec in csv.reader(x for x in fh if not x.startswith("#")):
             if not rec:
                 continue
@@ -190,12 +187,12 @@ def load_catalog(path=None):
     return out
 
 
-_CACHE = {}
+_CATALOG = {}
 
-def catalog_by_symbol(path=None):
-    if path not in _CACHE:
-        _CACHE[path] = {lam.symbol: lam for lam in load_catalog(path)}
-    return _CACHE[path]
+def catalog_by_symbol():
+    if not _CATALOG:
+        _CATALOG.update((lam.symbol, lam) for lam in load_catalog())
+    return _CATALOG
 
 
 def get_lambency(symbol):

@@ -26,7 +26,7 @@ from .catalog import (
 from .cyclo import cformat
 from .errors import InsufficientDepth, MJTError, MissingSource
 from .eta import _fricke_constant, eta_dlog, eta_expand, parse_eta
-from .jacobi import ez_apply, shadow_kernel, sz_lift
+from .jacobi import shadow_kernel, sz_lift
 from .mocktheta import (
     ROWS, eulerian, row_names, verify_andrews_hickerson, verify_table14_15,
     verify_watson,
@@ -57,12 +57,13 @@ def cmd_expand(args, out=None):
 
 def _moved(t, K):
     """A fail report if some a in K moves an entry of t that ez_apply(t, a)
-    justifies, else None."""
+    justifies, else None.  ez_apply(t, a) reads C(D, r) as C(D, r a), so
+    the table is read there directly."""
     for a in K:
-        u = ez_apply(t, a)
         for key, v in t.entries.items():
+            D, r = key
             try:
-                moved = u.get(*key) != v
+                moved = t.get(D, r * a) != v
             except InsufficientDepth:
                 continue
             if moved:

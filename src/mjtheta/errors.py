@@ -93,10 +93,6 @@ class NonIntegralExponent(MJTError):
     """A Borcherds product exponent C(D n^2, r n) is not an integer."""
 
 
-class NoRepresentativeFound(MJTError):
-    """Bounded search for a represented value coprime to D was exhausted."""
-
-
 class ExcludedDiscriminant(MJTError):
     """(m, D) combination excluded by the rationality theorem's hypothesis,
     or (D, r) whose Borcherds product is identically 1 because every

@@ -328,15 +328,15 @@ def project_alpha(t, alpha):
 
 def _epsilon_D(D, d):
     """epsilon_D(d) = g (D/g^2 over d/g^2) if (d, D) = g^2 with D/g^2 a
-    square mod 4, else 0."""
-    g2 = gcd(d, D) if D else d
+    square mod 4, else 0.  At D = 0, g^2 = d and the symbol is (0/1) = 1."""
+    g2 = gcd(d, D)
     if not is_square(g2):
         return 0
     g = isqrt(g2)
     Dg = D // g2
     if Dg % 4 not in (0, 1):
         return 0
-    return g * kronecker(Dg, d // g2) if Dg != 0 else 0
+    return g * kronecker(Dg, d // g2) if Dg else g
 
 
 def _hecke_image(t, m2, name, window, targets, value):
@@ -402,7 +402,7 @@ def _hecke_value(t, n, k, D, r):
         rp = _hecke_rprime(m, n, d, r, n * n * D // (d * d))
         if rp is None:
             continue
-        eps = _epsilon_D(D, d) if D != 0 else _epsilon_zero(d)
+        eps = _epsilon_D(D, d)
         if eps == 0:
             continue
         total = cadd(total, cmul(_power(d, k - 2) * eps,
@@ -428,13 +428,6 @@ def _hecke_rprime(m, n, d, r, Dsrc):
             assert found is None or found == rp, (m, n, d, r, found, rp)
             found = rp
     return found
-
-
-def _epsilon_zero(d):
-    # (d, 0) = d; epsilon_0(d) = g * (0/(d/g^2)) with g^2 = d; the symbol
-    # (0/x) is 1 for x = 1 and 0 otherwise, so only perfect-square d with
-    # d/g^2 = ... contribute; spelled out: g if d = g^2, since (0/1) = 1
-    return isqrt(d) if is_square(d) else 0
 
 
 def hecke_Ud(t, d):

@@ -172,7 +172,10 @@ def series_binomial(f, c, e, w, inverse=False):
     One pass over the window in place of a convolution:
     g_k = f_k - c f_(k-e) forward, g_k = f_k + c g_(k-e) inverse (e > 0).
     The series, its den and its window are those of series_mul by the
-    truncated factor: min(f.order + lo(factor), w + lo(f))."""
+    truncated factor: min(f.order + lo(factor), w + lo(f)).  The den is
+    lcm(f.den, den of e) and never lowered, so a product stepped back past
+    its only fractional exponent keeps that den; compare such products by
+    items() and order."""
     e, w = Fraction(e), Fraction(w)
     if inverse and e <= 0:
         raise Divergent(f"1/(1 - c q^{e}) has no expansion in rising powers")
@@ -405,11 +408,6 @@ def series_verdict(lhs, rhs):
     return {"status": "mismatch", "exponent": x, "lhs": a, "rhs": b}
 
 
-def series_eq(a, b, strict=False):
-    """Equality of all coefficients on the overlap of the two windows.
-
-    With strict=True, require the windows to coincide as well.
-    """
-    if strict and a.order != b.order:
-        return False
+def series_eq(a, b):
+    """Equality of all coefficients on the overlap of the two windows."""
     return series_first_mismatch(a, b) is None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mjtheta import borcherds, cyclo, series
-from mjtheta.arith import is_fundamental, kronecker
+from mjtheta.arith import divisors, is_fundamental, kronecker
 from mjtheta.borcherds import (
     QuadForm, automorphs, enumerate_heegner, fit_case, fit_rational,
     gamma0_maps, genus_char, heegner_divisor, psi_expand, reduce_form,
@@ -17,8 +17,8 @@ from mjtheta.cyclo import (
 )
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, NoRepresentativeFound, NoSolutionWithinDegree,
-    NotQuadratic, Underdetermined,
+    InsufficientDepth, NoSolutionWithinDegree, NotQuadratic,
+    Underdetermined,
 )
 from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
@@ -218,14 +218,80 @@ def test_genus_char_orbit_invariance():
 
 
 def test_genus_char_values_frozen():
-    # derived by the definitional bounded search; both classes positive
+    # derived by the residue computation and the bounded search alike;
+    # both classes positive
     for Q, _s in enumerate_heegner(6, -20, 2):
         assert genus_char(Q, -20, 6) == 1
 
 
-def test_genus_char_search_exhaustion():
-    with pytest.raises(NoRepresentativeFound):
-        genus_char(QuadForm(6, 2, 1), -20, 6, bound=0)
+class BoxExhausted(Exception):
+    """The bounded search found no represented value prime to D."""
+
+
+def bounded_genus_char(Q, D, m, bound=10 ** 4):
+    """Oracle: chi_D(Q) by the search genus_char replaced, over values
+    0 < v <= bound in a box of side 2 isqrt(bound) + 3; raises
+    BoxExhausted when the box runs out."""
+    if gcd(gcd(Q.A // m, Q.B), gcd(Q.C, D)) != 1:
+        return 0
+    span = isqrt(bound) + 1
+    for n in divisors(m):
+        F = QuadForm(Q.A // n, Q.B, Q.C * n)
+        for x in range(-span, span + 1):
+            for y in range(-span, span + 1):
+                v = F.value(x, y)
+                if 0 < v <= bound and gcd(v, D) == 1:
+                    return kronecker(D, v)
+    raise BoxExhausted(f"chi_{D}({Q}) at level {m}, bound {bound}")
+
+
+def assert_genus_char_matches_the_bounded_search(Q, D, m):
+    got = genus_char(Q, D, m)
+    try:
+        want = bounded_genus_char(Q, D, m)
+    except BoxExhausted:
+        assert got in (-1, 0, 1)
+        return got
+    assert got == want, (Q, D, m)
+    return got
+
+
+def test_genus_char_of_a_box_the_search_misses():
+    # the bounded search at bound 0 finds nothing; the residue box does
+    Q = QuadForm(6, 2, 1)
+    with pytest.raises(BoxExhausted):
+        bounded_genus_char(Q, -20, 6, bound=0)
+    assert genus_char(Q, -20, 6) == 1
+
+
+def gkz_forms(count):
+    """count seeded random forms Q = [A, B, C], m | A, of discriminant
+    D0 D1 with B = r0 r1 mod 2m, D0 = r0^2 and D1 = r1^2 mod 4m: the
+    setting in which chi_D0(Q) is independent of n and v (GKZ, I.2).
+    D0 is fundamental, D1 any discriminant of the opposite sign, so the
+    characters take the values -1, 0 and 1."""
+    gen = random.Random(20261019)
+    fund = [d for d in range(-40, 41) if d and is_fundamental(d)]
+    discs = [d for d in range(-40, 41) if d and d % 4 in (0, 1)]
+    out = []
+    while len(out) < count:
+        m, D0, D1 = gen.randint(1, 8), gen.choice(fund), gen.choice(discs)
+        r0s, r1s = ([r for r in range(2 * m) if (d - r * r) % (4 * m) == 0]
+                    for d in (D0, D1))
+        if D0 * D1 > 0 or not r0s or not r1s:
+            continue
+        A = m * gen.randint(1, 12)
+        B = gen.choice(r0s) * gen.choice(r1s) % (2 * m) \
+            + 2 * m * gen.randint(-10, 9)
+        if (B * B - D0 * D1) % (4 * A) == 0:
+            out.append((QuadForm(A, B, (B * B - D0 * D1) // (4 * A)), D0, m))
+    return out
+
+
+def test_genus_char_matches_the_bounded_search_off_heegner_forms():
+    values = {assert_genus_char_matches_the_bounded_search(Q, D, m)
+              for Q, D, m in gkz_forms(400)}
+    assert values == {-1, 0, 1}
 
 
 # -- psi expansion --------------------------------------------------------
@@ -546,6 +612,22 @@ def test_fit_case_matches_the_cyclotomic_fit(sym, D, r):
     P, Q, _rank = cyc_fit(psi, T, rep["max_deg"])
     assert (rep["P"], rep["Q"], rep["window"]) == (P, Q, psi.order)
     assert fit_rational(psi, T, rep["max_deg"]) == (P, Q)
+
+
+def test_genus_char_matches_the_bounded_search_on_heegner_forms():
+    # every Heegner form of the benchmark fits and of the sweep at levels
+    # m <= 36, with the group translates r a of heegner_divisor
+    forms = set()
+    for sym, D, r in BENCH_FITS + SWEEP:
+        lam = get_lambency(sym)
+        if lam.m > 36:
+            continue
+        for a in lam.K:
+            for Q, _s in enumerate_heegner(lam.m, D, r * a % (2 * lam.m)):
+                forms.add((Q, D, lam.m))
+    assert len(forms) > 150
+    for Q, D, m in forms:
+        assert_genus_char_matches_the_bounded_search(Q, D, m)
 
 
 def poly_in_T(coeffs, Tpow):

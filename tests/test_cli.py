@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from mjtheta import cli
 from mjtheta.catalog import MULT_RELATIONS, get_lambency, ingest_hdata
 from mjtheta.cli import DATA_ENV, main
-from mjtheta.jacobi import h_stream
+from mjtheta.jacobi import CoeffTable, h_stream
 from mjtheta.series import series_rescale
 
 
@@ -94,6 +95,26 @@ def test_verify_all_records_are_pinned(capsys, monkeypatch):
     assert out == golden.read_text()
 
 
+# the nine fits of the borcherds-fit benchmark
+BENCH_FITS = [("10+2", -4, 6), ("6+2", -8, 4), ("18+2", -8, 8),
+              ("33+11", -8, 28), ("15+5", -11, 7), ("15+5", -11, 13),
+              ("28+7", -7, 21), ("33+11", -8, 16), ("33+11", -11, 11)]
+
+
+def test_fit_outputs_are_pinned(capsys, monkeypatch):
+    # `fit` in both formats on each benchmark case, byte for byte
+    monkeypatch.delenv(DATA_ENV, raising=False)
+    out = []
+    for sym, D, r in BENCH_FITS:
+        for fmt in ("human", "records"):
+            rc, text, err = run(capsys, "fit", "--lambency", sym, f"--D={D}",
+                                f"--r={r}", "--format", fmt)
+            assert rc == 0 and err == ""
+            out.append(text)
+    golden = Path(__file__).parent / "data" / "fit_outputs.txt"
+    assert "".join(out) == golden.read_text()
+
+
 def test_verify_all_records_do_not_depend_on_asserts():
     # python -O strips asserts: the records must not change without them
     src = Path(__file__).parent.parent / "src"
@@ -107,6 +128,27 @@ def test_verify_all_records_do_not_depend_on_asserts():
     golden = Path(__file__).parent / "data" / "verify_all_records.txt"
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == golden.read_text()
+
+
+def bumped(t, key):
+    """t with the one entry at key raised by 1."""
+    entries = dict(t.entries)
+    entries[key] += 1
+    return CoeffTable(t.m, t.parity, entries, t.ranges, t.square_support)
+
+
+def test_reports_name_an_entry_the_group_moves(monkeypatch):
+    # K of 6+2 is {1, 7}; 7 carries residue 1 to -5, so C(D, 1) = -C(D, 5)
+    # holds no longer once one side is changed
+    lam = get_lambency("6+2")
+    monkeypatch.setattr(lam, "fixture", bumped(lam.fixture, (-23, 1)))
+    assert cli.fixture_report("6+2", None, None) == {
+        "status": "fail", "detail": "ez_apply(7) moved C(-23, 1)"}
+    kernel = cli.shadow_kernel
+    monkeypatch.setattr(cli, "shadow_kernel", lambda *args: bumped(
+        kernel(*args), (25, 1)))
+    assert cli.invariance_report("6+2", 50, None) == {
+        "status": "fail", "detail": "ez_apply(7) moved C(25, 1)"}
 
 
 def test_shallow_data_reaches_no_coefficient(capsys, tmp_path):

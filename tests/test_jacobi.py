@@ -1,12 +1,12 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd, inf, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta import jacobi
-from mjtheta.arith import divisors, is_fundamental, kronecker
+from mjtheta.arith import divisors, is_fundamental, is_square, kronecker
 from mjtheta.cyclo import cadd, ciszero, cmul
 from mjtheta.errors import (
     BadDiscriminant, Divergent, InsufficientDepth, LevelNotCoprime,
@@ -438,6 +438,36 @@ def theta_by_fractions(m, r, k, order):
     return coeffs
 
 
+def nonzero_epsilon(D, d):
+    """Oracle: epsilon_D(d) as jacobi computed it for D != 0 (its D = 0
+    branches were dead)."""
+    g2 = gcd(d, D) if D else d
+    if not is_square(g2):
+        return 0
+    g = isqrt(g2)
+    Dg = D // g2
+    if Dg % 4 not in (0, 1):
+        return 0
+    return g * kronecker(Dg, d // g2) if Dg != 0 else 0
+
+
+def zero_epsilon(d):
+    """Oracle: epsilon_0(d) = g (0/(d/g^2)) with g^2 = d, so g if d is a
+    square, since (0/1) = 1, else 0."""
+    return isqrt(d) if is_square(d) else 0
+
+
+def split_epsilon(D, d):
+    """Oracle: the two epsilon functions that jacobi._epsilon_D replaced,
+    dispatched on D = 0 as the Hecke value did."""
+    return nonzero_epsilon(D, d) if D else zero_epsilon(d)
+
+
+def test_epsilon_matches_the_split_oracle():
+    assert all(jacobi._epsilon_D(D, d) == split_epsilon(D, d)
+               for D in range(-200, 201) for d in range(1, 151))
+
+
 def hecke_value_by_fractions(t, n, k, D, r):
     """Oracle: C_{phi|T_n}(D, r) with every weight factor d^(k-2) a
     Fraction."""
@@ -447,7 +477,7 @@ def hecke_value_by_fractions(t, n, k, D, r):
             continue
         Ds = n * n * D // (d * d)
         rp = jacobi._hecke_rprime(t.m, n, d, r, Ds)
-        eps = jacobi._epsilon_D(D, d) if D else jacobi._epsilon_zero(d)
+        eps = split_epsilon(D, d)
         if rp is not None and eps:
             total += Fraction(d) ** (k - 2) * eps * t.get(Ds, rp)
     return total

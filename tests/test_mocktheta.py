@@ -171,6 +171,28 @@ def test_step_matches_building_from_one(have, want, w, extra):
     same_series(stepped, _step(QSeries({0: 1}, w), {}, want, w))
 
 
+_fractional_factor_maps = st.dictionaries(
+    st.tuples(st.sampled_from([1, -1, Fraction(1, 2), ex(Fraction(1, 3))]),
+              st.builds(Fraction, st.integers(1, 24),
+                        st.sampled_from([2, 3]))),
+    st.integers(-2, 2), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fractional_factor_maps, _fractional_factor_maps,
+       st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3])),
+       st.builds(Fraction, st.integers(0, 10)))
+def test_step_with_fractional_exponents_matches_building_from_one(
+        have, want, w, extra):
+    # exponents with den 2 and 3: series_binomial never lowers the den, so
+    # a product stepped past its fractional factors may keep a larger den
+    # than the one built from 1; the terms and the window agree
+    one = QSeries({0: 1}, w + extra)
+    stepped = _step(_step(one, {}, have, w + extra), have, want, w)
+    built = _step(QSeries({0: 1}, w), {}, want, w)
+    assert (stepped.items(), stepped.order) == (built.items(), built.order)
+
+
 def test_powers_merges_factors_below_the_window():
     assert _powers([(-1, 1, 2, math.inf, 2), (-1, 1, 1, 3, -1)], 6) == \
         {(-1, 1): 1, (-1, 2): -1, (-1, 3): 1, (-1, 5): 2}
