@@ -30,8 +30,8 @@ from .errors import (
 )
 from .jacobi import stream_combination
 from .series import (
-    QSeries, series_binomial, series_half_shift, series_rescale,
-    series_shift, series_verdict,
+    QSeries, _slot_bytes, _unpack, series_binomial, series_half_shift,
+    series_rescale, series_shift, series_verdict,
 )
 
 __all__ = [
@@ -61,8 +61,18 @@ def pochhammer(a, x, n, order):
         raise BadPochhammer(f"n = {n!r} is not a nonnegative int or math.inf")
     (ca, ea), (cx, ex_) = _as_monomial(a), _as_monomial(x)
     w = Fraction(order)
-    return _step(QSeries({0: 1}, w), {}, _powers([(ca, ea, ex_, n, 1)], w, cx),
-                 w)
+    return _product(_powers([(ca, ea, ex_, n, 1)], w, cx), w)
+
+
+def _product(want, w):
+    """The product of the factor map `want` below the window w: packed
+    (_packed_sum) when every c is an int and every e an integer >= 1, else
+    by series_binomial steps (_step)."""
+    if all(type(c) is int and e >= 1 and e.denominator == 1
+           for c, e in want):
+        want = {(c, int(e)): p for (c, e), p in want.items()}
+        return _packed_sum(lambda W: [(0, 1, want)], 0, w)
+    return _step(QSeries({0: 1}, w), {}, want, w)
 
 
 def _powers(factors, w, x=1):
@@ -72,13 +82,15 @@ def _powers(factors, w, x=1):
     out = {}
     for c, j, k, count, power in factors:
         if k > 0:
-            count = min(count, max(math.ceil((w - j) / k), 0))
+            # ceil((w - j) / k), exact for ints and Fractions alike
+            count = min(count, max(-((j - w) // k), 0))
         elif count == math.inf:
             raise Divergent("infinite product with non-increasing exponents")
+        same = type(c) is int and type(x) is int and x == 1  # c x^i is c
         for i in range(count):
             e = j + i * k
             if e < w:
-                key = (cmul(c, x ** i), e)
+                key = (c if same else cmul(c, x ** i), e)
                 out[key] = out.get(key, 0) + power
     return out
 
@@ -88,13 +100,78 @@ def _step(f, have, want, w):
     {(c, e): power} from _powers, below the window w: one series_binomial
     step per factor gained and one inverse step per factor dropped, by
     rising exponent.  Factors at or above w are 1 inside it and take no
-    step; with none to take, f is cut to w."""
+    step; with none to take, f is cut to w.  The path for Fraction or Cyc
+    c and for fractional or non-positive e; int maps go to _packed_sum."""
     stepped = False
     for c, e in sorted({**have, **want}, key=lambda ce: ce[1]):
         d = want.get((c, e), 0) - have.get((c, e), 0)
         for _ in range(abs(d) if e < w else 0):
             f, stepped = series_binomial(f, c, e, w, d < 0), True
     return f if stepped else QSeries(f.coeffs, min(f.order, w), f.den)
+
+
+# -- packed products ------------------------------------------------------
+#
+# q -> X = 2^s maps Z[q]/(q^W) into Z/2^(sW) as a ring homomorphism, so a
+# truncated int series is one integer with an s-bit slot per power of q,
+# and every step below is exact modulo 2^(s w) for its window w: slots may
+# wrap around in between.  Only the decoded sum must fit its slots, and the
+# L1 norm, submultiplicative under truncation, bounds every coefficient:
+#
+#   |f (1 - c q^e)|_1 <= (1 + |c|) |f|_1,
+#   |f / (1 - c q^e)|_1 <= |f|_1 sum_{j < ceil(w/e)} |c|^j   (below q^w).
+
+def _l1_bound(want, w):
+    """A bound on the L1 norm of the product of the map `want` (int c,
+    integer e >= 1) below q^w."""
+    b = 1
+    for (c, e), p in want.items():
+        a = abs(c)
+        if p > 0:
+            b *= (1 + a) ** p
+        elif a:
+            m = -(-w // e)  # terms c^j q^(j e) below q^w
+            b *= (m if a == 1 else (a ** m - 1) // (a - 1)) ** -p
+    return b
+
+
+def _packed_sum(plan, const, order):
+    """const + sum_n sign_n q^(lead_n) prod(want_n) below `order`, as a
+    QSeries with int coefficients and den 1.
+
+    plan(W) iterates the summands (lead_n, sign_n, want_n) for the integer
+    window W = max(math.ceil(order), 0), each want_n a factor map (int c,
+    integer e >= 1) from _powers at w_n = W - lead_n.  It is run twice:
+    once for the slot width, from the L1 bounds, and once for the steps, so
+    no two maps are held at once.  Summand n's product is summand n-1's
+    stepped by the factors gained and dropped: a gained factor is
+    u - c (u << s e); a dropped one multiplies by 1/(1 - y), y = c X^e,
+    as prod_j (1 + y^(2^j)), log2(w/e) shift-adds.  One decode at the end
+    builds the series."""
+    W = max(math.ceil(order), 0)
+    bound = abs(const) + sum(abs(sign) * _l1_bound(want, W - lead)
+                             for lead, sign, want in plan(W))
+    nbytes = _slot_bytes(bound)
+    s = 8 * nbytes
+    total, u, have = const, 1, {}
+    for lead, sign, want in plan(W):
+        w = W - lead
+        mask = (1 << (s * w)) - 1
+        u &= mask
+        for c, e in {key for key, _ in want.items() ^ have.items()}:
+            d = want.get((c, e), 0) - have.get((c, e), 0)
+            if not (d and c and e < w):
+                continue
+            for _ in range(d):
+                u = (u - c * (u << (s * e))) & mask
+            for _ in range(-d):
+                y, t = c, e
+                while t < w:
+                    u = (u + y * (u << (s * t))) & mask
+                    y, t = y * y, 2 * t
+        have = want
+        total += sign * (u << (s * lead))
+    return QSeries(_unpack(total, nbytes, W), order)
 
 
 # -- Eulerian series ------------------------------------------------------
@@ -194,21 +271,20 @@ def eulerian(name, order):
     """The named series, truncated below `order`.  The n-th summand starts
     at q^lead(n), so its product is needed only below order - lead(n); it
     is the (n-1)-th summand's product stepped by the factors gained and
-    dropped (_step), at a window that only shrinks as lead(n) rises."""
+    dropped, at a window that only shrinks as lead(n) rises.  Every
+    registered factor has an int c and an integer e >= 1, so the whole sum
+    is one packed integer (_packed_sum), decoded once."""
     if name not in EULERIAN_DEFS:
         raise UnknownName(name)
-    order = Fraction(order)
     lead, factors, sign, const = EULERIAN_DEFS[name]
-    out, unit, have = QSeries({0: const}, order), QSeries({0: 1}, order), {}
-    n = 0
-    while lead(n) < order:
-        w = order - lead(n)
-        want = _powers(factors(n), w)
-        unit, have = _step(unit, have, want, w), want
-        s = sign(n)
-        out = out + series_shift(unit if s == 1 else s * unit, lead(n))
-        n += 1
-    return out
+
+    def plan(W):
+        n = 0
+        while lead(n) < W:
+            yield lead(n), sign(n), _powers(factors(n), W - lead(n))
+            n += 1
+
+    return _packed_sum(plan, const, Fraction(order))
 
 
 # -- table rows -----------------------------------------------------------
@@ -353,8 +429,7 @@ def verify_andrews_hickerson(order=100):
         (-1, 1, 2, 2), (-1, 1, 6, 1), (-1, 5, 6, 1), (1, 6, 6, 1)]], order)
     b = _powers([(c, j, k, math.inf, p) for c, j, k, p in [
         (-1, 1, 2, 2), (-1, 3, 6, 2), (1, 6, 6, 1)]], order)
-    prod_a = _step(QSeries({0: 1}, order), {}, a, order)
-    prod_b = _step(prod_a, a, b, order)  # by the factors that differ
+    prod_a, prod_b = _product(a, order), _product(b, order)
     cases = [
         ("rho", psi2 + eulerian("6:rho", order), prod_a),
         ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),

@@ -235,7 +235,7 @@ def _mul_kronecker(ca, cb, cutoff):
     performs the convolution.  A product slot holds a sum of at most
     min(#a, #b) terms, each at most max|a| * max|b| in size; s bytes give
     that bound's bits plus a sign bit.  Slot values are stored offset by
-    half = 2^(8s-1), so packing and unpacking stay byte copies."""
+    half = 2^(8s-1), so packing and unpacking (_unpack) stay byte copies."""
     if not ca or not cb:
         return {}
     la, lb = min(ca), min(cb)
@@ -248,14 +248,27 @@ def _mul_kronecker(ca, cb, cutoff):
     n = -(-span // g)  # product slots below the cutoff
     bound = (max(abs(ca[k]) for k in ka) * max(abs(cb[k]) for k in kb)
              * min(len(ka), len(kb)))
-    s = (bound.bit_length() + 8) // 8
+    s = _slot_bytes(bound)
     half = 1 << (8 * s - 1)
     c = _pack(ca, ka, la, g, s, half) * _pack(cb, kb, lb, g, s, half)
-    # adding half to each of the n low slots leaves every slot in [0, 2^8s)
+    return _unpack(c, s, n, la + lb, g)
+
+
+def _slot_bytes(bound):
+    """Bytes per slot for ints of absolute value at most bound: the
+    bound's bits and a sign bit, rounded up to whole bytes."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _unpack(packed, s, n, base=0, g=1):
+    """{base + g j: a_j} over the nonzero a_j, where packed is congruent to
+    sum_{j<n} a_j 2^(8 s j) mod 2^(8 s n) and each a_j lies in
+    [-2^(8s-1), 2^(8s-1)).  Adding half = 2^(8s-1) to every slot leaves
+    each slot in [0, 2^8s), so the decode is a byte copy per slot."""
+    half = 1 << (8 * s - 1)
     offset = int.from_bytes(half.to_bytes(s, "little") * n, "little")
-    low = (c + offset) & ((1 << (8 * s * n)) - 1)
+    low = (packed + offset) & ((1 << (8 * s * n)) - 1)
     raw = low.to_bytes(s * n, "little")
-    base = la + lb
     return {base + g * j: v - half
             for j, v in enumerate(int.from_bytes(raw[i:i + s], "little")
                                   for i in range(0, s * n, s))
@@ -331,9 +344,17 @@ def series_rescale(a, t):
 def series_half_shift(a, s):
     """tau -> tau + s for rational s: coefficient at exponent x picks up
     e^{2 pi i s x}."""
-    s = Fraction(s)
-    out = {k: cmul(v, ex(s * Fraction(k, a.den)))
-           for k, v in a.coeffs.items()}
+    # e^{2 pi i t k}, t = s/den, depends on k only mod the den of t: one
+    # root per residue class met
+    t = Fraction(s) / a.den
+    roots = {}
+    out = {}
+    for k, v in a.coeffs.items():
+        r = k % t.denominator
+        root = roots.get(r)
+        if root is None:
+            root = roots[r] = ex(t * r)
+        out[k] = cmul(v, root)
     return QSeries(out, a.order, a.den)
 
 

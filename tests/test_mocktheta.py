@@ -1,5 +1,7 @@
 import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,13 @@ from mjtheta import mocktheta, series
 from mjtheta.errors import Divergent, MissingSource, UnknownName
 from mjtheta.jacobi import _stream_window, h_stream
 from mjtheta.mocktheta import (
-    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _powers, _step, eulerian,
-    pochhammer, row_names, verify_andrews_hickerson, verify_table14_15,
-    verify_watson,
+    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _packed_sum, _powers, _step,
+    eulerian, pochhammer, row_names, verify_andrews_hickerson,
+    verify_table14_15, verify_watson,
 )
 from mjtheta.series import (
-    QSeries, _arg_transform, series_eq, series_mul, series_pow,
-    series_slice,
+    QSeries, _arg_transform, _slot_bytes, _unpack, series_eq, series_mul,
+    series_pow, series_shift, series_slice,
 )
 
 q = (1, 1)
@@ -128,7 +130,8 @@ def test_eulerian_matches_full_window_product(order):
 
 
 def test_one_pochhammer_path(monkeypatch):
-    # every product is built by series_binomial steps alone
+    # no product is built by series_mul or series_pow: each is stepped
+    # factor by factor, packed or by series_binomial
     def banned(*args):
         raise AssertionError("series_mul or series_pow called")
 
@@ -191,6 +194,131 @@ def test_step_with_fractional_exponents_matches_building_from_one(
     stepped = _step(_step(one, {}, have, w + extra), have, want, w)
     built = _step(QSeries({0: 1}, w), {}, want, w)
     assert (stepped.items(), stepped.order) == (built.items(), built.order)
+
+
+def test_int_maps_take_no_dict_step(monkeypatch):
+    # every Eulerian series, both Andrews-Hickerson products and every int
+    # Pochhammer product with exponents >= 1 is packed; the others step
+    def banned(*args):
+        raise AssertionError("series_binomial called")
+
+    monkeypatch.setattr(mocktheta, "series_binomial", banned)
+    for name in EULERIAN_NAMES:
+        eulerian(name, 30)
+    assert all(rep["status"] == "verified"
+               for rep in verify_andrews_hickerson(30))
+    pochhammer(q, q, math.inf, 30)
+    pochhammer((-3, 2), (2, 3), 6, 30)
+    for a, x in [((Fraction(1), 1), q), ((1, Fraction(1, 2)), q),
+                 ((1, 0), q)]:
+        with pytest.raises(AssertionError, match="series_binomial"):
+            pochhammer(a, x, 3, 30)
+
+
+def test_registry_factors_pack():
+    # the packed kernel needs an int c and an integer e >= 1 in every factor
+    for name in EULERIAN_NAMES:
+        lead, factors, sign, const = EULERIAN_DEFS[name]
+        assert type(const) is int, name
+        for n in range(60):
+            assert type(lead(n)) is int and type(sign(n)) is int, name
+            for c, e in _powers(factors(n), 10 ** 6):
+                assert type(c) is int and type(e) is int and e >= 1, \
+                    (name, n)
+
+
+# -- the packed kernel against series_binomial steps -----------------------
+#
+# The oracle is the dict path: each summand's product stepped from the one
+# before by _step (series_binomial), shifted, scaled and added as series.
+
+def stepped_sum(summands, const, order):
+    order = Fraction(order)
+    out, unit, have = QSeries({0: const}, order), QSeries({0: 1}, order), {}
+    for lead, sign, want in summands:
+        if lead >= order:
+            break
+        w = order - lead
+        unit, have = _step(unit, have, want, w), want
+        out = out + series_shift(sign * unit, lead)
+    return out
+
+
+def packed(summands, const, order):
+    return _packed_sum(lambda W: [s for s in summands if s[0] < W], const,
+                       Fraction(order))
+
+
+_int_maps = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(1, 12)), st.integers(-3, 3),
+    max_size=6)
+
+
+@st.composite
+def packed_plan(draw):
+    """Summands (lead, sign, want) with non-decreasing leads in [0, 60],
+    signs in [-3, 3], and each want the one before with some powers
+    redrawn (a have -> want chain); a constant; a window 0-60, integral or
+    with den 2 or 3.  The maps hold factors at or above their windows too:
+    those are 1 inside them."""
+    leads = sorted(draw(st.lists(st.integers(0, 60), min_size=1,
+                                 max_size=5)))
+    summands, want = [], {}
+    for lead in leads:
+        want = {**want, **draw(_int_maps)}
+        summands.append((lead, draw(st.integers(-3, 3)), want))
+    order = Fraction(draw(st.integers(0, 60)), draw(st.sampled_from([1, 2,
+                                                                     3])))
+    return summands, draw(st.integers(-3, 3)), order
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_plan())
+@example(([(0, 1, {(1, 1): -1})], 0, Fraction(60)))  # partitions-like
+@example(([(0, 1, {(-3, 1): 3, (3, 2): -3})], 0, Fraction(121, 2)))
+@example(([(0, -2, {(1, 1): 1}), (3, 1, {(1, 1): 0, (-1, 2): -2})], 2,
+          Fraction(0)))
+def test_packed_sum_matches_stepped_sum(plan):
+    summands, const, order = plan
+    got, want = packed(summands, const, order), \
+        stepped_sum(summands, const, order)
+    same_series(got, want)
+    assert all(type(v) is int for v in got.coeffs.values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
+def test_slot_width_edge(k, monkeypatch):
+    top = 2 ** (8 * k - 1)
+    assert _slot_bytes(top - 1) == k and _slot_bytes(top) == k + 1
+    # the extreme values of a k-byte slot decode exactly, next to each
+    # other and with bits above the n slots
+    vals = [top - 1, -(top - 1), -(top - 1), top - 1, 0, -top, 1]
+    packed_vals = sum(v << (8 * k * j) for j, v in enumerate(vals))
+    for extra in (0, 5 << (8 * k * len(vals))):
+        assert _unpack(packed_vals + extra, k, len(vals)) == \
+            {j: v for j, v in enumerate(vals) if v}
+    # through the kernel: a bound of top - 1 gets k bytes, and sums at
+    # +-(top - 1) decode exactly, alone and after dropped factors
+    widths = []
+    monkeypatch.setattr(mocktheta, "_slot_bytes",
+                        lambda b: widths.append(_slot_bytes(b)) or widths[-1])
+    for v in (top - 1, -(top - 1)):
+        assert packed([], v, 1).coeffs == {0: v}
+        dropped = [(0, 0, {(-1, 1): 2, (1, 2): -1}), (1, v, {})]
+        got = packed(dropped, 0, 3)
+        assert got.coeffs == {1: v}
+        same_series(got, stepped_sum(dropped, 0, 3))
+    assert widths == [k] * 4
+    assert packed([], -top, 1).coeffs == {0: -top} and widths[-1] == k + 1
+
+
+def test_eulerian_outputs_are_pinned():
+    # every Eulerian expansion at order 100 and the Watson and
+    # Andrews-Hickerson verdicts, byte for byte (tools/eulerian_outputs.py)
+    root = Path(__file__).parent.parent
+    tool = runpy.run_path(str(root / "tools" / "eulerian_outputs.py"))
+    golden = root / "tests" / "data" / "eulerian_outputs.txt"
+    assert tool["render"]() == golden.read_text()
 
 
 def test_powers_merges_factors_below_the_window():

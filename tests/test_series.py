@@ -113,6 +113,28 @@ def test_half_shift_fractional_exponents():
     assert b.coeff(Fraction(1, 24)) == 2 * ex(Fraction(1, 48))
 
 
+_shift_values = st.one_of(
+    st.integers(-5, 5), st.fractions(max_denominator=4),
+    st.sampled_from([ex(Fraction(1, 3)), -ex(Fraction(1, 4))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(-40, 150), _shift_values, max_size=60),
+       st.sampled_from([1, 2, 3, 24, 96]),
+       st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+def test_half_shift_matches_one_root_per_coefficient(coeffs, den, s):
+    # the oracle takes e^{2 pi i s k/den} afresh at every key k; the
+    # package takes one root per residue of k
+    a = QSeries(coeffs, 200, den)
+    got = series_half_shift(a, s)
+    want = QSeries({k: cmul(v, ex(s * Fraction(k, den)))
+                    for k, v in a.coeffs.items()}, a.order, den)
+    assert (got.coeffs, got.den, got.order) == \
+        (want.coeffs, want.den, want.order)
+    assert [type(v) for v in got.coeffs.values()] == \
+        [type(v) for v in want.coeffs.values()]
+
+
 def test_slice():
     a = poly({0: 1, 1: 2, 2: 3, 3: 4, 4: 5}, order=5)
     s = series_slice(a, 1, 2)
