@@ -61,18 +61,7 @@ def pochhammer(a, x, n, order):
         raise BadPochhammer(f"n = {n!r} is not a nonnegative int or math.inf")
     (ca, ea), (cx, ex_) = _as_monomial(a), _as_monomial(x)
     w = Fraction(order)
-    return _product(_powers([(ca, ea, ex_, n, 1)], w, cx), w)
-
-
-def _product(want, w):
-    """The product of the factor map `want` below the window w: packed
-    (_packed_sum) when every c is an int and every e an integer >= 1, else
-    by series_binomial steps (_step)."""
-    if all(type(c) is int and e >= 1 and e.denominator == 1
-           for c, e in want):
-        want = {(c, int(e)): p for (c, e), p in want.items()}
-        return _packed_sum(lambda W: [(0, 1, want)], 0, w)
-    return _step(QSeries({0: 1}, w), {}, want, w)
+    return _binomial_product(_powers([(ca, ea, ex_, n, 1)], w, cx), w)
 
 
 def _powers(factors, w, x=1):
@@ -86,28 +75,26 @@ def _powers(factors, w, x=1):
             count = min(count, max(-((j - w) // k), 0))
         elif count == math.inf:
             raise Divergent("infinite product with non-increasing exponents")
-        same = type(c) is int and type(x) is int and x == 1  # c x^i is c
         for i in range(count):
             e = j + i * k
             if e < w:
-                key = (c if same else cmul(c, x ** i), e)
+                key = (cmul(c, x ** i), e)
                 out[key] = out.get(key, 0) + power
     return out
 
 
-def _step(f, have, want, w):
-    """f times the binomial factors of `want` over those of `have`, maps
-    {(c, e): power} from _powers, below the window w: one series_binomial
-    step per factor gained and one inverse step per factor dropped, by
-    rising exponent.  Factors at or above w are 1 inside it and take no
-    step; with none to take, f is cut to w.  The path for Fraction or Cyc
-    c and for fractional or non-positive e; int maps go to _packed_sum."""
-    stepped = False
-    for c, e in sorted({**have, **want}, key=lambda ce: ce[1]):
-        d = want.get((c, e), 0) - have.get((c, e), 0)
-        for _ in range(abs(d) if e < w else 0):
-            f, stepped = series_binomial(f, c, e, w, d < 0), True
-    return f if stepped else QSeries(f.coeffs, min(f.order, w), f.den)
+def _binomial_product(want, w):
+    """The product of the factor map `want` ({(c, e): power} from _powers)
+    below the window w, built from 1 by one series_binomial step per factor
+    and power, inverse for a negative power, by rising exponent; factors at
+    or above w are 1 inside it and take no step.  Any c and e; the int maps
+    of the Eulerian series are packed instead (_packed_sum)."""
+    f = QSeries({0: 1}, w)
+    for c, e in sorted(want, key=lambda ce: ce[1]):
+        p = want[c, e]
+        for _ in range(abs(p) if e < w else 0):
+            f = series_binomial(f, c, e, w, p < 0)
+    return f
 
 
 # -- packed products ------------------------------------------------------
@@ -147,15 +134,19 @@ def _packed_sum(plan, const, order):
     stepped by the factors gained and dropped: a gained factor is
     u - c (u << s e); a dropped one multiplies by 1/(1 - y), y = c X^e,
     as prod_j (1 + y^(2^j)), log2(w/e) shift-adds.  One decode at the end
-    builds the series."""
+    builds the series.  The leads must be >= 0 and non-decreasing (else
+    AssertionError): a window wider than the one before would read slots
+    that were cut off and never stepped."""
     W = max(math.ceil(order), 0)
     bound = abs(const) + sum(abs(sign) * _l1_bound(want, W - lead)
                              for lead, sign, want in plan(W))
     nbytes = _slot_bytes(bound)
     s = 8 * nbytes
-    total, u, have = const, 1, {}
+    total, u, have, last = const, 1, {}, 0
     for lead, sign, want in plan(W):
-        w = W - lead
+        if lead < last:
+            raise AssertionError(f"lead {lead} after lead {last}")
+        w, last = W - lead, lead
         mask = (1 << (s * w)) - 1
         u &= mask
         for c, e in {key for key, _ in want.items() ^ have.items()}:
@@ -425,11 +416,13 @@ def verify_andrews_hickerson(order=100):
     psi2 = series_shift(series_rescale(eulerian("6:psi", order / 2 + 1), 2),
                         -1)
     phi2 = series_rescale(eulerian("6:phi", order / 2 + 1), 2)
-    a = _powers([(c, j, k, math.inf, p) for c, j, k, p in [
-        (-1, 1, 2, 2), (-1, 1, 6, 1), (-1, 5, 6, 1), (1, 6, 6, 1)]], order)
-    b = _powers([(c, j, k, math.inf, p) for c, j, k, p in [
-        (-1, 1, 2, 2), (-1, 3, 6, 2), (1, 6, 6, 1)]], order)
-    prod_a, prod_b = _product(a, order), _product(b, order)
+    prod_a, prod_b = [
+        _packed_sum(lambda W: [(0, 1, _powers(
+            [(c, j, k, math.inf, p) for c, j, k, p in factors], W))],
+            0, order)
+        for factors in [
+            [(-1, 1, 2, 2), (-1, 1, 6, 1), (-1, 5, 6, 1), (1, 6, 6, 1)],
+            [(-1, 1, 2, 2), (-1, 3, 6, 2), (1, 6, 6, 1)]]]
     cases = [
         ("rho", psi2 + eulerian("6:rho", order), prod_a),
         ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),

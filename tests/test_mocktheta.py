@@ -13,13 +13,13 @@ from mjtheta import mocktheta, series
 from mjtheta.errors import Divergent, MissingSource, UnknownName
 from mjtheta.jacobi import _stream_window, h_stream
 from mjtheta.mocktheta import (
-    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _packed_sum, _powers, _step,
-    eulerian, pochhammer, row_names, verify_andrews_hickerson,
+    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _binomial_product, _packed_sum,
+    _powers, eulerian, pochhammer, row_names, verify_andrews_hickerson,
     verify_table14_15, verify_watson,
 )
 from mjtheta.series import (
-    QSeries, _arg_transform, _slot_bytes, _unpack, series_eq, series_mul,
-    series_pow, series_shift, series_slice,
+    QSeries, _arg_transform, _slot_bytes, _unpack, series_binomial,
+    series_eq, series_mul, series_pow, series_shift, series_slice,
 )
 
 q = (1, 1)
@@ -155,6 +155,21 @@ def test_lead_is_non_decreasing(name):
     assert all(lead(n) <= lead(n + 1) for n in range(200))
 
 
+def _step(f, have, want, w):
+    """f times the binomial factors of `want` over those of `have`, maps
+    {(c, e): power} from _powers, below the window w: one series_binomial
+    step per factor gained and one inverse step per factor dropped, by
+    rising exponent.  Factors at or above w are 1 inside it and take no
+    step; with none to take, f is cut to w.  The chained oracle for the
+    package's products built from 1 and for the packed kernel."""
+    stepped = False
+    for c, e in sorted({**have, **want}, key=lambda ce: ce[1]):
+        d = want.get((c, e), 0) - have.get((c, e), 0)
+        for _ in range(abs(d) if e < w else 0):
+            f, stepped = series_binomial(f, c, e, w, d < 0), True
+    return f if stepped else QSeries(f.coeffs, min(f.order, w), f.den)
+
+
 _factor_maps = st.dictionaries(
     st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2), ex(Fraction(1, 3))]),
               st.integers(1, 12)),
@@ -171,7 +186,7 @@ def test_step_matches_building_from_one(have, want, w, extra):
     # in eulerian, so the den is 1 both ways
     one = QSeries({0: 1}, w + extra)
     stepped = _step(_step(one, {}, have, w + extra), have, want, w)
-    same_series(stepped, _step(QSeries({0: 1}, w), {}, want, w))
+    same_series(stepped, _binomial_product(want, w))
 
 
 _fractional_factor_maps = st.dictionaries(
@@ -192,13 +207,13 @@ def test_step_with_fractional_exponents_matches_building_from_one(
     # than the one built from 1; the terms and the window agree
     one = QSeries({0: 1}, w + extra)
     stepped = _step(_step(one, {}, have, w + extra), have, want, w)
-    built = _step(QSeries({0: 1}, w), {}, want, w)
+    built = _binomial_product(want, w)
     assert (stepped.items(), stepped.order) == (built.items(), built.order)
 
 
 def test_int_maps_take_no_dict_step(monkeypatch):
-    # every Eulerian series, both Andrews-Hickerson products and every int
-    # Pochhammer product with exponents >= 1 is packed; the others step
+    # every Eulerian series and both Andrews-Hickerson products are packed;
+    # pochhammer builds any product by series_binomial steps
     def banned(*args):
         raise AssertionError("series_binomial called")
 
@@ -207,12 +222,8 @@ def test_int_maps_take_no_dict_step(monkeypatch):
         eulerian(name, 30)
     assert all(rep["status"] == "verified"
                for rep in verify_andrews_hickerson(30))
-    pochhammer(q, q, math.inf, 30)
-    pochhammer((-3, 2), (2, 3), 6, 30)
-    for a, x in [((Fraction(1), 1), q), ((1, Fraction(1, 2)), q),
-                 ((1, 0), q)]:
-        with pytest.raises(AssertionError, match="series_binomial"):
-            pochhammer(a, x, 3, 30)
+    with pytest.raises(AssertionError, match="series_binomial"):
+        pochhammer(q, q, 3, 30)
 
 
 def test_registry_factors_pack():
@@ -284,6 +295,16 @@ def test_packed_sum_matches_stepped_sum(plan):
         stepped_sum(summands, const, order)
     same_series(got, want)
     assert all(type(v) is int for v in got.coeffs.values())
+
+
+def test_packed_sum_refuses_a_falling_lead():
+    # a wider window than the summand before would read slots cut off and
+    # never stepped; every Eulerian lead rises (test_lead_is_non_decreasing)
+    for summands in [[(3, 1, {(1, 1): -1}), (2, 1, {})], [(-1, 1, {})]]:
+        with pytest.raises(AssertionError, match="lead"):
+            packed(summands, 0, 10)
+    same_series(packed([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10),
+                stepped_sum([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
