@@ -7,7 +7,8 @@ definition of each acceptance criterion they check: `mjtheta verify` runs
 them per case, serially in one process, and tests/test_acceptance.py calls
 them directly.
 
-Exit codes: 0 success, 1 verification or computation failure, 2 usage error.
+Exit codes: 0 success, 1 verification or computation failure (or a
+reader that closed stdout early), 2 usage error.
 Reports are one line per case; --format records emits them as JSON objects
 with identical content.
 """
@@ -327,7 +328,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return rc
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MJTError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

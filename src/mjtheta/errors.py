@@ -72,15 +72,9 @@ class UnknownName(MJTError):
 
 
 class Divergent(MJTError):
-    """An expansion with no justified window: an infinite Pochhammer product
-    whose factors do not stabilize, 1/(1 - c q^e) for e <= 0
-    (series_binomial), the substitution q -> q^t, t <= 0, or a slice modulo
-    b <= 0; or a theta constant whose l = 0 term 0^(k-1) is infinite, k < 1
-    (theta_nullwert)."""
-
-
-class BadPochhammer(MJTError):
-    """pochhammer(a, x, n) with a or x not a monomial, or n not in N or inf."""
+    """An expansion with no justified window: the substitution q -> q^t,
+    t <= 0, or a slice modulo b <= 0; or a theta constant whose l = 0 term
+    0^(k-1) is infinite, k < 1 (theta_nullwert)."""
 
 
 class BadDiscriminant(MJTError):

@@ -24,79 +24,33 @@ shift that lines the stream's lead up with the Eulerian lead.
 import math
 from fractions import Fraction
 
-from .cyclo import cmul, ex
-from .errors import (
-    BadPochhammer, Divergent, InsufficientDepth, MissingSource, UnknownName,
-)
+from .cyclo import ex
+from .errors import InsufficientDepth, MissingSource, UnknownName
 from .jacobi import stream_combination
 from .series import (
-    QSeries, _slot_bytes, _unpack, series_binomial, series_half_shift,
-    series_rescale, series_shift, series_verdict,
+    QSeries, _slot_bytes, _unpack, series_half_shift, series_rescale,
+    series_shift, series_verdict,
 )
 
 __all__ = [
-    "pochhammer", "eulerian", "EULERIAN_NAMES", "ROWS", "row_names",
+    "eulerian", "EULERIAN_NAMES", "ROWS", "row_names",
     "verify_table14_15", "verify_watson", "verify_andrews_hickerson",
 ]
 
 
 # -- q-Pochhammer ---------------------------------------------------------
 
-def _as_monomial(f):
-    """(coefficient, exponent) of a single-term QSeries or a pair."""
-    if isinstance(f, QSeries) and len(f.coeffs) == 1:
-        return f.items()[0][::-1]
-    if isinstance(f, tuple) and len(f) == 2:
-        return f[0], Fraction(f[1])
-    raise BadPochhammer(f"{f!r} is not a single-term monomial")
-
-
-def pochhammer(a, x, n, order):
-    """(a; x)_n = prod_{k=0}^{n-1} (1 - a x^k), truncated below `order`.
-
-    a, x are monomials (QSeries with a single term, or (coeff, exponent)
-    pairs); n is a nonnegative integer or math.inf (else BadPochhammer).
-    """
-    if not (n == math.inf or isinstance(n, int) and n >= 0):
-        raise BadPochhammer(f"n = {n!r} is not a nonnegative int or math.inf")
-    (ca, ea), (cx, ex_) = _as_monomial(a), _as_monomial(x)
-    w = Fraction(order)
-    return _binomial_product(_powers([(ca, ea, ex_, n, 1)], w, cx), w)
-
-
-def _powers(factors, w, x=1):
-    """{(c x^i, j + i k): total power} over the factors (1 - c x^i q^(j+ik)),
+def _powers(factors, w):
+    """{(c, j + i k): total power} over the factors (1 - c q^(j+ik)),
     i < count, of each (c, j, k, count, power) with j + i k below the window
-    w; count is a nonnegative int, or math.inf when k > 0."""
+    w; k >= 1, and count is a nonnegative int or math.inf."""
     out = {}
     for c, j, k, count, power in factors:
-        if k > 0:
-            # ceil((w - j) / k), exact for ints and Fractions alike
-            count = min(count, max(-((j - w) // k), 0))
-        elif count == math.inf:
-            raise Divergent("infinite product with non-increasing exponents")
-        # c x^i is c: a cmul per factor was a fifth of mock-theta's run_s
-        same = type(c) is int and type(x) is int and x == 1
-        for i in range(count):
-            e = j + i * k
-            if e < w:
-                key = (c if same else cmul(c, x ** i), e)
-                out[key] = out.get(key, 0) + power
+        # ceil((w - j) / k), exact for ints and Fractions alike
+        for i in range(min(count, max(-((j - w) // k), 0))):
+            key = (c, j + i * k)
+            out[key] = out.get(key, 0) + power
     return out
-
-
-def _binomial_product(want, w):
-    """The product of the factor map `want` ({(c, e): power} from _powers)
-    below the window w, built from 1 by one series_binomial step per factor
-    and power, inverse for a negative power, by rising exponent; factors at
-    or above w are 1 inside it and take no step.  Any c and e; the int maps
-    of the Eulerian series are packed instead (_packed_sum)."""
-    f = QSeries({0: 1}, w)
-    for c, e in sorted(want, key=lambda ce: ce[1]):
-        p = want[c, e]
-        for _ in range(abs(p) if e < w else 0):
-            f = series_binomial(f, c, e, w, p < 0)
-    return f
 
 
 # -- packed products ------------------------------------------------------

@@ -15,9 +15,9 @@ from .cyclo import cadd, cmul, cneg, cinv, ciszero, ex, cformat
 from .errors import Divergent, NonInvertibleLeadingTerm
 
 __all__ = [
-    "QSeries", "series_add", "series_mul", "series_binomial", "series_pow",
-    "series_rescale", "series_half_shift", "series_slice", "series_shift",
-    "series_eq", "series_first_mismatch", "series_verdict",
+    "QSeries", "series_add", "series_mul", "series_pow", "series_rescale",
+    "series_half_shift", "series_slice", "series_shift", "series_eq",
+    "series_first_mismatch", "series_verdict",
 ]
 
 
@@ -163,56 +163,6 @@ def series_mul(a, b):
 
 def _all_int(coeffs):
     return all(type(v) is int for v in coeffs.values())
-
-
-def series_binomial(f, c, e, w, inverse=False):
-    """f * (1 - c q^e), or f / (1 - c q^e) when inverse, with the factor
-    (for the inverse, its geometric series) known below the window w.
-
-    One pass over the window in place of a convolution:
-    g_k = f_k - c f_(k-e) forward, g_k = f_k + c g_(k-e) inverse (e > 0).
-    The series, its den and its window are those of series_mul by the
-    truncated factor: min(f.order + lo(factor), w + lo(f)).  The den is
-    lcm(f.den, den of e) and never lowered, so a product stepped back past
-    its only fractional exponent keeps that den; compare such products by
-    items() and order."""
-    e, w = Fraction(e), Fraction(w)
-    if inverse and e <= 0:
-        raise Divergent(f"1/(1 - c q^{e}) has no expansion in rising powers")
-    if inverse:
-        # 1 + c q^e + c^2 q^2e + ...: the constant is the lowest term
-        terms = [(0, 1)]
-    elif e:
-        terms = [(0, 1), (e, c)]
-    else:
-        terms = [(0, cadd(1, cneg(c)))]
-    lo_factor = min((x for x, v in terms if x < w and not ciszero(v)),
-                    default=w)
-    order = min(f.order + lo_factor, w + _lo_eff(f))
-    den = lcm(f.den, e.denominator)
-    fa = den // f.den
-    fs = f.coeffs if fa == 1 else {k * fa: v for k, v in f.coeffs.items()}
-    step = e.numerator * (den // e.denominator)
-    cutoff = ceil(order * den)
-    if not inverse:
-        out = {k: v for k, v in fs.items() if k < cutoff}
-        if not ciszero(c):
-            nc = cneg(c)
-            for k, v in fs.items():
-                t = k + step
-                if t < cutoff:
-                    out[t] = cadd(out.get(t, 0), cmul(nc, v))
-        return QSeries(out, order, den)
-    lo = min(fs, default=cutoff)
-    g = [0] * max(cutoff - lo, 0)
-    for k, v in fs.items():
-        if k < cutoff:
-            g[k - lo] = v
-    for i in range(step, len(g)):
-        b = g[i - step]
-        if b:
-            g[i] = cadd(g[i], cmul(c, b))
-    return QSeries(dict(enumerate(g, lo)), order, den)
 
 
 def _mul_pairs(ca, cb, cutoff):

@@ -115,19 +115,55 @@ def test_fit_outputs_are_pinned(capsys, monkeypatch):
     assert "".join(out) == golden.read_text()
 
 
-def test_verify_all_records_do_not_depend_on_asserts():
-    # python -O strips asserts: the records must not change without them
+def child_env():
+    """The environment of a `python -m mjtheta.cli` child: src on its path
+    and no data file."""
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     env.pop(DATA_ENV, None)
+    return env
+
+
+def test_verify_all_records_do_not_depend_on_asserts():
+    # python -O strips asserts: the records must not change without them
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "mjtheta.cli", "verify", "all",
          "--format", "records"],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=child_env(), timeout=300)
     golden = Path(__file__).parent / "data" / "verify_all_records.txt"
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == golden.read_text()
+
+
+def first_line_then_close(*argv):
+    """(line, rc, stderr) of `mjtheta argv | head -1`: read one line of the
+    child's stdout, then close the pipe.  Where Linux allows it the pipe
+    holds one page, so the output left after that line cannot all fit in
+    it and meets the closed reader."""
+    fcntl = pytest.importorskip("fcntl")
+    r, w = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(r, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mjtheta.cli", *argv], stdout=w,
+        stderr=subprocess.PIPE, text=True, env=child_env())
+    os.close(w)
+    with os.fdopen(r, "rb", buffering=0) as reader:
+        line = reader.readline()  # unbuffered: one byte at a time
+    _, err = proc.communicate(timeout=300)
+    return line, proc.returncode, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--format", "records"],
+    ["expand", "--eta", "1^24/2^24", "--order", "3000"],
+], ids=["verify-records", "expand"])
+def test_closed_pipe_exits_1_quietly(argv):
+    line, rc, err = first_line_then_close(*argv)
+    assert line.endswith(b"\n")
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert rc == 1
 
 
 def bumped(t, key):

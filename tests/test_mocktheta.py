@@ -7,22 +7,19 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from mjtheta.cyclo import cmul, ex
+from mjtheta.cyclo import cmul
 from mjtheta.catalog import get_lambency
 from mjtheta import mocktheta, series
-from mjtheta.errors import Divergent, MissingSource, UnknownName
+from mjtheta.errors import MissingSource, UnknownName
 from mjtheta.jacobi import _stream_window, h_stream
 from mjtheta.mocktheta import (
-    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _binomial_product, _packed_sum,
-    _powers, eulerian, pochhammer, row_names, verify_andrews_hickerson,
-    verify_table14_15, verify_watson,
+    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _packed_sum, _powers, eulerian,
+    row_names, verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
 from mjtheta.series import (
-    QSeries, _arg_transform, _slot_bytes, _unpack, series_binomial,
-    series_eq, series_mul, series_pow, series_shift, series_slice,
+    QSeries, _arg_transform, _slot_bytes, _unpack, series_eq, series_mul,
+    series_pow, series_shift, series_slice,
 )
-
-q = (1, 1)
 
 INTERNAL_ROWS = [
     "3:psi", "3:nu", "3:phi",
@@ -48,7 +45,7 @@ def _geom(c, e, order):
 
 
 class FullWindowPoch:
-    """Prefix products (c q^j; x q^k)_n and their reciprocals at one window,
+    """Prefix products (c q^j; q^k)_n and their reciprocals at one window,
     one series_mul per factor."""
 
     def __init__(self, order):
@@ -56,32 +53,27 @@ class FullWindowPoch:
         self.fwd = {}
         self.inv = {}
 
-    def _extend(self, store, c, j, k, x, n, step):
-        seq = store.setdefault((c, j, k, x),
-                               [QSeries({0: 1}, self.order)])
+    def _extend(self, store, c, j, k, n, step):
+        seq = store.setdefault((c, j, k), [QSeries({0: 1}, self.order)])
         while len(seq) <= n:
-            i = len(seq) - 1
-            e = j + i * k
-            if e >= self.order:
-                seq.append(seq[-1])
-                continue
-            seq.append(step(seq[-1], cmul(c, x ** i), e))
+            e = j + (len(seq) - 1) * k
+            seq.append(seq[-1] if e >= self.order else step(seq[-1], e))
         return seq[n]
 
-    def get(self, c, j, k, n, power=1, x=1):
+    def get(self, c, j, k, n, power=1):
         if n is math.inf:
             n = 0
             while j + n * k < self.order:
                 n += 1
         if power >= 0:
             base = self._extend(
-                self.fwd, c, j, k, x, n,
-                lambda f, cc, e: series_mul(f, QSeries.from_terms(
-                    [(0, 1), (e, cmul(-1, cc))], self.order)))
+                self.fwd, c, j, k, n,
+                lambda f, e: series_mul(f, QSeries.from_terms(
+                    [(0, 1), (e, cmul(-1, c))], self.order)))
         else:
             base = self._extend(
-                self.inv, c, j, k, x, n,
-                lambda f, cc, e: series_mul(f, _geom(cc, e, self.order)))
+                self.inv, c, j, k, n,
+                lambda f, e: series_mul(f, _geom(c, e, self.order)))
         p = abs(power)
         return base if p == 1 else series_pow(base, p)
 
@@ -131,7 +123,7 @@ def test_eulerian_matches_full_window_product(order):
 
 def test_one_pochhammer_path(monkeypatch):
     # no product is built by series_mul or series_pow: each is stepped
-    # factor by factor, packed or by series_binomial
+    # factor by factor inside the packed kernel
     def banned(*args):
         raise AssertionError("series_mul or series_pow called")
 
@@ -141,8 +133,6 @@ def test_one_pochhammer_path(monkeypatch):
     monkeypatch.setattr(series, "series_pow", banned)
     for name in EULERIAN_NAMES:
         eulerian(name, 20)
-    pochhammer(q, q, math.inf, 20)
-    pochhammer((-1, 1), (1, 2), 5, 20)
     assert all(rep["status"] == "verified"
                for rep in verify_andrews_hickerson(20))
 
@@ -155,102 +145,35 @@ def test_lead_is_non_decreasing(name):
     assert all(lead(n) <= lead(n + 1) for n in range(200))
 
 
-def _step(f, have, want, w):
-    """f times the binomial factors of `want` over those of `have`, maps
-    {(c, e): power} from _powers, below the window w: one series_binomial
-    step per factor gained and one inverse step per factor dropped, by
-    rising exponent.  Factors at or above w are 1 inside it and take no
-    step; with none to take, f is cut to w.  The chained oracle for the
-    package's products built from 1 and for the packed kernel."""
-    stepped = False
-    for c, e in sorted({**have, **want}, key=lambda ce: ce[1]):
-        d = want.get((c, e), 0) - have.get((c, e), 0)
-        for _ in range(abs(d) if e < w else 0):
-            f, stepped = series_binomial(f, c, e, w, d < 0), True
-    return f if stepped else QSeries(f.coeffs, min(f.order, w), f.den)
-
-
-_factor_maps = st.dictionaries(
-    st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2), ex(Fraction(1, 3))]),
-              st.integers(1, 12)),
-    st.integers(-2, 2), max_size=5)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_factor_maps, _factor_maps,
-       st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 3])),
-       st.builds(Fraction, st.integers(0, 10)))
-def test_step_matches_building_from_one(have, want, w, extra):
-    # stepping the product of `have` (built at a window no narrower) to
-    # `want` is the product of `want` built from 1; integral exponents, as
-    # in eulerian, so the den is 1 both ways
-    one = QSeries({0: 1}, w + extra)
-    stepped = _step(_step(one, {}, have, w + extra), have, want, w)
-    same_series(stepped, _binomial_product(want, w))
-
-
-_fractional_factor_maps = st.dictionaries(
-    st.tuples(st.sampled_from([1, -1, Fraction(1, 2), ex(Fraction(1, 3))]),
-              st.builds(Fraction, st.integers(1, 24),
-                        st.sampled_from([2, 3]))),
-    st.integers(-2, 2), max_size=5)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_fractional_factor_maps, _fractional_factor_maps,
-       st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3])),
-       st.builds(Fraction, st.integers(0, 10)))
-def test_step_with_fractional_exponents_matches_building_from_one(
-        have, want, w, extra):
-    # exponents with den 2 and 3: series_binomial never lowers the den, so
-    # a product stepped past its fractional factors may keep a larger den
-    # than the one built from 1; the terms and the window agree
-    one = QSeries({0: 1}, w + extra)
-    stepped = _step(_step(one, {}, have, w + extra), have, want, w)
-    built = _binomial_product(want, w)
-    assert (stepped.items(), stepped.order) == (built.items(), built.order)
-
-
-def test_int_maps_take_no_dict_step(monkeypatch):
-    # every Eulerian series and both Andrews-Hickerson products are packed;
-    # pochhammer builds any product by series_binomial steps
-    def banned(*args):
-        raise AssertionError("series_binomial called")
-
-    monkeypatch.setattr(mocktheta, "series_binomial", banned)
-    for name in EULERIAN_NAMES:
-        eulerian(name, 30)
-    assert all(rep["status"] == "verified"
-               for rep in verify_andrews_hickerson(30))
-    with pytest.raises(AssertionError, match="series_binomial"):
-        pochhammer(q, q, 3, 30)
-
-
 def test_registry_factors_pack():
-    # the packed kernel needs an int c and an integer e >= 1 in every factor
+    # the packed kernel needs an int c and an integer e >= 1 in every
+    # factor, and _powers an int step k >= 1
     for name in EULERIAN_NAMES:
         lead, factors, sign, const = EULERIAN_DEFS[name]
         assert type(const) is int, name
         for n in range(60):
             assert type(lead(n)) is int and type(sign(n)) is int, name
+            assert all(type(k) is int and k >= 1
+                       for _c, _j, k, _count, _power in factors(n)), (name, n)
             for c, e in _powers(factors(n), 10 ** 6):
                 assert type(c) is int and type(e) is int and e >= 1, \
                     (name, n)
 
 
-# -- the packed kernel against series_binomial steps -----------------------
+# -- the packed kernel against the full-window product ---------------------
 #
-# The oracle is the dict path: each summand's product stepped from the one
-# before by _step (series_binomial), shifted, scaled and added as series.
+# The oracle builds each summand's product from 1 at its window, one
+# series_mul per factor (FullWindowPoch), and shifts, scales and adds the
+# summands as series: it shares no step with the kernel.
 
-def stepped_sum(summands, const, order):
+def full_window_sum(summands, const, order):
     order = Fraction(order)
-    out, unit, have = QSeries({0: const}, order), QSeries({0: 1}, order), {}
+    out = QSeries({0: const}, order)
     for lead, sign, want in summands:
         if lead >= order:
             break
-        w = order - lead
-        unit, have = _step(unit, have, want, w), want
+        unit = FullWindowPoch(order - lead).product(
+            [(c, e, 1, 1, p) for (c, e), p in want.items()])
         out = out + series_shift(sign * unit, lead)
     return out
 
@@ -289,10 +212,10 @@ def packed_plan(draw):
 @example(([(0, 1, {(-3, 1): 3, (3, 2): -3})], 0, Fraction(121, 2)))
 @example(([(0, -2, {(1, 1): 1}), (3, 1, {(1, 1): 0, (-1, 2): -2})], 2,
           Fraction(0)))
-def test_packed_sum_matches_stepped_sum(plan):
+def test_packed_sum_matches_full_window_sum(plan):
     summands, const, order = plan
     got, want = packed(summands, const, order), \
-        stepped_sum(summands, const, order)
+        full_window_sum(summands, const, order)
     same_series(got, want)
     assert all(type(v) is int for v in got.coeffs.values())
 
@@ -304,7 +227,7 @@ def test_packed_sum_refuses_a_falling_lead():
         with pytest.raises(AssertionError, match="lead"):
             packed(summands, 0, 10)
     same_series(packed([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10),
-                stepped_sum([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10))
+                full_window_sum([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
@@ -328,7 +251,7 @@ def test_slot_width_edge(k, monkeypatch):
         dropped = [(0, 0, {(-1, 1): 2, (1, 2): -1}), (1, v, {})]
         got = packed(dropped, 0, 3)
         assert got.coeffs == {1: v}
-        same_series(got, stepped_sum(dropped, 0, 3))
+        same_series(got, full_window_sum(dropped, 0, 3))
     assert widths == [k] * 4
     assert packed([], -top, 1).coeffs == {0: -top} and widths[-1] == k + 1
 
@@ -345,53 +268,36 @@ def test_eulerian_outputs_are_pinned():
 def test_powers_merges_factors_below_the_window():
     assert _powers([(-1, 1, 2, math.inf, 2), (-1, 1, 1, 3, -1)], 6) == \
         {(-1, 1): 1, (-1, 2): -1, (-1, 3): 1, (-1, 5): 2}
-    # a factor at the window bound is 1 inside it, also among falling ones
+    # a factor at the window bound is 1 inside it
     assert _powers([(1, 6, 1, 4, 1)], 6) == {}
-    assert _powers([(1, 6, -1, 3, 1)], 6) == {(1, 5): 1, (1, 4): 1}
 
 
-_pochhammer_scalars = st.one_of(
-    st.integers(min_value=-2, max_value=2),
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    st.sampled_from([ex(Fraction(1, 4)), ex(Fraction(2, 3))]))
-_exponents = st.builds(Fraction, st.integers(-4, 8),
-                       st.sampled_from([1, 2, 3]))
+def poch(c, j, k, n, order, power=1):
+    """(c q^j; q^k)_n ^ power below `order`: a registry factor, by _powers
+    and the packed kernel."""
+    return _packed_sum(
+        lambda W: [(0, 1, _powers([(c, j, k, n, power)], W))], 0, order)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_pochhammer_scalars, _exponents, _pochhammer_scalars, _exponents,
-       st.one_of(st.integers(min_value=0, max_value=8), st.just(math.inf)),
-       st.builds(Fraction, st.integers(-20, 90), st.sampled_from([1, 7])))
-# falling exponents 8, 5, 2, -1, -4: the first two factors are 1 in the
-# window, the later ones are not
-@example(1, Fraction(8), 1, Fraction(-3), 5, Fraction(5))
-def test_pochhammer_matches_full_window_product(ca, ea, cx, ex_, n, order):
-    if n is math.inf and ex_ <= 0:
-        with pytest.raises(Divergent):
-            pochhammer((ca, ea), (cx, ex_), n, order)
-        return
-    want = FullWindowPoch(order).get(ca, ea, ex_, n, x=cx)
-    same_series(pochhammer((ca, ea), (cx, ex_), n, order), want)
+@given(st.integers(-2, 2), st.integers(1, 8), st.integers(1, 4),
+       st.one_of(st.integers(0, 8), st.just(math.inf)), st.integers(-2, 2),
+       st.builds(Fraction, st.integers(0, 90), st.sampled_from([1, 7])))
+def test_pochhammer_matches_full_window_product(c, j, k, n, power, order):
+    same_series(poch(c, j, k, n, order, power),
+                FullWindowPoch(order).get(c, j, k, n, power))
 
-
-# -- pochhammer -----------------------------------------------------------
 
 def test_pochhammer_finite():
-    p = pochhammer(q, q, 2, 10)
-    assert p.items() == [(0, 1), (1, -1), (2, -1), (3, 1)]
-    assert pochhammer((Fraction(3), 2), q, 0, 10).items() == [(0, 1)]
+    assert poch(1, 1, 1, 2, 10).items() == [(0, 1), (1, -1), (2, -1), (3, 1)]
+    assert poch(3, 2, 1, 0, 10).items() == [(0, 1)]
 
 
 def test_pochhammer_infinite_pentagonal():
-    # (q; q)_inf = sum (-1)^k q^(k(3k-1)/2)
-    p = pochhammer(q, q, math.inf, 13)
+    # Euler: (q; q)_inf = sum (-1)^k q^(k(3k-1)/2)
+    p = poch(1, 1, 1, math.inf, 13)
     want = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}
     assert {int(k): v for k, v in p.items()} == want
-
-
-def test_pochhammer_divergent():
-    with pytest.raises(Divergent):
-        pochhammer(q, (1, 0), math.inf, 5)
 
 
 # -- Eulerian series ------------------------------------------------------
@@ -425,7 +331,6 @@ def test_eulerian_keeps_fractional_window(order):
         assert f.order == order and f.den == g.den == 1, name
         assert f.coeffs == \
             {k: v for k, v in g.coeffs.items() if k < order}, name
-    assert pochhammer(q, q, math.inf, order).order == order
 
 
 def test_eulerian_unknown_name():

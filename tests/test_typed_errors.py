@@ -13,7 +13,6 @@ import pytest
 from mjtheta import errors
 
 SETUP = """
-import math
 from fractions import Fraction
 from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
     gamma0_maps, genus_char, psi_expand, reduce_form
@@ -21,8 +20,7 @@ from mjtheta.catalog import get_lambency
 from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
     table_lin_comb, theta_nullwert
 from mjtheta.cyclo import ex
-from mjtheta.mocktheta import pochhammer, verify_andrews_hickerson, \
-    verify_watson
+from mjtheta.mocktheta import verify_andrews_hickerson, verify_watson
 from mjtheta.series import QSeries, series_slice
 T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
@@ -89,16 +87,6 @@ CASES = {
     "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
     "Andrews-Hickerson at order -3": (
         "InsufficientDepth", "verify_andrews_hickerson(-3)"),
-    "pochhammer with n = -1": (
-        "BadPochhammer", "pochhammer((1, 1), (1, 1), -1, 5)"),
-    "pochhammer with n = 2.5": (
-        "BadPochhammer", "pochhammer((1, 1), (1, 1), 2.5, 5)"),
-    "pochhammer with a two-term a": (
-        "BadPochhammer",
-        "pochhammer(QSeries({0: 1, 1: 1}, 5), (1, 1), 2, 5)"),
-    "pochhammer with a two-term x": (
-        "BadPochhammer",
-        "pochhammer((1, 1), QSeries({1: 1, 2: -1}, 5), 2, 5)"),
 }
 
 # Good arguments near the bad ones, with the value each must give.
@@ -129,11 +117,6 @@ VALUES = {
     "Watson and Andrews-Hickerson at order 1": (
         ["1"] * 6, "[str(r['depth']) for r in verify_watson(1) "
                  "+ verify_andrews_hickerson(1)]"),
-    # (1; q)_0 = 1, and single-term QSeries serve as monomials
-    "pochhammer with n = 0, and with monomial QSeries": (
-        [{0: 1}, {0: 1, 1: -1, 2: -1}],
-        "[pochhammer((1, 0), (1, 1), 0, 3).coeffs, pochhammer(QSeries("
-        "{1: 1}, 3), QSeries({1: 1}, 3), math.inf, 3).coeffs]"),
 }
 
 # Prints the optimization level, then one line per case: its name and the
