@@ -8,7 +8,8 @@ them per case, serially in one process, and tests/test_acceptance.py calls
 them directly.
 
 Exit codes: 0 success, 1 verification or computation failure (or a
-reader that closed stdout early), 2 usage error.
+reader that closed stdout early), 2 usage error (among them an --order
+above ORDER_MAX).
 Reports are one line per case; --format records emits them as JSON objects
 with identical content.
 """
@@ -274,8 +275,19 @@ def _eta_arg(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+# The largest --order of expand and verify.  A window gets lists and packed
+# integers of about `order` slots before any work starts, so a larger value
+# is a usage error (exit 2) rather than a traceback or a run without end.
+# Windows below it can still outgrow memory (MemoryError, exit 1).
+ORDER_MAX = 10 ** 6
+
+
 def _order_arg(text):
-    return _int_arg(text, 1, "a positive integer")
+    order = _int_arg(text, 1, "a positive integer")
+    if order > ORDER_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {ORDER_MAX}, got {text!r}")
+    return order
 
 
 def _max_deg_arg(text):

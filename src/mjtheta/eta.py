@@ -11,7 +11,7 @@ from operator import mul
 
 from .arith import prime_factorization, sigma1
 from .errors import InsufficientDepth, LevelMismatch, NotConstant, ParseError
-from .series import QSeries, series_mul
+from .series import QSeries, _pack, _slot_bytes, _unpack, series_mul
 
 __all__ = [
     "EtaQuotient", "eta_expand", "eta_fricke", "eta_dlog",
@@ -76,6 +76,16 @@ def eta_expand(e, order):
     U = prod_i prod_{k>=1} (1 - q^{n_i k})^{d_i} = sum a_N q^N satisfies
     q U'/U = sum_{N>=1} b_N q^N with b_N the eta_dlog coefficients, hence
     N a_N = sum_{k=1..N} b_k a_{N-k}: an exact integer recurrence.
+
+    The recurrence runs in blocks of B = _BLOCK = 64 coefficients.  Within
+    a block each a_N takes a dot product over the block's own earlier
+    terms.  Once a block a_t..a_{t+B-1} is final, its share of every later
+    N a_N is one convolution with b_1, b_2, ...: a single bigint multiply
+    by Kronecker substitution (series._pack / _unpack), with slots wide
+    enough for max|a_block| * max|b| * B plus a sign bit, the bound of
+    series_mul.  A block that is all zero adds nothing and is skipped (its
+    slot bound is 0).  The last block also takes the tail shorter than B,
+    so a window of fewer than 2B coefficients is the plain loop alone.
     """
     order = Fraction(order)
     shift = e.prefactor_exponent()
@@ -87,13 +97,55 @@ def eta_expand(e, order):
                    order, den)
 
 
+# coefficients per block of the eta recurrence (see eta_expand)
+_BLOCK = 64
+
+
 def _unit_coeffs(e, count):
     """a_0 .. a_{count-1} of the unit part of the quotient, as ints."""
-    b = _dlog_coeffs(e, count)
+    return _unit_recurrence(_dlog_coeffs(e, count), _BLOCK)
+
+
+def _unit_recurrence(b, block):
+    """a_0 = 1 and N a_N = sum_{k=1..N} b_k a_{N-k} for 0 < N < len(b),
+    computed in blocks of `block` coefficients (see eta_expand)."""
+    count = len(b)
     a = [1] if count else []
-    for N in range(1, count):
+    # blocks start at multiples of `block`; the last one runs to count, so
+    # that a tail shorter than a block pays for no product of its own
+    last = max(count // block - 1, 0) * block
+    for N in range(1, block if last else count):
         a.append(sum(map(mul, b[1:N + 1], reversed(a))) // N)
+    if not last:
+        return a
+    # late[N]: the part of N a_N from the blocks finished so far
+    late = [0] * count
+    bmax = max(map(abs, b))
+    for s in range(block, last + 1, block):
+        _add_block(late, a, b, s - block, bmax)
+        for N in range(s, count if s == last else s + block):
+            # reversed(a) runs a_{N-1} .. a_s against b_1 .. b_{N-s}
+            a.append((late[N] + sum(map(mul, b[1:N - s + 1], reversed(a))))
+                     // N)
     return a
+
+
+def _add_block(late, a, b, t, bmax):
+    """late[N] += sum_{t <= j < s} a_j b_{N-j} for s <= N < len(b), where
+    s = len(a): one Kronecker product of the finished block a_t..a_{s-1}
+    with b_1..b_{len(b)-1-t}, whose slot i + k - 1 holds a_{t+i} b_k."""
+    s, count = len(a), len(b)
+    bound = max(abs(a[j]) for j in range(t, s)) * bmax * (s - t)
+    if not bound:
+        # a zero block adds nothing, and 1-byte slots could not hold b
+        return
+    w = _slot_bytes(bound)
+    half = 1 << (8 * w - 1)
+    c = (_pack(a, range(t, s), t, 1, w, half)
+         * _pack(b, range(1, count - t), 1, 1, w, half))
+    for N, v in _unpack(c, w, count - t - 1, t + 1).items():
+        if N >= s:
+            late[N] += v
 
 
 def _dlog_coeffs(e, count):

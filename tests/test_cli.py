@@ -61,6 +61,35 @@ def test_usage_error_exits_2(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("order", [cli.ORDER_MAX + 1, 10 ** 19],
+                         ids=["ceiling+1", "1e19"])
+@pytest.mark.parametrize("argv", [
+    ["expand", "--eta", "1^24/2^24"],
+    ["expand", "--eulerian", "3:f"],
+    ["verify", "fricke"],
+], ids=["expand-eta", "expand-eulerian", "verify-fricke"])
+def test_order_above_ceiling_is_a_usage_error(capsys, monkeypatch, argv,
+                                              order):
+    # the parser rejects the value before any command allocates a window
+    def never(_args):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli, "cmd_expand", never)
+    monkeypatch.setattr(cli, "cmd_verify", never)
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--order", str(order)])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert f"argument --order: must be at most {cli.ORDER_MAX}" in err
+    assert "Traceback" not in err
+
+
+def test_order_ceiling_itself_parses():
+    for argv in (["expand", "--eulerian", "3:f"], ["verify", "fricke"]):
+        args = cli.build_parser().parse_args(
+            [*argv, "--order", str(cli.ORDER_MAX)])
+        assert args.order == cli.ORDER_MAX
+
+
 def test_verify_fixtures(capsys):
     rc, out, _ = run(capsys, "verify", "fixtures")
     assert rc == 0
@@ -412,7 +441,7 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "eta_expand", exhausted)
     rc, out, err = run(capsys, "expand", "--eta", "1^24/2^24",
-                       "--order", "99999999999")
+                       "--order", str(cli.ORDER_MAX))
     assert rc == 1 and out == ""
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: MemoryError")

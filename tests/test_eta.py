@@ -1,12 +1,15 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.catalog import load_catalog
+from mjtheta.cli import fricke_report
 from mjtheta.errors import LevelMismatch, NotConstant, ParseError
 from mjtheta.eta import (
     EtaQuotient, parse_eta, format_eta, eta_expand, eta_fricke, eta_dlog,
-    verify_fricke_constant,
+    verify_fricke_constant, _dlog_coeffs, _unit_coeffs, _unit_recurrence,
 )
 from mjtheta.series import (
     QSeries, series_mul, series_pow, series_eq, series_rescale,
@@ -101,6 +104,51 @@ def test_recurrence_windows_off_the_integer_grid():
             assert_matches_oracle(parse_eta(text), order)
 
 
+# -- oracle: the plain recurrence ------------------------------------------
+#
+# eta._unit_coeffs runs N a_N = sum_{k<=N} b_k a_{N-k} in blocks, adding each
+# finished block to every later N by one Kronecker product; the plain loop
+# below, one dot product over all earlier terms per N, is its oracle.
+
+def plain_unit_coeffs(e, count):
+    b = _dlog_coeffs(e, count)
+    a = [1] if count else []
+    for N in range(1, count):
+        a.append(sum(map(mul, b[1:N + 1], reversed(a))) // N)
+    return a
+
+
+exponents = st.one_of(st.integers(-30, -1), st.integers(1, 30))
+
+
+@st.composite
+def recurrence_case(draw):
+    """(quotient, count, block).  Half the cases are one factor
+    eta(n tau)^d with n > block: its unit part vanishes off the multiples
+    of n, so whole blocks are 0."""
+    count = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 72))
+        return (EtaQuotient([(n, draw(exponents))]), count,
+                draw(st.integers(1, n - 1)))
+    factors = draw(st.lists(st.tuples(st.integers(1, 72), exponents),
+                            min_size=1, max_size=4))
+    return EtaQuotient(factors), count, draw(st.integers(1, 96))
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrence_case())
+# a_7 .. a_13 of eta(70 tau)^5 are 0 while |b_70| = 350: a slot width taken
+# from that zero block would be one byte, too narrow to pack b
+@example((EtaQuotient([(70, 5)]), 300, 7))
+@example((EtaQuotient([(1, 24), (2, -24)]), 300, 1))
+def test_blocked_recurrence_matches_plain(case):
+    e, count, block = case
+    want = plain_unit_coeffs(e, count)
+    assert _unit_recurrence(_dlog_coeffs(e, count), block) == want
+    assert _unit_coeffs(e, count) == want
+
+
 def test_parse_format_roundtrip():
     for text in ["1^24 / 2^24", "1^4 2^4 / 3^4 6^4", "1^2 8^1 / 2^1 16^2",
                  "1^1 12^1 15^1 20^1 / 3^1 4^1 5^1 60^1"]:
@@ -164,6 +212,15 @@ def test_fricke_constant_by_series_product():
     prod = series_mul(eta_expand(e, 40), eta_expand(image, 40))
     assert list(prod.coeffs.items()) == [(0, 1)]
     assert verify_fricke_constant(e, 6, 40) == mult == 81
+
+
+def test_fricke_constants_at_benchmark_depth():
+    # the moduli benchmark's order: T * (T|W_m) is constant to q^399 and
+    # equals the multiplier, which checks every block of both expansions
+    for lam in load_catalog():
+        rep = fricke_report(lam.symbol, 400, None)
+        assert rep == {"status": "pass", "depth": 399,
+                       "constant": eta_fricke(lam.eta, lam.m)[1]}, lam.symbol
 
 
 def test_not_constant_detected():
