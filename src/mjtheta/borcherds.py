@@ -431,22 +431,31 @@ def fit_rational(psi, T, max_deg):
         raise NotQuadratic("the principal modulus must have rational "
                            "coefficients")
     X, Y, G = _split_quadratic(psi)
-    return _fit_coords(X, Y, G, T, max_deg)
-
-
-def _fit_coords(X, Y, G, T, max_deg):
-    """fit_rational for psi = X + G Y (Y and G None for a rational psi):
-    one rational system per degree pair, its rows scaled to integers and
-    eliminated fraction-free."""
     if X.den != 1 or T.den != 1:
         raise NoSolutionWithinDegree(
             "fit_rational needs series in integral powers of q")
-    parts, D = ([X], 0) if Y is None else ([X, Y], -G.n)
-    keys = [k for s in parts for k in s.coeffs]
+    _check_window(X, Y, max_deg)
+    return _fit_coords(X, Y, G, T, max_deg)
+
+
+def _check_window(X, Y, max_deg):
+    """Underdetermined unless psi = X + G Y spans the 2 max_deg + 2
+    coefficients that a fit of degree max_deg needs.  It reads psi only,
+    so callers run it before they expand T to that degree."""
+    keys = [k for s in (X, Y) if s is not None for k in s.coeffs]
     avail = int(X.order - min([0] + keys))
     if avail < 2 * max_deg + 2:
         raise Underdetermined(
             f"window of {avail} coefficients cannot pin degree {max_deg}")
+
+
+def _fit_coords(X, Y, G, T, max_deg):
+    """fit_rational for psi = X + G Y (Y and G None for a rational psi),
+    in integral powers of q and with a window _check_window accepts:
+    one rational system per degree pair, its rows scaled to integers and
+    eliminated fraction-free."""
+    parts, D = ([X], 0) if Y is None else ([X, Y], -G.n)
+    keys = [k for s in parts for k in s.coeffs]
     # the equation times L, the common denominator of psi's coordinates
     L = lcm(*(Fraction(v).denominator for s in parts
               for v in s.coeffs.values()))
@@ -550,9 +559,10 @@ def fit_case(symbol, D, r, max_deg=None, table=None):
         div = heegner_divisor(lam, D, r)
         poles = int(sum(-w for _q, w in div if w < 0))
         max_deg = min(poles, (int(window) - 2) // 2)
-    T = eta_expand(lam.eta, window + max_deg + 1)
     X, Y = (QSeries({N: Fraction(v, 2) for N, v in enumerate(c)}, window)
             for c in (x2, y2))
+    _check_window(X, Y, max_deg)
+    T = eta_expand(lam.eta, window + max_deg + 1)
     P, Q = _fit_coords(X, Y, _gauss_sum(D), T, max_deg)
     return {"lambency": symbol, "D": D, "r": r, "P": P, "Q": Q,
             "window": window, "max_deg": max_deg}

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .eta import parse_eta
 from .jacobi import (
-    NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply, om_group,
+    NEG_INF, POS_INF, CoeffTable, OmGroup, _canonical, ez_apply,
     shadow_coeff, stream_combination, table_lin_comb,
 )
 from .series import series_verdict
@@ -77,7 +77,7 @@ class Lambency:
     @property
     def K(self):
         """The subgroup K of O_m as residues a mod 2m."""
-        g = om_group(self.m)
+        g = OmGroup(self.m)
         return tuple(sorted(g.a_of[n] for n in self.group_ns))
 
     def __repr__(self):
@@ -93,7 +93,7 @@ def _parse_symbol(symbol):
     for n in ns:
         if m % n or gcd(n, m // n) != 1:
             raise ParseError(f"{symbol}: {n} is not an exact divisor of {m}")
-    g = om_group(m)
+    g = OmGroup(m)
     for n in ns:
         for np in ns:
             if g.star(n, np) not in ns:
@@ -293,7 +293,7 @@ def construct_averaged(symbol, h):
         raise UnknownLambency(f"{symbol} is not an averaged lambency")
     source, n = AVERAGED_FROM[symbol]
     t = h.get(source)
-    a = om_group(t.m).a_of[n]
+    a = OmGroup(t.m).a_of[n]
     half = Fraction(1, 2)
     return table_lin_comb([(half, t), (half, ez_apply(t, a))])
 

@@ -9,7 +9,7 @@ them directly.
 
 Exit codes: 0 success, 1 verification or computation failure (or a
 reader that closed stdout early), 2 usage error (among them an --order
-above ORDER_MAX).
+above ORDER_MAX).  Each error is one line on stderr.
 Reports are one line per case; --format records emits them as JSON objects
 with identical content.
 """
@@ -300,8 +300,16 @@ def _int_arg(text, least, what):
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line, "{prog}: error: {message}", and
+    exit 2; subparsers are built by this class too (parser_class)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mjtheta",
         description="exact expansions and verifications for optimal mock "
                     "Jacobi theta functions")

@@ -14,8 +14,7 @@ class LevelMismatch(MJTError):
     or the quotient's Fricke multiplier at level m is irrational; also a
     form whose A the level m does not divide (genus_char), and a linear
     combination of no tables or of tables of different index or parity
-    (table_lin_comb), and an index that is not an exact divisor of m
-    (omega_product_check)."""
+    (table_lin_comb)."""
 
 
 class NotConstant(MJTError):
@@ -30,10 +29,6 @@ class InsufficientDepth(MJTError):
     range, or for a residue with no range; or the streams of a table row or
     relation reach no coefficient (jacobi.stream_combination), or those of
     a Watson or Andrews-Hickerson identity at an order <= 0."""
-
-
-class LevelNotCoprime(MJTError):
-    """Hecke operator T_n requires gcd(n, m) = 1."""
 
 
 class NotFundamental(MJTError):

@@ -8,10 +8,10 @@ the residue rule that every table obeys.
 On top of the tables live:
 
 * theta_nullwert    -- theta constants theta^{k}_{m,r}(tau)
-* om_group          -- the group O_m = Ex_m of exact divisors / involutions
+* OmGroup           -- the group O_m = Ex_m of exact divisors / involutions
 * ez_apply          -- the involution phi -> phi . a  (C(D,r) -> C(D,ra))
-* project_alpha     -- projection onto a character eigenspace
-* hecke_Tn, U_d, V_l, sz_lift -- Hecke and Hecke-like operators
+* hecke_Vl          -- the index-raising operator V_l
+* sz_lift           -- the lift of a table to a q-series
 * shadow_kernel     -- the theta-kernel combination attached to an eta
                        quotient, generated from its closed coefficient formula
 """
@@ -20,20 +20,18 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import (divisors, is_fundamental, is_square, kronecker,
-                    prime_factorization)
+from .arith import divisors, is_fundamental, is_square, kronecker
 from .cyclo import cadd, ciszero, cmul
 from .errors import (
     BadParity, CongruenceViolation, Divergent, InsufficientDepth,
-    LevelMismatch, LevelNotCoprime, NotFundamental,
+    LevelMismatch, NotFundamental,
 )
 from .series import QSeries, _arg_transform, series_slice
 
 __all__ = [
-    "CoeffTable", "theta_nullwert", "om_group", "OmGroup", "omega_entry",
-    "omega_product_check", "ez_apply", "project_alpha", "hecke_Tn",
-    "hecke_Ud", "hecke_Vl", "sz_lift", "shadow_kernel", "shadow_coeff",
-    "h_stream", "stream_combination",
+    "CoeffTable", "theta_nullwert", "OmGroup", "omega_entry", "ez_apply",
+    "hecke_Vl", "sz_lift", "shadow_kernel", "shadow_coeff", "h_stream",
+    "stream_combination",
 ]
 
 
@@ -131,12 +129,6 @@ class CoeffTable:
     def residues_with_data(self):
         return sorted(self.ranges)
 
-    def scale(self, c):
-        return CoeffTable(
-            self.m, self.parity,
-            {k: cmul(c, v) for k, v in self.entries.items()},
-            self.ranges, self.square_support)
-
     def __repr__(self):
         return (f"<CoeffTable m={self.m} parity={self.parity:+d} "
                 f"residues={self.residues_with_data()} "
@@ -233,26 +225,6 @@ class OmGroup:
         g = gcd(n, np)
         return n * np // (g * g)
 
-    def characters(self):
-        """All homomorphisms O_m -> {+-1}, as dicts a -> value."""
-        gens = [n for n in self.ex_divisors
-                if len(prime_factorization(n)) == 1]
-        chars = []
-        for mask in range(1 << len(gens)):
-            vals = {}
-            for n in self.ex_divisors:
-                v = 1
-                for i, g in enumerate(gens):
-                    if n % g == 0 and (mask >> i) & 1:
-                        v = -v
-                vals[self.a_of[n]] = v
-            chars.append(vals)
-        return chars
-
-
-def om_group(m):
-    return OmGroup(m)
-
 
 # -- Omega matrices -------------------------------------------------------
 
@@ -261,184 +233,31 @@ def omega_entry(m, n, r, rp):
     return int((r + rp) % (2 * n) == 0 and (r - rp) % (2 * m // n) == 0)
 
 
-def omega_product_check(m, n, np):
-    """Verify Omega_m(n) Omega_m(n') = Omega_m(n * n') entrywise, for
-    exact divisors n, n' of m."""
-    for d in (n, np):
-        if d < 1 or m % d or gcd(d, m // d) != 1:
-            raise LevelMismatch(f"{d} is not an exact divisor of {m}")
-    size = 2 * m
-    tgt = OmGroup(m).star(n, np)
-    for r in range(size):
-        for rp in range(size):
-            acc = sum(omega_entry(m, n, r, s) * omega_entry(m, np, s, rp)
-                      for s in range(size))
-            if acc != omega_entry(m, tgt, r, rp):
-                return False
-    return True
-
-
 # -- Eichler--Zagier action ----------------------------------------------
 
 def ez_apply(t, a):
-    """phi . a: C'(D, r) = C(D, r a), for a in O_m."""
-    if (a * a - 1) % (4 * t.m):
-        raise CongruenceViolation(
-            f"{a} is not in O_{t.m}: a^2 != 1 mod {4 * t.m}")
-    return _pullback(t, t.m, 1, lambda r: r * a)
-
-
-def _pullback(t, m2, d, source):
-    """The index-m2 table C'(D, r) = C(D/d^2, source(r)), a structural zero
-    wherever source(r) is None or a structural zero of t; each window is
-    the source residue's, scaled by d^2.  ez_apply and U_d are its cases.
-
-    Entries keep the congruence: a source entry has D = source(r)^2 mod 4m,
-    and both callers have r^2 = d^2 source(r)^2 mod 4m2, so D d^2 = r^2
-    mod 4m2."""
+    """phi . a: C'(D, r) = C(D, r a), for a in O_m.  Each residue keeps the
+    window of r a, and each entry the congruence D = (r a)^2 = r^2 mod 4m."""
     m, parity = t.m, t.parity
+    if (a * a - 1) % (4 * m):
+        raise CongruenceViolation(
+            f"{a} is not in O_{m}: a^2 != 1 mod {4 * m}")
     by_res = {}
     for (D, r), v in t.entries.items():
         by_res.setdefault(r, []).append((D, v))
-    dd = d * d
     ranges, entries = {}, {}
-    for r in range(m2 + 1):
-        s = source(r)
-        sc, sign = (0, 0) if s is None else _canonical(m, parity, s)
+    for r in range(m + 1):
+        sc, sign = _canonical(m, parity, r * a)
         if not sign:
             ranges[r] = (NEG_INF, POS_INF)
         elif sc in t.ranges:
-            lo, hi = t.ranges[sc]
-            ranges[r] = (lo * dd, hi * dd)
+            ranges[r] = t.ranges[sc]
             for D, v in by_res.get(sc, ()):
-                entries[(D * dd, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m2, parity, entries, ranges, t.square_support)
+                entries[(D, r)] = v if sign == 1 else cmul(sign, v)
+    return CoeffTable(m, parity, entries, ranges, t.square_support)
 
 
-def project_alpha(t, alpha):
-    """Projection of phi onto the alpha-eigenspace of the O_m action:
-    (1/|O_m|) sum_a alpha(a) (phi . a).  alpha: dict a -> +-1."""
-    n = len(alpha)
-    w = Fraction(1, n)
-    return table_lin_comb(
-        [(w * alpha[a], ez_apply(t, a)) for a in alpha])
-
-
-# -- Hecke operators ------------------------------------------------------
-
-def _epsilon_D(D, d):
-    """epsilon_D(d) = g (D/g^2 over d/g^2) if (d, D) = g^2 with D/g^2 a
-    square mod 4, else 0.  At D = 0, g^2 = d and the symbol is (0/1) = 1."""
-    g2 = gcd(d, D)
-    if not is_square(g2):
-        return 0
-    g = isqrt(g2)
-    Dg = D // g2
-    if Dg % 4 not in (0, 1):
-        return 0
-    return g * kronecker(Dg, d // g2) if Dg else g
-
-
-def _hecke_image(t, m2, name, window, targets, value):
-    """The skeleton shared by T_n and V_l: an index-m2 table whose window at
-    every residue is window(lo, hi) of the source's global window [lo, hi].
-    Entries are value(D, r) at the discriminants targets(Ds) reachable from
-    the stored source entries; everything else in the window is provably
-    zero.  A residue at which value reads outside the source window is
-    dropped."""
-    if any(r not in t.ranges for r in range(t.m + 1)):
-        raise InsufficientDepth(
-            f"{name} needs data (or structural zeros) at every residue")
-    lo, hi = window(max(lo for lo, _hi in t.ranges.values()),
-                    min(hi for _lo, hi in t.ranges.values()))
-    cand = set()
-    for (Ds, _rs) in t.entries:
-        for D in targets(Ds):
-            if not (lo <= D <= hi):
-                continue
-            for r in range(m2 + 1):
-                if (D - r * r) % (4 * m2) == 0:
-                    cand.add((D, r))
-    ranges = {r: (lo, hi) for r in range(m2 + 1)}
-    entries = {}
-    for D, r in cand:
-        try:
-            v = value(D, r)
-        except InsufficientDepth:
-            ranges.pop(r, None)
-            continue
-        if not ciszero(v):
-            entries[(D, r)] = v
-    entries = {key: v for key, v in entries.items() if key[1] in ranges}
-    return CoeffTable(m2, t.parity, entries, ranges, False)
-
-
-def hecke_Tn(t, n, k):
-    """phi | T_n at weight k, for gcd(n, m) = 1.
-
-    The target window per residue is derived from the source window: for a
-    target discriminant D every source read n^2 D / d^2 lies between D and
-    n^2 D in magnitude, so [ceil(lo/n^2), floor(hi/n^2)] is justified.
-    """
-    if gcd(n, t.m) != 1:
-        raise LevelNotCoprime(f"T_{n} needs gcd(n, {t.m}) = 1")
-    nn = n * n
-    return _hecke_image(
-        t, t.m, "T_n",
-        lambda lo, hi: (
-            lo if lo == NEG_INF else math.ceil(Fraction(lo, nn)),
-            hi if hi == POS_INF else hi // nn),
-        lambda Ds: [Ds * d * d // nn for d in divisors(nn)
-                    if Ds * d * d % nn == 0],
-        lambda D, r: _hecke_value(t, n, k, D, r))
-
-
-def _hecke_value(t, n, k, D, r):
-    m = t.m
-    total = Fraction(0)
-    for d in divisors(n * n):
-        if (n * n * D) % (d * d) != 0:
-            continue
-        rp = _hecke_rprime(m, n, d, r, n * n * D // (d * d))
-        if rp is None:
-            continue
-        eps = _epsilon_D(D, d)
-        if eps == 0:
-            continue
-        total = cadd(total, cmul(_power(d, k - 2) * eps,
-                                 t.get(n * n * D // (d * d), rp)))
-    return total
-
-
-def _hecke_rprime(m, n, d, r, Dsrc):
-    """The r' mod 2m with n r = d r' mod 2m(n,d), (nr)^2 = (dr')^2 mod 4m
-    and Dsrc = r'^2 mod 4m (the source congruence), or None.
-
-    The first two congruences can admit a spurious extra solution whose
-    source coefficient is structurally zero; the third pins the one that
-    matters.  It is unique up to nothing: we assert at most one survivor.
-    """
-    g = gcd(n, d)
-    mod = 2 * m * g
-    found = None
-    for rp in range(2 * m):
-        if (n * r - d * rp) % mod == 0 and \
-                ((n * r) ** 2 - (d * rp) ** 2) % (4 * m) == 0 and \
-                (Dsrc - rp * rp) % (4 * m) == 0:
-            assert found is None or found == rp, (m, n, d, r, found, rp)
-            found = rp
-    return found
-
-
-def hecke_Ud(t, d):
-    """phi | U_d: index m -> m d^2 (the substitution z -> d z).
-
-    In (n, r) indexing the coefficient rule is c'(n, r) = c(n, r/d) for
-    d | r; in discriminant terms that reads C'(D, r) = C(D/d^2, r/d), the
-    congruence D = r^2 mod 4md^2 forcing d^2 | D.
-    """
-    return _pullback(t, t.m * d * d, d, lambda r: None if r % d else r // d)
-
+# -- V_l and the lift -----------------------------------------------------
 
 def _Vl_value(t, l, k, m2, D, r):
     """sum over d | ((r^2 - D)/4ml, r, l) of d^{k-1} C(D/d^2, r/d)."""
@@ -456,13 +275,39 @@ def hecke_Vl(t, l, k):
     """phi | V_l: index m -> m l.
 
     Source reads are D/d^2 at residue r/d for d | l, all inside the source
-    window whenever D is, so the window carries over unchanged.
+    window whenever D is, so the source's global window [lo, hi] carries
+    over to every residue.  Entries are computed at the discriminants
+    Ds d^2 reachable from the stored source entries Ds; everything else in
+    the window is provably zero.  A residue at which a read falls outside
+    the source window is dropped.
     """
+    if any(r not in t.ranges for r in range(t.m + 1)):
+        raise InsufficientDepth(
+            "V_l needs data (or structural zeros) at every residue")
     m2 = t.m * l
-    return _hecke_image(
-        t, m2, "V_l", lambda lo, hi: (lo, hi),
-        lambda Ds: [Ds * d * d for d in divisors(l)],
-        lambda D, r: _Vl_value(t, l, k, m2, D, r))
+    lo = max(lo for lo, _hi in t.ranges.values())
+    hi = min(hi for _lo, hi in t.ranges.values())
+    cand = set()
+    for (Ds, _rs) in t.entries:
+        for d in divisors(l):
+            D = Ds * d * d
+            if not (lo <= D <= hi):
+                continue
+            for r in range(m2 + 1):
+                if (D - r * r) % (4 * m2) == 0:
+                    cand.add((D, r))
+    ranges = {r: (lo, hi) for r in range(m2 + 1)}
+    entries = {}
+    for D, r in cand:
+        try:
+            v = _Vl_value(t, l, k, m2, D, r)
+        except InsufficientDepth:
+            ranges.pop(r, None)
+            continue
+        if not ciszero(v):
+            entries[(D, r)] = v
+    entries = {key: v for key, v in entries.items() if key[1] in ranges}
+    return CoeffTable(m2, t.parity, entries, ranges, False)
 
 
 def sz_lift(t, D, r, k, order):

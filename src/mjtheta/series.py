@@ -84,9 +84,6 @@ class QSeries:
         return [(Fraction(k, self.den), v)
                 for k, v in sorted(self.coeffs.items())]
 
-    def support_exponents(self):
-        return [Fraction(k, self.den) for k in sorted(self.coeffs)]
-
     def __repr__(self):
         terms = [f"{cformat(v)}*q^({Fraction(k, self.den)})"
                  for k, v in sorted(self.coeffs.items())[:8]]

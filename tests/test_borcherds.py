@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, inf, isqrt
 
@@ -428,6 +429,21 @@ def test_fit_case_beyond_depth():
         fit_rational(psi, T, 1)
 
 
+def test_fit_case_checks_the_window_before_expanding_T(monkeypatch):
+    # the 7-coefficient window of (6+2, -8, 4) pins no degree above 2, so
+    # max_deg = 10^6 fails before T is expanded to order window + 10^6 + 1
+    from mjtheta import eta
+
+    def expand(*args):
+        raise AssertionError("T expanded for a degree the window cannot pin")
+
+    monkeypatch.setattr(eta, "eta_expand", expand)
+    t0 = time.perf_counter()
+    with pytest.raises(Underdetermined):
+        fit_case("6+2", -8, 4, max_deg=10 ** 6)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_heegner_divisor_weights():
     div = heegner_divisor("6+2", -20, 2)
     assert [w for _q, w in div] == [Fraction(-4), Fraction(-4)]
@@ -498,7 +514,7 @@ def cyc_fit(psi, T, max_deg):
     """fit_rational as one linear system over Q(zeta_n) per degree pair:
     returns (P, Q, rank of the accepted system), or raises as the fit
     does."""
-    avail = int(psi.order - min([0] + psi.support_exponents()))
+    avail = int(psi.order - min([0] + [x for x, _v in psi.items()]))
     if avail < 2 * max_deg + 2:
         raise Underdetermined(f"window of {avail} coefficients")
     Tpow = [QSeries({0: 1}, T.order)]
@@ -513,7 +529,7 @@ def cyc_fit(psi, T, max_deg):
         cols += [-1 * Tpow[j] for j in range(dp + 1)]
         rhs = -1 * series_mul(psi, Tpow[dq])
         window = min(s.order for s in cols + [rhs])
-        lo = min(min([0] + s.support_exponents()) for s in cols + [rhs])
+        lo = min(min([0] + [x for x, _v in s.items()]) for s in cols + [rhs])
         xs = range(int(lo), int(window))
         if len(xs) < len(cols):
             skipped_short = True

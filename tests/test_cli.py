@@ -1,12 +1,16 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mjtheta import cli
 from mjtheta.catalog import MULT_RELATIONS, get_lambency, ingest_hdata
@@ -351,9 +355,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         main(argv)
     err = capsys.readouterr().err
     assert e.value.code == 2
-    assert "Traceback" not in err
-    assert [l for l in err.splitlines() if "error:" in l] == \
-        [err.splitlines()[-1]]
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("mjtheta") and ": error: " in err
 
 
 @pytest.mark.parametrize("suite", ["fricke", "shadow-lift"])
@@ -445,3 +448,79 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     assert rc == 1 and out == ""
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: MemoryError")
+
+
+# -- argv drawn from the parser's grammar ---------------------------------
+
+GOOD_DATA = "lambency,class,r,D,coeff\n6+2,1A,1,1,-2\n6+2,1A,0,-24,5\n"
+
+# small valid orders, and the invalid ones argparse must reject
+ORDERS = st.one_of(st.integers(1, 12).map(str), st.sampled_from(
+    ["0", "-3", "x", "1/0", "nan", "1e400", str(cli.ORDER_MAX + 1), ""]))
+SYMBOLS = st.sampled_from(["6+2", "10+2", "2", "99", "6+5", "+", ""])
+TARGETS = {
+    "--eta": st.sampled_from(["1^24/2^24", "1^2 2^-2", "", "1^x", "0^1"]),
+    "--lambency": SYMBOLS,
+    "--eulerian": st.sampled_from(["3:psi", "8:U1", "3:nope", ""]),
+}
+
+
+@pytest.fixture(scope="module")
+def data_paths(tmp_path_factory):
+    """--data values: a missing file, an empty one, a binary one, every
+    truncation of a good one, and a directory."""
+    d = tmp_path_factory.mktemp("data")
+    (d / "empty.csv").write_text("")
+    (d / "binary.csv").write_bytes(bytes(range(256)))
+    for cut in range(len(GOOD_DATA)):
+        (d / f"cut{cut}.csv").write_text(GOOD_DATA[:cut])
+    (d / "dir").mkdir()
+    return [str(d / name) for name in
+            ["missing.csv", "empty.csv", "binary.csv", "dir"]
+            + [f"cut{cut}.csv" for cut in range(len(GOOD_DATA))]]
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def argvs(draw, data_paths):
+    command = draw(st.sampled_from(["expand", "verify", "fit", "nope", ""]))
+    head, opts = [command], []
+    data = optional("--data", st.sampled_from(data_paths))
+    fmt = optional("--format", st.sampled_from(["human", "records", "x"]))
+    if command == "expand":
+        target = draw(st.sampled_from(sorted(TARGETS)))
+        opts += [[target, draw(TARGETS[target])],
+                 draw(optional("--order", ORDERS))]
+    elif command == "verify":
+        head.append(draw(st.sampled_from([*cli.SUITES, "all", "nope", ""])))
+        opts += [draw(optional("--order", ORDERS)), draw(data), draw(fmt)]
+    elif command == "fit":
+        opts += [["--lambency", draw(SYMBOLS)],
+                 ["--D", draw(st.sampled_from(["-8", "-4", "-3", "0", "x"]))],
+                 ["--r", draw(st.sampled_from(["4", "6", "1", "-1", ""]))],
+                 draw(optional("--max-deg", st.sampled_from(
+                     ["0", "1", "3", "1000000", "-1", "x"]))),
+                 draw(data), draw(fmt)]
+    opts.append(draw(st.sampled_from([[]] * 6 + [["--nope"], [""]])))
+    return head + [a for opt in draw(st.permutations(opts)) for a in opt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2_with_one_line(data_paths, data):
+    argv = data.draw(argvs(data_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), \
+            redirect_stderr(err):
+        os.environ.pop(DATA_ENV, None)
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err, argv
+    assert len(err.splitlines()) <= 1, (argv, err)

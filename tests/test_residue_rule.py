@@ -2,21 +2,17 @@
 replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
-substance: ez_apply and U_d each with its own residue loop, the catalog's
-orbit of signed residues, and the Borcherds test for residues whose reads
-run out of depth.  Each is compared with the one rule in jacobi._canonical
-and the one pullback jacobi._pullback.
+substance: ez_apply with its own residue loop, the catalog's orbit of
+signed residues, and the Borcherds test for residues whose reads run out
+of depth.  Each is compared with the one rule in jacobi._canonical and
+with jacobi.ez_apply.
 """
-
-from math import inf
-
-import pytest
 
 from mjtheta.borcherds import _runs_out
 from mjtheta.catalog import load_catalog
 from mjtheta.cyclo import cmul
 from mjtheta.jacobi import (
-    NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply, hecke_Ud, om_group,
+    NEG_INF, POS_INF, CoeffTable, OmGroup, _canonical, ez_apply,
     shadow_kernel,
 )
 
@@ -53,34 +49,6 @@ def ez_apply_oracle(t, a):
         for D, v in by_res.get(sc, []):
             entries[(D, r)] = v if sign == 1 else cmul(sign, v)
     return CoeffTable(m, t.parity, entries, ranges, t.square_support)
-
-
-def hecke_Ud_oracle(t, d):
-    """phi | U_d: C'(D, r) = C(D/d^2, r/d), with its own residue loop."""
-    m = t.m
-    m2 = m * d * d
-    ranges, entries = {}, {}
-    by_res = {}
-    for (D, r), v in t.entries.items():
-        by_res.setdefault(r, []).append((D, v))
-    for r in range(m2 + 1):
-        if r % d != 0:
-            ranges[r] = (NEG_INF, POS_INF)
-            continue
-        sc, sign, zero = canonical_oracle(m, t.parity, r // d)
-        if zero:
-            ranges[r] = (NEG_INF, POS_INF)
-            continue
-        if sc not in t.ranges:
-            continue
-        lo, hi = t.ranges[sc]
-        ranges[r] = (lo if lo == NEG_INF else lo * d * d,
-                     hi if hi == POS_INF else hi * d * d)
-        for D, v in by_res.get(sc, []):
-            D2 = D * d * d
-            if (D2 - r * r) % (4 * m2) == 0:
-                entries[(D2, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m2, t.parity, entries, ranges, t.square_support)
 
 
 def orbit_oracle(m, K, r):
@@ -132,25 +100,16 @@ def test_ez_apply_on_fixtures_under_K():
 
 def test_ez_apply_on_kernels_under_O_m():
     for lam, t in kernels():
-        for a in om_group(lam.m).elements:
+        for a in OmGroup(lam.m).elements:
             same_table(ez_apply(t, a), ez_apply_oracle(t, a))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_Ud_on_fixtures_and_kernels(d):
-    tables = [lam.fixture for lam in FIXTURES] + [t for _l, t in kernels()]
-    for t in tables:
-        same_table(hecke_Ud(t, d), hecke_Ud_oracle(t, d))
-
-
-def test_Ud_and_ez_apply_on_even_tables():
-    # parity +1 keeps r = 0 and r = m, and a finite lower bound scales
+def test_ez_apply_on_even_tables():
+    # parity +1 keeps r = 0 and r = m, and a finite lower bound carries over
     t = CoeffTable(3, 1, {(-12, 0): 4, (-15, 3): -2, (-11, 1): 7},
                    {0: (-40, 0), 1: (-35, 1), 3: (-39, 9)})
-    for a in om_group(3).elements:
+    for a in OmGroup(3).elements:
         same_table(ez_apply(t, a), ez_apply_oracle(t, a))
-    for d in (1, 2, 3):
-        same_table(hecke_Ud(t, d), hecke_Ud_oracle(t, d))
 
 
 def test_fixture_closure_against_orbits():
@@ -201,9 +160,3 @@ def test_square_support_never_runs_out():
     t = runs_out_tables()[-1]
     assert t.ranges[1][0] == -15 and not _runs_out(t, 1)
     assert t.get(-31, 1) == 0
-
-
-def test_windows_scale_through_infinity():
-    t = shadow_kernel(CATALOG[0].eta, CATALOG[0].m, 50)
-    u = hecke_Ud(t, 3)
-    assert u.ranges[3] == (-inf, 450) and u.ranges[1] == (-inf, inf)

@@ -264,7 +264,7 @@ def test_mul_fractional_window_by_hand(a, b):
     order, want = hand_mul(a, b)
     assert c.order == order
     assert dict(c.items()) == want
-    assert all(x < c.order for x in c.support_exponents())
+    assert all(x < c.order for x, _v in c.items())
 
 
 def test_mul_fractional_window_example():
@@ -287,7 +287,7 @@ def fraction_scan(a, b):
     """Oracle: walk the exact exponents of both supports in increasing order
     through coeff(), stopping at the first that differs below both windows."""
     window = min(a.order, b.order)
-    for x in sorted(set(a.support_exponents()) | set(b.support_exponents())):
+    for x in sorted({x for s in (a, b) for x, _v in s.items()}):
         if x < window and a.coeff(x) != b.coeff(x):
             return x, a.coeff(x), b.coeff(x)
     return None

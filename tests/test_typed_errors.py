@@ -17,8 +17,8 @@ from fractions import Fraction
 from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
     gamma0_maps, genus_char, psi_expand, reduce_form
 from mjtheta.catalog import get_lambency
-from mjtheta.jacobi import CoeffTable, ez_apply, omega_product_check, \\
-    table_lin_comb, theta_nullwert
+from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb, \\
+    theta_nullwert
 from mjtheta.cyclo import ex
 from mjtheta.mocktheta import verify_andrews_hickerson, verify_watson
 from mjtheta.series import QSeries, series_slice
@@ -68,10 +68,11 @@ CASES = {
     # C(-20, 2) = 16 becomes 16/3, and 16 zeta_3
     "Borcherds exponent not an integer": (
         "NonIntegralExponent",
-        "psi_expand('6+2', -20, 2, table=F62.scale(Fraction(1, 3)))"),
+        "psi_expand('6+2', -20, 2, "
+        "table=table_lin_comb([(Fraction(1, 3), F62)]))"),
     "Borcherds exponent not rational": (
         "NonIntegralExponent",
-        "psi_expand('6+2', -20, 2, table=F62.scale(ex('1/3')))"),
+        "psi_expand('6+2', -20, 2, table=table_lin_comb([(ex('1/3'), F62)]))"),
     "table_lin_comb of nothing": ("LevelMismatch", "table_lin_comb([])"),
     "table_lin_comb across indices": (
         "LevelMismatch",
@@ -79,10 +80,6 @@ CASES = {
     "table_lin_comb across parities": (
         "LevelMismatch",
         "table_lin_comb([(1, T5), (1, CoeffTable(5, -1, {}, {}))])"),
-    "omega_product_check with a non-exact divisor": (
-        "LevelMismatch", "omega_product_check(4, 2, 2)"),
-    "omega_product_check with a non-divisor": (
-        "LevelMismatch", "omega_product_check(4, 1, 3)"),
     # an order <= 0 compares nothing, so no verdict can be given
     "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
     "Andrews-Hickerson at order -3": (
@@ -105,7 +102,8 @@ VALUES = {
         "{0: (-100, 1), 5: (-100, 5)}).entries"),
     # integral exponents held as Fractions give the product of the ints
     "Borcherds exponents as Fractions": (
-        True, "psi_expand('6+2', -20, 2, table=F62.scale(Fraction(1)))"
+        True, "psi_expand('6+2', -20, 2, "
+              "table=table_lin_comb([(Fraction(1), F62)]))"
               ".coeffs == psi_expand('6+2', -20, 2).coeffs"),
     # 0^(k-1) = 1 at k = 1, and r = 1 has no l = 0 term: its l = -5 term
     # at k = 0 is exactly -1/5
