@@ -9,14 +9,19 @@ decided exactly: reduce both forms under SL_2(Z) with matrix tracking;
 every SL_2 transform carrying one onto the other is (reduction matrix) *
 (automorph of the reduced form) * (reduction matrix)^-1, a finite set, and
 membership in Gamma_0(m) is a congruence on the lower-left entry.
+The Gamma_0(m)-classes of Heegner forms are enumerated, not searched for:
+they are the Aut(R)-orbits on the cosets g Gamma_0(m), the points of
+P^1(Z/m), for each reduced form R (see enumerate_heegner).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, inf, lcm
+from math import ceil, gcd, inf, isqrt, lcm
 from operator import mul
 
-from .arith import divisors, is_fundamental, kronecker
+from .arith import (
+    divisors, is_fundamental, kronecker, prime_factorization,
+)
 from .cyclo import Cyc, cformat
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
@@ -118,60 +123,163 @@ def _automorphs(key):
     return out
 
 
-def _maps(R, g1, g2, m):
-    """All gamma in Gamma_0(m) with Q1|gamma = Q2, for Q1|g1 = R = Q2|g2."""
+def gamma0_maps(Q1, Q2, m):
+    """All gamma in Gamma_0(m) with Q1|gamma = Q2."""
+    _check_level(m)
+    R1, g1 = reduce_form(Q1)
+    R2, g2 = reduce_form(Q2)
+    if R1 != R2:
+        return []
+    # Q1|g1 = R = Q2|g2, so gamma = g1 u g2^-1 for u in Aut(R)
     g2i = _mat_inv(g2)
     out = []
-    for u in _automorphs(R.key()):
+    for u in _automorphs(R1.key()):
         g = _mat_mul(_mat_mul(g1, u), g2i)
         if g[2] % m == 0:
             out.append(g)
     return out
 
 
-def gamma0_maps(Q1, Q2, m):
-    """All gamma in Gamma_0(m) with Q1|gamma = Q2."""
-    R1, g1 = reduce_form(Q1)
-    R2, g2 = reduce_form(Q2)
-    if R1 != R2:
-        return []
-    return _maps(R1, g1, g2, m)
+def _check_level(m):
+    if m < 1:
+        raise LevelMismatch(f"the level must be a positive integer, got {m}")
 
 
 def enumerate_heegner(m, D, r):
-    """Canonical Gamma_0(m)-class representatives of Q(m, D, r), with
+    """Canonical Gamma_0(m)-class representatives of Q(m, D, r), the forms
+    [A, B, C] of discriminant D < 0 with m | A and B = r mod 2m, with
     stabilizer orders: sorted list of (QuadForm, #Gamma_0(m)_Q).
 
-    D < 0, D = r^2 mod 4m.  Completeness of the A-sweep (A <= m^2 |D|)
-    rests on the height of Heegner points over the Gamma_0(m) fundamental
-    domain; the class-count oracle in the tests cross-checks it.
+    Theorem (completeness).  Every form of discriminant D is R|g for
+    exactly one reduced R of discriminant D, primitive or not, and some
+    g in SL_2(Z); and R|g = R|h iff h is in Aut(R) g.  So the
+    Gamma_0(m)-classes of forms with reduced form R are the double cosets
+    Aut(R) \\ SL_2(Z) / Gamma_0(m).  The cosets g Gamma_0(m) are the
+    points of P^1(Z/m), by the first column of g mod m (Cremona's
+    M-symbols), and the conditions m | A and B = r mod 2m on R|g depend on
+    the coset alone.  Hence the classes of Q(m, D, r) are, for each
+    reduced R, the orbits of g -> u g, u in Aut(R), on the points whose
+    R|g meets them: O(#reduced forms * #P^1(Z/m)) steps.  The stabilizer
+    of Q = R|g in Gamma_0(m) is g^-1 u g for the u in Aut(R) with
+    u g Gamma_0(m) = g Gamma_0(m), so its order is the number of u that
+    fix g's point.  See Gross--Kohnen--Zagier, Math. Ann. 278, 1987,
+    section I.
+
+    The representative of a class is its form with the least A, then the
+    least B in (-A, A] (see _least_form).
     """
+    _check_level(m)
     if (D - r * r) % (4 * m) != 0:
         raise CongruenceViolation(f"D={D} is not {r}^2 mod {4 * m}")
     if D >= 0:
         raise BadDiscriminant(f"Heegner forms need D < 0, got {D}")
-    r %= 2 * m
+    ps = [(p, p ** k) for p, k in prime_factorization(m).items()]
+    points = _p1(ps, m)
     reps = []
-    # reduction matrices of the representatives, by reduced form: a
-    # candidate can only be equivalent to representatives of its own
-    by_form = {}
-    for A in range(m, m * m * abs(D) + 1, m):
-        # B = r mod 2m within (-A, A]: exactly A/m candidates
-        b0 = ((r + A) % (2 * m)) - A
-        if b0 <= -A:
-            b0 += 2 * m
-        for B in range(b0, A + 1, 2 * m):
-            if (B * B - D) % (4 * A):
+    for R in _reduced_forms(D):
+        auts = _automorphs(R.key())
+        seen = set()
+        for key, g in points:
+            if key in seen:
                 continue
-            Q = QuadForm(A, B, (B * B - D) // (4 * A))
-            R, g = reduce_form(Q)
-            same = by_form.setdefault(R, [])
-            if any(_maps(R, g, h, m) for h in same):
+            Q = R.transform(g)
+            if Q.A % m or (Q.B - r) % (2 * m):
                 continue
-            same.append(g)
-            reps.append((Q, len(_maps(R, g, g, m))))
+            a, c = g[0], g[2]
+            images = [_p1_key(u[0] * a + u[1] * c, u[2] * a + u[3] * c, ps)
+                      for u in auts]
+            seen.update(images)
+            reps.append((_least_form(Q, m), images.count(key)))
     reps.sort(key=lambda qs: qs[0].key())
     return reps
+
+
+def _reduced_forms(D):
+    """Every reduced form of discriminant D < 0, primitive or not:
+    -A < B <= A <= C, and B >= 0 when A = C (so 3A^2 <= |D|)."""
+    out = []
+    for A in range(1, isqrt(-D // 3) + 1):
+        for B in range(1 - A, A + 1):
+            if (B * B - D) % (4 * A) == 0:
+                C = (B * B - D) // (4 * A)
+                if C > A or (C == A and B >= 0):
+                    out.append(QuadForm(A, B, C))
+    return out
+
+
+def _p1(ps, m):
+    """The points of P^1(Z/m) for m = prod q over (p, q = p^k) in ps: a
+    list of (key, g) with g in SL_2(Z) whose first column is the point.
+
+    Mod q the points are (1 : d) for every d and (c : 1) for p | c; a
+    point mod m is one point mod each q, joined by CRT.  key is the tuple
+    of these, as _p1_key gives it for any vector of the point."""
+    points = [((), 0, 0)]
+    for p, q in ps:
+        e = (m // q) * pow(m // q, -1, q)  # 1 mod q, 0 mod m / q
+        axis = [(1, d) for d in range(q)] + [(c, 1) for c in range(0, q, p)]
+        points = [(key + ((x, y),), (a + e * x) % m, (c + e * y) % m)
+                  for key, a, c in points for x, y in axis]
+    return [(key, _lift(a, c, m)) for key, a, c in points]
+
+
+def _p1_key(x, y, ps):
+    """The key of the point (x : y) of P^1(Z/m): mod each q = p^k, the
+    vector scaled by the inverse of its first entry if that is a unit,
+    else of its second."""
+    key = []
+    for p, q in ps:
+        if x % p:
+            key.append((1, y * pow(x, -1, q) % q))
+        else:
+            key.append((x * pow(y, -1, q) % q, 1))
+    return tuple(key)
+
+
+def _lift(a, c, m):
+    """A g in SL_2(Z) whose first column is (a, c) mod m, for c >= 0 and
+    gcd(a, c, m) = 1; it is (a, c) itself when gcd(a, c) = 1, and the
+    identity when c = 0 (then a = 1 mod m)."""
+    if c == 0:
+        return IDENT
+    # a + t m is prime to c for some t: the primes of c that divide m do
+    # not divide a, and each other prime rules out one residue of t
+    while gcd(a, c) != 1:
+        a += m
+    d = pow(a, -1, c)
+    return (a, (a * d - 1) // c, c, d)
+
+
+def _least_form(Q, m):
+    """The form of Q's Gamma_0(m)-class with the least A, then the least
+    B in (-A, A].
+
+    The A of the class are the values Q(x, y) at the coprime (x, y) with
+    m | y, the first columns of Gamma_0(m); (x, y) and (-x, -y) give the
+    same form, so y >= 0.  Since 4A Q(x, y) = (2Ax + By)^2 + |D| y^2, no
+    y with |D| y^2 > 4A best improves on a value best, and at each y the
+    value grows as x moves away from -By/2A.  Each minimising (x, y)
+    gives one form with B in (-A, A]; the least B among them is taken."""
+    A, B = Q.A, Q.B
+    nD = 4 * A * Q.C - B * B
+    best, cols = A, [(1, 0)]
+    y = m
+    while nD * y * y <= 4 * A * best:
+        x0 = -B * y // (2 * A)
+        for x, step in ((x0, -1), (x0 + 1, 1)):
+            while (v := Q.value(x, y)) <= best:
+                if gcd(x, y) == 1:
+                    if v < best:
+                        best, cols = v, []
+                    cols.append((x, y))
+                x += step
+        y += m
+    forms = []
+    for x, y in cols:
+        F = Q.transform(_lift(x, y, m))
+        k = (F.A - F.B) // (2 * F.A)  # puts B in (-A, A]
+        forms.append(F.transform((1, k, 0, 1)))
+    return min(forms, key=lambda F: F.B)
 
 
 def genus_char(Q, D, m):
@@ -186,6 +294,7 @@ def genus_char(Q, D, m):
     (x, y) != (0, 0), and is positive.  Some n | m qualifies: for each
     p | gcd(B, D), the p-part of n is 1 if p does not divide C, else m's.
     """
+    _check_level(m)
     if not is_fundamental(D):
         raise BadDiscriminant(f"{D} is not fundamental")
     if Q.A % m:

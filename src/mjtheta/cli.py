@@ -45,7 +45,11 @@ def cmd_expand(args, out=None):
         f = eta_expand(get_lambency(args.lambency).eta, args.order)
     else:
         f = eulerian(args.eulerian, args.order)
-    for x, v in f.items():
+    items = f.items()
+    if not items:
+        print(f"mjtheta expand: no nonzero coefficient below the window "
+              f"q^{f.order}", file=sys.stderr)
+    for x, v in items:
         out.write(f"{x} {cformat(v)}\n")
     return 0
 

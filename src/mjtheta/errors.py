@@ -12,8 +12,9 @@ class NonInvertibleLeadingTerm(MJTError):
 class LevelMismatch(MJTError):
     """An eta factor n_i is not a positive divisor of the ambient level m,
     or the quotient's Fricke multiplier at level m is irrational; also a
-    form whose A the level m does not divide (genus_char), and a linear
-    combination of no tables or of tables of different index or parity
+    level m < 1 (enumerate_heegner, gamma0_maps, genus_char), a form whose
+    A the level m does not divide (genus_char), and a linear combination
+    of no tables or of tables of different index or parity
     (table_lin_comb)."""
 
 

@@ -191,6 +191,52 @@ def test_enumerate_matches_pairwise_equivalence(m, D, r):
     assert len(set(forms)) < len(forms)
 
 
+def sweep_heegner(m, D, r):
+    """The A-sweep enumerate_heegner replaced, as its oracle: A = m, 2m,
+    ..., m^2 |D|, and for each A the A/m values B = r mod 2m in (-A, A];
+    a candidate is a new representative unless gamma0_maps carries it onto
+    an earlier one of the same reduced form."""
+    r %= 2 * m
+    reps = []
+    by_form = {}
+    for A in range(m, m * m * abs(D) + 1, m):
+        b0 = ((r + A) % (2 * m)) - A
+        if b0 <= -A:
+            b0 += 2 * m
+        for B in range(b0, A + 1, 2 * m):
+            if (B * B - D) % (4 * A):
+                continue
+            Q = QuadForm(A, B, (B * B - D) // (4 * A))
+            same = by_form.setdefault(reduce_form(Q)[0], [])
+            if any(gamma0_maps(Q, P, m) for P in same):
+                continue
+            same.append(Q)
+            reps.append((Q, len(gamma0_maps(Q, Q, m))))
+    reps.sort(key=lambda qs: qs[0].key())
+    return reps
+
+
+def residues(m, D):
+    return [r for r in range(2 * m) if (D - r * r) % (4 * m) == 0]
+
+
+# every (m, D) with m <= 60 and -60 <= D <= -3, fundamental or not, that
+# has a residue r and a sweep of at most 4 10^6 candidates over all of
+# them: 498 pairs, 178 of them at levels with several prime factors
+SWEEPABLE = [(m, D) for m in range(1, 61) for D in range(-60, -2)
+             if residues(m, D)
+             and m * m * D * D * len(residues(m, D)) <= 4 * 10 ** 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWEEPABLE))
+def test_enumerate_matches_the_sweep(case):
+    m, D = case
+    for r in residues(m, D):
+        assert enumerate_heegner(m, D, r) == sweep_heegner(m, D, r), \
+            (m, D, r)
+
+
 def test_enumerate_congruence_violation():
     with pytest.raises(CongruenceViolation):
         enumerate_heegner(6, -8, 2)
@@ -630,17 +676,40 @@ def test_fit_case_matches_the_cyclotomic_fit(sym, D, r):
     assert fit_rational(psi, T, rep["max_deg"]) == (P, Q)
 
 
-def test_genus_char_matches_the_bounded_search_on_heegner_forms():
-    # every Heegner form of the benchmark fits and of the sweep at levels
-    # m <= 36, with the group translates r a of heegner_divisor
-    forms = set()
-    for sym, D, r in BENCH_FITS + SWEEP:
+def translates(cases):
+    """The (m, D, r a mod 2m) that heegner_divisor enumerates for the
+    (symbol, D, r) in cases, a running over the lambency's group K."""
+    out = set()
+    for sym, D, r in cases:
         lam = get_lambency(sym)
-        if lam.m > 36:
-            continue
-        for a in lam.K:
-            for Q, _s in enumerate_heegner(lam.m, D, r * a % (2 * lam.m)):
-                forms.add((Q, D, lam.m))
+        out.update((lam.m, D, r * a % (2 * lam.m)) for a in lam.K)
+    return sorted(out)
+
+
+# the pool criterion 9 draws its ten (m, D, r) from
+CRITERION_9 = [(m, D, residues(m, D)[0])
+               for m in (2, 3, 5, 6, 7, 10, 12, 15)
+               for D in (-3, -7, -11, -23, -31, -47, -59, -71)
+               if gcd(D, 4 * m) == 1 and residues(m, D)]
+
+
+# (7, -196, 0): the representative [49, -14, 2] comes from a minimising
+# (x, y) on the search's stopping bound |D| y^2 = 4 A best
+@pytest.mark.parametrize("cases", [
+    translates(SWEEP), translates(BENCH_FITS), [(60, -71, 13)], CRITERION_9,
+    [(7, -196, 0)],
+], ids=["sweep", "bench-fits", "60,-71,13", "criterion-9", "7,-196,0"])
+def test_enumerate_matches_the_sweep_on_named_cases(cases):
+    for m, D, r in cases:
+        assert enumerate_heegner(m, D, r) == sweep_heegner(m, D, r), \
+            (m, D, r)
+
+
+def test_genus_char_matches_the_bounded_search_on_heegner_forms():
+    # every Heegner form of the benchmark fits and of the sweep, with the
+    # group translates r a of heegner_divisor
+    forms = {(Q, D, m) for m, D, r in translates(BENCH_FITS + SWEEP)
+             for Q, _s in enumerate_heegner(m, D, r)}
     assert len(forms) > 150
     for Q, D, m in forms:
         assert_genus_char_matches_the_bounded_search(Q, D, m)

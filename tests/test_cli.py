@@ -44,6 +44,19 @@ def test_expand_empty_eta(capsys):
     assert out.splitlines() == ["0 1"]
 
 
+def test_expand_names_an_empty_window(capsys):
+    # q^(999999999999/24) and 3:psi = q + ... lie above their windows
+    for argv in (["--eta", "1^999999999999", "--order", "3"],
+                 ["--eulerian", "3:psi", "--order", "1"]):
+        rc, out, err = run(capsys, "expand", *argv)
+        window = argv[-1]
+        assert (rc, out) == (0, "")
+        assert err == ("mjtheta expand: no nonzero coefficient below the "
+                       f"window q^{window}\n")
+    rc, out, err = run(capsys, "expand", "--eta", "1^24", "--order", "2")
+    assert (rc, out, err) == (0, "1 1\n", "")
+
+
 def test_expand_lambency_matches_eta(capsys):
     rc, out, _ = run(capsys, "expand", "--lambency", "2", "--order", "3")
     rc2, out2, _ = run(capsys, "expand", "--eta", "1^24/2^24",

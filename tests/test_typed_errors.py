@@ -14,8 +14,8 @@ from mjtheta import errors
 
 SETUP = """
 from fractions import Fraction
-from mjtheta.borcherds import QuadForm, automorphs, fit_rational, \\
-    gamma0_maps, genus_char, psi_expand, reduce_form
+from mjtheta.borcherds import QuadForm, automorphs, enumerate_heegner, \\
+    fit_rational, gamma0_maps, genus_char, psi_expand, reduce_form
 from mjtheta.catalog import get_lambency
 from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb, \\
     theta_nullwert
@@ -61,6 +61,18 @@ CASES = {
         "fit_rational(QSeries({0: ex('1/5')}, 10), QSeries({-1: 1}, 10), 1)"),
     "genus_char with m not dividing A": (
         "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 2)"),
+    # a level m < 1 divides by 0, or passes every "m | A" test
+    "Heegner forms at level 0": (
+        "LevelMismatch", "enumerate_heegner(0, -8, 4)"),
+    "Heegner forms at level -6": (
+        "LevelMismatch", "enumerate_heegner(-6, -8, 4)"),
+    "gamma0_maps at level 0": (
+        "LevelMismatch",
+        "gamma0_maps(QuadForm(1, 1, 1), QuadForm(1, 1, 1), 0)"),
+    "genus_char at level 0": (
+        "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 0)"),
+    "genus_char at level -1": (
+        "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, -1)"),
     "slice modulo 0": ("Divergent", "series_slice(QSeries({0: 1}, 5), 0, 0)"),
     "slice modulo -1": ("Divergent",
                         "series_slice(QSeries({0: 1}, 5), 0, -1)"),
