@@ -4,14 +4,10 @@ rational-function fit of Psi_{D,r} against the principal modulus T.
 
 Conventions.  Forms are positive definite, Q(x,y) = Ax^2 + Bxy + Cy^2 with
 m | A, acted on by gamma = [[a,b],[c,d]] via (Q|gamma)(x,y) = Q(ax+by,
-cx+dy), so Q|(gh) = (Q|g)|h.  Gamma_0(m)-equivalence of definite forms is
-decided exactly: reduce both forms under SL_2(Z) with matrix tracking;
-every SL_2 transform carrying one onto the other is (reduction matrix) *
-(automorph of the reduced form) * (reduction matrix)^-1, a finite set, and
-membership in Gamma_0(m) is a congruence on the lower-left entry.
-The Gamma_0(m)-classes of Heegner forms are enumerated, not searched for:
-they are the Aut(R)-orbits on the cosets g Gamma_0(m), the points of
-P^1(Z/m), for each reduced form R (see enumerate_heegner).
+cx+dy), so Q|(gh) = (Q|g)|h.  The Gamma_0(m)-classes of Heegner forms
+are enumerated, not searched for: they are the Aut(R)-orbits on the
+cosets g Gamma_0(m), the points of P^1(Z/m), for each reduced form R (see
+enumerate_heegner).
 """
 
 from fractions import Fraction
@@ -26,30 +22,15 @@ from .cyclo import Cyc, cformat
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, LevelMismatch, MissingSource, NonIntegralExponent,
-    NoSolutionWithinDegree, NotQuadratic, Underdetermined,
+    NoSolutionWithinDegree, Underdetermined,
 )
 from .jacobi import _stream_window
 from .series import QSeries, _lo_eff, series_mul
 
 __all__ = [
-    "QuadForm", "reduce_form", "automorphs", "gamma0_maps",
-    "enumerate_heegner", "genus_char", "heegner_divisor", "psi_expand",
-    "fit_rational", "fit_case",
+    "QuadForm", "enumerate_heegner", "genus_char", "heegner_divisor",
+    "psi_expand", "fit_case",
 ]
-
-IDENT = (1, 0, 0, 1)
-
-
-def _mat_mul(g, h):
-    a, b, c, d = g
-    p, q, r, s = h
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-
-def _mat_inv(g):
-    a, b, c, d = g
-    assert a * d - b * c == 1
-    return (d, -b, -c, a)
 
 
 class QuadForm:
@@ -57,10 +38,6 @@ class QuadForm:
 
     def __init__(self, A, B, C):
         self.A, self.B, self.C = A, B, C
-
-    @property
-    def disc(self):
-        return self.B * self.B - 4 * self.A * self.C
 
     def value(self, x, y):
         return self.A * x * x + self.B * x * y + self.C * y * y
@@ -85,34 +62,10 @@ class QuadForm:
         return f"[{self.A}, {self.B}, {self.C}]"
 
 
-def reduce_form(Q):
-    """(reduced form R, g) with Q|g = R, for positive definite Q."""
-    if Q.A <= 0 or Q.disc >= 0:
-        raise BadDiscriminant(f"{Q} is not positive definite")
-    g = IDENT
-    S = (0, -1, 1, 0)
-    while True:
-        k = (Q.A - Q.B) // (2 * Q.A)  # puts B in (-A, A]
-        if k:
-            t = (1, k, 0, 1)
-            Q, g = Q.transform(t), _mat_mul(g, t)
-        if Q.A > Q.C or (Q.A == Q.C and Q.B < 0):
-            Q, g = Q.transform(S), _mat_mul(g, S)
-            continue
-        return Q, g
-
-
-def automorphs(Q):
-    """The SL_2(Z) stabilizer of a positive definite form (order 2, 4 or
-    6): that of its reduced form R = Q|g, whose elements have entries in
-    {-1, 0, 1}, conjugated back by g."""
-    R, g = reduce_form(Q)
-    gi = _mat_inv(g)
-    return [_mat_mul(_mat_mul(g, u), gi) for u in _automorphs(R.key())]
-
-
 @lru_cache(maxsize=None)
 def _automorphs(key):
+    """The SL_2(Z) stabilizer of the reduced positive definite form with
+    this key (order 2, 4 or 6); its elements have entries in {-1, 0, 1}."""
     R = QuadForm(*key)
     rng = (-1, 0, 1)
     out = tuple((a, b, c, d) for a in rng for b in rng for c in rng
@@ -120,23 +73,6 @@ def _automorphs(key):
                 if a * d - b * c == 1 and R.transform((a, b, c, d)) == R)
     if len(out) not in (2, 4, 6):
         raise BadDiscriminant(f"{R} is not a reduced positive definite form")
-    return out
-
-
-def gamma0_maps(Q1, Q2, m):
-    """All gamma in Gamma_0(m) with Q1|gamma = Q2."""
-    _check_level(m)
-    R1, g1 = reduce_form(Q1)
-    R2, g2 = reduce_form(Q2)
-    if R1 != R2:
-        return []
-    # Q1|g1 = R = Q2|g2, so gamma = g1 u g2^-1 for u in Aut(R)
-    g2i = _mat_inv(g2)
-    out = []
-    for u in _automorphs(R1.key()):
-        g = _mat_mul(_mat_mul(g1, u), g2i)
-        if g[2] % m == 0:
-            out.append(g)
     return out
 
 
@@ -241,7 +177,7 @@ def _lift(a, c, m):
     gcd(a, c, m) = 1; it is (a, c) itself when gcd(a, c) = 1, and the
     identity when c = 0 (then a = 1 mod m)."""
     if c == 0:
-        return IDENT
+        return (1, 0, 0, 1)
     # a + t m is prime to c for some t: the primes of c that divide m do
     # not divide a, and each other prime rules out one residue of t
     while gcd(a, c) != 1:
@@ -314,13 +250,13 @@ def genus_char(Q, D, m):
         f"of D dividing all its coefficients")
 
 
-def heegner_divisor(lam, D, r):
-    """The weighted Heegner divisor of Eq-(3.23) type for the lambency's
-    optimal form: list of (QuadForm, weight) with weight =
-    -4 chi_D(Q) / #Gamma_0(m)_Q, summed over the group translates of r."""
+def heegner_divisor(symbol, D, r):
+    """The weighted Heegner divisor of Eq-(3.23) type for the optimal form
+    of the lambency with this catalog symbol: list of (QuadForm, weight)
+    with weight = -4 chi_D(Q) / #Gamma_0(m)_Q, summed over the group
+    translates of r."""
     from .catalog import get_lambency
-    if isinstance(lam, str):
-        lam = get_lambency(lam)
+    lam = get_lambency(symbol)
     m = lam.m
     out = {}
     for a in lam.K:
@@ -331,8 +267,8 @@ def heegner_divisor(lam, D, r):
     return sorted(out.items(), key=lambda qw: qw[0].key())
 
 
-def psi_expand(lam, D, r, order=None, table=None):
-    """The Borcherds product
+def psi_expand(symbol, D, r, order=None, table=None):
+    """The Borcherds product of the lambency with this catalog symbol,
     prod_{n>0} prod_{b mod D} (1 - ex(b/D) q^n)^{(D/b) C(Dn^2, rn)}
     expanded exactly; truncated at the first n whose exponent the table
     cannot justify (the returned window records this).
@@ -349,18 +285,17 @@ def psi_expand(lam, D, r, order=None, table=None):
     2x_N and 2y_N are integers.  The coefficients are returned as the
     values x_N + G y_N.
     """
-    x2, y2, window = _psi_coords(lam, D, r, order, table)
+    x2, y2, window = _psi_coords(symbol, D, r, order, table)
     G = _gauss_sum(D)
     return QSeries({N: _quad_value(Fraction(a, 2), Fraction(b, 2), G)
                     for N, (a, b) in enumerate(zip(x2, y2))}, window)
 
 
-def _psi_coords(lam, D, r, order=None, table=None):
+def _psi_coords(symbol, D, r, order=None, table=None):
     """(x2, y2, window): the doubled coordinates 2x_N, 2y_N (ints, for
     0 <= N < window) of Psi = X + G Y, and the window of psi_expand."""
     from .catalog import get_lambency
-    if isinstance(lam, str):
-        lam = get_lambency(lam)
+    lam = get_lambency(symbol)
     m = lam.m
     if D >= 0 or not is_fundamental(D):
         raise BadDiscriminant(f"need a negative fundamental D, got {D}")
@@ -486,84 +421,25 @@ def _satisfies(rows, sol):
     return all(sum(map(mul, row, num)) == row[-1] * den for row in rows)
 
 
-def _split_quadratic(psi):
-    """(X, Y, G): psi = X + G Y with X, Y over Q and G the Gauss sum of the
-    one imaginary quadratic field Q(sqrt D) holding psi's coefficients;
-    Y and G are None for a rational psi."""
-    n = next((v.n for v in psi.coeffs.values() if isinstance(v, Cyc)), None)
-    if n is None:
-        return psi, None, None
-    if not is_fundamental(-n):
-        raise NotQuadratic(f"coefficients at conductor {n} lie in no "
-                           f"imaginary quadratic field")
-    G = _gauss_sum(-n)
-    i = next(i for i, g in enumerate(G.c) if i and g)
-    xs, ys = {}, {}
-    for k, v in psi.coeffs.items():
-        if not isinstance(v, Cyc):
-            xs[k] = v
-            continue
-        if v.n != n:
-            raise NotQuadratic(f"coefficients at conductors {n} and {v.n}")
-        y = v.c[i] / G.c[i]
-        rest = [a - y * g for a, g in zip(v.c, G.c)]
-        if any(rest[1:]):
-            raise NotQuadratic(f"coefficient {cformat(v)} is not in "
-                               f"Q(sqrt {-n})")
-        xs[k], ys[k] = rest[0], y
-    return (QSeries(xs, psi.order, psi.den), QSeries(ys, psi.order, psi.den),
-            G)
-
-
-def fit_rational(psi, T, max_deg):
-    """Exact fit psi = P(T)/Q(T) with deg P, deg Q <= max_deg, Q monic.
+def _fit_coords(X, Y, G, T, max_deg):
+    """Exact fit psi = P(T)/Q(T) with deg P, deg Q <= max_deg, Q monic,
+    for psi = X + G Y in integral powers of q: X, Y and T over Q, and G
+    the Gauss sum of Q(sqrt D), G^2 = D.  Returns (P, Q) as ascending
+    coefficient lists.
 
     Scans degree pairs in increasing order, solves psi*Q(T) - P(T) = 0
     through the full shared window, and accepts only solutions consistent
     with every justified coefficient (the overdetermined rows are the
-    verification).  Returns (P, Q) as ascending coefficient lists.
-
-    psi's coefficients must lie in Q or in one imaginary quadratic field
-    Q(sqrt D), T's in Q; anything else raises NotQuadratic.  There
-    psi = X + G Y with X, Y over Q and the Gauss sum G = sum_b (D/b)
-    ex(b/D), G^2 = D, as for the Borcherds products of psi_expand
-    (Bruinier--Ono, Ann. of Math. 2010, Thm 6.1).  Each unknown u of P
-    and Q is written u = u1 + G u2, and the pair (u1, u2) takes its place
-    in the unknown vector, Q's coefficients first.  Each coefficient
-    equation of (X + G Y)(Q1 + G Q2) = P1 + G P2 splits as
+    verification).  Each unknown u of P and Q is written u = u1 + G u2,
+    and the pair (u1, u2) takes its place in the unknown vector, Q's
+    coefficients first.  Each coefficient equation of
+    (X + G Y)(Q1 + G Q2) = P1 + G P2 splits as
     (X Q1 + D Y Q2 - P1) + G (Y Q1 + X Q2 - P2) = 0 into two rational
     rows.  Interleaved so, the rational system has the pivots of the
     system over Q(sqrt D), and zeroing the free variables gives the same
-    solution.  A rational psi gives just the X block, one unknown each.
-    """
-    if any(isinstance(v, Cyc) for v in T.coeffs.values()):
-        raise NotQuadratic("the principal modulus must have rational "
-                           "coefficients")
-    X, Y, G = _split_quadratic(psi)
-    if X.den != 1 or T.den != 1:
-        raise NoSolutionWithinDegree(
-            "fit_rational needs series in integral powers of q")
-    _check_window(X, Y, max_deg)
-    return _fit_coords(X, Y, G, T, max_deg)
-
-
-def _check_window(X, Y, max_deg):
-    """Underdetermined unless psi = X + G Y spans the 2 max_deg + 2
-    coefficients that a fit of degree max_deg needs.  It reads psi only,
-    so callers run it before they expand T to that degree."""
-    keys = [k for s in (X, Y) if s is not None for k in s.coeffs]
-    avail = int(X.order - min([0] + keys))
-    if avail < 2 * max_deg + 2:
-        raise Underdetermined(
-            f"window of {avail} coefficients cannot pin degree {max_deg}")
-
-
-def _fit_coords(X, Y, G, T, max_deg):
-    """fit_rational for psi = X + G Y (Y and G None for a rational psi),
-    in integral powers of q and with a window _check_window accepts:
-    one rational system per degree pair, its rows scaled to integers and
-    eliminated fraction-free."""
-    parts, D = ([X], 0) if Y is None else ([X, Y], -G.n)
+    solution.  Each system's rows are scaled to integers and eliminated
+    fraction-free."""
+    parts, D = [X, Y], -G.n
     keys = [k for s in parts for k in s.coeffs]
     # the equation times L, the common denominator of psi's coordinates
     L = lcm(*(Fraction(v).denominator for s in parts
@@ -601,11 +477,8 @@ def _fit_coords(X, Y, G, T, max_deg):
         # re-check every equation (free variables were zeroed)
         if sol is None or not _satisfies(rows, sol):
             continue
-        if Y is None:
-            vals = sol
-        else:
-            vals = [_quad_value(u1, u2, G)
-                    for u1, u2 in zip(sol[::2], sol[1::2])]
+        vals = [_quad_value(u1, u2, G)
+                for u1, u2 in zip(sol[::2], sol[1::2])]
         return vals[dq:], vals[:dq] + [1]
     if skipped_short:
         raise Underdetermined("every admissible degree pair lacked rows")
@@ -625,29 +498,24 @@ def _fit_rows(cols, dq, D, xs):
     """The integer rows at the exponents xs of
     sum_{i<dq} q_i L psi T^i + sum_j p_j (-L T^j) = -L psi T^dq.
 
-    cols holds the coordinate series of L psi T^0 .. L psi T^dq, then of
-    -L T^0 .. -L T^dp.  With a quadratic psi (two coordinates) each
+    cols holds the coordinate series (X and Y parts) of L psi T^0 ..
+    L psi T^dq, then the one series of each of -L T^0 .. -L T^dp.  Each
     unknown is a pair (u1, u2), and each exponent gives the 1-row and then
     the G-row; a row with fractions is scaled to integers."""
     qcols, rhs, pcols = cols[:dq], cols[dq], cols[dq + 1:]
     rows = []
     for x in xs:
-        if len(rhs) == 1:
-            out = [[c[0].coeffs.get(x, 0) for c in qcols + pcols]
-                   + [-rhs[0].coeffs.get(x, 0)]]
-        else:
-            one, gee = [], []
-            for cx, cy in qcols:
-                a, b = cx.coeffs.get(x, 0), cy.coeffs.get(x, 0)
-                one += [a, D * b]
-                gee += [b, a]
-            for (c,) in pcols:
-                a = c.coeffs.get(x, 0)
-                one += [a, 0]
-                gee += [0, a]
-            out = [one + [-rhs[0].coeffs.get(x, 0)],
-                   gee + [-rhs[1].coeffs.get(x, 0)]]
-        for row in out:
+        one, gee = [], []
+        for cx, cy in qcols:
+            a, b = cx.coeffs.get(x, 0), cy.coeffs.get(x, 0)
+            one += [a, D * b]
+            gee += [b, a]
+        for (c,) in pcols:
+            a = c.coeffs.get(x, 0)
+            one += [a, 0]
+            gee += [0, a]
+        for row in (one + [-rhs[0].coeffs.get(x, 0)],
+                    gee + [-rhs[1].coeffs.get(x, 0)]):
             if any(type(v) is not int for v in row):
                 den = lcm(*(Fraction(v).denominator for v in row))
                 row = [int(v * den) for v in row]
@@ -662,16 +530,19 @@ def fit_case(symbol, D, r, max_deg=None, table=None):
     stays in its rational coordinates X + G Y throughout."""
     from .catalog import get_lambency
     from .eta import eta_expand
-    lam = get_lambency(symbol)
-    x2, y2, window = _psi_coords(lam, D, r, table=table)
+    x2, y2, window = _psi_coords(symbol, D, r, table=table)
     if max_deg is None:
-        div = heegner_divisor(lam, D, r)
+        div = heegner_divisor(symbol, D, r)
         poles = int(sum(-w for _q, w in div if w < 0))
         max_deg = min(poles, (int(window) - 2) // 2)
+    # a fit of degree max_deg needs 2 max_deg + 2 coefficients of psi;
+    # checked before T is expanded to that degree
+    if int(window) < 2 * max_deg + 2:
+        raise Underdetermined(f"window of {int(window)} coefficients cannot "
+                              f"pin degree {max_deg}")
     X, Y = (QSeries({N: Fraction(v, 2) for N, v in enumerate(c)}, window)
             for c in (x2, y2))
-    _check_window(X, Y, max_deg)
-    T = eta_expand(lam.eta, window + max_deg + 1)
+    T = eta_expand(get_lambency(symbol).eta, window + max_deg + 1)
     P, Q = _fit_coords(X, Y, _gauss_sum(D), T, max_deg)
     return {"lambency": symbol, "D": D, "r": r, "P": P, "Q": Q,
             "window": window, "max_deg": max_deg}

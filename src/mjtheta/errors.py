@@ -12,7 +12,7 @@ class NonInvertibleLeadingTerm(MJTError):
 class LevelMismatch(MJTError):
     """An eta factor n_i is not a positive divisor of the ambient level m,
     or the quotient's Fricke multiplier at level m is irrational; also a
-    level m < 1 (enumerate_heegner, gamma0_maps, genus_char), a form whose
+    level m < 1 (enumerate_heegner, genus_char), a form whose
     A the level m does not divide (genus_char), and a linear combination
     of no tables or of tables of different index or parity
     (table_lin_comb)."""
@@ -75,8 +75,9 @@ class Divergent(MJTError):
 
 class BadDiscriminant(MJTError):
     """Kronecker symbol requires D nonzero and congruent to 0 or 1 mod 4;
-    form reduction (reduce_form, gamma0_maps, automorphs) requires a
-    positive definite form, A > 0 and discriminant < 0."""
+    Heegner forms need D < 0 (enumerate_heegner), a genus character a
+    fundamental D (genus_char), and a Borcherds product a negative
+    fundamental D (psi_expand, fit_case)."""
 
 
 class NonIntegralExponent(MJTError):
@@ -90,14 +91,8 @@ class ExcludedDiscriminant(MJTError):
 
 
 class NoSolutionWithinDegree(MJTError):
-    """No rational function of the allowed degree matches the series, or the
-    series passed to fit_rational are not in integral powers of q."""
-
-
-class NotQuadratic(MJTError):
-    """The series passed to fit_rational has coefficients outside Q and
-    outside every single imaginary quadratic field Q(sqrt D), or the
-    principal modulus has irrational coefficients."""
+    """No rational function of the principal modulus with the allowed
+    degree matches the Borcherds product (fit_case)."""
 
 
 class Underdetermined(MJTError):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mjtheta import borcherds, cyclo, series
 from mjtheta.arith import divisors, is_fundamental, kronecker
 from mjtheta.borcherds import (
-    QuadForm, automorphs, enumerate_heegner, fit_case, fit_rational,
-    gamma0_maps, genus_char, heegner_divisor, psi_expand, reduce_form,
+    QuadForm, enumerate_heegner, fit_case, genus_char, heegner_divisor,
+    psi_expand,
 )
 from mjtheta.catalog import get_lambency, load_catalog
 from mjtheta.cyclo import (
@@ -18,8 +18,7 @@ from mjtheta.cyclo import (
 )
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, NoSolutionWithinDegree, NotQuadratic,
-    Underdetermined,
+    InsufficientDepth, NoSolutionWithinDegree, Underdetermined,
 )
 from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
@@ -43,6 +42,48 @@ def cconj(a):
     for i, x in enumerate(a.c):
         out[-i % a.n] += x
     return Cyc.make(a.n, out)
+
+
+def mat_mul(g, h):
+    a, b, c, d = g
+    p, q, r, s = h
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def mat_inv(g):
+    a, b, c, d = g
+    return (d, -b, -c, a)
+
+
+def reduce_form(Q):
+    """Oracle: (reduced form R, g) with Q|g = R, for positive definite Q."""
+    g = (1, 0, 0, 1)
+    S = (0, -1, 1, 0)
+    while True:
+        k = (Q.A - Q.B) // (2 * Q.A)  # puts B in (-A, A]
+        if k:
+            t = (1, k, 0, 1)
+            Q, g = Q.transform(t), mat_mul(g, t)
+        if Q.A > Q.C or (Q.A == Q.C and Q.B < 0):
+            Q, g = Q.transform(S), mat_mul(g, S)
+            continue
+        return Q, g
+
+
+def gamma0_maps(Q1, Q2, m):
+    """Oracle: all gamma in Gamma_0(m) with Q1|gamma = Q2.  With
+    Q1|g1 = R = Q2|g2 for the reduced form R, every SL_2(Z) transform
+    carrying Q1 onto Q2 is g1 u g2^-1 for an automorph u of R, a finite
+    set, and membership in Gamma_0(m) is a congruence on the lower-left
+    entry."""
+    R1, g1 = reduce_form(Q1)
+    R2, g2 = reduce_form(Q2)
+    if R1 != R2:
+        return []
+    g2i = mat_inv(g2)
+    maps = (mat_mul(mat_mul(g1, u), g2i)
+            for u in borcherds._automorphs(R1.key()))
+    return [g for g in maps if g[2] % m == 0]
 
 
 def gamma0_equivalent(Q1, Q2, m):
@@ -115,7 +156,7 @@ def test_reduce_form_tracks_matrix():
         B = rng.randint(-40, 40)
         C = rng.randint(1, 40)
         Q = QuadForm(A, B, C)
-        if Q.disc >= 0:
+        if B * B >= 4 * A * C:
             continue
         R, g = reduce_form(Q)
         assert Q.transform(g) == R
@@ -125,13 +166,13 @@ def test_reduce_form_tracks_matrix():
 
 
 def test_automorph_orders():
-    assert len(automorphs(QuadForm(1, 0, 1))) == 4
-    assert len(automorphs(QuadForm(1, 1, 1))) == 6
-    assert len(automorphs(QuadForm(1, 0, 2))) == 2
+    assert len(borcherds._automorphs((1, 0, 1))) == 4
+    assert len(borcherds._automorphs((1, 1, 1))) == 6
+    assert len(borcherds._automorphs((1, 0, 2))) == 2
     # off reduced forms: the reduced form's stabilizer, conjugated back
     for Q, order in [(QuadForm(1, 2, 2), 4), (QuadForm(1, 3, 3), 6),
                      (QuadForm(3, 7, 5), 2), (QuadForm(7, 13, 7), 2)]:
-        stab = automorphs(Q)
+        stab = gamma0_maps(Q, Q, 1)
         assert len(set(stab)) == order
         assert all(Q.transform(g) == Q for g in stab)
 
@@ -415,29 +456,39 @@ def T_series(order=30):
     return eta_expand(get_lambency("6+2").eta, order)
 
 
+def fit_coords(psi, T, max_deg, D=-4):
+    """borcherds._fit_coords on psi = X + G Y, split over Q(sqrt D) by the
+    oracle split; a rational psi is X with Y = 0, at any D."""
+    xy = {k: split(v, D) for k, v in psi.coeffs.items()}
+    X, Y = (QSeries({k: c[i] for k, c in xy.items()}, psi.order)
+            for i in (0, 1))
+    return borcherds._fit_coords(X, Y, borcherds._gauss_sum(D), T, max_deg)
+
+
 def test_fit_identity():
     T = T_series()
-    P, Q = fit_rational(T, T, 2)
+    P, Q = fit_coords(T, T, 2)
     assert Q == [1] and P == [0, 1]
 
 
 def test_fit_constant():
     c = QSeries({0: Fraction(7)}, 25)
-    P, Q = fit_rational(c, T_series(), 2)
+    P, Q = fit_coords(c, T_series(), 2)
     assert Q == [1] and P == [Fraction(7)]
 
 
 def test_fit_underdetermined():
-    short = QSeries({0: 1, 1: 5}, 3)
+    # the 7-coefficient window of (6+2, -8, 4) pins degree 2 but not 3
+    assert fit_case("6+2", -8, 4, max_deg=2)["max_deg"] == 2
     with pytest.raises(Underdetermined):
-        fit_rational(short, T_series(), 4)
+        fit_case("6+2", -8, 4, max_deg=3)
 
 
 def test_fit_no_solution():
     # a series with pseudorandom coefficients is not low-degree rational in T
     f = QSeries({k: rng.randint(1, 9) for k in range(20)}, 20)
     with pytest.raises(NoSolutionWithinDegree):
-        fit_rational(f, T_series(), 2)
+        fit_coords(f, T_series(), 2)
 
 
 FIT_CASES = [
@@ -469,10 +520,8 @@ def test_fit_case_frozen_gaussian():
 def test_fit_case_beyond_depth():
     # the 6+2 table reaches only n = 4 for D = -20, leaving a 5-coefficient
     # window; the divisor needs more degrees of freedom than that supports
-    psi = psi_expand("6+2", -20, 2)
-    T = eta_expand(get_lambency("6+2").eta, 10)
     with pytest.raises(NoSolutionWithinDegree):
-        fit_rational(psi, T, 1)
+        fit_case("6+2", -20, 2, max_deg=1)
 
 
 def test_fit_case_checks_the_window_before_expanding_T(monkeypatch):
@@ -528,7 +577,7 @@ def cyc_product(lam, D, r, order=None):
 
 def cyc_solve(rows, n_unknowns):
     """Gaussian elimination over Q(zeta_n), free variables set to 0: the
-    solver fit_rational replaced, as its oracle."""
+    solver _fit_coords replaced, as its oracle."""
     rows = [list(r) for r in rows]
     pivots = {}
     rank = 0
@@ -557,7 +606,7 @@ def cyc_solve(rows, n_unknowns):
 
 
 def cyc_fit(psi, T, max_deg):
-    """fit_rational as one linear system over Q(zeta_n) per degree pair:
+    """The fit as one linear system over Q(zeta_n) per degree pair:
     returns (P, Q, rank of the accepted system), or raises as the fit
     does."""
     avail = int(psi.order - min([0] + [x for x, _v in psi.items()]))
@@ -673,7 +722,6 @@ def test_fit_case_matches_the_cyclotomic_fit(sym, D, r):
     T = eta_expand(get_lambency(sym).eta, psi.order + rep["max_deg"] + 1)
     P, Q, _rank = cyc_fit(psi, T, rep["max_deg"])
     assert (rep["P"], rep["Q"], rep["window"]) == (P, Q, psi.order)
-    assert fit_rational(psi, T, rep["max_deg"]) == (P, Q)
 
 
 def translates(cases):
@@ -729,7 +777,8 @@ def poly_in_T(coeffs, Tpow):
        st.integers(min_value=0, max_value=2),
        st.integers(min_value=0, max_value=2))
 def test_fit_rational_matches_the_cyclotomic_fit(D, ps, qs, dp, dq):
-    # psi = P(T)/Q(T) for random P and monic Q over Q or Q(sqrt D)
+    # psi = P(T)/Q(T) for random P and monic Q over Q or Q(sqrt D); a
+    # rational psi (D None) is fitted as X + G Y with Y = 0
     G = 1 if D is None else borcherds._gauss_sum(D)
     P = [cadd(a, cmul(b, G)) for a, b in zip(ps[::2], ps[1::2])][:dp + 1]
     Q = [cadd(a, cmul(b, G)) for a, b in zip(qs[::2], qs[1::2])][:dq] + [1]
@@ -738,13 +787,14 @@ def test_fit_rational_matches_the_cyclotomic_fit(D, ps, qs, dp, dq):
     for _ in range(4):
         Tpow.append(series_mul(Tpow[-1], T))
     psi = series_mul(poly_in_T(P, Tpow), series_pow(poly_in_T(Q, Tpow), -1))
+    field = -4 if D is None else D
     try:
         want = cyc_fit(psi, T, 2)[:2]
     except (Underdetermined, NoSolutionWithinDegree) as e:
         with pytest.raises(type(e)):
-            fit_rational(psi, T, 2)
+            fit_coords(psi, T, 2, field)
         return
-    assert fit_rational(psi, T, 2) == want
+    assert fit_coords(psi, T, 2, field) == want
 
 
 def test_fit_with_free_variables_zeroes_them():
@@ -759,22 +809,7 @@ def test_fit_with_free_variables_zeroes_them():
         psi, T = QSeries(psi, 4), QSeries(T, 5)
         P, Q, rank = cyc_fit(psi, T, 1)
         assert (rank, len(P), len(Q)) == (2, 2, 2) and P[0] == 0
-        assert fit_rational(psi, T, 1) == (P, Q)
-
-
-def test_fit_outside_one_quadratic_field_raises():
-    T = T_series()
-    for c in (ex(Fraction(1, 5)),                      # degree 4
-              ex(Fraction(1, 8)),                      # Q(zeta_8)
-              cadd(ex(Fraction(1, 8)), ex(Fraction(-1, 8)))):  # sqrt 2
-        with pytest.raises(NotQuadratic):
-            fit_rational(QSeries({0: 1, 1: c}, 25), T, 1)
-    mixed = QSeries({0: ex(Fraction(1, 4)), 1: ex(Fraction(1, 3))}, 25)
-    with pytest.raises(NotQuadratic):
-        fit_rational(mixed, T, 1)
-    with pytest.raises(NotQuadratic):
-        fit_rational(QSeries({0: 1}, 25), QSeries({-1: ex(Fraction(1, 4))},
-                                                   25), 1)
+        assert fit_coords(psi, T, 1) == (P, Q)
 
 
 def test_product_and_fit_do_no_cyclotomic_arithmetic(monkeypatch):

@@ -14,8 +14,8 @@ from mjtheta import errors
 
 SETUP = """
 from fractions import Fraction
-from mjtheta.borcherds import QuadForm, automorphs, enumerate_heegner, \\
-    fit_rational, gamma0_maps, genus_char, psi_expand, reduce_form
+from mjtheta.borcherds import QuadForm, enumerate_heegner, fit_case, \\
+    genus_char, psi_expand
 from mjtheta.catalog import get_lambency
 from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb, \\
     theta_nullwert
@@ -45,20 +45,12 @@ CASES = {
         "CoeffTable(5, -1, {(5, 5): 2}, {5: (-100, 5)})"),
     "theta constant with an infinite l = 0 term": (
         "Divergent", "theta_nullwert(3, 0, 0, 3)"),
-    "indefinite form": ("BadDiscriminant", "reduce_form(QuadForm(1, 0, -1))"),
-    "negative definite form": ("BadDiscriminant",
-                               "reduce_form(QuadForm(-1, 1, -1))"),
-    "automorphs of an indefinite form": (
-        "BadDiscriminant", "automorphs(QuadForm(1, 0, -1))"),
-    "gamma0_maps on an indefinite form": (
-        "BadDiscriminant",
-        "gamma0_maps(QuadForm(1, 0, -1), QuadForm(1, 1, 1), 1)"),
-    "fit in powers of q^(1/2)": (
-        "NoSolutionWithinDegree",
-        "fit_rational(QSeries({1: 1}, 10, 2), QSeries({-1: 1}, 10), 1)"),
-    "fit over a field that is not quadratic": (
-        "NotQuadratic",
-        "fit_rational(QSeries({0: ex('1/5')}, 10), QSeries({-1: 1}, 10), 1)"),
+    # the 5-coefficient window of (6+2, -20, 2) pins degree 1, but no fit
+    # of degree 1 matches it
+    "fit beyond what the table supports": (
+        "NoSolutionWithinDegree", "fit_case('6+2', -20, 2, max_deg=1)"),
+    "fit of a degree the window cannot pin": (
+        "Underdetermined", "fit_case('6+2', -8, 4, max_deg=10**6)"),
     "genus_char with m not dividing A": (
         "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 2)"),
     # a level m < 1 divides by 0, or passes every "m | A" test
@@ -66,9 +58,6 @@ CASES = {
         "LevelMismatch", "enumerate_heegner(0, -8, 4)"),
     "Heegner forms at level -6": (
         "LevelMismatch", "enumerate_heegner(-6, -8, 4)"),
-    "gamma0_maps at level 0": (
-        "LevelMismatch",
-        "gamma0_maps(QuadForm(1, 1, 1), QuadForm(1, 1, 1), 0)"),
     "genus_char at level 0": (
         "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 0)"),
     "genus_char at level -1": (
@@ -101,12 +90,6 @@ CASES = {
 # Good arguments near the bad ones, with the value each must give.
 # name: (value, expression)
 VALUES = {
-    # [1, 2, 2] reduces to [1, 0, 1], whose stabilizer has order 4
-    "stabilizer of a form off reduced": (
-        4, "len(set(automorphs(QuadForm(1, 2, 2))))"),
-    "stabilizer elements fix the form": (
-        True, "all(QuadForm(1, 2, 2).transform(g) == QuadForm(1, 2, 2) "
-              "for g in automorphs(QuadForm(1, 2, 2)))"),
     # an even table keeps its entries at r = 0 and r = m
     "even table at r = 0 and r = m": (
         {(-20, 0): 2, (5, 5): 3},
