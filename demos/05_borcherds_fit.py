@@ -1,8 +1,10 @@
 """Borcherds products as rational functions of the principal modulus.
 
 For a negative fundamental discriminant within table depth, the formal
-product built from the table's coefficients is a ratio of two conjugate
-monic polynomials in T -- found by an exact linear solve and verified on
+product built from the table's coefficients is conj S(T)^k / S(T)^k for a
+monic S over Q(sqrt D) whose roots are the values of T at the Heegner
+points.  The Heegner divisor fixes the degree of P = conj S^k and
+Q = S^k and the power k; one exact linear solve finds S, verified on
 every surplus coefficient.
 """
 

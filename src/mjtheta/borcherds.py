@@ -25,7 +25,7 @@ from .errors import (
     NoSolutionWithinDegree, Underdetermined,
 )
 from .jacobi import _stream_window
-from .series import QSeries, _lo_eff, series_mul
+from .series import QSeries, series_mul
 
 __all__ = [
     "QuadForm", "enumerate_heegner", "genus_char", "heegner_divisor",
@@ -279,21 +279,21 @@ def psi_expand(symbol, D, r, order=None, table=None):
     This is the twisted product of Bruinier--Ono ("Heegner divisors,
     L-functions and harmonic weak Maass forms", Ann. of Math. 2010,
     Thm 6.1).  q d/dq log Psi = -G sum_N c_N q^N with the integers
-    c_N = sum_{n | N} n C(Dn^2, rn) (D/(N/n)), so X = sum x_N q^N and
-    Y = sum y_N q^N follow N x_N = -D sum_k c_k y_{N-k} and
-    N y_N = -sum_k c_k x_{N-k} from x_0 = 1, y_0 = 0 (see _psi_coords);
-    2x_N and 2y_N are integers.  The coefficients are returned as the
-    values x_N + G y_N.
+    c_N = sum_{n | N} n C(Dn^2, rn) (D/(N/n)) (see _psi_log), so
+    X = sum x_N q^N and Y = sum y_N q^N follow a recurrence from
+    x_0 = 1, y_0 = 0 (see _psi_coords); 2x_N and 2y_N are integers.  The
+    coefficients are returned as the values x_N + G y_N.
     """
-    x2, y2, window = _psi_coords(symbol, D, r, order, table)
+    c, window = _psi_log(symbol, D, r, order, table)
     G = _gauss_sum(D)
-    return QSeries({N: _quad_value(Fraction(a, 2), Fraction(b, 2), G)
-                    for N, (a, b) in enumerate(zip(x2, y2))}, window)
+    return QSeries({N: _quad_value(x, y, G)
+                    for N, (x, y) in enumerate(zip(*_psi_coords(c, D)))},
+                   window)
 
 
-def _psi_coords(symbol, D, r, order=None, table=None):
-    """(x2, y2, window): the doubled coordinates 2x_N, 2y_N (ints, for
-    0 <= N < window) of Psi = X + G Y, and the window of psi_expand."""
+def _psi_log(symbol, D, r, order=None, table=None):
+    """(c, window): the window of psi_expand, and the integers c_N of
+    q d/dq log Psi = -G sum_N c_N q^N for 0 <= N < window (c_0 = 0)."""
     from .catalog import get_lambency
     lam = get_lambency(symbol)
     m = lam.m
@@ -337,14 +337,21 @@ def _psi_coords(symbol, D, r, order=None, table=None):
         if e:
             for N in range(n, count, n):
                 c[N] += n * e * chi[N // n]
-    x2, y2 = [2], [0]
-    for N in range(1, count):
+    return c, window
+
+
+def _psi_coords(c, D, k=1):
+    """(X, Y): the coordinates x_N, y_N (Fractions, 0 <= N < len(c)) of
+    Psi^(1/k) = X + G Y for the c_N of _psi_log.  Psi^(1/k) has
+    q d/dq log = -G sum (c_N / k) q^N, so with x_0 = 1, y_0 = 0,
+    N k x_N = -D sum_j c_j y_{N-j} and N k y_N = -sum_j c_j x_{N-j}."""
+    X, Y = [Fraction(1)], [Fraction(0)]
+    for N in range(1, len(c)):
         cs = c[N:0:-1]  # c_N .. c_1 against the coordinates 0 .. N-1
-        xN = -D * sum(map(mul, cs, y2)) // N
-        yN = -sum(map(mul, cs, x2)) // N
-        x2.append(xN)
-        y2.append(yN)
-    return x2, y2, window
+        xN = Fraction(-D * sum(map(mul, cs, Y)), N * k)
+        Y.append(Fraction(-sum(map(mul, cs, X)), N * k))
+        X.append(xN)
+    return X, Y
 
 
 def _runs_out(t, r):
@@ -385,8 +392,9 @@ def _quad_value(x, y, G):
 
 def _solve_int(rows, n_unknowns):
     """Gauss--Jordan elimination of integer rows [a_1 .. a_n, b], fraction
-    free: each combination is divided by its content.  Returns the solution
-    as Fractions (free variables set to 0), or None if inconsistent."""
+    free: each combination is divided by its content.  Returns (rank, the
+    solution as Fractions with free variables set to 0), the solution None
+    if the rows are inconsistent."""
     rows = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -407,142 +415,106 @@ def _solve_int(rows, n_unknowns):
         pivots.append((col, rank))
         rank += 1
     if any(row[-1] for row in rows[rank:]):
-        return None
+        return rank, None
     sol = [Fraction(0)] * n_unknowns
     for col, i in pivots:
         sol[col] = Fraction(rows[i][-1], rows[i][col])
-    return sol
+    return rank, sol
 
 
-def _satisfies(rows, sol):
-    """Every integer row [a_1 .. a_n, b] has sum a_i sol_i = b."""
-    den = lcm(*(u.denominator for u in sol))
-    num = [u.numerator * (den // u.denominator) for u in sol]
-    return all(sum(map(mul, row, num)) == row[-1] * den for row in rows)
+def _fit_coords(X, Y, D, T, e):
+    """The monic S of degree e over Q(sqrt D) with R S(T) = conj S(T),
+    for R = X + G Y given by its coordinates X, Y (lists of Fractions at
+    q^0 .. q^(W-1), x_0 = 1, y_0 = 0), G the Gauss sum, G^2 = D.  Returns
+    S as ascending coordinate pairs (u_j, v_j), s_j = u_j + G v_j, ending
+    in (1, 0).
 
-
-def _fit_coords(X, Y, G, T, max_deg):
-    """Exact fit psi = P(T)/Q(T) with deg P, deg Q <= max_deg, Q monic,
-    for psi = X + G Y in integral powers of q: X, Y and T over Q, and G
-    the Gauss sum of Q(sqrt D), G^2 = D.  Returns (P, Q) as ascending
-    coefficient lists.
-
-    Scans degree pairs in increasing order, solves psi*Q(T) - P(T) = 0
-    through the full shared window, and accepts only solutions consistent
-    with every justified coefficient (the overdetermined rows are the
-    verification).  Each unknown u of P and Q is written u = u1 + G u2,
-    and the pair (u1, u2) takes its place in the unknown vector, Q's
-    coefficients first.  Each coefficient equation of
-    (X + G Y)(Q1 + G Q2) = P1 + G P2 splits as
-    (X Q1 + D Y Q2 - P1) + G (Y Q1 + X Q2 - P2) = 0 into two rational
-    rows.  Interleaved so, the rational system has the pivots of the
-    system over Q(sqrt D), and zeroing the free variables gives the same
-    solution.  Each system's rows are scaled to integers and eliminated
-    fraction-free."""
-    parts, D = [X, Y], -G.n
-    keys = [k for s in parts for k in s.coeffs]
-    # the equation times L, the common denominator of psi's coordinates
-    L = lcm(*(Fraction(v).denominator for s in parts
-              for v in s.coeffs.values()))
-    parts = [_times(s, L) for s in parts]
-    lo_psi = min(keys) if keys else X.order
-    Tpow = [QSeries({0: 1}, T.order)]
-    for _ in range(max_deg):
-        Tpow.append(series_mul(Tpow[-1], T))
-    # columns (coordinate series, window, lowest exponent): psi T^i as the
-    # coordinate products, with the window and lowest exponent of the
-    # product over Q(sqrt D); and the rational -L T^j
-    psiT = []
-    for t in Tpow:
-        window = min(X.order + _lo_eff(t), t.order + lo_psi)
-        prods = [series_mul(s, t) for s in parts]
-        lo = min([0] + [k for s in prods for k in s.coeffs if k < window])
-        psiT.append((prods, window, lo))
-    PT = [([_times(t, -L)], t.order, min([0] + list(t.coeffs)))
-          for t in Tpow]
-    pairs = sorted(((dp, dq) for dp in range(max_deg + 1)
-                    for dq in range(max_deg + 1)),
-                   key=lambda p: (max(p), p[0] + p[1], p[1]))
-    skipped_short = False
-    for dp, dq in pairs:
-        used = psiT[:dq + 1] + PT[:dp + 1]
-        window = min(w for _c, w, _l in used)
-        lo = min(l for _c, _w, l in used)
-        xs = range(int(lo), int(window))
-        if len(xs) < dq + dp + 1:
-            skipped_short = True
-            continue
-        rows = _fit_rows([c for c, _w, _l in used], dq, D, xs)
-        sol = _solve_int(rows, len(rows[0]) - 1)
-        # re-check every equation (free variables were zeroed)
-        if sol is None or not _satisfies(rows, sol):
-            continue
-        vals = [_quad_value(u1, u2, G)
-                for u1, u2 in zip(sol[::2], sol[1::2])]
-        return vals[dq:], vals[:dq] + [1]
-    if skipped_short:
-        raise Underdetermined("every admissible degree pair lacked rows")
-    raise NoSolutionWithinDegree(f"no fit with degrees <= {max_deg}")
-
-
-def _times(s, f):
-    """f s for a rational f, each value an int where it is whole."""
-    out = {}
-    for k, v in s.coeffs.items():
-        v = Fraction(v) * f
-        out[k] = v.numerator if v.denominator == 1 else v
-    return QSeries(out, s.order, s.den)
-
-
-def _fit_rows(cols, dq, D, xs):
-    """The integer rows at the exponents xs of
-    sum_{i<dq} q_i L psi T^i + sum_j p_j (-L T^j) = -L psi T^dq.
-
-    cols holds the coordinate series (X and Y parts) of L psi T^0 ..
-    L psi T^dq, then the one series of each of -L T^0 .. -L T^dp.  Each
-    unknown is a pair (u1, u2), and each exponent gives the 1-row and then
-    the G-row; a row with fractions is scaled to integers."""
-    qcols, rhs, pcols = cols[:dq], cols[dq], cols[dq + 1:]
+    With conj s_j = u_j - G v_j, the equation splits over Q(sqrt D) into
+      sum_{j<e} u_j (X - 1) T^j + v_j D Y T^j = -(X - 1) T^e,
+      sum_{j<e} u_j Y T^j + v_j (X + 1) T^j = -Y T^e:
+    two rational rows for each exponent from 1 - e up to the window of
+    R T^e (at q^-e both sides vanish: S and conj S are monic, and X - 1
+    and Y start at q^1).  Scaled by L, the common denominator of X and Y,
+    the rows are integers, eliminated fraction-free.  Passes only at full
+    rank 2e with a surplus row; raises NoSolutionWithinDegree if the rows
+    are inconsistent, else Underdetermined."""
+    L = lcm(*(v.denominator for v in X + Y))
+    LX, LY = (QSeries({N: int(v * L) for N, v in enumerate(s)}, len(X))
+              for s in (X, Y))
+    cols = []  # L X T^j, L Y T^j and T^j for j = 0 .. e
+    t = QSeries({0: 1}, T.order)
+    for j in range(e + 1):
+        cols.append((series_mul(LX, t), series_mul(LY, t), t))
+        t = series_mul(t, T)
+    top = min(s.order for col in cols for s in col)
     rows = []
-    for x in xs:
+    for x in range(1 - e, ceil(top)):
         one, gee = [], []
-        for cx, cy in qcols:
-            a, b = cx.coeffs.get(x, 0), cy.coeffs.get(x, 0)
-            one += [a, D * b]
-            gee += [b, a]
-        for (c,) in pcols:
-            a = c.coeffs.get(x, 0)
-            one += [a, 0]
-            gee += [0, a]
-        for row in (one + [-rhs[0].coeffs.get(x, 0)],
-                    gee + [-rhs[1].coeffs.get(x, 0)]):
-            if any(type(v) is not int for v in row):
-                den = lcm(*(Fraction(v).denominator for v in row))
-                row = [int(v * den) for v in row]
-            rows.append(row)
-    return rows
+        for xt, yt, t in cols:
+            a, b = xt.coeffs.get(x, 0), yt.coeffs.get(x, 0)
+            c = L * t.coeffs.get(x, 0)
+            one += [a - c, D * b]
+            gee += [b, a + c]
+        # the terms of j = e, known since S is monic, go to the right
+        rows += [one[:-2] + [-one[-2]], gee[:-2] + [-gee[-2]]]
+    rank, sol = _solve_int(rows, 2 * e)
+    if sol is None:
+        raise NoSolutionWithinDegree(
+            f"conj S(T) / S(T) matches the window of {len(X)} coefficients "
+            f"for no monic S of degree {e} over Q(sqrt {D})")
+    if rank < 2 * e or len(rows) == rank:
+        raise Underdetermined(
+            f"the window of {len(X)} coefficients leaves S of degree {e} "
+            f"over Q(sqrt {D}) undetermined: {len(rows)} rows of rank "
+            f"{rank} for {2 * e} unknowns")
+    return list(zip(sol[::2], sol[1::2])) + [(1, 0)]
 
 
-def fit_case(symbol, D, r, max_deg=None, table=None):
-    """End-to-end pipeline for one (lambency, D, r) case: expand Psi to the
-    table's full depth, bound the degree by the Heegner divisor's poles
-    (capped by the window), and fit against the principal modulus.  Psi
-    stays in its rational coordinates X + G Y throughout."""
+def _pair_pow(S, k, D):
+    """S^k for S as ascending coordinate pairs (a, b) = a + G b, G^2 = D:
+    (a, b)(c, d) = (ac + D bd, ad + bc)."""
+    out = [(1, 0)]
+    for _ in range(k):
+        prod = [(0, 0)] * (len(out) + len(S) - 1)
+        for i, (a, b) in enumerate(out):
+            for j, (c, d) in enumerate(S):
+                x, y = prod[i + j]
+                prod[i + j] = (x + a * c + D * b * d, y + a * d + b * c)
+        out = prod
+    return out
+
+
+def fit_case(symbol, D, r, table=None):
+    """End-to-end pipeline for one (lambency, D, r) case: Psi from the
+    table at its full depth, fitted against the principal modulus T in the
+    shape its Heegner divisor fixes, Psi = conj S(T)^k / S(T)^k with S
+    monic over Q(sqrt D), whose roots are the values of T at the Heegner
+    points (Borcherds, Invent. Math. 132, 1998; Bruinier--Ono, Thm 6.1).
+
+    With w the divisor's weights and K the lambency's group, P = conj S^k
+    and Q = S^k have degree d = sum |w| / |K|, and k = gcd |w| / |K| when
+    that is an integer, else 1: a K-orbit of o classes of weight w is a
+    root of multiplicity o |w| / |K|, so k divides every multiplicity.
+    R = Psi^(1/k) comes from Psi's recurrence with c_N / k, and one solve
+    of R S(T) = conj S(T) gives S of degree d / k.  Psi stays in its
+    rational coordinates X + G Y throughout; "max_deg" is d."""
     from .catalog import get_lambency
     from .eta import eta_expand
-    x2, y2, window = _psi_coords(symbol, D, r, table=table)
-    if max_deg is None:
-        div = heegner_divisor(symbol, D, r)
-        poles = int(sum(-w for _q, w in div if w < 0))
-        max_deg = min(poles, (int(window) - 2) // 2)
-    # a fit of degree max_deg needs 2 max_deg + 2 coefficients of psi;
-    # checked before T is expanded to that degree
-    if int(window) < 2 * max_deg + 2:
-        raise Underdetermined(f"window of {int(window)} coefficients cannot "
-                              f"pin degree {max_deg}")
-    X, Y = (QSeries({N: Fraction(v, 2) for N, v in enumerate(c)}, window)
-            for c in (x2, y2))
-    T = eta_expand(get_lambency(symbol).eta, window + max_deg + 1)
-    P, Q = _fit_coords(X, Y, _gauss_sum(D), T, max_deg)
-    return {"lambency": symbol, "D": D, "r": r, "P": P, "Q": Q,
-            "window": window, "max_deg": max_deg}
+    lam = get_lambency(symbol)
+    c, window = _psi_log(symbol, D, r, table=table)
+    ws = [abs(w) for _q, w in heegner_divisor(symbol, D, r)]
+    K = len(lam.K)
+    d = Fraction(sum(ws), K)
+    if d.denominator != 1:
+        raise NoSolutionWithinDegree(
+            f"the Heegner divisor has degree {d}, not that of a polynomial")
+    g = gcd(*map(int, ws)) if all(w.denominator == 1 for w in ws) else 0
+    k = g // K if g and g % K == 0 else 1
+    S = _fit_coords(*_psi_coords(c, D, k), D, eta_expand(lam.eta, window),
+                    int(d) // k)
+    G = _gauss_sum(D)
+    Sk = _pair_pow(S, k, D)
+    return {"lambency": symbol, "D": D, "r": r,
+            "P": [_quad_value(a, -b, G) for a, b in Sk],
+            "Q": [_quad_value(a, b, G) for a, b in Sk],
+            "window": window, "max_deg": int(d)}

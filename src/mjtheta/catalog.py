@@ -287,15 +287,16 @@ def ingest_hdata(path):
 
 
 def construct_averaged(symbol, h):
-    """The averaged table (1/2)(phi + phi.a(n)) for the five lambencies
-    obtained by symmetrizing a distinguished neighbour."""
+    """The table phi + phi.a(n) of each of the five lambencies obtained
+    by symmetrizing a distinguished neighbour.  It is the sum, not the
+    average: the polar part of the source's optimal phi (-2 on its K-orbit
+    of r = 1, 2 on the negatives) and its image under a(n) add up to the
+    polar part of the averaged lambency's optimal form."""
     if symbol not in AVERAGED_FROM:
         raise UnknownLambency(f"{symbol} is not an averaged lambency")
     source, n = AVERAGED_FROM[symbol]
     t = h.get(source)
-    a = OmGroup(t.m).a_of[n]
-    half = Fraction(1, 2)
-    return table_lin_comb([(half, t), (half, ez_apply(t, a))])
+    return table_lin_comb([(1, t), (1, ez_apply(t, OmGroup(t.m).a_of[n]))])
 
 
 # -- multiplicative relations ---------------------------------------------

@@ -257,8 +257,7 @@ def cmd_fit(args, out=None):
     table = None
     if args.data and get_lambency(args.lambency).fixture is None:
         table = ingest_hdata(args.data).get(args.lambency)
-    rep = fit_case(args.lambency, args.D, args.r, max_deg=args.max_deg,
-                   table=table)
+    rep = fit_case(args.lambency, args.D, args.r, table=table)
     if args.format == "records":
         out.write(json.dumps(
             {k: [cformat(c) for c in v] if k in ("P", "Q") else str(v)
@@ -287,20 +286,12 @@ ORDER_MAX = 10 ** 6
 
 
 def _order_arg(text):
-    order = _int_arg(text, 1, "a positive integer")
-    if order > ORDER_MAX:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    if int(text) > ORDER_MAX:
         raise argparse.ArgumentTypeError(
             f"must be at most {ORDER_MAX}, got {text!r}")
-    return order
-
-
-def _max_deg_arg(text):
-    return _int_arg(text, 0, "a non-negative integer")
-
-
-def _int_arg(text, least, what):
-    if not text.isdigit() or int(text) < least:
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return int(text)
 
 
@@ -343,7 +334,6 @@ def build_parser():
     pf.add_argument("--lambency", required=True)
     pf.add_argument("--D", type=int, required=True)
     pf.add_argument("--r", type=int, required=True)
-    pf.add_argument("--max-deg", type=_max_deg_arg, default=None)
     data_and_format(pf)
     pf.set_defaults(fn=cmd_fit)
     return p

@@ -91,9 +91,10 @@ class ExcludedDiscriminant(MJTError):
 
 
 class NoSolutionWithinDegree(MJTError):
-    """No rational function of the principal modulus with the allowed
-    degree matches the Borcherds product (fit_case)."""
+    """No conj S(T)^k / S(T)^k of the degree the Heegner divisor fixes
+    matches the Borcherds product on its window (fit_case)."""
 
 
 class Underdetermined(MJTError):
-    """The shared coefficient window is too short to support the requested fit."""
+    """The window of the Borcherds product leaves S undetermined: the
+    solve has a kernel or no surplus row (fit_case)."""

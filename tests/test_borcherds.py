@@ -1,6 +1,6 @@
 import random
-import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf, isqrt
 
 import pytest
@@ -456,39 +456,19 @@ def T_series(order=30):
     return eta_expand(get_lambency("6+2").eta, order)
 
 
-def fit_coords(psi, T, max_deg, D=-4):
-    """borcherds._fit_coords on psi = X + G Y, split over Q(sqrt D) by the
-    oracle split; a rational psi is X with Y = 0, at any D."""
-    xy = {k: split(v, D) for k, v in psi.coeffs.items()}
-    X, Y = (QSeries({k: c[i] for k, c in xy.items()}, psi.order)
-            for i in (0, 1))
-    return borcherds._fit_coords(X, Y, borcherds._gauss_sum(D), T, max_deg)
-
-
-def test_fit_identity():
-    T = T_series()
-    P, Q = fit_coords(T, T, 2)
-    assert Q == [1] and P == [0, 1]
-
-
-def test_fit_constant():
-    c = QSeries({0: Fraction(7)}, 25)
-    P, Q = fit_coords(c, T_series(), 2)
-    assert Q == [1] and P == [Fraction(7)]
+def test_fit_no_solution():
+    # R with pseudorandom coordinates is conj S(T) / S(T) for no monic S
+    X = [Fraction(1)] + [Fraction(rng.randint(1, 9)) for _ in range(19)]
+    Y = [Fraction(0)] + [Fraction(rng.randint(1, 9)) for _ in range(19)]
+    with pytest.raises(NoSolutionWithinDegree):
+        borcherds._fit_coords(X, Y, -4, T_series(), 2)
 
 
 def test_fit_underdetermined():
-    # the 7-coefficient window of (6+2, -8, 4) pins degree 2 but not 3
-    assert fit_case("6+2", -8, 4, max_deg=2)["max_deg"] == 2
-    with pytest.raises(Underdetermined):
-        fit_case("6+2", -8, 4, max_deg=3)
-
-
-def test_fit_no_solution():
-    # a series with pseudorandom coefficients is not low-degree rational in T
-    f = QSeries({k: rng.randint(1, 9) for k in range(20)}, 20)
-    with pytest.raises(NoSolutionWithinDegree):
-        fit_coords(f, T_series(), 2)
+    # the 2-coefficient window of (20+4, -119, 11) cannot pin S of degree
+    # 20, the degree of its divisor
+    with pytest.raises(Underdetermined, match="window of 2 coefficients"):
+        fit_case("20+4", -119, 11)
 
 
 FIT_CASES = [
@@ -515,28 +495,6 @@ def test_fit_case_frozen_gaussian():
     i = ex(Fraction(1, 4))
     assert rep["P"][0] == 3 + cmul(4, i)
     assert rep["Q"][0] == csub(3, cmul(4, i))
-
-
-def test_fit_case_beyond_depth():
-    # the 6+2 table reaches only n = 4 for D = -20, leaving a 5-coefficient
-    # window; the divisor needs more degrees of freedom than that supports
-    with pytest.raises(NoSolutionWithinDegree):
-        fit_case("6+2", -20, 2, max_deg=1)
-
-
-def test_fit_case_checks_the_window_before_expanding_T(monkeypatch):
-    # the 7-coefficient window of (6+2, -8, 4) pins no degree above 2, so
-    # max_deg = 10^6 fails before T is expanded to order window + 10^6 + 1
-    from mjtheta import eta
-
-    def expand(*args):
-        raise AssertionError("T expanded for a degree the window cannot pin")
-
-    monkeypatch.setattr(eta, "eta_expand", expand)
-    t0 = time.perf_counter()
-    with pytest.raises(Underdetermined):
-        fit_case("6+2", -8, 4, max_deg=10 ** 6)
-    assert time.perf_counter() - t0 < 1
 
 
 def test_heegner_divisor_weights():
@@ -696,18 +654,30 @@ def test_psi_coordinates_are_half_integers():
     # are ints when 4 | D
     for sym, D, r in SWEEP:
         try:
-            x2, y2, window = borcherds._psi_coords(sym, D, r)
+            c, window = borcherds._psi_log(sym, D, r)
         except (ExcludedDiscriminant, InsufficientDepth):
             continue
-        assert len(x2) == len(y2) == int(window) and x2[0] == 2
-        assert all(type(v) is int for v in x2 + y2)
+        X, Y = borcherds._psi_coords(c, D)
+        assert len(X) == len(Y) == int(window) and X[0] == 1
+        assert all((2 * v).denominator == 1 for v in X + Y)
         if D % 4 == 0:
-            assert all(v % 2 == 0 for v in x2 + y2), (sym, D, r)
+            assert all(v.denominator == 1 for v in X + Y), (sym, D, r)
         psi = psi_expand(sym, D, r)
         G = borcherds._gauss_sum(D)
-        assert all(psi.coeff(N) == cadd(Fraction(x2[N], 2),
-                                        cmul(Fraction(y2[N], 2), G))
-                   for N in range(len(x2)))
+        assert all(psi.coeff(N) == cadd(X[N], cmul(Y[N], G))
+                   for N in range(len(X)))
+
+
+@pytest.mark.parametrize("sym,D,r,k", [("6+2", -8, 4, 2), ("6+2", -20, 2, 2),
+                                       ("10+2", -4, 6, 3)])
+def test_psi_coords_take_the_kth_root(sym, D, r, k):
+    # the coordinates from c_N / k are those of a k-th root of Psi
+    c, window = borcherds._psi_log(sym, D, r)
+    G = borcherds._gauss_sum(D)
+    root = QSeries({N: cadd(x, cmul(y, G)) for N, (x, y)
+                    in enumerate(zip(*borcherds._psi_coords(c, D, k)))},
+                   window)
+    assert series_pow(root, k).coeffs == psi_expand(sym, D, r).coeffs
 
 
 BENCH_FITS = [("10+2", -4, 6), ("6+2", -8, 4), ("18+2", -8, 8),
@@ -722,6 +692,57 @@ def test_fit_case_matches_the_cyclotomic_fit(sym, D, r):
     T = eta_expand(get_lambency(sym).eta, psi.order + rep["max_deg"] + 1)
     P, Q, _rank = cyc_fit(psi, T, rep["max_deg"])
     assert (rep["P"], rep["Q"], rep["window"]) == (P, Q, psi.order)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = cadd(out[i + j], cmul(x, y))
+    return out
+
+
+def poly_root(Q, k):
+    """Oracle: the monic S with S^k = Q, one coefficient at a time from
+    the top (S^k has k s_(e-i) + terms in s_(e-1) .. s_(e-i+1) at
+    T^(ke-i)); None if Q is no k-th power."""
+    e = (len(Q) - 1) // k
+    S = [0] * e + [1]
+    for i in range(1, e + 1):
+        Sk = reduce(poly_mul, [S] * k)
+        S[e - i] = cmul(Fraction(1, k), csub(Q[k * e - i], Sk[k * e - i]))
+    Sk = reduce(poly_mul, [S] * k)
+    return S if all(ciszero(csub(a, b)) for a, b in zip(Sk, Q)) else None
+
+
+# the fits the 5- and 7-coefficient windows of the shipped tables decide
+# at the divisor's degree 4: Psi = conj S(T)^2 / S(T)^2, deg S = 2
+@pytest.mark.parametrize("sym,D,r", [("6+2", -20, 2), ("6+2", -20, 10),
+                                     ("12+3", -15, 9), ("12+3", -15, 15)])
+def test_fit_case_decides_the_divisor_shape(sym, D, r):
+    rep = fit_case(sym, D, r)
+    P, Q = rep["P"], rep["Q"]
+    assert rep["max_deg"] == len(P) - 1 == len(Q) - 1 == 4
+    # Q(T) Psi - P(T) = 0 on its whole window, Psi from the oracle product
+    psi = cyc_product(sym, D, r)
+    assert psi.order == rep["window"]
+    T = eta_expand(get_lambency(sym).eta, psi.order + 4)
+    Tpow = [QSeries({0: 1}, T.order)]
+    for _ in range(4):
+        Tpow.append(series_mul(Tpow[-1], T))
+    resid = series_mul(poly_in_T(Q, Tpow), psi) - poly_in_T(P, Tpow)
+    assert resid.coeffs == {} and resid.order == psi.order - 4
+    # 2 e = 4 rational unknowns against two rows for each exponent from
+    # 1 - e to the window of R T^e: at least one surplus row
+    assert 2 * (psi.order - 1) - 4 >= 1
+    # S = sqrt Q lies in O_{Q(sqrt D)}[T]: its roots, the values of T at
+    # the Heegner points, are algebraic integers (trace and norm in Z)
+    S = poly_root(Q, 2)
+    assert S is not None and all(ciszero(csub(p, cconj(q)))
+                                 for p, q in zip(P, Q))
+    for v in S:
+        x, y = split(v, D)
+        assert (2 * x).denominator == (x * x - D * y * y).denominator == 1
 
 
 def translates(cases):
@@ -771,45 +792,37 @@ def poly_in_T(coeffs, Tpow):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([None, -3, -4, -7, -8, -11]),
-       st.lists(st.integers(-4, 4), min_size=2, max_size=6),
-       st.lists(st.integers(-4, 4), min_size=2, max_size=6),
-       st.integers(min_value=0, max_value=2),
-       st.integers(min_value=0, max_value=2))
-def test_fit_rational_matches_the_cyclotomic_fit(D, ps, qs, dp, dq):
-    # psi = P(T)/Q(T) for random P and monic Q over Q or Q(sqrt D); a
-    # rational psi (D None) is fitted as X + G Y with Y = 0
-    G = 1 if D is None else borcherds._gauss_sum(D)
-    P = [cadd(a, cmul(b, G)) for a, b in zip(ps[::2], ps[1::2])][:dp + 1]
-    Q = [cadd(a, cmul(b, G)) for a, b in zip(qs[::2], qs[1::2])][:dq] + [1]
-    T = eta_expand(get_lambency("6+2").eta, 14)
+@given(st.sampled_from([-3, -4, -7, -8, -11]),
+       st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=2))
+def test_fit_coords_matches_the_cyclotomic_fit(D, coords, e, k):
+    # R = conj S(T) / S(T) for a random monic S of degree e over
+    # Q(sqrt D), and psi = R^k: the solve returns S, and conj S^k and S^k
+    # are the P and Q of the cyclotomic fit at degree e k
+    G = borcherds._gauss_sum(D)
+    S = [(Fraction(a, 2), Fraction(b, 2))
+         for a, b in zip(coords[::2], coords[1::2])][:e] + [(1, 0)]
+    T = eta_expand(get_lambency("6+2").eta, 16)
     Tpow = [QSeries({0: 1}, T.order)]
-    for _ in range(4):
+    for _ in range(e * k):
         Tpow.append(series_mul(Tpow[-1], T))
-    psi = series_mul(poly_in_T(P, Tpow), series_pow(poly_in_T(Q, Tpow), -1))
-    field = -4 if D is None else D
-    try:
-        want = cyc_fit(psi, T, 2)[:2]
-    except (Underdetermined, NoSolutionWithinDegree) as e:
-        with pytest.raises(type(e)):
-            fit_coords(psi, T, 2, field)
+    S_T, conj_T = (poly_in_T([cadd(a, cmul(sign * b, G)) for a, b in S],
+                             Tpow) for sign in (1, -1))
+    R = series_mul(conj_T, series_pow(S_T, -1))
+    X, Y = (list(c) for c in zip(*(split(R.coeff(N), D)
+                                   for N in range(int(R.order)))))
+    P, Q, _rank = cyc_fit(series_pow(R, k), T, e * k)
+    if len(Q) - 1 < e * k:
+        # S and conj S share a factor H over Q, so S H'/H solves for any
+        # monic H' over Q of H's degree: a kernel
+        with pytest.raises(Underdetermined):
+            borcherds._fit_coords(X, Y, D, T, e)
         return
-    assert fit_coords(psi, T, 2, field) == want
-
-
-def test_fit_with_free_variables_zeroes_them():
-    # short windows leave the accepted system (dp, dq) = (1, 1) with rank 2
-    # in 3 unknowns; both solvers set the free p_0 to 0.  In the quadratic
-    # case the rational unknowns ordered in blocks (all u1, then all u2)
-    # would give P = [-2, 2 + i], Q = [0, 1] instead.
-    i = ex(Fraction(1, 4))
-    cases = [({0: 1, 2: 1}, {-2: 1, 1: -1, 3: -1, 4: -1}),
-             ({0: 2 + i, 2: 2, 3: 2}, {-2: -1, -1: 1, 0: -1, 1: -1, 4: -1})]
-    for psi, T in cases:
-        psi, T = QSeries(psi, 4), QSeries(T, 5)
-        P, Q, rank = cyc_fit(psi, T, 1)
-        assert (rank, len(P), len(Q)) == (2, 2, 2) and P[0] == 0
-        assert fit_coords(psi, T, 1) == (P, Q)
+    assert borcherds._fit_coords(X, Y, D, T, e) == S
+    Sk = borcherds._pair_pow(S, k, D)
+    assert [cadd(a, cmul(-b, G)) for a, b in Sk] == P
+    assert [cadd(a, cmul(b, G)) for a, b in Sk] == Q
 
 
 def test_product_and_fit_do_no_cyclotomic_arithmetic(monkeypatch):

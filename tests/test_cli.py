@@ -338,6 +338,15 @@ def test_fit_command(capsys):
     assert "residual: 0" in out
 
 
+def test_fit_underdetermined_names_the_window(capsys):
+    # the divisor of (20+4, -119, 11) has degree 20; the table's window is 2
+    rc, out, err = run(capsys, "fit", "--lambency", "20+4", "--D", "-119",
+                       "--r", "11")
+    assert rc == 1 and out == "" and err.splitlines() == [err.strip()]
+    assert err.startswith("error: Underdetermined: ")
+    assert "window of 2 coefficients" in err
+
+
 def test_fit_excluded(capsys):
     rc, _out, err = run(capsys, "fit", "--lambency", "7", "--D", "-3",
                         "--r", "1")
@@ -361,7 +370,10 @@ def test_fit_missing_source(capsys):
     ["verify", "fricke", "--jobs", "2"],
     ["expand", "--eta", "1^24/2^24", "--format", "records"],
     ["fit", "--lambency", "10+2", "--D", "-4", "--r", "6", "--order", "5"],
+    # the degree of a fit is the Heegner divisor's, not an option
+    ["fit", "--lambency", "6+2", "--D", "-8", "--r", "4", "--max-deg", "2"],
     ["fit", "--lambency", "6+2", "--D", "-8", "--r", "4", "--max-deg", "-1"],
+    ["fit", "--lambency", "6+2", "--D", "-8", "--r", "4", "--max-deg", "x"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as e:
@@ -514,8 +526,6 @@ def argvs(draw, data_paths):
         opts += [["--lambency", draw(SYMBOLS)],
                  ["--D", draw(st.sampled_from(["-8", "-4", "-3", "0", "x"]))],
                  ["--r", draw(st.sampled_from(["4", "6", "1", "-1", ""]))],
-                 draw(optional("--max-deg", st.sampled_from(
-                     ["0", "1", "3", "1000000", "-1", "x"]))),
                  draw(data), draw(fmt)]
     opts.append(draw(st.sampled_from([[]] * 6 + [["--nope"], [""]])))
     return head + [a for opt in draw(st.permutations(opts)) for a in opt]

@@ -45,12 +45,20 @@ CASES = {
         "CoeffTable(5, -1, {(5, 5): 2}, {5: (-100, 5)})"),
     "theta constant with an infinite l = 0 term": (
         "Divergent", "theta_nullwert(3, 0, 0, 3)"),
-    # the 5-coefficient window of (6+2, -20, 2) pins degree 1, but no fit
-    # of degree 1 matches it
-    "fit beyond what the table supports": (
-        "NoSolutionWithinDegree", "fit_case('6+2', -20, 2, max_deg=1)"),
+    # doubled exponents give Psi^2 = conj S(T)^4 / S(T)^4, which is no
+    # conj S^2 / S^2 of the divisor's degree 2
+    "fit of a product off the divisor's shape": (
+        "NoSolutionWithinDegree",
+        "fit_case('6+2', -8, 4, table=table_lin_comb([(2, F62)]))"),
+    # a 2-coefficient window against S of degree 20
     "fit of a degree the window cannot pin": (
-        "Underdetermined", "fit_case('6+2', -8, 4, max_deg=10**6)"),
+        "Underdetermined", "fit_case('20+4', -119, 11)"),
+    # at D = -3 the one Heegner point of level 3 is elliptic, of weight
+    # 2/3; an even table keeps r = 3 from being a structural zero
+    "fit of a divisor of degree 2/3": (
+        "NoSolutionWithinDegree",
+        "fit_case('3', -3, 3, "
+        "table=CoeffTable(3, 1, {}, {r: (-100, 1) for r in range(4)}))"),
     "genus_char with m not dividing A": (
         "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 2)"),
     # a level m < 1 divides by 0, or passes every "m | A" test
