@@ -431,13 +431,16 @@ def _fit_coords(X, Y, D, T, e):
 
     With conj s_j = u_j - G v_j, the equation splits over Q(sqrt D) into
       sum_{j<e} u_j (X - 1) T^j + v_j D Y T^j = -(X - 1) T^e,
-      sum_{j<e} u_j Y T^j + v_j (X + 1) T^j = -Y T^e:
-    two rational rows for each exponent from 1 - e up to the window of
-    R T^e (at q^-e both sides vanish: S and conj S are monic, and X - 1
-    and Y start at q^1).  Scaled by L, the common denominator of X and Y,
-    the rows are integers, eliminated fraction-free.  Passes only at full
-    rank 2e with a surplus row; raises NoSolutionWithinDegree if the rows
-    are inconsistent, else Underdetermined."""
+      sum_{j<e} u_j Y T^j + v_j (X + 1) T^j = -Y T^e.
+    R has norm X^2 - D Y^2 = 1 (its log-derivative is G times a rational
+    series), so (X + 1) times the first equation is D Y times the second:
+    each first row follows from second rows below it, and only the second
+    rows count.  There is one for each exponent from 1 - e up to the
+    window of R T^e, W - 1 in all.  Scaled by L, the common denominator of
+    X and Y, they are integers, eliminated fraction-free.  Passes only at
+    full rank 2e with a surplus row, the one check of the solution; raises
+    NoSolutionWithinDegree if the rows are inconsistent, else
+    Underdetermined."""
     L = lcm(*(v.denominator for v in X + Y))
     LX, LY = (QSeries({N: int(v * L) for N, v in enumerate(s)}, len(X))
               for s in (X, Y))
@@ -449,14 +452,12 @@ def _fit_coords(X, Y, D, T, e):
     top = min(s.order for col in cols for s in col)
     rows = []
     for x in range(1 - e, ceil(top)):
-        one, gee = [], []
+        row = []
         for xt, yt, t in cols:
             a, b = xt.coeffs.get(x, 0), yt.coeffs.get(x, 0)
-            c = L * t.coeffs.get(x, 0)
-            one += [a - c, D * b]
-            gee += [b, a + c]
+            row += [b, a + L * t.coeffs.get(x, 0)]
         # the terms of j = e, known since S is monic, go to the right
-        rows += [one[:-2] + [-one[-2]], gee[:-2] + [-gee[-2]]]
+        rows.append(row[:-2] + [-row[-2]])
     rank, sol = _solve_int(rows, 2 * e)
     if sol is None:
         raise NoSolutionWithinDegree(
@@ -465,8 +466,8 @@ def _fit_coords(X, Y, D, T, e):
     if rank < 2 * e or len(rows) == rank:
         raise Underdetermined(
             f"the window of {len(X)} coefficients leaves S of degree {e} "
-            f"over Q(sqrt {D}) undetermined: {len(rows)} rows of rank "
-            f"{rank} for {2 * e} unknowns")
+            f"over Q(sqrt {D}) undetermined or unchecked: {len(rows)} rows "
+            f"of rank {rank} for {2 * e} unknowns")
     return list(zip(sol[::2], sol[1::2])) + [(1, 0)]
 
 

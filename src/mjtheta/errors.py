@@ -96,5 +96,5 @@ class NoSolutionWithinDegree(MJTError):
 
 
 class Underdetermined(MJTError):
-    """The window of the Borcherds product leaves S undetermined: the
-    solve has a kernel or no surplus row (fit_case)."""
+    """The window of the Borcherds product leaves S undetermined or
+    unchecked: the solve has a kernel or no surplus row (fit_case)."""

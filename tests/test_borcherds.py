@@ -457,11 +457,12 @@ def T_series(order=30):
 
 
 def test_fit_no_solution():
-    # R with pseudorandom coordinates is conj S(T) / S(T) for no monic S
-    X = [Fraction(1)] + [Fraction(rng.randint(1, 9)) for _ in range(19)]
-    Y = [Fraction(0)] + [Fraction(rng.randint(1, 9)) for _ in range(19)]
+    # R from pseudorandom c_N has norm 1, as every Psi^(1/k) has, but is
+    # conj S(T) / S(T) for no monic S
+    c = [0] + [rng.randint(-9, 9) for _ in range(19)]
     with pytest.raises(NoSolutionWithinDegree):
-        borcherds._fit_coords(X, Y, -4, T_series(), 2)
+        borcherds._fit_coords(*borcherds._psi_coords(c, -4), -4,
+                              T_series(), 2)
 
 
 def test_fit_underdetermined():
@@ -469,6 +470,15 @@ def test_fit_underdetermined():
     # 20, the degree of its divisor
     with pytest.raises(Underdetermined, match="window of 2 coefficients"):
         fit_case("20+4", -119, 11)
+
+
+def test_fit_case_beyond_depth():
+    # the 6+2 table reaches only n = 4 for D = -20, leaving a 5-coefficient
+    # window: its 4 rows are square in the 4 unknowns of S of degree 2, so
+    # the solve is unique but no row is left to check it
+    for r in (2, 10):
+        with pytest.raises(Underdetermined, match="4 rows of rank 4"):
+            fit_case("6+2", -20, r)
 
 
 FIT_CASES = [
@@ -715,10 +725,10 @@ def poly_root(Q, k):
     return S if all(ciszero(csub(a, b)) for a, b in zip(Sk, Q)) else None
 
 
-# the fits the 5- and 7-coefficient windows of the shipped tables decide
-# at the divisor's degree 4: Psi = conj S(T)^2 / S(T)^2, deg S = 2
-@pytest.mark.parametrize("sym,D,r", [("6+2", -20, 2), ("6+2", -20, 10),
-                                     ("12+3", -15, 9), ("12+3", -15, 15)])
+# the fits the 7-coefficient windows of the shipped 12+3 table decide at
+# the divisor's degree 4: Psi = conj S(T)^2 / S(T)^2, deg S = 2, with 6
+# rows for 4 unknowns
+@pytest.mark.parametrize("sym,D,r", [("12+3", -15, 9), ("12+3", -15, 15)])
 def test_fit_case_decides_the_divisor_shape(sym, D, r):
     rep = fit_case(sym, D, r)
     P, Q = rep["P"], rep["Q"]
@@ -732,9 +742,14 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
         Tpow.append(series_mul(Tpow[-1], T))
     resid = series_mul(poly_in_T(Q, Tpow), psi) - poly_in_T(P, Tpow)
     assert resid.coeffs == {} and resid.order == psi.order - 4
-    # 2 e = 4 rational unknowns against two rows for each exponent from
-    # 1 - e to the window of R T^e: at least one surplus row
-    assert 2 * (psi.order - 1) - 4 >= 1
+    # the surplus rows check every coefficient of the window: changing one
+    # c_N of q d/dq log Psi keeps R = Psi^(1/2) of norm 1, and leaves it
+    # conj S(T) / S(T) for no monic S of degree 2
+    c, _window = borcherds._psi_log(sym, D, r)
+    for N in range(1, len(c)):
+        bent = c[:N] + [c[N] + 1] + c[N + 1:]
+        with pytest.raises(NoSolutionWithinDegree):
+            borcherds._fit_coords(*borcherds._psi_coords(bent, D, 2), D, T, 2)
     # S = sqrt Q lies in O_{Q(sqrt D)}[T]: its roots, the values of T at
     # the Heegner points, are algebraic integers (trace and norm in Z)
     S = poly_root(Q, 2)
