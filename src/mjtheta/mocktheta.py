@@ -23,6 +23,7 @@ shift that lines the stream's lead up with the Eulerian lead.
 
 import math
 from fractions import Fraction
+from itertools import count, takewhile, zip_longest
 
 from .cyclo import ex
 from .errors import InsufficientDepth, MissingSource, UnknownName
@@ -38,77 +39,83 @@ __all__ = [
 ]
 
 
-# -- q-Pochhammer ---------------------------------------------------------
-
-def _powers(factors, w):
-    """{(c, j + i k): total power} over the factors (1 - c q^(j+ik)),
-    i < count, of each (c, j, k, count, power) with j + i k below the window
-    w; k >= 1, and count is a nonnegative int or math.inf."""
-    out = {}
-    for c, j, k, count, power in factors:
-        # ceil((w - j) / k), exact for ints and Fractions alike
-        for i in range(min(count, max(-((j - w) // k), 0))):
-            key = (c, j + i * k)
-            out[key] = out.get(key, 0) + power
-    return out
-
-
 # -- packed products ------------------------------------------------------
 #
 # q -> X = 2^s maps Z[q]/(q^W) into Z/2^(sW) as a ring homomorphism, so a
 # truncated int series is one integer with an s-bit slot per power of q,
 # and every step below is exact modulo 2^(s w) for its window w: slots may
-# wrap around in between.  Only the decoded sum must fit its slots, and the
-# L1 norm, submultiplicative under truncation, bounds every coefficient:
+# wrap around in between, and only the decoded sum must fit its slots.
 #
-#   |f (1 - c q^e)|_1 <= (1 + |c|) |f|_1,
-#   |f / (1 - c q^e)|_1 <= |f|_1 sum_{j < ceil(w/e)} |c|^j   (below q^w).
+# The slot bound.  For A >= max(|c|, 1), (1 - A q^e)^-|p| majorises
+# (1 - c q^e)^p coefficient by coefficient, as binom(|p|, i) is at most
+# binom(|p|+i-1, i).  A spec (registry below) holds each exponent once, so
+# if P sums |power| over a summand's specs, prod_{e>=1} (1 - A q^e)^-P
+# majorises its product: its q^N coefficient is at most A^N p_P(N), p_P
+# counting partitions in P colours.  As for P = 1 (Apostol, Introduction
+# to Analytic Number Theory, Thm 14.5), on 0 < x < 1
+# p_P(N) x^N <= prod (1 - x^e)^-P <= exp(P pi^2 x / 6(1 - x)), and
+# x = 1/(1 + t), t = pi sqrt(P/6N) give p_P(N) <= exp(pi sqrt(2PN/3)).
+# So no decoded coefficient exceeds (|const| + sum_n |sign_n|) A^(W-1)
+# 2^_bits(P, W-1), with A and P over the summands whose sign_n != 0.
 
-def _l1_bound(want, w):
-    """A bound on the L1 norm of the product of the map `want` (int c,
-    integer e >= 1) below q^w."""
-    b = 1
-    for (c, e), p in want.items():
-        a = abs(c)
-        if p > 0:
-            b *= (1 + a) ** p
-        elif a:
-            m = -(-w // e)  # terms c^j q^(j e) below q^w
-            b *= (m if a == 1 else (a ** m - 1) // (a - 1)) ** -p
-    return b
+def _bits(P, N):
+    """t with p_P(N) <= 2^t: the least t >= pi log2(e) sqrt(2PN/3), as
+    pi log2(e) = 4.53236... < 4.5324 = 11331/2500."""
+    m = -(-2 * 11331 ** 2 * P * N // (3 * 2500 ** 2))
+    t = math.isqrt(m)
+    return t + (t * t < m)
+
+
+def _changes(old, new, w):
+    """(c, e, d), one per factor that changes, e < w and c != 0: below q^w
+    the product of the specs `old` times each (1 - c q^e)^d is that of
+    `new`.  Specs pair by position, a missing one empty (c = 0).  A pair
+    with equal c, k and power, and j apart by a multiple of k, changes only
+    at the ends of its runs ((-q; q)_n gains one factor a step); any other
+    pair is divided out and multiplied in whole."""
+    for (c, i, k, m, p), (c2, j, k2, n, p2) in zip_longest(
+            old, new, fillvalue=(0, 0, 1, 0, 0)):
+        # factors of each spec below w: exponents i <= e < a1, j <= e < b1
+        a1 = i + k * min(m, max(-((i - w) // k), 0))
+        b1 = j + k2 * min(n, max(-((j - w) // k2), 0))
+        if (c, k, p) != (c2, k2, p2) or (j - i) % k:
+            runs = (c, k, i, a1, -p), (c2, k2, j, b1, p2)
+        else:  # one progression: only the ends of the runs move
+            runs = ((c, k, j, min(b1, i), p), (c, k, max(j, a1), b1, p),
+                    (c, k, i, min(a1, j), -p), (c, k, max(i, b1), a1, -p))
+        for c, k, lo, hi, d in runs:
+            for e in range(lo, hi, k) if c else ():
+                yield c, e, d
 
 
 def _packed_sum(plan, const, order):
-    """const + sum_n sign_n q^(lead_n) prod(want_n) below `order`, as a
+    """const + sum_n sign_n q^(lead_n) prod(specs_n) below `order`, as a
     QSeries with int coefficients and den 1.
 
-    plan(W) iterates the summands (lead_n, sign_n, want_n) for the integer
-    window W = max(math.ceil(order), 0), each want_n a factor map (int c,
-    integer e >= 1) from _powers at w_n = W - lead_n.  It is run twice:
-    once for the slot width, from the L1 bounds, and once for the steps, so
-    no two maps are held at once.  Summand n's product is summand n-1's
-    stepped by the factors gained and dropped: a gained factor is
-    u - c (u << s e); a dropped one multiplies by 1/(1 - y), y = c X^e,
-    as prod_j (1 + y^(2^j)), log2(w/e) shift-adds.  One decode at the end
-    builds the series.  The leads must be >= 0 and non-decreasing (else
-    AssertionError): a window wider than the one before would read slots
-    that were cut off and never stepped."""
+    plan(W) yields the summands (lead_n, sign_n, specs_n) for the window
+    W = max(math.ceil(order), 0); it runs once.  Summand n's product is
+    n-1's masked to w_n = W - lead_n and stepped by _changes: a gained
+    factor is u - c (u << s e), a dropped one 1/(1 - y), y = c X^e, as
+    prod_j (1 + y^(2^j)).  Slots fit the bound above.  Leads must be >= 0
+    and non-decreasing (else AssertionError): a wider window would read
+    slots that were cut off and never stepped."""
     W = max(math.ceil(order), 0)
-    bound = abs(const) + sum(abs(sign) * _l1_bound(want, W - lead)
-                             for lead, sign, want in plan(W))
-    nbytes = _slot_bytes(bound)
+    summands = list(plan(W))
+    live = [specs for _lead, sign, specs in summands if sign]
+    A = max([1] + [abs(f[0]) for specs in live for f in specs])
+    P = max([0] + [sum(abs(f[4]) for f in specs) for specs in live])
+    size = abs(const) + sum(abs(sign) for _lead, sign, _specs in summands)
+    N = max(W - 1, 0)
+    nbytes = _slot_bytes(size * A ** N << _bits(P, N))
     s = 8 * nbytes
-    total, u, have, last = const, 1, {}, 0
-    for lead, sign, want in plan(W):
+    total, u, have, last = const, 1, [], 0
+    for lead, sign, specs in summands:
         if lead < last:
             raise AssertionError(f"lead {lead} after lead {last}")
         w, last = W - lead, lead
         mask = (1 << (s * w)) - 1
         u &= mask
-        for c, e in {key for key, _ in want.items() ^ have.items()}:
-            d = want.get((c, e), 0) - have.get((c, e), 0)
-            if not (d and c and e < w):
-                continue
+        for c, e, d in _changes(have, specs, w):
             for _ in range(d):
                 u = (u - c * (u << (s * e))) & mask
             for _ in range(-d):
@@ -116,7 +123,7 @@ def _packed_sum(plan, const, order):
                 while t < w:
                     u = (u + y * (u << (s * t))) & mask
                     y, t = y * y, 2 * t
-        have = want
+        have = specs
         total += sign * (u << (s * lead))
     return QSeries(_unpack(total, nbytes, W), order)
 
@@ -125,7 +132,8 @@ def _packed_sum(plan, const, order):
 #
 # Each entry: (leading exponent of the n-th summand,
 #              [(c, j, k, count, power)] meaning (c q^j; q^k)_count ^ power,
-#              overall sign of the n-th summand, constant term added)
+#              overall sign of the n-th summand, constant term added);
+# c, j >= 1 (or count 0) and k >= 1 are ints, count an int or math.inf
 
 def _E(lead, factors, sign=None, const=0):
     return (lead, factors, sign or (lambda n: 1), const)
@@ -215,22 +223,15 @@ EULERIAN_NAMES = sorted(EULERIAN_DEFS)
 
 
 def eulerian(name, order):
-    """The named series, truncated below `order`.  The n-th summand starts
-    at q^lead(n), so its product is needed only below order - lead(n); it
-    is the (n-1)-th summand's product stepped by the factors gained and
-    dropped, at a window that only shrinks as lead(n) rises.  Every
-    registered factor has an int c and an integer e >= 1, so the whole sum
-    is one packed integer (_packed_sum), decoded once."""
+    """The named series, truncated below `order`: one _packed_sum over the
+    registry's summands, each product stepped from the one before by the
+    factors that change, at a window order - lead(n) that only shrinks."""
     if name not in EULERIAN_DEFS:
         raise UnknownName(name)
     lead, factors, sign, const = EULERIAN_DEFS[name]
 
-    def plan(W):
-        n = 0
-        while lead(n) < W:
-            yield lead(n), sign(n), _powers(factors(n), W - lead(n))
-            n += 1
-
+    plan = lambda W: ((lead(n), sign(n), factors(n))
+                      for n in takewhile(lambda n: lead(n) < W, count()))
     return _packed_sum(plan, const, Fraction(order))
 
 
@@ -372,13 +373,12 @@ def verify_andrews_hickerson(order=100):
     psi2 = series_shift(series_rescale(eulerian("6:psi", order / 2 + 1), 2),
                         -1)
     phi2 = series_rescale(eulerian("6:phi", order / 2 + 1), 2)
-    prod_a, prod_b = [
-        _packed_sum(lambda W: [(0, 1, _powers(
-            [(c, j, k, math.inf, p) for c, j, k, p in factors], W))],
-            0, order)
-        for factors in [
-            [(-1, 1, 2, 2), (-1, 1, 6, 1), (-1, 5, 6, 1), (1, 6, 6, 1)],
-            [(-1, 1, 2, 2), (-1, 3, 6, 2), (1, 6, 6, 1)]]]
+    inf = math.inf
+    prod_a, prod_b = [_packed_sum(lambda W: [(0, 1, specs)], 0, order)
+                      for specs in [[(-1, 1, 2, inf, 2), (-1, 1, 6, inf, 1),
+                                     (-1, 5, 6, inf, 1), (1, 6, 6, inf, 1)],
+                                    [(-1, 1, 2, inf, 2), (-1, 3, 6, inf, 2),
+                                     (1, 6, 6, inf, 1)]]]
     cases = [
         ("rho", psi2 + eulerian("6:rho", order), prod_a),
         ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),

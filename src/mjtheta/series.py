@@ -51,17 +51,6 @@ class QSeries:
         e = Fraction(exponent)
         return QSeries({e.numerator: coeff}, order, e.denominator)
 
-    @staticmethod
-    def from_terms(terms, order):
-        """terms: iterable of (exponent: Fraction-like, coeff)."""
-        terms = [(Fraction(x), c) for x, c in terms]
-        den = lcm(1, *(x.denominator for x, _ in terms)) if terms else 1
-        coeffs = {}
-        for x, c in terms:
-            k = x.numerator * (den // x.denominator)
-            coeffs[k] = cadd(coeffs.get(k, 0), c)
-        return QSeries(coeffs, order, den)
-
     # -- inspection -------------------------------------------------------
 
     @property

@@ -24,6 +24,8 @@ from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
 from mjtheta.series import QSeries, series_mul, series_pow
 
+from series_terms import from_terms
+
 rng = random.Random(20260824)
 
 
@@ -538,7 +540,7 @@ def cyc_product(lam, D, r, order=None):
             if k == 0:
                 continue
             zeta = ex(Fraction(b, D))
-            factor = QSeries.from_terms([(0, 1), (n, -1 * zeta)], window)
+            factor = from_terms([(0, 1), (n, -1 * zeta)], window)
             out = series_mul(out, series_pow(factor, k * e))
     return out
 

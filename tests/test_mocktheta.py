@@ -13,13 +13,16 @@ from mjtheta import mocktheta, series
 from mjtheta.errors import MissingSource, UnknownName
 from mjtheta.jacobi import _stream_window, h_stream
 from mjtheta.mocktheta import (
-    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _packed_sum, _powers, eulerian,
-    row_names, verify_andrews_hickerson, verify_table14_15, verify_watson,
+    EULERIAN_DEFS, EULERIAN_NAMES, ROWS, _bits, _changes, _packed_sum,
+    eulerian, row_names, verify_andrews_hickerson, verify_table14_15,
+    verify_watson,
 )
 from mjtheta.series import (
     QSeries, _arg_transform, _slot_bytes, _unpack, series_eq, series_mul,
     series_pow, series_shift, series_slice,
 )
+
+from series_terms import from_terms
 
 INTERNAL_ROWS = [
     "3:psi", "3:nu", "3:phi",
@@ -41,7 +44,7 @@ def _geom(c, e, order):
     while i * e < order:
         terms.append((i * e, cmul(1, c ** i) if i else 1))
         i += 1
-    return QSeries.from_terms(terms, order)
+    return from_terms(terms, order)
 
 
 class FullWindowPoch:
@@ -68,7 +71,7 @@ class FullWindowPoch:
         if power >= 0:
             base = self._extend(
                 self.fwd, c, j, k, n,
-                lambda f, e: series_mul(f, QSeries.from_terms(
+                lambda f, e: series_mul(f, from_terms(
                     [(0, 1), (e, cmul(-1, c))], self.order)))
         else:
             base = self._extend(
@@ -93,7 +96,7 @@ def full_window_eulerian(name, order):
         n = 0
         while n + 1 < order:
             t = series_mul(
-                QSeries.from_terms([(n + 1, 1), (2 * n + 1, 1)], order),
+                from_terms([(n + 1, 1), (2 * n + 1, 1)], order),
                 cache.product([(1, 1, 2, n, 1), (-1, 1, 1, n + 1, -1)]))
             out = out + (-1) ** n * t
             n += 1
@@ -147,33 +150,84 @@ def test_lead_is_non_decreasing(name):
 
 def test_registry_factors_pack():
     # the packed kernel needs an int c and an integer e >= 1 in every
-    # factor, and _powers an int step k >= 1
+    # factor: int c, j, k >= 1 and power in every spec, j >= 1 unless the
+    # count is 0, and the count an int >= 0 or math.inf
     for name in EULERIAN_NAMES:
         lead, factors, sign, const = EULERIAN_DEFS[name]
         assert type(const) is int, name
         for n in range(60):
             assert type(lead(n)) is int and type(sign(n)) is int, name
-            assert all(type(k) is int and k >= 1
-                       for _c, _j, k, _count, _power in factors(n)), (name, n)
+            for c, j, k, count, power in factors(n):
+                assert all(type(x) is int for x in (c, j, k, power)), (name, n)
+                assert k >= 1 and (j >= 1 or count == 0), (name, n)
+                assert count is math.inf or type(count) is int and count >= 0
             for c, e in _powers(factors(n), 10 ** 6):
                 assert type(c) is int and type(e) is int and e >= 1, \
                     (name, n)
+
+
+@pytest.mark.parametrize("name", EULERIAN_NAMES)
+def test_registry_steps_only_the_factors_that_change(name):
+    # consecutive specs line up, so each summand costs one step per factor
+    # of the oracle's diff and no more, at every window eulerian uses
+    lead, factors, _sign, _const = EULERIAN_DEFS[name]
+    W, old, n = 300, [], 0
+    while lead(n) < W:
+        new, w = factors(n), W - lead(n)
+        steps = list(_changes(old, new, w))
+        assert len(steps) == len(full_diff(old, new, w)), (name, n)
+        assert stepped(old, new, w) == full_diff(old, new, w), (name, n)
+        old, n = new, n + 1
 
 
 # -- the packed kernel against the full-window product ---------------------
 #
 # The oracle builds each summand's product from 1 at its window, one
 # series_mul per factor (FullWindowPoch), and shifts, scales and adds the
-# summands as series: it shares no step with the kernel.
+# summands as series: it shares no step with the kernel.  The kernel steps
+# each product from the one before by _changes, read off two spec lists as
+# progressions; the oracle for those steps materialises every factor below
+# the window (_powers) and diffs the two full maps.
+
+def _powers(specs, w):
+    """{(c, j + i k): total power} over the factors (1 - c q^(j+ik)),
+    i < count, of each spec (c, j, k, count, power) with j + i k below the
+    window w; k >= 1, and count is a nonnegative int or math.inf."""
+    out = {}
+    for c, j, k, count, power in specs:
+        # ceil((w - j) / k), exact for ints and Fractions alike
+        for i in range(min(count, max(-((j - w) // k), 0))):
+            key = (c, j + i * k)
+            out[key] = out.get(key, 0) + power
+    return out
+
+
+def full_diff(old, new, w):
+    """{(c, e): change of power} from the factors of the specs `old` to
+    those of `new` below q^w, over the symmetric difference of the two
+    full maps; a factor with c = 0 is 1 and never changes."""
+    want, have = _powers(new, w), _powers(old, w)
+    diff = {key: want.get(key, 0) - have.get(key, 0)
+            for key, _ in want.items() ^ have.items()}
+    return {key: d for key, d in diff.items() if d and key[0]}
+
+
+def stepped(old, new, w):
+    """_changes(old, new, w) summed per factor."""
+    out = {}
+    for c, e, d in _changes(old, new, w):
+        assert type(e) is int and 1 <= e < w and c, (c, e, w)
+        out[(c, e)] = out.get((c, e), 0) + d
+    return {key: d for key, d in out.items() if d}
+
 
 def full_window_sum(summands, const, order):
     order = Fraction(order)
     out = QSeries({0: const}, order)
-    for lead, sign, want in summands:
+    for lead, sign, specs in summands:
         if lead >= order:
             break
-        unit = FullWindowPoch(order - lead).product(
-            [(c, e, 1, 1, p) for (c, e), p in want.items()])
+        unit = FullWindowPoch(order - lead).product(specs)
         out = out + series_shift(sign * unit, lead)
     return out
 
@@ -183,35 +237,86 @@ def packed(summands, const, order):
                        Fraction(order))
 
 
-_int_maps = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(1, 12)), st.integers(-3, 3),
-    max_size=6)
+_spec = st.tuples(st.integers(-3, 3), st.integers(1, 12), st.integers(1, 4),
+                  st.one_of(st.integers(0, 8), st.just(math.inf)),
+                  st.integers(-3, 3))
 
 
 @st.composite
-def packed_plan(draw):
-    """Summands (lead, sign, want) with non-decreasing leads in [0, 60],
-    signs in [-3, 3], and each want the one before with some powers
-    redrawn (a have -> want chain); a constant; a window 0-60, integral or
-    with den 2 or 3.  The maps hold factors at or above their windows too:
-    those are 1 inside them."""
-    leads = sorted(draw(st.lists(st.integers(0, 60), min_size=1,
-                                 max_size=5)))
-    summands, want = [], {}
+def _moved(draw, spec):
+    """The spec moved along its progression or off it: j by a random step
+    (kept >= 1), a finite count by another."""
+    c, j, k, count, power = spec
+    if count is not math.inf:
+        count = max(count + draw(st.integers(-2, 3)), 0)
+    return c, max(j + draw(st.integers(-6, 6)), 1), k, count, power
+
+
+@st.composite
+def spec_plan(draw):
+    """Summands (lead, sign, specs) with non-decreasing leads in [0, 30]
+    and signs in [-3, 3]; specs with c and power in [-3, 3], j >= 1, k in
+    [1, 4], count in [0, 8] or math.inf.  Each summand's specs are the
+    last one's, each moved, kept or redrawn, and the list sometimes cut
+    and extended at the end.  A constant; a window in [0, 60] with den 1,
+    2 or 3."""
+    leads = sorted(draw(st.lists(st.integers(0, 30), min_size=1,
+                                 max_size=6)))
+    summands, specs = [], draw(st.lists(_spec, max_size=3))
     for lead in leads:
-        want = {**want, **draw(_int_maps)}
-        summands.append((lead, draw(st.integers(-3, 3)), want))
-    order = Fraction(draw(st.integers(0, 60)), draw(st.sampled_from([1, 2,
-                                                                     3])))
+        summands.append((lead, draw(st.integers(-3, 3)), specs))
+        specs = [draw(st.one_of(st.just(f), _moved(f), _spec))
+                 for f in specs]
+        if draw(st.booleans()):
+            specs = specs[:draw(st.integers(0, len(specs)))] + \
+                draw(st.lists(_spec, max_size=2))
+    den = draw(st.sampled_from([1, 2, 3]))
+    order = Fraction(draw(st.integers(0, 60 * den)), den)
     return summands, draw(st.integers(-3, 3)), order
 
 
+_EXAMPLES = [
+    ([(0, 1, [(1, 1, 1, math.inf, -1)])], 0, Fraction(60)),  # partitions
+    ([(0, 1, [(-3, 1, 1, 1, 3), (3, 2, 1, 1, -3)])], 0, Fraction(121, 2)),
+    ([(0, -2, [(1, 1, 1, 1, 1)]),
+      (3, 1, [(1, 1, 1, 1, 0), (-1, 2, 1, 1, -2)])], 2, Fraction(0)),
+    # (-q; q)_n gains a factor a step; then j moves off the progression
+    ([(0, 1, [(-1, 1, 1, 0, -1)]), (1, -1, [(-1, 1, 1, 1, -1)]),
+      (3, 2, [(-1, 1, 1, 2, -1)]), (3, 1, [(-1, 2, 2, 2, -1)]),
+      (4, 1, [(-1, 5, 2, 2, -1), (2, 1, 3, math.inf, 2)])],
+     1, Fraction(70, 3)),
+    # one progression, every end moving: j back, the count down, j past
+    # the old run; then only the power changes
+    ([(0, 1, [(1, 4, 1, 5, 1)]), (1, 1, [(1, 2, 1, 4, 1)]),
+      (2, -1, [(1, 3, 1, 2, 1)]), (2, 1, [(1, 5, 1, 3, 1)]),
+      (3, 1, [(1, 5, 1, 3, -2)])], 0, 30),
+]
+
+
 @settings(max_examples=300, deadline=None)
-@given(packed_plan())
-@example(([(0, 1, {(1, 1): -1})], 0, Fraction(60)))  # partitions-like
-@example(([(0, 1, {(-3, 1): 3, (3, 2): -3})], 0, Fraction(121, 2)))
-@example(([(0, -2, {(1, 1): 1}), (3, 1, {(1, 1): 0, (-1, 2): -2})], 2,
-          Fraction(0)))
+@given(spec_plan())
+@example(_EXAMPLES[0])
+@example(_EXAMPLES[1])
+@example(_EXAMPLES[2])
+@example(_EXAMPLES[3])
+@example(_EXAMPLES[4])
+def test_changes_match_the_full_diff(plan):
+    summands, _const, order = plan
+    W, old = math.ceil(order), []
+    for lead, _sign, specs in summands:
+        if lead < W:
+            assert stepped(old, specs, W - lead) == \
+                full_diff(old, specs, W - lead)
+            old = specs
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_plan())
+@example(_EXAMPLES[0])
+@example(_EXAMPLES[1])
+@example(_EXAMPLES[2])
+@example(_EXAMPLES[3])
+@example(_EXAMPLES[4])
 def test_packed_sum_matches_full_window_sum(plan):
     summands, const, order = plan
     got, want = packed(summands, const, order), \
@@ -223,11 +328,13 @@ def test_packed_sum_matches_full_window_sum(plan):
 def test_packed_sum_refuses_a_falling_lead():
     # a wider window than the summand before would read slots cut off and
     # never stepped; every Eulerian lead rises (test_lead_is_non_decreasing)
-    for summands in [[(3, 1, {(1, 1): -1}), (2, 1, {})], [(-1, 1, {})]]:
+    for summands in [[(3, 1, [(1, 1, 1, 1, -1)]), (2, 1, [])],
+                     [(-1, 1, [])]]:
         with pytest.raises(AssertionError, match="lead"):
             packed(summands, 0, 10)
-    same_series(packed([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10),
-                full_window_sum([(2, 1, {}), (2, 1, {(1, 1): -1})], 0, 10))
+    same_series(packed([(2, 1, []), (2, 1, [(1, 1, 1, 1, -1)])], 0, 10),
+                full_window_sum([(2, 1, []), (2, 1, [(1, 1, 1, 1, -1)])],
+                                0, 10))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
@@ -242,13 +349,12 @@ def test_slot_width_edge(k, monkeypatch):
         assert _unpack(packed_vals + extra, k, len(vals)) == \
             {j: v for j, v in enumerate(vals) if v}
     # through the kernel: a bound of top - 1 gets k bytes, and sums at
-    # +-(top - 1) decode exactly, alone and after dropped factors
-    widths = []
-    monkeypatch.setattr(mocktheta, "_slot_bytes",
-                        lambda b: widths.append(_slot_bytes(b)) or widths[-1])
+    # +-(top - 1) decode exactly, alone and after dropped factors (a
+    # summand of sign 0 adds nothing to the bound)
+    widths = recording_slot_bytes(monkeypatch)
     for v in (top - 1, -(top - 1)):
         assert packed([], v, 1).coeffs == {0: v}
-        dropped = [(0, 0, {(-1, 1): 2, (1, 2): -1}), (1, v, {})]
+        dropped = [(0, 0, [(-1, 1, 1, 1, 2), (1, 2, 1, 1, -1)]), (1, v, [])]
         got = packed(dropped, 0, 3)
         assert got.coeffs == {1: v}
         same_series(got, full_window_sum(dropped, 0, 3))
@@ -266,17 +372,71 @@ def test_eulerian_outputs_are_pinned():
 
 
 def test_powers_merges_factors_below_the_window():
-    assert _powers([(-1, 1, 2, math.inf, 2), (-1, 1, 1, 3, -1)], 6) == \
-        {(-1, 1): 1, (-1, 2): -1, (-1, 3): 1, (-1, 5): 2}
+    specs = [(-1, 1, 2, math.inf, 2), (-1, 1, 1, 3, -1)]
+    merged = {(-1, 1): 1, (-1, 2): -1, (-1, 3): 1, (-1, 5): 2}
+    assert _powers(specs, 6) == merged
+    # the kernel's first step, from no specs, gains the same factors
+    assert stepped([], specs, 6) == merged
     # a factor at the window bound is 1 inside it
-    assert _powers([(1, 6, 1, 4, 1)], 6) == {}
+    assert _powers([(1, 6, 1, 4, 1)], 6) == {} == \
+        stepped([], [(1, 6, 1, 4, 1)], 6)
 
 
 def poch(c, j, k, n, order, power=1):
-    """(c q^j; q^k)_n ^ power below `order`: a registry factor, by _powers
-    and the packed kernel."""
-    return _packed_sum(
-        lambda W: [(0, 1, _powers([(c, j, k, n, power)], W))], 0, order)
+    """(c q^j; q^k)_n ^ power below `order`: one spec through the packed
+    kernel."""
+    return _packed_sum(lambda W: [(0, 1, [(c, j, k, n, power)])], 0, order)
+
+
+# -- the slot bound -------------------------------------------------------
+
+def partitions_in_colours(P, N):
+    """p_P(0), ..., p_P(N - 1), the q^n coefficients of
+    prod_{e>=1} (1 - q^e)^-P, by P passes of 1/(1 - q^e) for each e."""
+    p = [1] + [0] * (N - 1)
+    for _ in range(P):
+        for e in range(1, N):
+            for x in range(e, N):
+                p[x] += p[x - e]
+    return p
+
+
+def test_partition_bound():
+    for P in range(1, 6):
+        for N, v in enumerate(partitions_in_colours(P, 300)):
+            assert v <= 2 ** _bits(P, N), (P, N)
+    assert _bits(0, 10) == _bits(3, 0) == 0
+
+
+def recording_slot_bytes(monkeypatch):
+    widths = []
+    monkeypatch.setattr(mocktheta, "_slot_bytes",
+                        lambda b: widths.append(_slot_bytes(b)) or widths[-1])
+    return widths
+
+
+@pytest.mark.parametrize("order", [1, 7, 100, 150, 300, Fraction(1345, 96)])
+def test_slots_hold_every_decoded_coefficient(order, monkeypatch):
+    # each series again at 64-byte slots (the largest coefficient to
+    # order 300 needs 7 bytes): the same coefficients, each of them inside
+    # the slot the bound chose
+    widths = recording_slot_bytes(monkeypatch)
+    got = [eulerian(name, order) for name in EULERIAN_NAMES]
+    monkeypatch.setattr(mocktheta, "_slot_bytes", lambda b: 64)
+    for name, f, width in zip(EULERIAN_NAMES, got, widths):
+        wide = eulerian(name, order)
+        same_series(f, wide)
+        need = _slot_bytes(max(map(abs, wide.coeffs.values()), default=0))
+        assert need <= width, name
+
+
+def test_slots_of_6_lambda(monkeypatch):
+    # coefficients of 27 bits in slots of at most 11 bytes, where an L1-norm
+    # bound on each summand's product gives 23
+    widths = recording_slot_bytes(monkeypatch)
+    f = eulerian("6:lambda", 150)
+    assert max(abs(v) for v in f.coeffs.values()).bit_length() == 27
+    assert len(widths) == 1 and widths[0] <= 11
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,6 +14,8 @@ from mjtheta.series import (
     series_first_mismatch,
 )
 
+from series_terms import from_terms
+
 
 def poly(pairs, order=20, den=1):
     return QSeries({k: Fraction(v) for k, v in pairs.items()}, order, den)
@@ -154,14 +156,14 @@ def test_slice():
 
 def fraction_slice(a, r, b):
     """series_slice as it was: each exponent as a Fraction, the picked
-    terms rebuilt by QSeries.from_terms."""
+    terms rebuilt by from_terms."""
     r, b = Fraction(r), Fraction(b)
     out = []
     for k, v in a.coeffs.items():
         x = Fraction(k, a.den)
         if (x - r) % b == 0:
             out.append((x - r, v))
-    return QSeries.from_terms(out, a.order - r) if out else \
+    return from_terms(out, a.order - r) if out else \
         QSeries.zero(a.order - r)
 
 
