@@ -11,7 +11,7 @@ from operator import mul
 
 from .arith import prime_factorization, sigma1
 from .errors import InsufficientDepth, LevelMismatch, NotConstant, ParseError
-from .series import QSeries, _pack, _slot_bytes, _unpack, series_mul
+from .series import QSeries, _pack, _slot_bytes, series_mul
 
 __all__ = [
     "EtaQuotient", "eta_expand", "eta_fricke", "eta_dlog",
@@ -81,11 +81,15 @@ def eta_expand(e, order):
     a block each a_N takes a dot product over the block's own earlier
     terms.  Once a block a_t..a_{t+B-1} is final, its share of every later
     N a_N is one convolution with b_1, b_2, ...: a single bigint multiply
-    by Kronecker substitution (series._pack / _unpack), with slots wide
-    enough for max|a_block| * max|b| * B plus a sign bit, the bound of
-    series_mul.  A block that is all zero adds nothing and is skipped (its
+    by Kronecker substitution, with slots wide enough for
+    max|a_block| * max|b| * B plus a sign bit, the bound of series_mul.
+    b is packed once per expansion, at the width max|b| needs, and each
+    block widens it to its own slots by byte copies (_add_block); of each
+    product only the slots of the coefficients past the block are
+    decoded.  A block that is all zero adds nothing and is skipped (its
     slot bound is 0).  The last block also takes the tail shorter than B,
-    so a window of fewer than 2B coefficients is the plain loop alone.
+    so a window of fewer than 2B coefficients is the plain loop alone and
+    packs nothing.
     """
     order = Fraction(order)
     shift = e.prefactor_exponent()
@@ -121,8 +125,12 @@ def _unit_recurrence(b, block):
     # late[N]: the part of N a_N from the blocks finished so far
     late = [0] * count
     bmax = max(map(abs, b))
+    # b_1, b_2, ... packed once, each offset by 2^(8 wb - 1) in wb bytes
+    wb = _slot_bytes(bmax)
+    raw = b"".join([(v + (1 << (8 * wb - 1))).to_bytes(wb, "little")
+                    for v in b[1:]])
     for s in range(block, last + 1, block):
-        _add_block(late, a, b, s - block, bmax)
+        _add_block(late, a, raw, wb, s - block, bmax)
         for N in range(s, count if s == last else s + block):
             # reversed(a) runs a_{N-1} .. a_s against b_1 .. b_{N-s}
             a.append((late[N] + sum(map(mul, b[1:N - s + 1], reversed(a))))
@@ -130,22 +138,39 @@ def _unit_recurrence(b, block):
     return a
 
 
-def _add_block(late, a, b, t, bmax):
-    """late[N] += sum_{t <= j < s} a_j b_{N-j} for s <= N < len(b), where
-    s = len(a): one Kronecker product of the finished block a_t..a_{s-1}
-    with b_1..b_{len(b)-1-t}, whose slot i + k - 1 holds a_{t+i} b_k."""
-    s, count = len(a), len(b)
-    bound = max(abs(a[j]) for j in range(t, s)) * bmax * (s - t)
+def _add_block(late, a, raw, wb, t, bmax):
+    """late[N] += sum_{t <= j < s} a_j b_{N-j} for s <= N < len(late),
+    where s = len(a): one Kronecker product of the finished block
+    a_t..a_{s-1} with b_1..b_n, n = len(late) - 1 - t, whose slot
+    i + k - 1 holds a_{t+i} b_k.
+
+    raw is b_1, b_2, ... packed once per expansion, in wb-byte slots each
+    offset by hb = 2^(8 wb - 1).  The block's own slot width w >= wb comes
+    from its max|a|.  wb strided byte copies widen b_1..b_n to w-byte
+    slots, and subtracting hb from every slot leaves the int that _pack
+    would give.  Of the product only slots s-t-1 .. n-1, those of N >= s,
+    are decoded.  The offset half = 2^(8w - 1) goes into all n slots
+    first, so that the slots below s, which may be negative, borrow
+    nothing from the ones above; then one mask, one to_bytes and one
+    int.from_bytes per decoded slot."""
+    s, n = len(a), len(late) - 1 - t
+    bound = max(map(abs, a[t:])) * bmax * (s - t)
     if not bound:
         # a zero block adds nothing, and 1-byte slots could not hold b
         return
     w = _slot_bytes(bound)
     half = 1 << (8 * w - 1)
+    wide = bytearray(w * n)
+    for i in range(wb):
+        wide[i::w] = raw[i:wb * n:wb]
+    # a 1 in each of the n slots
+    ones = int.from_bytes((1).to_bytes(w, "little") * n, "little")
     c = (_pack(a, range(t, s), t, 1, w, half)
-         * _pack(b, range(1, count - t), 1, 1, w, half))
-    for N, v in _unpack(c, w, count - t - 1, t + 1).items():
-        if N >= s:
-            late[N] += v
+         * (int.from_bytes(wide, "little") - (1 << (8 * wb - 1)) * ones)
+         + half * ones)
+    out = (c & (1 << 8 * w * n) - 1).to_bytes(w * n, "little")
+    late[s:] = [x + int.from_bytes(out[i:i + w], "little") - half
+                for x, i in zip(late[s:], range(w * (s - t - 1), w * n, w))]
 
 
 def _dlog_coeffs(e, count):
@@ -216,6 +241,6 @@ def eta_dlog(e, order):
     Constant term sum_i d_i n_i / 24, a Fraction; coefficient of q^N
     (N >= 1) is the int -sum_{n_i | N} d_i n_i sigma_1(N / n_i).
     """
-    coeffs = dict(enumerate(_dlog_coeffs(e, order)))
+    coeffs = dict(enumerate(_dlog_coeffs(e, max(0, ceil(order)))))
     coeffs[0] = e.prefactor_exponent()
     return QSeries(coeffs, order)

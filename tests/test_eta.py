@@ -142,11 +142,21 @@ def recurrence_case(draw):
 # from that zero block would be one byte, too narrow to pack b
 @example((EtaQuotient([(70, 5)]), 300, 7))
 @example((EtaQuotient([(1, 24), (2, -24)]), 300, 1))
+# 15- to 20-byte blocks over 2-byte b, at the kernel's own block size
+@example((EtaQuotient([(1, 24), (2, -24)]), 300, 64))
 def test_blocked_recurrence_matches_plain(case):
     e, count, block = case
     want = plain_unit_coeffs(e, count)
     assert _unit_recurrence(_dlog_coeffs(e, count), block) == want
     assert _unit_coeffs(e, count) == want
+
+
+def test_blocked_recurrence_at_moduli_depth():
+    # the moduli benchmark's 401 unit coefficients, for every principal
+    # modulus and its Fricke image
+    for lam in load_catalog():
+        for e in (lam.eta, eta_fricke(lam.eta, lam.m)[0]):
+            assert _unit_coeffs(e, 401) == plain_unit_coeffs(e, 401), e
 
 
 def test_parse_format_roundtrip():
@@ -257,3 +267,15 @@ def test_dlog_constant_is_minus_one_for_weight_zero_catalog_shapes():
     for text in ["1^24 / 2^24", "1^4 2^4 / 3^4 6^4",
                  "1^1 12^1 15^1 20^1 / 3^1 4^1 5^1 60^1"]:
         assert eta_dlog(parse_eta(text), 2).coeff(0) == -1
+
+
+def test_dlog_rational_windows():
+    # the window is kept as given; the coefficients are the integer
+    # window's, cut below it
+    e = parse_eta("1^24 / 2^24")
+    for order, whole in ((Fraction(5, 2), 3), (Fraction(1, 3), 1),
+                         (0, 0), (-3, -3)):
+        got, want = eta_dlog(e, order), eta_dlog(e, whole)
+        assert got.order == order
+        assert got.coeffs == {k: v for k, v in want.coeffs.items()
+                              if k < order}
