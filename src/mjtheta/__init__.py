@@ -5,7 +5,7 @@ Subpackages / modules:
 * :mod:`mjtheta.cyclo`     -- cyclotomic-rational scalars
 * :mod:`mjtheta.series`    -- truncated q-series with justified windows
 * :mod:`mjtheta.eta`       -- eta quotients, Fricke involution, dlog
-* :mod:`mjtheta.jacobi`    -- coefficient tables, theta kernels, operators
+* :mod:`mjtheta.jacobi`    -- coefficient tables, theta kernels, the lift
 * :mod:`mjtheta.catalog`   -- the lambency catalog and reference tables
 * :mod:`mjtheta.mocktheta` -- Eulerian series and classical identities
 * :mod:`mjtheta.borcherds` -- genus characters, Heegner divisors, products

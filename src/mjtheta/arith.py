@@ -1,7 +1,7 @@
 """Small number-theoretic helpers used across modules."""
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import BadDiscriminant
 

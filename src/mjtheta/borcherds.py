@@ -356,11 +356,9 @@ def _psi_coords(c, D, k=1):
 
 def _runs_out(t, r):
     """True if reads of t at residue r raise InsufficientDepth below some
-    discriminant D < 0, False if they are structural zeros at every depth.
-    A square-support table reads 0 at every D < 0; any other table runs
-    out where its stream window is finite."""
-    if t.square_support:
-        return False
+    discriminant D < 0, False if they are structural zeros at every depth:
+    exactly where the stream window is finite.  A shadow kernel's range
+    (-inf, depth] never runs out."""
     try:
         return _stream_window(t, r) != inf
     except InsufficientDepth:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .eta import parse_eta
 from .jacobi import (
-    NEG_INF, POS_INF, CoeffTable, OmGroup, _canonical, ez_apply,
+    NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply,
     shadow_coeff, stream_combination, table_lin_comb,
 )
 from .series import series_verdict
@@ -57,8 +57,9 @@ AVERAGED_FROM = {
 class Lambency:
     """One catalog entry.
 
-    group_ns: the exact divisors {1, n, n', ...} named by the symbol; the
-    corresponding subgroup K of O_m is {a(n) : n in group_ns}.
+    group_ns: the exact divisors {1, n, n', ...} named by the symbol, a
+    group under n * n' = nn'/(n,n')^2; the corresponding subgroup K of
+    O_m is {a(n) : n in group_ns} (see _a_of).
     fixture: CoeffTable of reference coefficients (the 16 entries outside
     the root-system class), else None.
     """
@@ -77,11 +78,17 @@ class Lambency:
     @property
     def K(self):
         """The subgroup K of O_m as residues a mod 2m."""
-        g = OmGroup(self.m)
-        return tuple(sorted(g.a_of[n] for n in self.group_ns))
+        return tuple(sorted(_a_of(self.m, n) for n in self.group_ns))
 
     def __repr__(self):
         return f"<Lambency {self.symbol}>"
+
+
+def _a_of(m, n):
+    """The element a(n) of O_m = {a mod 2m : a^2 = 1 mod 4m} for an exact
+    divisor n of m: a = -1 mod 2n and a = 1 mod 2m/n, by CRT (n and m/n
+    are coprime; pow(n, -1, 1) = 0 covers n = m)."""
+    return (2 * n * pow(n, -1, m // n) - 1) % (2 * m)
 
 
 def _parse_symbol(symbol):
@@ -93,10 +100,9 @@ def _parse_symbol(symbol):
     for n in ns:
         if m % n or gcd(n, m // n) != 1:
             raise ParseError(f"{symbol}: {n} is not an exact divisor of {m}")
-    g = OmGroup(m)
     for n in ns:
         for np in ns:
-            if g.star(n, np) not in ns:
+            if n * np // gcd(n, np) ** 2 not in ns:
                 raise ParseError(f"{symbol}: group part not closed under *")
     # non-Fricke: the Fricke involution a(m) = -1 must not be in K
     if m in ns and m > 1:
@@ -296,7 +302,7 @@ def construct_averaged(symbol, h):
         raise UnknownLambency(f"{symbol} is not an averaged lambency")
     source, n = AVERAGED_FROM[symbol]
     t = h.get(source)
-    return table_lin_comb([(1, t), (1, ez_apply(t, OmGroup(t.m).a_of[n]))])
+    return table_lin_comb([(1, t), (1, ez_apply(t, _a_of(t.m, n)))])
 
 
 # -- multiplicative relations ---------------------------------------------

@@ -69,8 +69,7 @@ class UnknownName(MJTError):
 
 class Divergent(MJTError):
     """An expansion with no justified window: the substitution q -> q^t,
-    t <= 0, or a slice modulo b <= 0; or a theta constant whose l = 0 term
-    0^(k-1) is infinite, k < 1 (theta_nullwert)."""
+    t <= 0, or a slice modulo b <= 0."""
 
 
 class BadDiscriminant(MJTError):

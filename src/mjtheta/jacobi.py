@@ -1,4 +1,4 @@
-"""Coefficient tables of Jacobi forms and the operator algebra on them.
+"""Coefficient tables of Jacobi forms and what the verdicts read from them.
 
 The central object is :class:`CoeffTable`: a sparse store of Fourier
 coefficients C(D, r) for a (mock/skew) Jacobi form of index m, indexed by the
@@ -7,31 +7,29 @@ the residue rule that every table obeys.
 
 On top of the tables live:
 
-* theta_nullwert    -- theta constants theta^{k}_{m,r}(tau)
-* OmGroup           -- the group O_m = Ex_m of exact divisors / involutions
-* ez_apply          -- the involution phi -> phi . a  (C(D,r) -> C(D,ra))
-* hecke_Vl          -- the index-raising operator V_l
+* ez_apply          -- the action phi -> phi . a of a in O_m
+                       (C(D,r) -> C(D,ra))
 * sz_lift           -- the lift of a table to a q-series
 * shadow_kernel     -- the theta-kernel combination attached to an eta
                        quotient, generated from its closed coefficient formula
+* h_stream          -- the theta-decomposition components as q-series
 """
 
 import math
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import divisors, is_fundamental, is_square, kronecker
 from .cyclo import cadd, ciszero, cmul
 from .errors import (
-    BadParity, CongruenceViolation, Divergent, InsufficientDepth,
-    LevelMismatch, NotFundamental,
+    BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
+    NotFundamental,
 )
 from .series import QSeries, _arg_transform, series_slice
 
 __all__ = [
-    "CoeffTable", "theta_nullwert", "OmGroup", "omega_entry", "ez_apply",
-    "hecke_Vl", "sz_lift", "shadow_kernel", "shadow_coeff", "h_stream",
-    "stream_combination",
+    "CoeffTable", "omega_entry", "ez_apply", "sz_lift", "shadow_kernel",
+    "shadow_coeff", "h_stream", "stream_combination",
 ]
 
 
@@ -65,19 +63,15 @@ class CoeffTable:
     entries: {(D, r): value} with 0 <= r <= m, D = r^2 mod 4m, value != 0.
     ranges: {r: (lo, hi)} justified discriminant window per canonical
         residue; residues missing from `ranges` carry no data at all.
-    square_support: if True the form is supported on positive square
-        discriminants only, so any non-square D reads as 0 regardless of
-        the ranges (used for theta kernels).
     """
 
-    __slots__ = ("m", "parity", "entries", "ranges", "square_support")
+    __slots__ = ("m", "parity", "entries", "ranges")
 
-    def __init__(self, m, parity, entries, ranges, square_support=False):
+    def __init__(self, m, parity, entries, ranges):
         if parity not in (1, -1):
             raise BadParity(f"parity {parity} is not +1 or -1")
         self.m = m
         self.parity = parity
-        self.square_support = square_support
         self.ranges = dict(ranges)
         self.entries = {}
         # the residues at which the rule forces C(D, r) = 0
@@ -106,8 +100,7 @@ class CoeffTable:
         """C(D, r); raises InsufficientDepth outside the justified range."""
         m = self.m
         rc, sign = _canonical(m, self.parity, r)
-        if not sign or (D - rc * rc) % (4 * m) or (
-                self.square_support and not (D > 0 and is_square(D))):
+        if not sign or (D - rc * rc) % (4 * m):
             return 0
         if rc not in self.ranges:
             raise InsufficientDepth(f"no data for residue {r} (index {m})")
@@ -147,7 +140,6 @@ def table_lin_comb(weighted_tables):
                             "index and parity")
     m = weighted_tables[0][1].m
     parity = weighted_tables[0][1].parity
-    sq = all(t.square_support for _, t in weighted_tables)
     ranges = {}
     for r in range(m + 1):
         if all(r in t.ranges for _, t in weighted_tables):
@@ -160,70 +152,7 @@ def table_lin_comb(weighted_tables):
         for (D, r), v in t.entries.items():
             if r in ranges and ranges[r][0] <= D <= ranges[r][1]:
                 entries[(D, r)] = cadd(entries.get((D, r), 0), cmul(w, v))
-    return CoeffTable(m, parity, entries, ranges, sq)
-
-
-# -- theta constants ------------------------------------------------------
-
-def theta_nullwert(m, r, k, order):
-    """The theta constant sum_{l = r mod 2m} l^{k-1} q^{l^2/4m}.
-
-    k = 1 gives the nullwert of theta^0_{m,r}, k = 2 that of theta^1_{m,r}.
-    Exponent denominator 4m; window bound `order` (exponents < order known).
-    """
-    order = Fraction(order)
-    bound = order * 4 * m
-    if k < 1 and r % (2 * m) == 0 and bound > 0:
-        raise Divergent(f"the l = 0 term 0^{k - 1} of theta_{m},{r} at "
-                        f"k = {k} is infinite")
-    coeffs = {}
-    l = r % (2 * m)
-    while l * l < bound:
-        coeffs[l * l] = cadd(coeffs.get(l * l, 0), _power(l, k - 1))
-        l += 2 * m
-    l = r % (2 * m) - 2 * m
-    while l * l < bound:
-        coeffs[l * l] = cadd(coeffs.get(l * l, 0), _power(l, k - 1))
-        l -= 2 * m
-    return QSeries(coeffs, order, 4 * m)
-
-
-def _power(d, e):
-    """d^e exactly: an int for e >= 0, else a Fraction (d ** e is a float
-    there)."""
-    return d ** e if e >= 0 else Fraction(1, d ** -e)
-
-
-# -- the group O_m of exact divisors --------------------------------------
-
-class OmGroup:
-    """O_m = {a mod 2m, a odd... in fact a invertible with a^2 = 1 mod 4m},
-    identified with the group Ex_m of exact divisors of m under
-    n * n' = nn'/(n,n')^2 via n -> a(n)."""
-
-    __slots__ = ("m", "elements", "ex_divisors", "a_of")
-
-    def __init__(self, m):
-        self.m = m
-        self.elements = tuple(
-            a for a in range(1, 2 * m, 2) if (a * a - 1) % (4 * m) == 0)
-        self.ex_divisors = tuple(
-            n for n in divisors(m) if gcd(n, m // n) == 1)
-        self.a_of = {n: self._a(n) for n in self.ex_divisors}
-        assert sorted(self.a_of.values()) == sorted(self.elements)
-
-    def _a(self, n):
-        """CRT: a = -1 mod 2n, a = 1 mod 2m/n."""
-        m = self.m
-        mod1, mod2 = 2 * n, 2 * m // n
-        for a in range(1, 2 * m + 1, 2):
-            if (a + 1) % mod1 == 0 and (a - 1) % mod2 == 0:
-                return a % (2 * m)
-        raise AssertionError(f"no a({n}) for m={m}")
-
-    def star(self, n, np):
-        g = gcd(n, np)
-        return n * np // (g * g)
+    return CoeffTable(m, parity, entries, ranges)
 
 
 # -- Omega matrices -------------------------------------------------------
@@ -254,60 +183,15 @@ def ez_apply(t, a):
             ranges[r] = t.ranges[sc]
             for D, v in by_res.get(sc, ()):
                 entries[(D, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m, parity, entries, ranges, t.square_support)
+    return CoeffTable(m, parity, entries, ranges)
 
 
-# -- V_l and the lift -----------------------------------------------------
+# -- the lift -------------------------------------------------------------
 
-def _Vl_value(t, l, k, m2, D, r):
-    """sum over d | ((r^2 - D)/4ml, r, l) of d^{k-1} C(D/d^2, r/d)."""
-    n4 = (r * r - D) // (4 * m2)
-    acc = Fraction(0)
-    for d in divisors(l):
-        if n4 % d or r % d or D % (d * d):
-            continue
-        acc = cadd(acc, cmul(_power(d, k - 1),
-                             t.get(D // (d * d), r // d)))
-    return acc
-
-
-def hecke_Vl(t, l, k):
-    """phi | V_l: index m -> m l.
-
-    Source reads are D/d^2 at residue r/d for d | l, all inside the source
-    window whenever D is, so the source's global window [lo, hi] carries
-    over to every residue.  Entries are computed at the discriminants
-    Ds d^2 reachable from the stored source entries Ds; everything else in
-    the window is provably zero.  A residue at which a read falls outside
-    the source window is dropped.
-    """
-    if any(r not in t.ranges for r in range(t.m + 1)):
-        raise InsufficientDepth(
-            "V_l needs data (or structural zeros) at every residue")
-    m2 = t.m * l
-    lo = max(lo for lo, _hi in t.ranges.values())
-    hi = min(hi for _lo, hi in t.ranges.values())
-    cand = set()
-    for (Ds, _rs) in t.entries:
-        for d in divisors(l):
-            D = Ds * d * d
-            if not (lo <= D <= hi):
-                continue
-            for r in range(m2 + 1):
-                if (D - r * r) % (4 * m2) == 0:
-                    cand.add((D, r))
-    ranges = {r: (lo, hi) for r in range(m2 + 1)}
-    entries = {}
-    for D, r in cand:
-        try:
-            v = _Vl_value(t, l, k, m2, D, r)
-        except InsufficientDepth:
-            ranges.pop(r, None)
-            continue
-        if not ciszero(v):
-            entries[(D, r)] = v
-    entries = {key: v for key, v in entries.items() if key[1] in ranges}
-    return CoeffTable(m2, t.parity, entries, ranges, False)
+def _power(d, e):
+    """d^e exactly: an int for e >= 0, else a Fraction (d ** e is a float
+    there)."""
+    return d ** e if e >= 0 else Fraction(1, d ** -e)
 
 
 def sz_lift(t, D, r, k, order):
@@ -316,15 +200,17 @@ def sz_lift(t, D, r, k, order):
 
     The n = 0 coefficient is emitted as 0 (the lift's constant term is a
     multiple of an inner product not visible from the table; comparisons
-    should use n >= 1).
+    should use n >= 1).  The window `order` may be rational: the
+    coefficients are those of n < order.
     """
     if not is_fundamental(D):
         raise NotFundamental(D)
-    chi = [0] + [kronecker(D, d) for d in range(1, order)]
+    count = max(0, math.ceil(order))
+    chi = [0] + [kronecker(D, d) for d in range(1, count)]
     # with e = n / d the read is C(e^2 D, e r): one per e < order
-    c = [0] + [t.get(e * e * D, e * r) for e in range(1, order)]
+    c = [0] + [t.get(e * e * D, e * r) for e in range(1, count)]
     coeffs = {}
-    for n in range(1, order):
+    for n in range(1, count):
         acc = 0
         for d in divisors(n):
             if chi[d]:
@@ -358,8 +244,9 @@ def shadow_kernel(eta_quotient, m, depth):
     The coefficients are those of shadow_coeff.  Its Omega entries and its
     congruence j^2 = r^2 mod 4m depend on j only through s = j mod 2m, so
     C(j^2, r) = j w(s, r) with w(s, r) = shadow_coeff(s^2, r) / s taken once
-    per residue pair (w(0, r) = 0).  Parity -1 and square support are
-    structural.
+    per residue pair (w(0, r) = 0).  Parity -1 is structural.  Every D in
+    the range (-inf, depth] other than the stored squares j^2 reads 0, so
+    no residue runs out of depth below D = 0.
     """
     for n, _ in eta_quotient.factors:
         if m % n != 0:
@@ -372,7 +259,7 @@ def shadow_kernel(eta_quotient, m, depth):
     entries = {(j * j, r): j * w for j in range(1, top + 1)
                for r, w in weights[j % (2 * m)]}
     ranges = {r: (NEG_INF, depth) for r in range(m + 1)}
-    return CoeffTable(m, -1, entries, ranges, square_support=True)
+    return CoeffTable(m, -1, entries, ranges)
 
 
 # -- H-streams ------------------------------------------------------------

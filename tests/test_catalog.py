@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from mjtheta.catalog import (
-    AVERAGED_FROM, FIXTURE_DEPTH_N, HData, MULT_RELATIONS,
-    catalog_by_symbol, check_positivity_phi, check_positivity_sigma,
-    construct_averaged, epsilon_m, get_lambency, ingest_hdata, load_catalog,
-    verify_mult_relation,
+    AVERAGED_FROM, FIXTURE_DEPTH_N, HData, MULT_RELATIONS, _a_of,
+    _parse_symbol, catalog_by_symbol, check_positivity_phi,
+    check_positivity_sigma, construct_averaged, epsilon_m, get_lambency,
+    ingest_hdata, load_catalog, verify_mult_relation,
 )
 from mjtheta.errors import (
     CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
@@ -15,6 +15,7 @@ from mjtheta.errors import (
 )
 from mjtheta.jacobi import CoeffTable, NEG_INF, POS_INF, ez_apply, h_stream
 from mjtheta.series import series_rescale
+from om_group import a_by_search, exact_divisors, om_elements
 
 
 L1_PLUS = {
@@ -31,6 +32,33 @@ def test_catalog_counts_and_partition():
     assert sum(1 for x in cat if x.fixture is not None) == 16
     # fixtures exactly on the complement
     assert all((x.fixture is None) == x.in_L1_plus for x in cat)
+
+
+def test_a_of_against_search():
+    # the CRT formula against the scan it replaced, and n -> a(n) a
+    # bijection onto O_m
+    for m in range(1, 301):
+        ns = exact_divisors(m)
+        assert [_a_of(m, n) for n in ns] == [a_by_search(m, n) for n in ns]
+        assert sorted(_a_of(m, n) for n in ns) == list(om_elements(m)), m
+    assert [_a_of(6, n) for n in (1, 2, 3, 6)] == [1, 7, 5, 11]
+    assert [_a_of(30, n) for n in (3, 5, 15)] == [41, 49, 29]
+
+
+def test_K_against_search():
+    for lam in load_catalog():
+        assert lam.K == tuple(sorted(a_by_search(lam.m, n)
+                                     for n in lam.group_ns)), lam.symbol
+    assert get_lambency("6+2").K == (1, 7)
+    assert get_lambency("30+6,10,15").K == (1, 11, 19, 29)
+
+
+def test_parse_symbol_checks_the_group():
+    # n * n' = nn'/(n,n')^2: 6 * 10 = 15 and 6 * 15 = 10 close 30+6,10,15
+    assert _parse_symbol("30+6,10,15") == (30, (1, 6, 10, 15))
+    for bad in ("30+6,10", "30+6,15", "6+4", "12+2", "6+6"):
+        with pytest.raises(ParseError):
+            _parse_symbol(bad)
 
 
 def test_catalog_entry_two():

@@ -216,7 +216,7 @@ def bumped(t, key):
     """t with the one entry at key raised by 1."""
     entries = dict(t.entries)
     entries[key] += 1
-    return CoeffTable(t.m, t.parity, entries, t.ranges, t.square_support)
+    return CoeffTable(t.m, t.parity, entries, t.ranges)
 
 
 def test_reports_name_an_entry_the_group_moves(monkeypatch):

@@ -1,21 +1,20 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.arith import divisors, is_fundamental, kronecker
 from mjtheta.cyclo import cadd, ciszero, cmul
-from mjtheta.errors import (
-    BadDiscriminant, Divergent, InsufficientDepth, NotFundamental,
-)
+from mjtheta.errors import BadDiscriminant, InsufficientDepth, NotFundamental
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
-    CoeffTable, theta_nullwert, OmGroup, ez_apply, hecke_Vl, sz_lift,
-    shadow_kernel, shadow_coeff, h_stream, _stream_window,
+    CoeffTable, ez_apply, sz_lift, shadow_kernel, shadow_coeff, h_stream,
+    _stream_window,
 )
-from mjtheta.series import QSeries, series_eq
+from mjtheta.series import QSeries
+from om_group import a_by_search
 
 
 # -- Kronecker symbol: definitional oracle --------------------------------
@@ -62,66 +61,6 @@ def test_is_fundamental():
     assert not any(is_fundamental(D) for D in not_fund)
 
 
-# -- theta constants ------------------------------------------------------
-
-def test_theta_nullwert_lattice_sum():
-    # sum over r mod 2m of theta^0_{m,r} = sum_{l in Z} q^{l^2/4m}
-    m = 6
-    total = QSeries.zero(5, 4 * m)
-    for r in range(2 * m):
-        total = total + theta_nullwert(m, r, 1, 5)
-    want = {}
-    l = 0
-    while l * l < 5 * 4 * m:
-        want[l * l] = Fraction(1) if l == 0 else Fraction(2)
-        l += 1
-    assert {k: v for k, v in total.coeffs.items()} == want
-
-
-def test_theta_nullwert_antisymmetry():
-    m, r = 5, 2
-    a = theta_nullwert(m, r, 2, 8)
-    b = theta_nullwert(m, -r, 2, 8)
-    assert series_eq(a, -1 * b)
-    # and the weight-1/2 ones are symmetric
-    assert series_eq(theta_nullwert(m, r, 1, 8), theta_nullwert(m, -r, 1, 8))
-
-
-def test_theta_nullwert_small_values():
-    # m=1, r=1, k=2: sum_{l odd} l q^{l^2/4} = q^{1/4}(1 - 3 q^2 + 5 q^6 -..)
-    f = theta_nullwert(1, 1, 2, 13)
-    assert f.coeff(Fraction(1, 4)) == 1 + (-1)  # l=1 and l=-1... see below
-    # careful: l = 1 contributes +1, l = -1 contributes -1; they live at the
-    # same exponent only when k-1 is even.  For k=2 the two cancel?  No:
-    # theta^1_{m,r} sums over l = r mod 2m only; for m=1, r=1 that is all odd
-    # l, and +1, -1 both occur: 1*q^{1/4} + (-1)*q^{1/4} = 0.
-    assert f.coeff(Fraction(9, 4)) == 3 - 3
-
-
-def test_theta_nullwert_separated_residue():
-    # m=6, r=1: l = 1, 13, -11, 25, -23, ... no cancellation
-    f = theta_nullwert(6, 1, 2, 8)
-    assert f.coeff(Fraction(1, 24)) == 1
-    assert f.coeff(Fraction(121, 24)) == -11
-    assert f.coeff(Fraction(169, 24)) == 13
-
-
-# -- O_m ------------------------------------------------------------------
-
-def test_OmGroup_m6():
-    g = OmGroup(6)
-    assert g.elements == (1, 5, 7, 11)
-    assert g.ex_divisors == (1, 2, 3, 6)
-    assert g.a_of == {1: 1, 2: 7, 3: 5, 6: 11}
-    assert g.star(2, 3) == 6 and g.star(2, 6) == 3 and g.star(6, 6) == 1
-
-
-def test_OmGroup_m30():
-    g = OmGroup(30)
-    assert g.a_of[3] == 41 and g.a_of[5] == 49 and g.a_of[15] == 29
-    assert len(g.elements) == 8
-
-
 # -- shadow kernels -------------------------------------------------------
 
 def lam2_kernel(depth=60):
@@ -142,7 +81,9 @@ def test_shadow_kernel_parity_and_support():
     t = lam2_kernel()
     assert t.get(1, -1) == -48
     assert t.get(2, 0) == 0
-    assert t.get(5, 1) == 0  # 5 off the square support (and congruence)
+    assert t.get(5, 1) == 0  # 5 is off the congruence D = 1 mod 8
+    # on the congruence but no square: every D < 0 reads 0
+    assert t.get(17, 1) == t.get(-7, 1) == t.get(-10 ** 9 + 1, 1) == 0
     with pytest.raises(InsufficientDepth):
         t.get(63 * 63, 63)  # square discriminant beyond the depth
 
@@ -175,7 +116,7 @@ def test_shadow_kernel_against_shadow_coeff():
                                  if k[0] <= depth}, (lam.symbol, depth)
             assert all(type(v) is int for v in t.entries.values())
             assert t.ranges == {r: (-inf, depth) for r in range(m + 1)}
-            assert t.square_support and t.parity == -1
+            assert t.parity == -1
 
 
 # -- EZ action ------------------------------------------------------------
@@ -194,7 +135,7 @@ def tables_agree(t1, t2):
 
 def test_ez_involution():
     t = lam2_kernel()
-    a = OmGroup(2).a_of[2]
+    a = a_by_search(2, 2)
     tt = ez_apply(ez_apply(t, a), a)
     assert tables_agree(t, tt)
 
@@ -203,39 +144,12 @@ def test_ez_spec_example():
     # for the index-2 kernel, a(2) = 3 swaps nothing at r=1 (1*3 = 3 = -1):
     # C'(D, 1) = C(D, 3) = -C(D, 1)
     t = lam2_kernel()
-    tt = ez_apply(t, OmGroup(2).a_of[2])
+    assert a_by_search(2, 2) == 3
+    tt = ez_apply(t, 3)
     assert tt.get(1, 1) == -t.get(1, 1)
 
 
-# -- V_l ------------------------------------------------------------------
-
-def test_V1_is_identity():
-    t = lam2_kernel()
-    assert tables_agree(hecke_Vl(t, 1, 2), t)
-
-
-@pytest.mark.parametrize("l", [2, 3])
-def test_Vl_against_divisor_sum(l):
-    # phi | V_l has index 2l and C'(D, r) = sum over d | (n, r, l) of
-    # d^(k-1) C(D/d^2, r/d), where D = r^2 - 4 (2l) n
-    k, depth = 2, 200
-    t = lam2_kernel(depth)
-    v = hecke_Vl(t, l, k)
-    m2 = 2 * l
-    assert v.m == m2 and v.parity == -1
-    assert v.ranges == {r: (-inf, depth) for r in range(m2 + 1)}
-    nonzero = 0
-    for r in range(m2 + 1):
-        for D in range(-40 * m2, depth + 1):
-            if (D - r * r) % (4 * m2):
-                continue
-            g = gcd((r * r - D) // (4 * m2), r, l)
-            want = sum(d ** (k - 1) * t.get(D // (d * d), r // d)
-                       for d in range(1, g + 1) if g % d == 0)
-            assert v.get(D, r) == want, (D, r)
-            nonzero += want != 0
-    assert nonzero >= 10
-
+# -- the lift -------------------------------------------------------------
 
 def sz_lift_by_pairs(t, D, r, k, order):
     """Oracle: the lift with (D/d) taken per (n, d) pair, summed from
@@ -295,8 +209,8 @@ def test_kernel_lift_values_are_int():
     assert lift.coeffs == sz_lift_by_pairs(t, 1, 1, 2, 30).coeffs
     assert all(type(v) is int for v in lift.coeffs.values())
     # an absent entry reads as int 0, equal and hash-equal to Fraction(0)
-    # (off the congruence, at a structural zero, off the square support,
-    # inside the window)
+    # (off the congruence, at a structural zero, at a non-square D inside
+    # the window)
     for v in (t.get(5, 1), t.get(16, 0), t.get(17, 1),
               CoeffTable(2, 1, {}, {1: (-inf, 9)}).get(1, 1)):
         assert type(v) is int and v == 0
@@ -307,6 +221,19 @@ def test_sz_lift_requires_fundamental():
     t = lam2_kernel()
     with pytest.raises(NotFundamental):
         sz_lift(t, 9, 3, 2, 10)
+
+
+def test_sz_lift_rational_windows():
+    # the window is kept as given; the coefficients are the integer
+    # window's, cut below it
+    t = lam2_kernel()
+    for order, whole in ((Fraction(5, 2), 3), (Fraction(1, 3), 1),
+                         (0, 0), (-3, -3)):
+        got, want = sz_lift(t, 1, 1, 2, order), sz_lift(t, 1, 1, 2, whole)
+        assert got.order == order
+        assert got.coeffs == {k: v for k, v in want.coeffs.items()
+                              if k < order}
+    assert sz_lift(t, 1, 1, 2, Fraction(5, 2)).coeffs == {1: 48, 2: 48}
 
 
 def test_shadow_lift_proportional_to_dlog():
@@ -352,33 +279,8 @@ def weight_kernel():
     return lam2_kernel(400)
 
 
-def theta_by_fractions(m, r, k, order):
-    """Oracle: sum over l = r mod 2m of l^(k-1) q^(l^2/4m), each power a
-    Fraction."""
-    coeffs = {}
-    top = 2 * m * order + abs(r)
-    for l in range(-top, top + 1):
-        if (l - r) % (2 * m) == 0 and l * l < 4 * m * order:
-            coeffs[l * l] = coeffs.get(l * l, 0) + Fraction(l) ** (k - 1)
-    return coeffs
-
-
 def exact_values(values):
     return all(type(v) in (int, Fraction) for v in values)
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.sampled_from([-1, 0, 1, 2, 3]), m=st.integers(1, 6),
-       r=st.integers(-12, 12), order=st.integers(1, 6))
-def test_theta_nullwert_exact_at_every_weight(k, m, r, order):
-    if k < 1 and r % (2 * m) == 0:
-        with pytest.raises(Divergent):
-            theta_nullwert(m, r, k, order)
-        return
-    f = theta_nullwert(m, r, k, order)
-    want = theta_by_fractions(m, r, k, order)
-    assert f.coeffs == {x: v for x, v in want.items() if v}
-    assert exact_values(f.coeffs.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,20 +293,3 @@ def test_sz_lift_exact_at_every_weight(k, D, r, order):
     want = sz_lift_by_pairs(t, D, r, k, order)
     assert got.coeffs == want.coeffs
     assert exact_values(got.coeffs.values())
-
-
-@settings(max_examples=20, deadline=None)
-@given(k=st.sampled_from([-1, 0, 1, 2, 3]), l=st.sampled_from([2, 3, 4]))
-def test_hecke_Vl_exact_at_every_weight(k, l):
-    t = weight_kernel()
-    v = hecke_Vl(t, l, k)
-    assert exact_values(v.entries.values())
-    m2 = 2 * l
-    for r in range(m2 + 1):
-        for D in range(-4 * m2, 200):
-            if (D - r * r) % (4 * m2):
-                continue
-            g = gcd((r * r - D) // (4 * m2), r, l)
-            want = sum(Fraction(d) ** (k - 1) * t.get(D // (d * d), r // d)
-                       for d in range(1, g + 1) if g % d == 0)
-            assert v.get(D, r) == want, (D, r)

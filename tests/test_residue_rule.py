@@ -12,9 +12,9 @@ from mjtheta.borcherds import _runs_out
 from mjtheta.catalog import load_catalog
 from mjtheta.cyclo import cmul
 from mjtheta.jacobi import (
-    NEG_INF, POS_INF, CoeffTable, OmGroup, _canonical, ez_apply,
-    shadow_kernel,
+    NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply, shadow_kernel,
 )
+from om_group import om_elements
 
 CATALOG = load_catalog()
 FIXTURES = [lam for lam in CATALOG if lam.fixture is not None]
@@ -48,7 +48,7 @@ def ez_apply_oracle(t, a):
         ranges[r] = t.ranges[sc]
         for D, v in by_res.get(sc, []):
             entries[(D, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m, t.parity, entries, ranges, t.square_support)
+    return CoeffTable(m, t.parity, entries, ranges)
 
 
 def orbit_oracle(m, K, r):
@@ -65,7 +65,7 @@ def runs_out_oracle(t, r):
     """True if reads of t at residue r raise InsufficientDepth below some
     D < 0, False if they are structural zeros at every depth."""
     rc, _sign, zero = canonical_oracle(t.m, t.parity, r)
-    if t.square_support or zero:
+    if zero:
         return False
     return rc not in t.ranges or t.ranges[rc][0] != NEG_INF
 
@@ -77,8 +77,7 @@ def kernels(depth=50):
 
 
 def same_table(got, want):
-    assert (got.m, got.parity, got.square_support) == \
-        (want.m, want.parity, want.square_support)
+    assert (got.m, got.parity) == (want.m, want.parity)
     assert got.ranges == want.ranges
     assert got.entries == want.entries
 
@@ -100,7 +99,7 @@ def test_ez_apply_on_fixtures_under_K():
 
 def test_ez_apply_on_kernels_under_O_m():
     for lam, t in kernels():
-        for a in OmGroup(lam.m).elements:
+        for a in om_elements(lam.m):
             same_table(ez_apply(t, a), ez_apply_oracle(t, a))
 
 
@@ -108,7 +107,7 @@ def test_ez_apply_on_even_tables():
     # parity +1 keeps r = 0 and r = m, and a finite lower bound carries over
     t = CoeffTable(3, 1, {(-12, 0): 4, (-15, 3): -2, (-11, 1): 7},
                    {0: (-40, 0), 1: (-35, 1), 3: (-39, 9)})
-    for a in OmGroup(3).elements:
+    for a in om_elements(3):
         same_table(ez_apply(t, a), ez_apply_oracle(t, a))
 
 
@@ -139,8 +138,9 @@ def runs_out_tables():
                      {1: (-63, 1), 2: (NEG_INF, POS_INF), 3: (-55, 9)})
     even = CoeffTable(4, 1, {(-16, 0): 2, (-12, 2): 5},
                       {0: (-48, 0), 2: (NEG_INF, 4), 4: (-32, 16)})
+    # square entries alone no longer make a finite lower bound harmless
     square = CoeffTable(4, -1, {(1, 1): 2, (9, 3): -2},
-                        {1: (-15, 100), 3: (-7, 100)}, square_support=True)
+                        {1: (-15, 100), 3: (-7, 100)})
     return ([lam.fixture for lam in FIXTURES] + [t for _l, t in kernels()]
             + [odd, even, square])
 
@@ -155,8 +155,9 @@ def test_runs_out_against_oracle():
     assert seen == {True, False}
 
 
-def test_square_support_never_runs_out():
-    # a finite lo does not matter: every D < 0 reads 0
-    t = runs_out_tables()[-1]
-    assert t.ranges[1][0] == -15 and not _runs_out(t, 1)
-    assert t.get(-31, 1) == 0
+def test_shadow_kernels_never_run_out():
+    # the range (-inf, depth] of every residue: each D < 0 reads 0
+    for lam, t in kernels():
+        for r in range(-2 * lam.m, 2 * lam.m + 1):
+            assert not _runs_out(t, r), (lam.symbol, r)
+            assert t.get(r * r - 4 * lam.m * 10 ** 6, r) == 0

@@ -17,8 +17,7 @@ from fractions import Fraction
 from mjtheta.borcherds import QuadForm, enumerate_heegner, fit_case, \\
     genus_char, psi_expand
 from mjtheta.catalog import get_lambency
-from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb, \\
-    theta_nullwert
+from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb
 from mjtheta.cyclo import ex
 from mjtheta.mocktheta import verify_andrews_hickerson, verify_watson
 from mjtheta.series import QSeries, series_slice
@@ -43,8 +42,6 @@ CASES = {
     "odd table nonzero at r = m": (
         "CongruenceViolation",
         "CoeffTable(5, -1, {(5, 5): 2}, {5: (-100, 5)})"),
-    "theta constant with an infinite l = 0 term": (
-        "Divergent", "theta_nullwert(3, 0, 0, 3)"),
     # doubled exponents give Psi^2 = conj S(T)^4 / S(T)^4, which is no
     # conj S^2 / S^2 of the divisor's degree 2
     "fit of a product off the divisor's shape": (
@@ -108,12 +105,6 @@ VALUES = {
         True, "psi_expand('6+2', -20, 2, "
               "table=table_lin_comb([(Fraction(1), F62)]))"
               ".coeffs == psi_expand('6+2', -20, 2).coeffs"),
-    # 0^(k-1) = 1 at k = 1, and r = 1 has no l = 0 term: its l = -5 term
-    # at k = 0 is exactly -1/5
-    "theta constants next to the infinite one": (
-        (1, "-1/5"),
-        "(theta_nullwert(3, 0, 1, 3).coeff(0), "
-        "str(theta_nullwert(3, 1, 0, 3).coeff(Fraction(25, 12))))"),
     # the least order that reaches a coefficient: q^0
     "Watson and Andrews-Hickerson at order 1": (
         ["1"] * 6, "[str(r['depth']) for r in verify_watson(1) "
