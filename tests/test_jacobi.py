@@ -1,11 +1,12 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import gcd, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.arith import divisors, is_fundamental, kronecker
+from mjtheta.catalog import _a_of
 from mjtheta.cyclo import cadd, ciszero, cmul
 from mjtheta.errors import BadDiscriminant, InsufficientDepth, NotFundamental
 from mjtheta.eta import parse_eta, eta_dlog
@@ -14,7 +15,7 @@ from mjtheta.jacobi import (
     _stream_window,
 )
 from mjtheta.series import QSeries
-from om_group import a_by_search
+from om_group import a_by_search, exact_divisors, om_elements
 
 
 # -- Kronecker symbol: definitional oracle --------------------------------
@@ -59,6 +60,31 @@ def test_is_fundamental():
     not_fund = [0, 2, 3, 9, -9, -12, 25, -16, -18, 45]
     assert all(is_fundamental(D) for D in fund)
     assert not any(is_fundamental(D) for D in not_fund)
+
+
+# -- the group O_m and a(n) -----------------------------------------------
+
+def star(n, np):
+    return n * np // gcd(n, np) ** 2
+
+
+def test_OmGroup_m6():
+    assert om_elements(6) == (1, 5, 7, 11)
+    assert exact_divisors(6) == (1, 2, 3, 6)
+    assert {n: _a_of(6, n) for n in exact_divisors(6)} == \
+        {1: 1, 2: 7, 3: 5, 6: 11}
+    assert star(2, 3) == 6 and star(2, 6) == 3 and star(6, 6) == 1
+    # a is a homomorphism: a(n * n') = a(n) a(n') in O_m
+    for n in exact_divisors(6):
+        for np in exact_divisors(6):
+            assert _a_of(6, star(n, np)) == _a_of(6, n) * _a_of(6, np) % 12
+
+
+def test_OmGroup_m30():
+    assert _a_of(30, 3) == 41 and _a_of(30, 5) == 49 and _a_of(30, 15) == 29
+    assert len(om_elements(30)) == 8
+    assert sorted(_a_of(30, n) for n in exact_divisors(30)) == \
+        list(om_elements(30))
 
 
 # -- shadow kernels -------------------------------------------------------
