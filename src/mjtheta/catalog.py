@@ -25,7 +25,7 @@ from math import gcd
 
 from .cyclo import ex
 from .errors import (
-    CongruenceViolation, MissingSource, ParseError,
+    CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
     UnknownLambency, UnreadableSource,
 )
 from .eta import parse_eta
@@ -285,9 +285,14 @@ def ingest_hdata(path):
             lo, hi = ranges.get(rc, (D, D))
             ranges[rc] = (min(lo, D), max(hi, D))
         t = CoeffTable(m, -1, store, ranges)
-        if t.known(1, 1) and t.get(1, 1) != -2:
-            raise ParseError(
-                f"{symbol} {cls}: C(1,1) = {t.get(1, 1)}, expected -2")
+        try:
+            c11 = t.get(1, 1)
+        except InsufficientDepth:
+            pass  # no record at D = 1 to check
+        else:
+            if c11 != -2:
+                raise ParseError(
+                    f"{symbol} {cls}: C(1,1) = {c11}, expected -2")
         tables[(symbol, cls)] = t
     return HData(tables, provenance=os.fspath(path))
 

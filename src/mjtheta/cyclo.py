@@ -9,9 +9,11 @@ The normal form is unique: a rational value is a plain Fraction, and any
 other value sits at its minimal conductor N, which is never 2 mod 4 (there
 Q(zeta_N) = Q(zeta_{N/2})).  So two values are equal exactly when their
 (N, coordinates) pairs are, and ``==`` and ``hash`` are tuple operations.
-Code elsewhere can treat coefficient values as ``int | Fraction | Cyc`` and
-use the dispatch helpers at the bottom of this module (cadd, cmul, ...)
-without caring which case it has in hand.
+
+A Cyc has no arithmetic operators.  Code elsewhere treats coefficient
+values as ``int | Fraction | Cyc`` and computes with the one set of
+helpers below (cadd, cmul, cneg, cinv, ciszero), which take any of the
+three; cadd, cmul and cneg keep int op int an int.
 """
 
 from fractions import Fraction
@@ -21,8 +23,8 @@ from math import lcm
 from .arith import divisors, prime_factorization
 
 __all__ = [
-    "Cyc", "ex", "cyclotomic_poly", "cadd", "csub", "cmul", "cneg",
-    "cinv", "ciszero", "cformat",
+    "Cyc", "ex", "cyclotomic_poly", "cadd", "cmul", "cneg", "cinv",
+    "ciszero", "cformat",
 ]
 
 
@@ -101,46 +103,6 @@ class Cyc:
         if not any(c[1:]):
             return c[0]
         return Cyc(*_descend(n, c))
-
-    # -- arithmetic -------------------------------------------------------
-    # Against anything but a number these return NotImplemented, so that the
-    # other operand (a QSeries, say) can answer.
-
-    def __add__(self, other):
-        return cadd(self, other) if _is_number(other) else NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return csub(self, other) if _is_number(other) else NotImplemented
-
-    def __rsub__(self, other):
-        return csub(other, self) if _is_number(other) else NotImplemented
-
-    def __mul__(self, other):
-        return cmul(self, other) if _is_number(other) else NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Cyc(self.n, tuple(-x for x in self.c))
-
-    def __truediv__(self, other):
-        return cmul(self, cinv(other)) if _is_number(other) \
-            else NotImplemented
-
-    def __rtruediv__(self, other):
-        return cmul(other, cinv(self)) if _is_number(other) \
-            else NotImplemented
-
-    def __pow__(self, e):
-        """self**e for an integer e (negative: a power of the inverse)."""
-        if type(e) is not int:
-            return NotImplemented
-        base, out = (self if e >= 0 else cinv(self)), Fraction(1)
-        for _ in range(abs(e)):
-            out = cmul(out, base)
-        return out
 
     def __eq__(self, other):
         # normal forms are unique; against any other type Python falls back
@@ -227,10 +189,6 @@ def _lift(x, n):
     return [Fraction(x)] + [Fraction(0)] * (_phi(n) - 1)
 
 
-def _is_number(x):
-    return isinstance(x, (int, Fraction, Cyc))
-
-
 def _conductor(x):
     return x.n if isinstance(x, Cyc) else 1
 
@@ -250,12 +208,10 @@ def cadd(a, b):
     return Cyc.make(n, [x + y for x, y in zip(ca, cb)])
 
 
-def csub(a, b):
-    return cadd(a, cneg(b))
-
-
 def cneg(a):
-    return -a if isinstance(a, Cyc) or type(a) in _RATIONAL else -Fraction(a)
+    if isinstance(a, Cyc):
+        return Cyc(a.n, tuple(-x for x in a.c))
+    return -a if type(a) in _RATIONAL else -Fraction(a)
 
 
 def cmul(a, b):

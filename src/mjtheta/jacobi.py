@@ -25,7 +25,9 @@ from .errors import (
     BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
     NotFundamental,
 )
-from .series import QSeries, _arg_transform, series_slice
+from .series import (
+    QSeries, _arg_transform, series_add, series_scale, series_slice,
+)
 
 __all__ = [
     "CoeffTable", "omega_entry", "ez_apply", "sz_lift", "shadow_kernel",
@@ -92,10 +94,6 @@ class CoeffTable:
                     f"C({D}, {r}) outside the justified range of residue {r}")
             self.entries[(D, r)] = v
 
-    def canonical(self, r):
-        """(canonical residue in 0..m, sign); see _canonical."""
-        return _canonical(self.m, self.parity, r)
-
     def get(self, D, r):
         """C(D, r); raises InsufficientDepth outside the justified range."""
         m = self.m
@@ -111,20 +109,9 @@ class CoeffTable:
         v = self.entries.get((D, rc), 0)
         return v if sign == 1 else cmul(sign, v)
 
-    def known(self, D, r):
-        """True if get(D, r) will not raise."""
-        try:
-            self.get(D, r)
-            return True
-        except InsufficientDepth:
-            return False
-
-    def residues_with_data(self):
-        return sorted(self.ranges)
-
     def __repr__(self):
         return (f"<CoeffTable m={self.m} parity={self.parity:+d} "
-                f"residues={self.residues_with_data()} "
+                f"residues={sorted(self.ranges)} "
                 f"entries={len(self.entries)}>")
 
 
@@ -269,7 +256,7 @@ def _stream_window(t, r):
     unjustified D = r^2 mod 4m, the largest of the class below the table's
     range for r; math.inf when no D is missing."""
     m = t.m
-    rc, sign = t.canonical(r)
+    rc, sign = _canonical(m, t.parity, r)
     if not sign:
         return math.inf
     if rc not in t.ranges:
@@ -289,9 +276,9 @@ def h_stream(t, r, order):
     """
     m = t.m
     order = Fraction(order)
-    rc, sign = t.canonical(r)
+    rc, sign = _canonical(m, t.parity, r)
     if not sign:
-        return QSeries.zero(order, 4 * m)
+        return QSeries({}, order, 4 * m)
     window = _stream_window(t, r)
     lo, hi = t.ranges[rc]
     if order > window:
@@ -339,11 +326,11 @@ def stream_combination(t, terms, order, s=0, b=1, arg=(1, 0), pre=1,
     g = None
     for c, r in terms:
         f = h_stream(t, r, stream_order)
-        f = f if c == 1 else c * f
-        g = f if g is None else g + f
+        f = f if c == 1 else series_scale(f, c)
+        g = f if g is None else series_add(g, f)
     if s or b != 1:
         g = series_slice(g, s, b)
     g = _arg_transform(g, A, B)
     if pre != 1:
-        g = pre * g
-    return g + const if const else g
+        g = series_scale(g, pre)
+    return series_add(g, QSeries({0: const}, g.order)) if const else g

@@ -29,8 +29,8 @@ from .cyclo import ex
 from .errors import InsufficientDepth, MissingSource, UnknownName
 from .jacobi import stream_combination
 from .series import (
-    QSeries, _slot_bytes, _unpack, series_half_shift, series_rescale,
-    series_shift, series_verdict,
+    QSeries, _slot_bytes, _unpack, series_add, series_half_shift,
+    series_rescale, series_scale, series_shift, series_verdict,
 )
 
 __all__ = [
@@ -356,11 +356,13 @@ def verify_watson(order=100):
     half_order = order / 2 + 1
     f0 = eulerian("5:f0", order)
     f1 = eulerian("5:f1", order)
-    rhs0 = -1 * _alt_q(eulerian("5:psi0", order)) + \
-        series_rescale(_alt_q(eulerian("5:phi0", half_order)), 2)
-    rhs1 = _alt_q(eulerian("5:psi1", order)) + \
-        -1 * series_shift(
-            series_rescale(_alt_q(eulerian("5:phi1", half_order)), 2), -1)
+    rhs0 = series_add(
+        series_scale(_alt_q(eulerian("5:psi0", order)), -1),
+        series_rescale(_alt_q(eulerian("5:phi0", half_order)), 2))
+    rhs1 = series_add(
+        _alt_q(eulerian("5:psi1", order)),
+        series_scale(series_shift(series_rescale(
+            _alt_q(eulerian("5:phi1", half_order)), 2), -1), -1))
     return [{"identity": f"watson:{tag}", **series_verdict(a, b)}
             for tag, a, b in [("f0", f0, rhs0), ("f1", f1, rhs1)]]
 
@@ -380,10 +382,15 @@ def verify_andrews_hickerson(order=100):
                                     [(-1, 1, 2, inf, 2), (-1, 3, 6, inf, 2),
                                      (1, 6, 6, inf, 1)]]]
     cases = [
-        ("rho", psi2 + eulerian("6:rho", order), prod_a),
-        ("lambda", 2 * psi2 + _alt_q(eulerian("6:lambda", order)), prod_a),
-        ("sigma", phi2 + 2 * eulerian("6:sigma", order), prod_b),
-        ("mu", 2 * phi2 + -1 * _alt_q(eulerian("6:2mu", order)), prod_b),
+        ("rho", series_add(psi2, eulerian("6:rho", order)), prod_a),
+        ("lambda", series_add(series_scale(psi2, 2),
+                              _alt_q(eulerian("6:lambda", order))), prod_a),
+        ("sigma", series_add(phi2,
+                             series_scale(eulerian("6:sigma", order), 2)),
+         prod_b),
+        ("mu", series_add(series_scale(phi2, 2),
+                          series_scale(_alt_q(eulerian("6:2mu", order)), -1)),
+         prod_b),
     ]
     return [{"identity": f"andrews-hickerson:{tag}",
              **series_verdict(lhs, rhs)} for tag, lhs, rhs in cases]

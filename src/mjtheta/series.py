@@ -15,9 +15,9 @@ from .cyclo import cadd, cmul, cneg, cinv, ciszero, ex, cformat
 from .errors import Divergent, NonInvertibleLeadingTerm
 
 __all__ = [
-    "QSeries", "series_add", "series_mul", "series_pow", "series_rescale",
-    "series_half_shift", "series_slice", "series_shift", "series_eq",
-    "series_first_mismatch", "series_verdict",
+    "QSeries", "series_add", "series_scale", "series_mul", "series_pow",
+    "series_rescale", "series_half_shift", "series_slice", "series_shift",
+    "series_verdict",
 ]
 
 
@@ -35,21 +35,6 @@ class QSeries:
         cutoff = ceil(self.order * den)
         self.coeffs = {k: v for k, v in coeffs.items()
                        if not ciszero(v) and k < cutoff}
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero(order, den=1):
-        return QSeries({}, order, den)
-
-    @staticmethod
-    def one(order):
-        return QSeries({0: Fraction(1)}, order)
-
-    @staticmethod
-    def monomial(coeff, exponent, order):
-        e = Fraction(exponent)
-        return QSeries({e.numerator: coeff}, order, e.denominator)
 
     # -- inspection -------------------------------------------------------
 
@@ -80,38 +65,6 @@ class QSeries:
         body = " + ".join(terms) if terms else "0"
         return f"<{body}{more}  (+O(q^{self.order}))>"
 
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            other = QSeries.monomial(other, 0, self.order)
-        return series_add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries({k: cneg(v) for k, v in self.coeffs.items()},
-                       self.order, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            other = QSeries.monomial(other, 0, self.order)
-        return series_add(self, -other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return series_mul(self, other)
-        return QSeries({k: cmul(v, other) for k, v in self.coeffs.items()},
-                       self.order, self.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return series_pow(self, e)
-
 
 def _align(a, b):
     den = lcm(a.den, b.den)
@@ -128,6 +81,12 @@ def series_add(a, b):
     for k, v in cb.items():
         out[k] = cadd(out.get(k, 0), v)
     return QSeries(out, order, den)
+
+
+def series_scale(a, c):
+    """c * a for a scalar c (int, Fraction or Cyc)."""
+    return QSeries({k: cmul(v, c) for k, v in a.coeffs.items()}, a.order,
+                   a.den)
 
 
 def _lo_eff(s):
@@ -338,33 +297,20 @@ def series_slice(a, r, b):
     return QSeries({j // g: v for j, v in out.items()}, a.order - r, den // g)
 
 
-def series_first_mismatch(a, b):
-    """(x, a_x, b_x) at the least exponent x below both windows where the
-    coefficients of a and b differ, or None if they agree on the overlap."""
-    den, ca, cb = _align(a, b)
-    cutoff = ceil(min(a.order, b.order) * den)
-    zero = Fraction(0)
-    for k in sorted(ca.keys() | cb.keys()):
-        if k >= cutoff:
-            break
-        va, vb = ca.get(k, zero), cb.get(k, zero)
-        if va != vb:
-            return Fraction(k, den), va, vb
-    return None
-
-
 def series_verdict(lhs, rhs):
     """The one verdict on an identity lhs = rhs of two series:
     {"status": "verified", "depth": w} when they agree below the shared
     window w, else {"status": "mismatch", "exponent": x, "lhs": a,
     "rhs": b} at the least exponent x where they differ."""
-    bad = series_first_mismatch(lhs, rhs)
-    if bad is None:
-        return {"status": "verified", "depth": min(lhs.order, rhs.order)}
-    x, a, b = bad
-    return {"status": "mismatch", "exponent": x, "lhs": a, "rhs": b}
-
-
-def series_eq(a, b):
-    """Equality of all coefficients on the overlap of the two windows."""
-    return series_first_mismatch(a, b) is None
+    den, ca, cb = _align(lhs, rhs)
+    depth = min(lhs.order, rhs.order)
+    cutoff = ceil(depth * den)
+    zero = Fraction(0)
+    for k in sorted(ca.keys() | cb.keys()):
+        if k >= cutoff:
+            break
+        a, b = ca.get(k, zero), cb.get(k, zero)
+        if a != b:
+            return {"status": "mismatch", "exponent": Fraction(k, den),
+                    "lhs": a, "rhs": b}
+    return {"status": "verified", "depth": depth}

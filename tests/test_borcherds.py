@@ -13,16 +13,16 @@ from mjtheta.borcherds import (
     psi_expand,
 )
 from mjtheta.catalog import get_lambency, load_catalog
-from mjtheta.cyclo import (
-    Cyc, cadd, cinv, ciszero, cmul, cneg, csub, ex,
-)
+from mjtheta.cyclo import Cyc, cadd, cinv, ciszero, cmul, cneg, ex
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, NoSolutionWithinDegree, Underdetermined,
 )
 from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
-from mjtheta.series import QSeries, series_mul, series_pow
+from mjtheta.series import (
+    QSeries, series_add, series_mul, series_pow, series_scale,
+)
 
 from series_terms import from_terms
 
@@ -395,7 +395,7 @@ def test_psi_first_coefficient_oracle():
     for b in range(1, abs(D)):
         k = kronecker(D, b)
         if k:
-            want = csub(want, cmul(k * C1, ex(Fraction(b, D))))
+            want = cadd(want, cmul(-k * C1, ex(Fraction(b, D))))
     assert psi.coeff(1) == want
 
 
@@ -499,14 +499,14 @@ def test_fit_cases(sym, D, r, deg):
     assert rep["Q"][-1] == 1 and rep["P"][-1] == 1
     # real product: numerator and denominator are complex conjugates
     for p, q in zip(rep["P"], rep["Q"]):
-        assert ciszero(csub(p, cconj(q))), (sym, p, q)
+        assert ciszero(cadd(p, cneg(cconj(q)))), (sym, p, q)
 
 
 def test_fit_case_frozen_gaussian():
     rep = fit_case("10+2", -4, 6)
     i = ex(Fraction(1, 4))
-    assert rep["P"][0] == 3 + cmul(4, i)
-    assert rep["Q"][0] == csub(3, cmul(4, i))
+    assert rep["P"][0] == cadd(3, cmul(4, i))
+    assert rep["Q"][0] == cadd(3, cmul(-4, i))
 
 
 def test_heegner_divisor_weights():
@@ -540,7 +540,7 @@ def cyc_product(lam, D, r, order=None):
             if k == 0:
                 continue
             zeta = ex(Fraction(b, D))
-            factor = from_terms([(0, 1), (n, -1 * zeta)], window)
+            factor = from_terms([(0, 1), (n, cneg(zeta))], window)
             out = series_mul(out, series_pow(factor, k * e))
     return out
 
@@ -591,8 +591,8 @@ def cyc_fit(psi, T, max_deg):
     skipped_short = False
     for dp, dq in pairs:
         cols = [series_mul(psi, Tpow[i]) for i in range(dq)]
-        cols += [-1 * Tpow[j] for j in range(dp + 1)]
-        rhs = -1 * series_mul(psi, Tpow[dq])
+        cols += [series_scale(Tpow[j], -1) for j in range(dp + 1)]
+        rhs = series_scale(series_mul(psi, Tpow[dq]), -1)
         window = min(s.order for s in cols + [rhs])
         lo = min(min([0] + [x for x, _v in s.items()]) for s in cols + [rhs])
         xs = range(int(lo), int(window))
@@ -604,8 +604,8 @@ def cyc_fit(psi, T, max_deg):
         if solved is None:
             continue
         sol, rank = solved
-        if all(ciszero(cadd(row[-1], cneg(sum(
-                (cmul(v, u) for v, u in zip(row[:-1], sol)), start=0))))
+        if all(ciszero(cadd(row[-1], cneg(reduce(
+                cadd, map(cmul, row[:-1], sol), 0))))
                for row in rows):
             return list(sol[dq:]), list(sol[:dq]) + [1], rank
     if skipped_short:
@@ -618,7 +618,7 @@ def split(v, D):
     -G): x = (v + conj v) / 2, y = (v - conj v) / 2G."""
     G = borcherds._gauss_sum(D)
     x = cmul(Fraction(1, 2), cadd(v, cconj(v)))
-    y = cmul(cmul(Fraction(1, 2), csub(v, cconj(v))), cinv(G))
+    y = cmul(cmul(Fraction(1, 2), cadd(v, cneg(cconj(v)))), cinv(G))
     return as_fraction(x), as_fraction(y)
 
 
@@ -632,8 +632,8 @@ def test_gauss_sum_squares_to_D():
     for D in sorted({D for _s, D, _r in SWEEP}):
         G = borcherds._gauss_sum(D)
         assert cmul(G, G) == D and G.n == -D
-        assert G == sum((cmul(kronecker(D, b), ex(Fraction(b, D)))
-                         for b in range(1, -D)), start=0)
+        assert G == reduce(cadd, (cmul(kronecker(D, b), ex(Fraction(b, D)))
+                                  for b in range(1, -D)), 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -722,9 +722,11 @@ def poly_root(Q, k):
     S = [0] * e + [1]
     for i in range(1, e + 1):
         Sk = reduce(poly_mul, [S] * k)
-        S[e - i] = cmul(Fraction(1, k), csub(Q[k * e - i], Sk[k * e - i]))
+        S[e - i] = cmul(Fraction(1, k),
+                        cadd(Q[k * e - i], cneg(Sk[k * e - i])))
     Sk = reduce(poly_mul, [S] * k)
-    return S if all(ciszero(csub(a, b)) for a, b in zip(Sk, Q)) else None
+    return S if all(ciszero(cadd(a, cneg(b)))
+                    for a, b in zip(Sk, Q)) else None
 
 
 # the fits the 7-coefficient windows of the shipped 12+3 table decide at
@@ -742,7 +744,8 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     Tpow = [QSeries({0: 1}, T.order)]
     for _ in range(4):
         Tpow.append(series_mul(Tpow[-1], T))
-    resid = series_mul(poly_in_T(Q, Tpow), psi) - poly_in_T(P, Tpow)
+    resid = series_add(series_mul(poly_in_T(Q, Tpow), psi),
+                       series_scale(poly_in_T(P, Tpow), -1))
     assert resid.coeffs == {} and resid.order == psi.order - 4
     # the surplus rows check every coefficient of the window: changing one
     # c_N of q d/dq log Psi keeps R = Psi^(1/2) of norm 1, and leaves it
@@ -755,7 +758,7 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     # S = sqrt Q lies in O_{Q(sqrt D)}[T]: its roots, the values of T at
     # the Heegner points, are algebraic integers (trace and norm in Z)
     S = poly_root(Q, 2)
-    assert S is not None and all(ciszero(csub(p, cconj(q)))
+    assert S is not None and all(ciszero(cadd(p, cneg(cconj(q))))
                                  for p, q in zip(P, Q))
     for v in S:
         x, y = split(v, D)
@@ -802,9 +805,9 @@ def test_genus_char_matches_the_bounded_search_on_heegner_forms():
 
 
 def poly_in_T(coeffs, Tpow):
-    out = QSeries.zero(Tpow[0].order)
+    out = QSeries({}, Tpow[0].order)
     for c, t in zip(coeffs, Tpow):
-        out = out + t * c
+        out = series_add(out, series_scale(t, c))
     return out
 
 

@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from mjtheta.catalog import (
-    AVERAGED_FROM, FIXTURE_DEPTH_N, HData, MULT_RELATIONS, _a_of,
-    _parse_symbol, catalog_by_symbol, check_positivity_phi,
-    check_positivity_sigma, construct_averaged, epsilon_m, get_lambency,
-    ingest_hdata, load_catalog, verify_mult_relation,
+    AVERAGED_FROM, HData, MULT_RELATIONS, _a_of, _parse_symbol,
+    check_positivity_phi, check_positivity_sigma, construct_averaged,
+    epsilon_m, get_lambency, ingest_hdata, load_catalog,
+    verify_mult_relation,
 )
 from mjtheta.errors import (
     CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
     UnknownLambency,
 )
 from mjtheta.jacobi import CoeffTable, NEG_INF, POS_INF, ez_apply, h_stream
-from mjtheta.series import series_rescale
+from mjtheta.series import series_add, series_rescale
 from om_group import a_by_search, exact_divisors, om_elements
 
 
@@ -118,9 +118,10 @@ def test_fixture_support_condition():
         m2 = 2 * lam.m
         K = set(lam.K) | {(-a) % m2 for a in lam.K}
         for r in range(m2):
-            if not f.known(1, r):
+            try:
+                v = f.get(1, r)
+            except InsufficientDepth:
                 continue
-            v = f.get(1, r)
             assert (v != 0) == (r in K), (lam.symbol, r, v)
             if v:
                 assert v == (-2 if r in lam.K else 2), (lam.symbol, r)
@@ -134,8 +135,11 @@ def test_fixture_ez_invariance():
         for a in lam.K:
             g = ez_apply(f, a)
             for (D, r), v in f.entries.items():
-                if g.known(D, r):
-                    assert g.get(D, r) == v, (lam.symbol, a, D, r)
+                try:
+                    w = g.get(D, r)
+                except InsufficientDepth:
+                    continue
+                assert w == v, (lam.symbol, a, D, r)
 
 
 def test_unknown_lambency():
@@ -284,7 +288,7 @@ def synthesize_rhs(row_id, order):
             f = series_rescale(
                 h_stream(lam.fixture, r + line.step * i, Fraction(order, a)),
                 a)
-            s = f if s is None else s + f
+            s = f if s is None else series_add(s, f)
         c = line.rhs_pre(r)
         D = r * r
         while -Fraction(D, 4 * mp) < order:

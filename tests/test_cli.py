@@ -16,7 +16,7 @@ from mjtheta import cli
 from mjtheta.catalog import MULT_RELATIONS, get_lambency, ingest_hdata
 from mjtheta.cli import DATA_ENV, main
 from mjtheta.jacobi import CoeffTable, h_stream
-from mjtheta.series import series_rescale
+from mjtheta.series import series_add, series_rescale
 
 
 def run(capsys, *argv):
@@ -259,7 +259,7 @@ def synthesize(row_id, order):
             f = series_rescale(
                 h_stream(lam.fixture, r + line.step * i,
                          Fraction(order, a)), a)
-            s = f if s is None else s + f
+            s = f if s is None else series_add(s, f)
         c = line.rhs_pre(r)
         D = r * r
         while -Fraction(D, 4 * mp) < order:

@@ -245,29 +245,17 @@ def test_eq_with_a_non_number_is_false():
     assert z != Fraction(1, 2) and z != 0 and 0 != z
 
 
-def test_operators_leave_other_operands_to_them():
-    # Cyc answers NotImplemented to a non-number, so the QSeries operators
-    # answer: Cyc (op) QSeries is QSeries (op) Cyc
+def test_values_have_no_operators():
+    # cadd, cmul, cneg, cinv and the series_* functions are the one
+    # spelling of each operation
     from mjtheta.series import QSeries
-    z = ex(Fraction(1, 4))
-    f = QSeries({0: 1, 2: Fraction(1, 3)}, 3)
-
-    def same(a, b):
-        return (a.coeffs, a.den, a.order) == (b.coeffs, b.den, b.order)
-
-    assert same(z * f, f * z) and same(z + f, f + z)
-    assert same(z - f, -(f - z))
+    for cls in (Cyc, QSeries):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                     "__pow__"):
+            assert not hasattr(cls, name), (cls, name)
     with pytest.raises(TypeError):
-        z / f
-    with pytest.raises(TypeError):
-        z + "x"
-
-
-def test_integer_powers():
-    z = ex(Fraction(1, 6))
-    assert z ** 6 == 1 and z ** 0 == 1 and z ** 3 == -1
-    assert z ** 2 == ex(Fraction(1, 3)) and z ** -1 == cinv(z)
-    assert (z ** -7) * (z ** 7) == 1
+        ex(Fraction(1, 4)) + 1
 
 
 # Oracle: the divisor-by-divisor linear solve that the prime-by-prime descent

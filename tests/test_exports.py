@@ -1,7 +1,7 @@
 """Every name in a module's __all__ exists, so a deletion that leaves a
 stale export fails here and not at the first `from mjtheta.x import *`;
-and every name a module imports is used there or exported, so a deletion
-leaves no import behind."""
+and every name a module, test, demo or tool imports is used there or
+exported, so a deletion leaves no import behind."""
 
 import ast
 import importlib
@@ -51,7 +51,11 @@ def test_unused_import_check_sees_them():
         "from .x import y\n__all__ = ['y']\nprint(r)\n") == ["gcd", "os"]
 
 
-@pytest.mark.parametrize("path", sorted(
-    pathlib.Path(mjtheta.__path__[0]).glob("*.py")), ids=lambda p: p.name)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(pathlib.Path(mjtheta.__path__[0]).glob("*.py")) + sorted(
+    p for d in ("tests", "demos", "tools") for p in (ROOT / d).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert imported_but_unused(path.read_text()) == []

@@ -23,9 +23,9 @@ FIXTURES = [lam for lam in CATALOG if lam.fixture is not None]
 # -- oracles --------------------------------------------------------------
 
 def canonical_oracle(m, parity, r):
-    """(canonical residue, sign) as CoeffTable.canonical gave them, and
-    whether the inline test `parity == -1 and rc in (0, m)` made the read a
-    structural zero."""
+    """(canonical residue, sign) as the earlier CoeffTable.canonical gave
+    them, and whether the inline test `parity == -1 and rc in (0, m)` made
+    the read a structural zero."""
     r %= 2 * m
     rc, sign = (2 * m - r, parity) if r > m else (r, 1)
     return rc, sign, parity == -1 and rc in (0, m)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta import series
-from mjtheta.cyclo import cmul, ex
+from mjtheta.cyclo import cadd, cmul, cneg, ex
 from mjtheta.errors import Divergent, NonInvertibleLeadingTerm
 from mjtheta.series import (
     QSeries, series_add, series_mul, series_pow, series_rescale,
-    series_half_shift, series_slice, series_shift, series_eq,
-    series_first_mismatch,
+    series_half_shift, series_scale, series_slice, series_shift,
+    series_verdict,
 )
 
 from series_terms import from_terms
@@ -24,6 +24,10 @@ def poly(pairs, order=20, den=1):
 def same_series(got, want):
     assert (got.coeffs, got.den, got.order) == \
         (want.coeffs, want.den, want.order)
+
+
+def agree(a, b):
+    return series_verdict(a, b)["status"] == "verified"
 
 
 # -- oracle: dense polynomial arithmetic ---------------------------------
@@ -67,24 +71,24 @@ def test_pow_inverse_roundtrip():
     a = poly({0: 1, 1: -1, 3: 2}, order=15)
     inv = series_pow(a, -1)
     one = series_mul(a, inv)
-    assert series_eq(one, QSeries.one(one.order))
+    assert agree(one, QSeries({0: 1}, one.order))
     # Laurent case with a pole
     t = QSeries({-1: Fraction(1), 1: Fraction(196884)}, 10, 1)
     tinv = series_pow(t, -1)
     assert tinv.lo == 1
-    assert series_eq(series_mul(t, tinv), QSeries.one(1))
+    assert agree(series_mul(t, tinv), QSeries({0: 1}, 1))
 
 
 def test_pow_negative_matches_repeated_inverse():
     a = poly({0: 2, 1: 1}, order=12)
     x = series_pow(a, -3)
     y = series_pow(series_pow(a, 3), -1)
-    assert series_eq(x, y)
+    assert agree(x, y)
 
 
 def test_reciprocal_needs_leading_term():
     with pytest.raises(NonInvertibleLeadingTerm):
-        series_pow(QSeries.zero(10), -1)
+        series_pow(QSeries({}, 10), -1)
 
 
 def test_rescale():
@@ -111,18 +115,18 @@ def test_half_shift():
     # round trip through +s then -s is the identity, exactly
     s = Fraction(3, 8)
     c = series_half_shift(series_half_shift(a, s), -s)
-    assert series_eq(a, c)
+    assert agree(a, c)
 
 
 def test_half_shift_fractional_exponents():
     a = QSeries({1: Fraction(2)}, 3, 24)  # 2 q^{1/24}
     b = series_half_shift(a, Fraction(1, 2))
-    assert b.coeff(Fraction(1, 24)) == 2 * ex(Fraction(1, 48))
+    assert b.coeff(Fraction(1, 24)) == cmul(2, ex(Fraction(1, 48)))
 
 
 _shift_values = st.one_of(
     st.integers(-5, 5), st.fractions(max_denominator=4),
-    st.sampled_from([ex(Fraction(1, 3)), -ex(Fraction(1, 4))]))
+    st.sampled_from([ex(Fraction(1, 3)), cneg(ex(Fraction(1, 4)))]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,7 +168,7 @@ def fraction_slice(a, r, b):
         if (x - r) % b == 0:
             out.append((x - r, v))
     return from_terms(out, a.order - r) if out else \
-        QSeries.zero(a.order - r)
+        QSeries({}, a.order - r)
 
 
 @st.composite
@@ -215,22 +219,22 @@ small_series = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(small_series, small_series, small_series)
 def test_ring_axioms(a, b, c):
-    assert series_eq(series_add(a, b), series_add(b, a))
-    assert series_eq(series_mul(a, b), series_mul(b, a))
-    assert series_eq(series_mul(a, series_add(b, c)),
-                     series_add(series_mul(a, b), series_mul(a, c)))
-    assert series_eq(series_mul(series_mul(a, b), c),
-                     series_mul(a, series_mul(b, c)))
+    assert agree(series_add(a, b), series_add(b, a))
+    assert agree(series_mul(a, b), series_mul(b, a))
+    assert agree(series_mul(a, series_add(b, c)),
+                 series_add(series_mul(a, b), series_mul(a, c)))
+    assert agree(series_mul(series_mul(a, b), c),
+                 series_mul(a, series_mul(b, c)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_series, st.integers(min_value=0, max_value=4))
 def test_pow_is_repeated_mul(a, e):
     direct = series_pow(a, e)
-    acc = QSeries.one(99)
+    acc = QSeries({0: 1}, 99)
     for _ in range(e):
         acc = series_mul(acc, a)
-    assert series_eq(direct, acc)
+    assert agree(direct, acc)
 
 
 # -- windows off the integer grid -------------------------------------------
@@ -283,7 +287,7 @@ def test_mul_fractional_window_example():
                                Fraction(5, 6): 2, Fraction(7, 6): -2}
 
 
-# -- first mismatch ---------------------------------------------------------
+# -- the verdict's first mismatch ----------------------------------------
 
 def fraction_scan(a, b):
     """Oracle: walk the exact exponents of both supports in increasing order
@@ -293,6 +297,15 @@ def fraction_scan(a, b):
         if x < window and a.coeff(x) != b.coeff(x):
             return x, a.coeff(x), b.coeff(x)
     return None
+
+
+def scan_verdict(a, b):
+    """series_verdict(a, b) as the oracle scan gives it."""
+    bad = fraction_scan(a, b)
+    if bad is None:
+        return {"status": "verified", "depth": min(a.order, b.order)}
+    x, va, vb = bad
+    return {"status": "mismatch", "exponent": x, "lhs": va, "rhs": vb}
 
 
 @st.composite
@@ -317,12 +330,8 @@ def near_pairs(draw):
 def test_first_mismatch_against_fraction_scan(pair):
     a, b = pair
     assert (a.order * a.den).denominator > 1
-    want = fraction_scan(a, b)
-    assert series_first_mismatch(a, b) == want
-    if want is not None:
-        x, va, vb = want
-        assert series_first_mismatch(b, a) == (x, vb, va)
-    assert series_eq(a, b) == (want is None)
+    assert series_verdict(a, b) == scan_verdict(a, b)
+    assert series_verdict(b, a) == scan_verdict(b, a)
 
 
 def test_first_mismatch_example():
@@ -330,12 +339,45 @@ def test_first_mismatch_example():
     a = QSeries({0: Fraction(1), 1: Fraction(2)}, Fraction(11, 6), 2)
     b = QSeries({0: Fraction(1), 3: Fraction(2), 8: Fraction(-1)},
                 Fraction(5, 3), 6)
-    assert series_first_mismatch(a, b) == (Fraction(4, 3), 0, -1)
+    assert series_verdict(a, b) == {"status": "mismatch",
+                                    "exponent": Fraction(4, 3),
+                                    "lhs": 0, "rhs": -1}
+    assert series_verdict(b, a) == {"status": "mismatch",
+                                    "exponent": Fraction(4, 3),
+                                    "lhs": -1, "rhs": 0}
     # past the shorter window nothing is compared
     c = QSeries({0: Fraction(1), 3: Fraction(2), 10: Fraction(7)},
                 Fraction(5, 3), 6)
-    assert series_first_mismatch(a, c) is None
-    assert series_eq(a, c)
+    assert series_verdict(a, c) == series_verdict(c, a) == \
+        {"status": "verified", "depth": Fraction(5, 3)}
+
+
+# -- the scalar product against cmul one coefficient at a time -------------
+
+_scalars = st.one_of(
+    st.integers(-9, 9), st.fractions(max_denominator=6),
+    st.sampled_from([ex(Fraction(1, 3)), cneg(ex(Fraction(1, 4))),
+                     cadd(Fraction(1, 2), ex(Fraction(2, 5)))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-40, 150), _scalars, max_size=30),
+       st.sampled_from([1, 2, 3, 24]),
+       st.integers(min_value=-50, max_value=1500).filter(lambda n: n % 7),
+       _scalars)
+@example({0: 3, 5: -2}, 1, 70, 4)  # int * int
+@example({1: Fraction(1, 2), 3: 5}, 24, 200, 0)  # zero scalar
+def test_scale_matches_cmul_per_coefficient(coeffs, den, num, c):
+    # windows off the key grid: order * den = num / 7
+    a = QSeries(coeffs, Fraction(num, 7 * den), den)
+    got = series_scale(a, c)
+    assert (got.den, got.order) == (a.den, a.order)
+    want = {x: cmul(c, v) for x, v in a.items()}
+    assert dict(got.items()) == {x: v for x, v in want.items() if v != 0}
+    if type(c) is int:
+        # int * int stays int
+        assert all(type(got.coeffs[k]) is int for k, v in a.coeffs.items()
+                   if type(v) is int and k in got.coeffs)
 
 
 # -- the Kronecker kernel against the pair loop -------------------------------
@@ -422,7 +464,7 @@ def test_negative_pow_of_int_unit_lead_stays_int(a, e):
         (want.coeffs, want.den, want.order)
     assert all(type(v) is int for v in got.coeffs.values())
     one = series_mul(series_pow(a, e), got)
-    assert series_eq(one, QSeries.one(one.order))
+    assert agree(one, QSeries({0: 1}, one.order))
 
 
 @pytest.mark.parametrize("m", [1, 3, 10 ** 120])
