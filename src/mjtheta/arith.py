@@ -6,8 +6,8 @@ from math import isqrt
 from .errors import BadDiscriminant
 
 __all__ = [
-    "kronecker", "is_fundamental", "is_square", "divisors", "sigma1",
-    "prime_factorization",
+    "kronecker", "kronecker_row", "is_fundamental", "is_square", "divisors",
+    "sigma1", "prime_factorization",
 ]
 
 
@@ -70,6 +70,15 @@ def kronecker(D, b):
             ls = pow(D % p, (p - 1) // 2, p)
             result *= 1 if ls == 1 else -1
     return result
+
+
+def kronecker_row(D, count):
+    """[0, (D/1), ..., (D/(count - 1))] for a discriminant D, index 0 set
+    to 0.  For D = 0, 1 mod 4, (D/d) has period |D| in d >= 1, so
+    kronecker runs only for d <= |D|."""
+    p = abs(D)
+    period = [kronecker(D, d) for d in range(1, min(p, count - 1) + 1)]
+    return [0] + [period[(d - 1) % p] for d in range(1, count)]
 
 
 def is_fundamental(D):

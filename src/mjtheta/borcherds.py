@@ -16,7 +16,7 @@ from math import ceil, gcd, inf, isqrt, lcm
 from operator import mul
 
 from .arith import (
-    divisors, is_fundamental, kronecker, prime_factorization,
+    divisors, is_fundamental, kronecker, kronecker_row, prime_factorization,
 )
 from .cyclo import Cyc, cformat
 from .errors import (
@@ -331,7 +331,7 @@ def _psi_log(symbol, D, r, order=None, table=None):
             f"table gives no C({D}, {r}): cannot start the product")
     window = min(order, Fraction(len(exponents) + 1))
     count = max(1, ceil(window))
-    chi = [0] + [kronecker(D, k) for k in range(1, count)]
+    chi = kronecker_row(D, count)
     c = [0] * count
     for n, e in enumerate(exponents[:count - 1], start=1):
         if e:

@@ -16,11 +16,12 @@ On top of the tables live:
 """
 
 import math
+import operator
 from fractions import Fraction
 from math import isqrt
 
-from .arith import divisors, is_fundamental, is_square, kronecker
-from .cyclo import cadd, ciszero, cmul
+from .arith import is_fundamental, is_square, kronecker_row
+from .cyclo import _RATIONAL, cadd, ciszero, cmul
 from .errors import (
     BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
     NotFundamental,
@@ -175,15 +176,15 @@ def ez_apply(t, a):
 
 # -- the lift -------------------------------------------------------------
 
-def _power(d, e):
-    """d^e exactly: an int for e >= 0, else a Fraction (d ** e is a float
-    there)."""
-    return d ** e if e >= 0 else Fraction(1, d ** -e)
-
-
 def sz_lift(t, D, r, k, order):
     """The lift S_{D,r}: n-th coefficient sum_{d|n} d^{k-2} (D/d)
     C(n^2 D / d^2, n r / d), for D fundamental.
+
+    A Dirichlet sieve: with e = n / d the read is C(e^2 D, e r), so the
+    c_e for e < order are read first, each weight d^{k-2} (D/d) is taken
+    once, and each c_e != 0 adds its product with every weight to the
+    coefficient at n = d e.  The sums are native when every c_e is an int
+    or Fraction, else cadd/cmul for the whole lift.
 
     The n = 0 coefficient is emitted as 0 (the lift's constant term is a
     multiple of an inner product not visible from the table; comparisons
@@ -193,18 +194,21 @@ def sz_lift(t, D, r, k, order):
     if not is_fundamental(D):
         raise NotFundamental(D)
     count = max(0, math.ceil(order))
-    chi = [0] + [kronecker(D, d) for d in range(1, count)]
-    # with e = n / d the read is C(e^2 D, e r): one per e < order
-    c = [0] + [t.get(e * e * D, e * r) for e in range(1, count)]
-    coeffs = {}
-    for n in range(1, count):
-        acc = 0
-        for d in divisors(n):
-            if chi[d]:
-                acc = cadd(acc, cmul(_power(d, k - 2) * chi[d], c[n // d]))
-        if not ciszero(acc):
-            coeffs[n] = acc
-    return QSeries(coeffs, order)
+    c = [t.get(e * e * D, e * r) for e in range(1, count)]
+    # d^(k-2) exactly: d ** (k - 2) is a float for k < 2
+    w = [(d, x * d ** (k - 2) if k >= 2 else Fraction(x, d ** (2 - k)))
+         for d, x in enumerate(kronecker_row(D, count)) if x]
+    add, mul = ((operator.add, operator.mul)
+                if all(type(v) in _RATIONAL for v in c) else (cadd, cmul))
+    out = [0] * count
+    for e, v in enumerate(c, start=1):
+        if not ciszero(v):
+            for d, x in w:
+                if d * e >= count:
+                    break
+                out[d * e] = add(out[d * e], mul(x, v))
+    return QSeries({n: v for n, v in enumerate(out) if not ciszero(v)},
+                   order)
 
 
 # -- theta kernels from eta quotients -------------------------------------
@@ -230,19 +234,27 @@ def shadow_kernel(eta_quotient, m, depth):
 
     The coefficients are those of shadow_coeff.  Its Omega entries and its
     congruence j^2 = r^2 mod 4m depend on j only through s = j mod 2m, so
-    C(j^2, r) = j w(s, r) with w(s, r) = shadow_coeff(s^2, r) / s taken once
-    per residue pair (w(0, r) = 0).  Parity -1 is structural.  Every D in
-    the range (-inf, depth] other than the stored squares j^2 reads 0, so
-    no residue runs out of depth below D = 0.
+    C(j^2, r) = j w(s, r) with w(s, r) = shadow_coeff(s^2, r) / s, formed
+    once per s < 2m and per r <= m of the square class of s^2 mod 4m
+    (w(0, r) = 0, as its two Omega terms agree).  Parity -1 is
+    structural.  Every D in the range (-inf, depth] other than the stored
+    squares j^2 reads 0, so no residue runs out of depth below D = 0.
     """
     for n, _ in eta_quotient.factors:
         if m % n != 0:
             raise LevelMismatch(f"eta factor {n} does not divide index {m}")
     top = isqrt(max(0, math.floor(depth)))
-    weights = [[]] + [
-        [(r, w) for r in range(m + 1) if (s * s - r * r) % (4 * m) == 0
-         and (w := shadow_coeff(eta_quotient, m, s * s, r) // s)]
-        for s in range(1, min(2 * m, top + 1))]
+    # Omega_m(n)_{s,r} = 1 iff 2n | s + r and 2m/n | s - r
+    omegas = [(2 * n, 2 * m // n, d) for n, d in eta_quotient.factors]
+    classes = {}
+    for r in range(m + 1):
+        classes.setdefault(r * r % (4 * m), []).append(r)
+    weights = [
+        [(r, w) for r in classes.get(s * s % (4 * m), ())
+         if (w := sum(d * (((s + r) % a == (s - r) % b == 0)
+                           - ((s - r) % a == (s + r) % b == 0))
+                      for a, b, d in omegas))]
+        for s in range(min(2 * m, top + 1))]
     entries = {(j * j, r): j * w for j in range(1, top + 1)
                for r, w in weights[j % (2 * m)]}
     ranges = {r: (NEG_INF, depth) for r in range(m + 1)}

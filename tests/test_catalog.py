@@ -13,9 +13,9 @@ from mjtheta.errors import (
     CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
     UnknownLambency,
 )
-from mjtheta.jacobi import CoeffTable, NEG_INF, POS_INF, ez_apply, h_stream
-from mjtheta.series import series_add, series_rescale
+from mjtheta.jacobi import CoeffTable, NEG_INF, POS_INF, ez_apply
 from om_group import a_by_search, exact_divisors, om_elements
+from relation_records import synthesize
 
 
 L1_PLUS = {
@@ -273,35 +273,9 @@ def test_construct_averaged_missing_source():
 
 # -- multiplicative relations ---------------------------------------------
 
-def synthesize_rhs(row_id, order):
-    """Build the ingested-side records implied by a (single-line, shift-free)
-    relation row, from the catalog fixture."""
-    lhs_sym, rhs_sym, cls, lines = MULT_RELATIONS[row_id]
-    (line,) = lines
-    a, _b = line.arg
-    lam = get_lambency(lhs_sym)
-    mp = get_lambency(rhs_sym).m
-    recs = []
-    for r in range(mp + 1):
-        s = None
-        for i in range(line.count):
-            f = series_rescale(
-                h_stream(lam.fixture, r + line.step * i, Fraction(order, a)),
-                a)
-            s = f if s is None else series_add(s, f)
-        c = line.rhs_pre(r)
-        D = r * r
-        while -Fraction(D, 4 * mp) < order:
-            v = s.coeff(Fraction(-D, 4 * mp))
-            assert v % c == 0
-            recs.append((rhs_sym, cls, r, D, int(v // c)))
-            D -= 4 * mp
-    return recs
-
-
 def test_mult_relation_roundtrip(tmp_path):
     order = 5
-    recs = synthesize_rhs("60+12,15,20:2A", order)
+    recs = synthesize("60+12,15,20:2A", order)
     h = ingest_hdata(write_csv(tmp_path, recs))
     rep = verify_mult_relation("60+12,15,20:2A", h, order=order)
     assert rep["status"] == "verified"
@@ -310,7 +284,7 @@ def test_mult_relation_roundtrip(tmp_path):
 
 def test_mult_relation_detects_corruption(tmp_path):
     order = 5
-    recs = [list(x) for x in synthesize_rhs("60+12,15,20:2A", order)]
+    recs = [list(x) for x in synthesize("60+12,15,20:2A", order)]
     for rec in recs:
         if rec[2] == 1 and rec[3] < 0 and rec[4] != 0:
             rec[4] += 1

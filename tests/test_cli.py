@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mjtheta import cli
-from mjtheta.catalog import MULT_RELATIONS, get_lambency, ingest_hdata
+from mjtheta.catalog import get_lambency, ingest_hdata
 from mjtheta.cli import DATA_ENV, main
-from mjtheta.jacobi import CoeffTable, h_stream
-from mjtheta.series import series_add, series_rescale
+from mjtheta.jacobi import CoeffTable
+from relation_records import synthesize
 
 
 def run(capsys, *argv):
@@ -244,29 +244,6 @@ def test_shallow_data_reaches_no_coefficient(capsys, tmp_path):
     failed = {r["case"]: r["detail"] for r in recs if r["status"] == "fail"}
     assert rc == 1 and sorted(failed) == ["3:f", "3:omega"]
     assert all(d.startswith("InsufficientDepth") for d in failed.values())
-
-
-def synthesize(row_id, order):
-    lhs_sym, rhs_sym, cls, lines = MULT_RELATIONS[row_id]
-    (line,) = lines
-    a, _b = line.arg
-    lam = get_lambency(lhs_sym)
-    mp = get_lambency(rhs_sym).m
-    recs = []
-    for r in range(mp + 1):
-        s = None
-        for i in range(line.count):
-            f = series_rescale(
-                h_stream(lam.fixture, r + line.step * i,
-                         Fraction(order, a)), a)
-            s = f if s is None else series_add(s, f)
-        c = line.rhs_pre(r)
-        D = r * r
-        while -Fraction(D, 4 * mp) < order:
-            v = s.coeff(Fraction(-D, 4 * mp))
-            recs.append((rhs_sym, cls, r, D, int(v // c)))
-            D -= 4 * mp
-    return recs
 
 
 @pytest.fixture

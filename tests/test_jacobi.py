@@ -1,18 +1,18 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import ceil, gcd, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mjtheta.arith import divisors, is_fundamental, kronecker
+from mjtheta.arith import divisors, is_fundamental, kronecker, kronecker_row
 from mjtheta.catalog import _a_of
-from mjtheta.cyclo import cadd, ciszero, cmul
+from mjtheta.cyclo import cadd, ciszero, cmul, ex
 from mjtheta.errors import BadDiscriminant, InsufficientDepth, NotFundamental
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
     CoeffTable, ez_apply, sz_lift, shadow_kernel, shadow_coeff, h_stream,
-    _stream_window,
+    _canonical, _stream_window,
 )
 from mjtheta.series import QSeries
 from om_group import a_by_search, exact_divisors, om_elements
@@ -53,6 +53,15 @@ def test_kronecker_sign_and_errors():
         kronecker(3, 5)
     with pytest.raises(BadDiscriminant):
         kronecker(0, 5)
+
+
+def test_kronecker_row_is_periodic():
+    # entry by entry against kronecker, at counts below, at and above 3|D|
+    # for every fundamental D with |D| <= 200
+    for D in filter(is_fundamental, range(-200, 201)):
+        for count in (0, 1, 2, 3 * abs(D) - 1, 3 * abs(D), 3 * abs(D) + 7):
+            assert kronecker_row(D, count) == \
+                [0] + [kronecker(D, d) for d in range(1, count)], (D, count)
 
 
 def test_is_fundamental():
@@ -179,9 +188,9 @@ def test_ez_spec_example():
 
 def sz_lift_by_pairs(t, D, r, k, order):
     """Oracle: the lift with (D/d) taken per (n, d) pair, summed from
-    Fraction(0), every weight factor d^(k-2) a Fraction."""
+    Fraction(0), every weight factor d^(k-2) a Fraction, for n < order."""
     coeffs = {}
-    for n in range(1, order):
+    for n in range(1, ceil(order)):
         acc = Fraction(0)
         for d in divisors(n):
             s = kronecker(D, d)
@@ -201,6 +210,19 @@ def lift_or_depth(lift, t, D, r, k, order):
         return InsufficientDepth
 
 
+def lift_agrees_with_pairs(t, D, r, k, order):
+    """sz_lift and sz_lift_by_pairs give the same series, or both raise
+    InsufficientDepth; returns the series or InsufficientDepth."""
+    got = lift_or_depth(sz_lift, t, D, r, k, order)
+    want = lift_or_depth(sz_lift_by_pairs, t, D, r, k, order)
+    if want is InsufficientDepth:
+        assert got is InsufficientDepth
+    else:
+        assert (got.coeffs, got.order, got.den) == \
+            (want.coeffs, want.order, want.den)
+    return got
+
+
 def test_sz_lift_against_pair_loop():
     # every fixture table and canonical residue, k = 2 and 3; reads off the
     # congruence are zeros, and the deeper lifts run out of table, when
@@ -215,15 +237,10 @@ def test_sz_lift_against_pair_loop():
             for r in range(t.m + 1):
                 for k in (2, 3):
                     for order in (4, 12):
-                        got = lift_or_depth(sz_lift, t, D, r, k, order)
-                        want = lift_or_depth(sz_lift_by_pairs, t, D, r, k,
-                                             order)
-                        if want is InsufficientDepth:
+                        got = lift_agrees_with_pairs(t, D, r, k, order)
+                        if got is InsufficientDepth:
                             depth_errors += 1
-                            assert got is InsufficientDepth
                         else:
-                            assert (got.coeffs, got.order, got.den) == \
-                                (want.coeffs, want.order, want.den)
                             nonzero += bool(got.coeffs)
     assert depth_errors and nonzero
 
@@ -319,3 +336,59 @@ def test_sz_lift_exact_at_every_weight(k, D, r, order):
     want = sz_lift_by_pairs(t, D, r, k, order)
     assert got.coeffs == want.coeffs
     assert exact_values(got.coeffs.values())
+
+
+# -- the lift on tables that mix int, Fraction and Cyc ------------------
+
+FUNDAMENTAL = [D for D in range(-30, 31) if is_fundamental(D)]
+MIXED_VALUES = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(-2, 2, max_denominator=6).filter(bool),
+    st.sampled_from([ex("1/3"), ex("1/4"), cadd(ex("1/5"), Fraction(1, 2)),
+                     cmul(-2, ex("2/3"))]))
+
+
+@st.composite
+def lift_cases(draw):
+    """(t, D, r, k, order): a table of index m <= 4 holding mixed values at
+    the reads the lift makes, each canonical residue justified up to a
+    drawn bound or not at all, so that some lifts run out of table."""
+    D = draw(st.sampled_from(FUNDAMENTAL))
+    # an index where D is a square, so the reads are on the congruence
+    m = draw(st.sampled_from([m for m in range(1, 5) if any(
+        (r * r - D) % (4 * m) == 0 for r in range(2 * m))]))
+    r = draw(st.sampled_from(
+        [r for r in range(2 * m) if (r * r - D) % (4 * m) == 0]))
+    # an odd table vanishes at every read e r when r = 0 or m mod 2m
+    parity = draw(st.sampled_from([1, -1] if r % m else [1]))
+    order = draw(st.one_of(st.integers(1, 13),
+                           st.fractions(1, 13, max_denominator=4)))
+    count = ceil(order)
+    # the largest discriminant read at each canonical residue
+    reads = {}
+    for e in range(1, count):
+        rc = _canonical(m, parity, e * r)[0]
+        reads[rc] = max(reads.get(rc, -inf), e * e * D)
+    ranges = {}
+    for rc in range(m + 1):
+        top = reads.get(rc, 0)
+        top = draw(st.sampled_from([inf, inf, top, top, top - 4 * m, None]))
+        if top is not None:
+            ranges[rc] = (-inf, top)
+    entries = {}
+    for e in range(1, count):
+        rc, sign = _canonical(m, parity, e * r)
+        if sign and rc in ranges and e * e * D <= ranges[rc][1]:
+            entries[(e * e * D, rc)] = draw(MIXED_VALUES)
+    k = draw(st.integers(-1, 3))
+    return CoeffTable(m, parity, entries, ranges), D, r, k, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lift_cases())
+# a Cyc read beside an int read: the lift is
+# z3 q + (2 + z3) q^2 + z3 q^3, and adds with cadd throughout
+@example(case=(CoeffTable(1, 1, {(1, 1): ex("1/3"), (4, 0): 2},
+                          {0: (-inf, inf), 1: (-inf, inf)}), 1, 1, 2, 4))
+def test_sz_lift_on_mixed_values(case):
+    lift_agrees_with_pairs(*case)
