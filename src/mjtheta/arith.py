@@ -73,9 +73,9 @@ def kronecker(D, b):
 
 
 def kronecker_row(D, count):
-    """[0, (D/1), ..., (D/(count - 1))] for a discriminant D, index 0 set
-    to 0.  For D = 0, 1 mod 4, (D/d) has period |D| in d >= 1, so
-    kronecker runs only for d <= |D|."""
+    """[0, (D/1), ..., (D/(count - 1))] for a nonzero discriminant D,
+    index 0 set to 0.  For D = 0, 1 mod 4, (D/d) has period |D| in d >= 1,
+    so kronecker runs only for d <= |D|."""
     p = abs(D)
     period = [kronecker(D, d) for d in range(1, min(p, count - 1) + 1)]
     return [0] + [period[(d - 1) % p] for d in range(1, count)]

@@ -207,8 +207,7 @@ def sz_lift(t, D, r, k, order):
                 if d * e >= count:
                     break
                 out[d * e] = add(out[d * e], mul(x, v))
-    return QSeries({n: v for n, v in enumerate(out) if not ciszero(v)},
-                   order)
+    return QSeries(dict(enumerate(out)), order)
 
 
 # -- theta kernels from eta quotients -------------------------------------
@@ -244,7 +243,8 @@ def shadow_kernel(eta_quotient, m, depth):
         if m % n != 0:
             raise LevelMismatch(f"eta factor {n} does not divide index {m}")
     top = isqrt(max(0, math.floor(depth)))
-    # Omega_m(n)_{s,r} = 1 iff 2n | s + r and 2m/n | s - r
+    # Omega_m(n)_{s,r} = 1 iff 2n | s + r and 2m/n | s - r, written as
+    # (s + r) % 2n == (s - r) % (2m/n) == 0
     omegas = [(2 * n, 2 * m // n, d) for n, d in eta_quotient.factors]
     classes = {}
     for r in range(m + 1):
