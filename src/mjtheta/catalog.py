@@ -31,14 +31,14 @@ from .errors import (
 from .eta import parse_eta
 from .jacobi import (
     NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply,
-    shadow_coeff, stream_combination, table_lin_comb,
+    shadow_kernel, stream_combination, table_lin_comb,
 )
 from .series import series_verdict
 
 __all__ = [
     "Lambency", "HData", "load_catalog", "catalog_by_symbol", "get_lambency",
     "ingest_hdata", "construct_averaged", "MULT_RELATIONS",
-    "verify_mult_relation", "epsilon_m", "check_positivity_sigma",
+    "verify_mult_relation", "check_positivity_sigma",
     "check_positivity_phi", "FIXTURE_DEPTH_N",
 ]
 
@@ -397,44 +397,22 @@ def verify_mult_relation(row_id, h, order=None):
 
 # -- positivity audits ----------------------------------------------------
 
-def epsilon_m(m, r):
-    """+1 on 1..m-1, 0 at 0 and m, -1 on m+1..2m-1 (mod 2m): the sign the
-    residue rule gives an odd table at r."""
-    return _canonical(m, -1, r)[1]
-
-
 def check_positivity_sigma(lam):
     """True iff a single global sign s makes sgn C_sigma(k^2, r) equal
     s * eps(k) * eps(r) throughout the finite window 0 < D < m^2,
-    0 < r < m (zeros allowed)."""
+    0 < r < m (zeros allowed).  eps(k) = eps(r) = +1 there, so the
+    nonzero kernel entries of the window share one sign; the odd kernel
+    stores none at r = 0 or m."""
     m = lam.m
-    s = 0
-    for k in range(1, m):
-        for r in range(1, m):
-            if (k * k - r * r) % (4 * m) != 0:
-                continue
-            c = shadow_coeff(lam.eta, m, k * k, r)
-            if c == 0:
-                continue
-            this = 1 if c > 0 else -1  # eps(k) = eps(r) = +1 in the window
-            if s == 0:
-                s = this
-            elif this != s:
-                return False
-    return True
+    kernel = shadow_kernel(lam.eta, m, (m - 1) ** 2)
+    return len({v > 0 for v in kernel.entries.values()}) <= 1
 
 
 def check_positivity_phi(lam, table=None):
-    """True iff every stored C(D, r) with D < 0 has sign eps_m(r), within
-    the table's recorded depth (zeros pass)."""
+    """True iff every stored C(D, r) with D < 0 is positive, within the
+    table's recorded depth (zeros pass).  The table is odd, so it stores
+    only 0 < r < m, where eps_m(r) = +1."""
     t = table if table is not None else lam.fixture
     if t is None:
         raise MissingSource(f"{lam.symbol}: no table to audit")
-    for (D, r), v in t.entries.items():
-        if D >= 0:
-            continue
-        want = epsilon_m(t.m, r)
-        got = 0 if v == 0 else (1 if v > 0 else -1)
-        if got != 0 and got != want:
-            return False
-    return True
+    return all(v > 0 for (D, _r), v in t.entries.items() if D < 0)

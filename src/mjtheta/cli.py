@@ -259,8 +259,11 @@ def cmd_fit(args, out=None):
     out = out or sys.stdout
     from .borcherds import fit_case
     table = None
-    if args.data and get_lambency(args.lambency).fixture is None:
-        table = ingest_hdata(args.data).get(args.lambency)
+    if args.data:
+        # read even where the fixture is the table: a bad file is an error
+        hdata = ingest_hdata(args.data)
+        if get_lambency(args.lambency).fixture is None:
+            table = hdata.get(args.lambency)
     rep = fit_case(args.lambency, args.D, args.r, table=table)
     if args.format == "records":
         out.write(json.dumps(

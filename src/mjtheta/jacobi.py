@@ -10,8 +10,10 @@ On top of the tables live:
 * ez_apply          -- the action phi -> phi . a of a in O_m
                        (C(D,r) -> C(D,ra))
 * sz_lift           -- the lift of a table to a q-series
-* shadow_kernel     -- the theta-kernel combination attached to an eta
-                       quotient, generated from its closed coefficient formula
+* shadow_kernel     -- the theta kernel of an eta quotient
+                       prod_i eta(n_i tau)^{d_i}, by its closed form
+                       C(j^2, r) = j sum_i d_i (Omega_m(n_i)_{j,r}
+                                                - Omega_m(n_i)_{-j,r})
 * h_stream          -- the theta-decomposition components as q-series
 """
 
@@ -20,7 +22,7 @@ import operator
 from fractions import Fraction
 from math import isqrt
 
-from .arith import is_fundamental, is_square, kronecker_row
+from .arith import is_fundamental, kronecker_row
 from .cyclo import _RATIONAL, cadd, ciszero, cmul
 from .errors import (
     BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
@@ -31,8 +33,8 @@ from .series import (
 )
 
 __all__ = [
-    "CoeffTable", "omega_entry", "ez_apply", "sz_lift", "shadow_kernel",
-    "shadow_coeff", "h_stream", "stream_combination",
+    "CoeffTable", "ez_apply", "sz_lift", "shadow_kernel", "h_stream",
+    "stream_combination",
 ]
 
 
@@ -143,13 +145,6 @@ def table_lin_comb(weighted_tables):
     return CoeffTable(m, parity, entries, ranges)
 
 
-# -- Omega matrices -------------------------------------------------------
-
-def omega_entry(m, n, r, rp):
-    """Entry Omega_m(n)_{r, r'} in {0, 1}."""
-    return int((r + rp) % (2 * n) == 0 and (r - rp) % (2 * m // n) == 0)
-
-
 # -- Eichler--Zagier action ----------------------------------------------
 
 def ez_apply(t, a):
@@ -212,30 +207,15 @@ def sz_lift(t, D, r, k, order):
 
 # -- theta kernels from eta quotients -------------------------------------
 
-def shadow_coeff(eta_quotient, m, D, r):
-    """Closed-form coefficient of the theta kernel attached to the quotient:
-    for D = j^2 a positive square, j (Omega_{j,r} - Omega_{-j,r}) where
-    Omega = sum_i d_i Omega_m(n_i); zero for non-square D."""
-    if D <= 0 or not is_square(D):
-        return 0
-    if (D - r * r) % (4 * m) != 0:
-        return 0
-    j = isqrt(D)
-    acc = 0
-    for n, d in eta_quotient.factors:
-        acc += d * (omega_entry(m, n, j % (2 * m), r % (2 * m))
-                    - omega_entry(m, n, (-j) % (2 * m), r % (2 * m)))
-    return j * acc
-
-
 def shadow_kernel(eta_quotient, m, depth):
     """The kernel table, justified for all discriminants D <= depth.
 
-    The coefficients are those of shadow_coeff.  Its Omega entries and its
-    congruence j^2 = r^2 mod 4m depend on j only through s = j mod 2m, so
-    C(j^2, r) = j w(s, r) with w(s, r) = shadow_coeff(s^2, r) / s, formed
-    once per s < 2m and per r <= m of the square class of s^2 mod 4m
-    (w(0, r) = 0, as its two Omega terms agree).  Parity -1 is
+    For the quotient prod_i eta(n_i tau)^{d_i} and j > 0 the coefficients
+    are C(j^2, r) = j sum_i d_i (Omega_m(n_i)_{j,r} - Omega_m(n_i)_{-j,r})
+    where j^2 = r^2 mod 4m.  The Omega entries and the congruence depend
+    on j only through s = j mod 2m, so C(j^2, r) = j w(s, r), with the sum
+    w(s, r) formed once per s < 2m and per r <= m of the square class of
+    s^2 mod 4m (w(0, r) = 0, as its two Omega terms agree).  Parity -1 is
     structural.  Every D in the range (-inf, depth] other than the stored
     squares j^2 reads 0, so no residue runs out of depth below D = 0.
     """
@@ -285,36 +265,24 @@ def h_stream(t, r, order):
 
     Requires order <= _stream_window(t, r), i.e. the table justified down
     to every D > -4m*order of the class; raises InsufficientDepth otherwise.
+    The terms are the stored entries of r's canonical residue, with the
+    residue rule's sign; QSeries cuts them at the window.
     """
     m = t.m
     order = Fraction(order)
     rc, sign = _canonical(m, t.parity, r)
     if not sign:
         return QSeries({}, order, 4 * m)
-    window = _stream_window(t, r)
-    lo, hi = t.ranges[rc]
-    if order > window:
+    if order > _stream_window(t, r):
         # deepest discriminant of the class with -D/4m < order
         need = rc * rc - 4 * m * (
             math.ceil(Fraction(rc * rc, 4 * m) + order) - 1)
         raise InsufficientDepth(
-            f"residue {r}: justified down to D={lo}, need D>={need}")
-    if hi == POS_INF:
-        # supported-below tables (e.g. optimal forms): nothing above the
-        # largest stored entry, start there
-        top = max((D for (D, rr) in t.entries if rr == rc),
-                  default=rc * rc)
-        top = max(top, rc * rc)
-    else:
-        top = rc * rc + 4 * m * ((hi - rc * rc) // (4 * m))
-    coeffs = {}
-    D = top
-    while -Fraction(D, 4 * m) < order and (lo == NEG_INF or D >= lo):
-        v = t.get(D, r)
-        if not ciszero(v):
-            coeffs[-D] = v
-        D -= 4 * m
-    return QSeries(coeffs, order, 4 * m)
+            f"residue {r}: justified down to D={t.ranges[rc][0]}, "
+            f"need D>={need}")
+    return QSeries({-D: v if sign == 1 else cmul(sign, v)
+                    for (D, rr), v in t.entries.items() if rr == rc},
+                   order, 4 * m)
 
 
 def stream_combination(t, terms, order, s=0, b=1, arg=(1, 0), pre=1,

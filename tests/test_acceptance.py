@@ -2,7 +2,8 @@
 
 Run with -s to see the lines; every check is exact (no tolerances anywhere).
 Criterion 10 needs an ingested data file (MJTHETA_DATA) and is skipped,
-not failed, without one.
+not failed, without one; test_10_on_polar_parts runs it on a file of
+polar parts that it writes.
 """
 
 import os
@@ -28,6 +29,7 @@ from mjtheta.mocktheta import (
     verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
 from mjtheta.series import QSeries, series_add, series_mul, series_verdict
+from relation_records import polar_records, write_records
 
 rng = random.Random(1847)
 
@@ -171,7 +173,10 @@ def test_09_oracle_equivalences():
            "ring axioms on 1000 operand triples all exact")
 
 
-def test_10_conditional_hdata():
+def criterion_10():
+    """Criterion 10 on the data file MJTHETA_DATA names, skipped without
+    one: the averaged lambencies, the relation rows and the L1+ phi audits
+    the data reaches, as three lists of what was verified."""
     path = os.environ.get("MJTHETA_DATA")
     if not path or not os.path.exists(path):
         report(10, True, "SKIPPED — no ingested data (set MJTHETA_DATA)")
@@ -210,3 +215,23 @@ def test_10_conditional_hdata():
             phi.append(lam.symbol)
     report(10, True, f"averaging {len(checked)}, relations {len(mult)}, "
            f"phi-positivity {len(phi)} verified against ingested data")
+    return checked, mult, phi
+
+
+def test_10_conditional_hdata():
+    criterion_10()
+
+
+def test_10_on_polar_parts(tmp_path, monkeypatch):
+    # the D = 1 polar parts of the five averaging sources, and an L1+
+    # table of lambency 2 reaching D = -7: each averaged table is checked
+    # against its fixture, and the phi audit reads a D < 0 entry
+    path = tmp_path / "h.csv"
+    write_records(path, [
+        *(rec for source, _n in AVERAGED_FROM.values()
+          for rec in polar_records(source)),
+        *polar_records("2"), ("2", "1A", 1, -7, 90)])
+    monkeypatch.setenv("MJTHETA_DATA", str(path))
+    checked, _mult, phi = criterion_10()
+    assert sorted(checked) == sorted(AVERAGED_FROM)
+    assert "2" in phi

@@ -1,21 +1,27 @@
-import csv
 from fractions import Fraction
+from math import inf
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mjtheta.arith import divisors
 from mjtheta.catalog import (
     AVERAGED_FROM, HData, MULT_RELATIONS, _a_of, _parse_symbol,
     check_positivity_phi, check_positivity_sigma, construct_averaged,
-    epsilon_m, get_lambency, ingest_hdata, load_catalog,
-    verify_mult_relation,
+    get_lambency, ingest_hdata, load_catalog, verify_mult_relation,
 )
 from mjtheta.errors import (
     CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
     UnknownLambency,
 )
-from mjtheta.jacobi import CoeffTable, NEG_INF, POS_INF, ez_apply
+from mjtheta.eta import EtaQuotient
+from mjtheta.jacobi import (
+    CoeffTable, NEG_INF, POS_INF, _canonical, ez_apply,
+)
+from jacobi_oracles import shadow_coeff
 from om_group import a_by_search, exact_divisors, om_elements
-from relation_records import synthesize
+from relation_records import synthesize, write_records
 
 
 L1_PLUS = {
@@ -157,13 +163,9 @@ def test_uncovered_residues_raise():
 
 # -- ingestion ------------------------------------------------------------
 
-def write_csv(tmp_path, rows, header=True):
+def write_csv(tmp_path, rows):
     p = tmp_path / "h.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["lambency", "class", "r", "D", "coeff"])
-        w.writerows(rows)
+    write_records(p, rows)
     return p
 
 
@@ -311,22 +313,87 @@ def test_mult_relation_registry_shape():
 
 # -- positivity -----------------------------------------------------------
 
-def test_epsilon():
-    m = 6
-    assert [epsilon_m(m, r) for r in range(12)] == \
-        [0, 1, 1, 1, 1, 1, 0, -1, -1, -1, -1, -1]
-    assert epsilon_m(m, -1) == -1
-    for m in range(1, 13):
-        for r in range(-3 * m, 3 * m):
-            # +1 on 1..m-1, 0 at 0 and m, -1 on m+1..2m-1, mod 2m
-            rr = r % (2 * m)
-            want = 0 if rr in (0, m) else 1 if rr < m else -1
-            assert epsilon_m(m, r) == want, (m, r)
-
-
 def test_positivity_sigma_partition():
     for lam in load_catalog():
         assert check_positivity_sigma(lam) == lam.in_L1_plus, lam.symbol
+
+
+def sigma_by_closed_form(lam):
+    """Oracle: check_positivity_sigma with each coefficient of the window
+    0 < k, r < m from the closed form, one pair at a time."""
+    m = lam.m
+    s = 0
+    for k in range(1, m):
+        for r in range(1, m):
+            if (k * k - r * r) % (4 * m) != 0:
+                continue
+            c = shadow_coeff(lam.eta, m, k * k, r)
+            if c == 0:
+                continue
+            this = 1 if c > 0 else -1  # eps(k) = eps(r) = +1 in the window
+            if s == 0:
+                s = this
+            elif this != s:
+                return False
+    return True
+
+
+@st.composite
+def eta_lambencies(draw):
+    """A stand-in lambency: an index m <= 30 and an eta quotient of up to
+    four factors n | m."""
+    m = draw(st.integers(1, 30))
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(divisors(m)),
+                  st.integers(-24, 24).filter(bool)), max_size=4))
+    return SimpleNamespace(m=m, eta=EtaQuotient(factors), symbol=str(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=eta_lambencies())
+def test_positivity_sigma_against_closed_form(lam):
+    assert check_positivity_sigma(lam) == sigma_by_closed_form(lam)
+
+
+def phi_by_epsilon(t):
+    """Oracle: check_positivity_phi as the sign eps_m(r) of the residue
+    rule, +1 on 1..m-1, 0 at 0 and m, -1 on m+1..2m-1 (mod 2m), asked of
+    every stored C(D < 0, r)."""
+    for (D, r), v in t.entries.items():
+        if D >= 0:
+            continue
+        want = _canonical(t.m, -1, r)[1]
+        got = 0 if v == 0 else (1 if v > 0 else -1)
+        if got != 0 and got != want:
+            return False
+    return True
+
+
+@st.composite
+def odd_tables(draw):
+    """An odd table of index m <= 12: entries on residues 0 < r < m at
+    discriminants of their class above and below 0, of either sign or
+    (for about half the tables) none negative."""
+    m = draw(st.integers(1, 12))
+    values = draw(st.sampled_from([
+        st.one_of(st.integers(0, 9), st.fractions(0, 2, max_denominator=6)),
+        st.one_of(st.integers(0, 9), st.integers(-3, 3),
+                  st.fractions(-2, 2, max_denominator=6))]))
+    entries = {}
+    for r in range(1, m):
+        for D in range(r * r, r * r - 24 * m, -4 * m):
+            entries[(D, r)] = draw(values)
+    ranges = {r: (-inf, inf) for r in range(m + 1)}
+    return CoeffTable(m, -1, entries, ranges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=odd_tables())
+# a negative entry at D = 0 is not polar, so it passes
+@example(t=CoeffTable(9, -1, {(0, 6): -1, (-36, 6): 1}, {6: (-36, 0)}))
+def test_positivity_phi_against_epsilon(t):
+    lam = get_lambency("2")
+    assert check_positivity_phi(lam, t) == phi_by_epsilon(t)
 
 
 def test_positivity_phi_fails_on_all_fixtures():

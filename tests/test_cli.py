@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import os
@@ -16,7 +15,7 @@ from mjtheta import cli
 from mjtheta.catalog import get_lambency, ingest_hdata
 from mjtheta.cli import DATA_ENV, main
 from mjtheta.jacobi import CoeffTable
-from relation_records import synthesize
+from relation_records import synthesize, write_records
 
 
 def run(capsys, *argv):
@@ -182,6 +181,24 @@ def test_verify_all_records_do_not_depend_on_asserts():
     assert proc.stdout == golden.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--lambency", "99", "--D", "-3", "--r", "1"],
+    ["expand", "--eta", "1^2^3"],
+    ["fit", "--lambency", "6+2", "--D", "-12", "--r", "6"],
+    ["verify", "fricke", "--order", "0"],
+    ["verify", "positivity", "--data", "/nonexistent.csv"],
+], ids=["unknown-lambency", "bad-eta", "non-fundamental-D", "order-0",
+        "unreadable-data"])
+def test_bad_input_without_asserts_is_one_error_line(argv):
+    # python -O strips asserts: the exit code and the one line must not
+    # rest on them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mjtheta.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode in (1, 2) and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def first_line_then_close(*argv):
     """(line, rc, stderr) of `mjtheta argv | head -1`: read one line of the
     child's stdout, then close the pipe.  Where Linux allows it the pipe
@@ -249,10 +266,7 @@ def test_shallow_data_reaches_no_coefficient(capsys, tmp_path):
 @pytest.fixture
 def data_file(tmp_path):
     p = tmp_path / "h.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambency", "class", "r", "D", "coeff"])
-        w.writerows(synthesize("60+12,15,20:2A", 5))
+    write_records(p, synthesize("60+12,15,20:2A", 5))
     return str(p)
 
 
@@ -287,11 +301,8 @@ def test_verify_mult_relations_data_without_depth_fails(capsys, tmp_path):
     # only the n = 0 rows (D = r^2): no window reaches a coefficient past
     # the polar terms, so there is nothing to check
     p = tmp_path / "h0.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambency", "class", "r", "D", "coeff"])
-        w.writerows(rec for rec in synthesize("60+12,15,20:2A", 5)
-                    if rec[3] == rec[2] ** 2)
+    write_records(p, (rec for rec in synthesize("60+12,15,20:2A", 5)
+                      if rec[3] == rec[2] ** 2))
     rc, out, _ = run(capsys, "verify", "mult-relations", "--data", str(p),
                      "--format", "records")
     [rec] = [json.loads(l) for l in out.splitlines()
@@ -427,15 +438,17 @@ def test_fricke_expands_each_quotient_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("how", ["flag", "env"])
 def test_unreadable_data_file_is_one_error_line(capsys, monkeypatch, how):
-    argv = ["verify", "mult-relations"]
-    if how == "flag":
-        argv += ["--data", "/nonexistent.csv"]
-    else:
-        monkeypatch.setenv("MJTHETA_DATA", "/nonexistent.csv")
-    rc, out, err = run(capsys, *argv)
-    assert rc == 1 and out == ""
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith("error: UnreadableSource: /nonexistent.csv")
+    # fit reads the file although 10+2 ships a fixture
+    for argv in (["verify", "mult-relations"],
+                 ["fit", "--lambency", "10+2", "--D", "-4", "--r", "6"]):
+        if how == "flag":
+            argv += ["--data", "/nonexistent.csv"]
+        else:
+            monkeypatch.setenv("MJTHETA_DATA", "/nonexistent.csv")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: UnreadableSource: /nonexistent.csv")
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):

@@ -11,10 +11,11 @@ from mjtheta.cyclo import cadd, ciszero, cmul, ex
 from mjtheta.errors import BadDiscriminant, InsufficientDepth, NotFundamental
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
-    CoeffTable, ez_apply, sz_lift, shadow_kernel, shadow_coeff, h_stream,
+    CoeffTable, ez_apply, sz_lift, shadow_kernel, h_stream,
     _canonical, _stream_window,
 )
 from mjtheta.series import QSeries
+from jacobi_oracles import h_stream_by_walk, shadow_coeff
 from om_group import a_by_search, exact_divisors, om_elements
 
 
@@ -290,6 +291,26 @@ def test_shadow_lift_proportional_to_dlog():
         assert lift.coeff(n) == -2 * dl.coeff(n), n
 
 
+def stream_or_error(stream, t, r, order):
+    try:
+        return stream(t, r, order)
+    except InsufficientDepth as e:
+        return str(e)
+
+
+def stream_against_walk(t, r, order):
+    """h_stream and the per-D walk give the same series, or raise the same
+    InsufficientDepth; returns the series or the error's message."""
+    got = stream_or_error(h_stream, t, r, order)
+    want = stream_or_error(h_stream_by_walk, t, r, order)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.coeffs, got.order, got.den) == \
+            (want.coeffs, want.order, want.den)
+    return got
+
+
 def test_stream_window_is_the_largest_accepted_order():
     from mjtheta.catalog import load_catalog
     # lower bounds off and on the residue classes D = r^2 mod 8
@@ -302,9 +323,9 @@ def test_stream_window_is_the_largest_accepted_order():
             w = _stream_window(t, r)
             if w == inf:
                 continue
-            h_stream(t, r, w)
-            with pytest.raises(InsufficientDepth):
-                h_stream(t, r, w + Fraction(1, 4 * t.m))
+            assert not isinstance(stream_against_walk(t, r, w), str)
+            assert isinstance(
+                stream_against_walk(t, r, w + Fraction(1, 4 * t.m)), str)
 
 
 def test_h_stream_of_kernel():
@@ -392,3 +413,56 @@ def lift_cases(draw):
                           {0: (-inf, inf), 1: (-inf, inf)}), 1, 1, 2, 4))
 def test_sz_lift_on_mixed_values(case):
     lift_agrees_with_pairs(*case)
+
+
+# -- H-streams against the per-D walk ------------------------------------
+
+@st.composite
+def stream_cases(draw):
+    """(t, r, order, must_raise): a table of index m <= 5 and either
+    parity, each canonical residue justified on a drawn range (either end
+    finite or infinite, on or off the class) or not at all, holding mixed
+    values; r anywhere in [-3m, 3m); order a rational, or exactly the
+    stream window (must_raise False) or 1/4m past it (must_raise True)."""
+    m = draw(st.integers(1, 5))
+    parity = draw(st.sampled_from([1, -1]))
+    ranges, entries = {}, {}
+    for rc in range(m + 1):
+        sq = rc * rc
+        lo = draw(st.sampled_from(
+            [-inf, None, draw(st.integers(sq - 40 * m, sq + 4 * m))]))
+        if lo is None:
+            continue
+        hi = draw(st.sampled_from(
+            [inf, draw(st.integers(max(lo, sq - 40 * m), sq + 12 * m))]))
+        ranges[rc] = (lo, hi)
+        if not _canonical(m, parity, rc)[1]:
+            continue
+        ds = [D for D in range(sq + 8 * m, sq - 44 * m, -4 * m)
+              if lo <= D <= hi]
+        if ds:
+            for D in draw(st.lists(st.sampled_from(ds), min_size=1,
+                                   max_size=6, unique=True)):
+                entries[(D, rc)] = draw(MIXED_VALUES)
+    t = CoeffTable(m, parity, entries, ranges)
+    r = draw(st.integers(-3 * m, 3 * m - 1))
+    try:
+        w = _stream_window(t, r)
+    except InsufficientDepth:
+        w = inf
+    kind = draw(st.sampled_from(["window", "past", "any"]))
+    if kind == "any" or w == inf:
+        order = draw(st.fractions(-3, 12, max_denominator=4 * m))
+        return t, r, order, None
+    if kind == "window":
+        return t, r, w, False
+    return t, r, w + Fraction(1, 4 * m), True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stream_cases())
+def test_h_stream_against_walk(case):
+    t, r, order, must_raise = case
+    got = stream_against_walk(t, r, order)
+    if must_raise is not None:
+        assert isinstance(got, str) == must_raise
