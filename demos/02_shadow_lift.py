@@ -15,7 +15,7 @@ from mjtheta.jacobi import shadow_kernel, sz_lift
 N = 30
 for lam in load_catalog():
     t = shadow_kernel(lam.eta, lam.m, (N + 1) ** 2)
-    lift = sz_lift(t, 1, 1, 2, N)
+    lift = sz_lift(t, N)
     dl = eta_dlog(lam.eta, N)
     c = Fraction(lift.coeff(1), dl.coeff(1))
     assert all(lift.coeff(n) == c * dl.coeff(n) for n in range(1, N))

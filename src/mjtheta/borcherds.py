@@ -297,8 +297,9 @@ def _psi_log(symbol, D, r, order=None, table=None):
     from .catalog import get_lambency
     lam = get_lambency(symbol)
     m = lam.m
-    if D >= 0 or not is_fundamental(D):
-        raise BadDiscriminant(f"need a negative fundamental D, got {D}")
+    need = f"need a negative fundamental D, got {D}"
+    if D >= 0:
+        raise BadDiscriminant(need)
     if D == -3 and m in (7, 13, 21):
         raise ExcludedDiscriminant(f"D=-3 is excluded at m={m}")
     if (D - r * r) % (4 * m) != 0:
@@ -329,6 +330,9 @@ def _psi_log(symbol, D, r, order=None, table=None):
     if not exponents and order > 1:
         raise InsufficientDepth(
             f"table gives no C({D}, {r}): cannot start the product")
+    # after the reads: factoring a D far beyond the table takes forever
+    if not is_fundamental(D):
+        raise BadDiscriminant(need)
     window = min(order, Fraction(len(exponents) + 1))
     count = max(1, ceil(window))
     chi = kronecker_row(D, count)

@@ -113,7 +113,7 @@ def _parse_symbol(symbol):
 # -- fixture closure ------------------------------------------------------
 
 def _build_fixture(lam, rows):
-    """The odd CoeffTable of lam from printed rows {r: {D: coeff}}, closed
+    """The CoeffTable of lam from printed rows {r: {D: coeff}}, closed
     under lam.K."""
     symbol, m, K = lam.symbol, lam.m, lam.K
     entries = {}
@@ -132,10 +132,10 @@ def _build_fixture(lam, rows):
     for r in range(1, m):
         signs = {}  # canonical residue of r*a -> signs it is met with
         for a in K:
-            t, sg = _canonical(m, -1, r * a)
+            t, sg = _canonical(m, r * a)
             signs.setdefault(t, set()).add(sg)
-        # met with two signs, or with a structural zero
-        forced_zero = any(len(v) == 2 or 0 in v for v in signs.values())
+        # met with two signs (r a is never 0 or m mod 2m: a is a unit)
+        forced_zero = any(len(v) == 2 for v in signs.values())
         printed = sorted(t for t in signs if t in rows)
         if forced_zero:
             for t in printed:
@@ -161,7 +161,7 @@ def _build_fixture(lam, rows):
         ranges[r] = (min(lo_of[t] for t in printed), POS_INF)
         for D, v in merged.items():
             entries[(D, r)] = v
-    return CoeffTable(m, -1, entries, ranges)
+    return CoeffTable(m, entries, ranges)
 
 
 # -- catalog loading ------------------------------------------------------
@@ -267,7 +267,7 @@ def ingest_hdata(path):
             raise ParseError(f"line {lineno}: duplicate key "
                              f"{symbol},{cls},{r},{D}")
         seen.add((key, r, D))
-        rc, sign = _canonical(m, -1, r)
+        rc, sign = _canonical(m, r)
         if c and not sign:
             raise ParseError(f"line {lineno}: C({D},{r}) = {c}, but the "
                              f"table is odd, so it vanishes at r = {r}")
@@ -284,7 +284,7 @@ def ingest_hdata(path):
         for (D, rc), _v in store.items():
             lo, hi = ranges.get(rc, (D, D))
             ranges[rc] = (min(lo, D), max(hi, D))
-        t = CoeffTable(m, -1, store, ranges)
+        t = CoeffTable(m, store, ranges)
         try:
             c11 = t.get(1, 1)
         except InsufficientDepth:

@@ -103,7 +103,7 @@ def lift_report(symbol, order, _hdata):
     if order < 2:
         raise InsufficientDepth(f"order {order} reaches no coefficient q^1")
     t = shadow_kernel(lam.eta, lam.m, (order + 1) ** 2)
-    lift = sz_lift(t, 1, 1, 2, order)
+    lift = sz_lift(t, order)
     dl = eta_dlog(lam.eta, order)
     a, b = lift.coeffs.get(1, 0), dl.coeffs.get(1, 0)
     c = Fraction(a, b)

@@ -14,8 +14,7 @@ class LevelMismatch(MJTError):
     or the quotient's Fricke multiplier at level m is irrational; also a
     level m < 1 (enumerate_heegner, genus_char), a form whose
     A the level m does not divide (genus_char), and a linear combination
-    of no tables or of tables of different index or parity
-    (table_lin_comb)."""
+    of no tables or of tables of different index (table_lin_comb)."""
 
 
 class NotConstant(MJTError):
@@ -32,23 +31,15 @@ class InsufficientDepth(MJTError):
     a Watson or Andrews-Hickerson identity at an order <= 0."""
 
 
-class NotFundamental(MJTError):
-    """The discriminant passed to a lift is not fundamental."""
-
-
 class ParseError(MJTError):
     """Malformed input text; carries a line number when applicable."""
 
 
 class CongruenceViolation(MJTError):
     """A record violates D = r^2 mod 4m or has a residue r outside 0..m, or
-    gives an odd table a nonzero entry at r = 0 or r = m, where the residue
+    gives a table a nonzero entry at r = 0 or r = m, where the residue
     rule forces zero; or a multiplier a for ez_apply is not in O_m
     (a^2 = 1 mod 4m)."""
-
-
-class BadParity(MJTError):
-    """A coefficient table's parity is neither +1 nor -1."""
 
 
 class UnknownLambency(MJTError):

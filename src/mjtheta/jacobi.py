@@ -2,14 +2,16 @@
 
 The central object is :class:`CoeffTable`: a sparse store of Fourier
 coefficients C(D, r) for a (mock/skew) Jacobi form of index m, indexed by the
-discriminant D = r^2 - 4mn and the residue r mod 2m.  Its docstring states
-the residue rule that every table obeys.
+discriminant D = r^2 - 4mn and the residue r mod 2m.  The optimal forms
+have weight 1, so they are odd in z: C(D, -r) = -C(D, r) (Eichler--Zagier,
+The Theory of Jacobi Forms, Thm 2.2).  Every table here is odd, the shadow
+kernels included; the CoeffTable docstring states the residue rule.
 
 On top of the tables live:
 
 * ez_apply          -- the action phi -> phi . a of a in O_m
                        (C(D,r) -> C(D,ra))
-* sz_lift           -- the lift of a table to a q-series
+* sz_lift           -- the lift S_{1,1} of a table to a q-series
 * shadow_kernel     -- the theta kernel of an eta quotient
                        prod_i eta(n_i tau)^{d_i}, by its closed form
                        C(j^2, r) = j sum_i d_i (Omega_m(n_i)_{j,r}
@@ -22,12 +24,8 @@ import operator
 from fractions import Fraction
 from math import isqrt
 
-from .arith import is_fundamental, kronecker_row
 from .cyclo import _RATIONAL, cadd, ciszero, cmul
-from .errors import (
-    BadParity, CongruenceViolation, InsufficientDepth, LevelMismatch,
-    NotFundamental,
-)
+from .errors import CongruenceViolation, InsufficientDepth, LevelMismatch
 from .series import (
     QSeries, _arg_transform, series_add, series_scale, series_slice,
 )
@@ -42,14 +40,13 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-def _canonical(m, parity, r):
+def _canonical(m, r):
     """(rc, sign) with C(D, r) = sign C(D, rc) and 0 <= rc <= m, for a table
-    of index m and the given parity; sign 0 where parity -1 forces
-    C(D, r) = 0, at r = 0 and r = m mod 2m."""
+    of index m; sign 0 at r = 0 and r = m mod 2m, where C(D, r) = 0."""
     r %= 2 * m
     if r > m:
-        return 2 * m - r, parity
-    if parity == -1 and r in (0, m):
+        return 2 * m - r, -1
+    if r == 0 or r == m:
         return r, 0
     return r, 1
 
@@ -58,39 +55,33 @@ class CoeffTable:
     """Sparse table of coefficients C(D, r) for an index-m Jacobi form.
 
     The residue rule: C(D, r) depends on r mod 2m, and C(D, -r) =
-    parity * C(D, r).  So every read reduces to a canonical residue
-    0 <= rc <= m with a sign (see _canonical), and an odd table (parity -1)
-    vanishes at r = 0 and r = m: those are structural zeros, never stored.
-    Inside a residue's justified range [lo, hi] an absent key means the
-    coefficient is zero; outside it any read raises InsufficientDepth.
+    -C(D, r), since a Jacobi form of weight 1 is odd in z.  So every read
+    reduces to a canonical residue 0 <= rc <= m with a sign (see
+    _canonical), and the table vanishes at r = 0 and r = m: those are
+    structural zeros, never stored.  Inside a residue's justified range
+    [lo, hi] an absent key means the coefficient is zero; outside it any
+    read raises InsufficientDepth.
 
-    parity: s with C(D, -r) = s C(D, r).
     entries: {(D, r): value} with 0 <= r <= m, D = r^2 mod 4m, value != 0.
     ranges: {r: (lo, hi)} justified discriminant window per canonical
         residue; residues missing from `ranges` carry no data at all.
     """
 
-    __slots__ = ("m", "parity", "entries", "ranges")
+    __slots__ = ("m", "entries", "ranges")
 
-    def __init__(self, m, parity, entries, ranges):
-        if parity not in (1, -1):
-            raise BadParity(f"parity {parity} is not +1 or -1")
+    def __init__(self, m, entries, ranges):
         self.m = m
-        self.parity = parity
         self.ranges = dict(ranges)
         self.entries = {}
-        # the residues at which the rule forces C(D, r) = 0
-        zeros = [r for r in (0, m) if not _canonical(m, parity, r)[1]]
         for (D, r), v in entries.items():
             if ciszero(v):
                 continue
             if not 0 <= r <= m or (D - r * r) % (4 * m):
                 raise CongruenceViolation(
                     f"C({D}, {r}): need 0 <= r <= {m} and D = r^2 mod {4 * m}")
-            if r in zeros:
+            if r == 0 or r == m:
                 raise CongruenceViolation(
-                    f"C({D}, {r}) = {v}: the table is odd, so it vanishes "
-                    f"at r = {r}")
+                    f"C({D}, {r}) = {v}: every table vanishes at r = {r}")
             lo, hi = self.ranges.get(r, (POS_INF, NEG_INF))
             if not lo <= D <= hi:
                 raise InsufficientDepth(
@@ -100,7 +91,7 @@ class CoeffTable:
     def get(self, D, r):
         """C(D, r); raises InsufficientDepth outside the justified range."""
         m = self.m
-        rc, sign = _canonical(m, self.parity, r)
+        rc, sign = _canonical(m, r)
         if not sign or (D - rc * rc) % (4 * m):
             return 0
         if rc not in self.ranges:
@@ -113,23 +104,21 @@ class CoeffTable:
         return v if sign == 1 else cmul(sign, v)
 
     def __repr__(self):
-        return (f"<CoeffTable m={self.m} parity={self.parity:+d} "
-                f"residues={sorted(self.ranges)} "
+        return (f"<CoeffTable m={self.m} residues={sorted(self.ranges)} "
                 f"entries={len(self.entries)}>")
 
 
 def table_lin_comb(weighted_tables):
-    """Exact linear combination of tables with equal (m, parity).
+    """Exact linear combination of tables of one index m.
 
     Justified ranges intersect; residues must be known in every summand to
     survive.
     """
     weighted_tables = list(weighted_tables)
-    if len({(t.m, t.parity) for _, t in weighted_tables}) != 1:
+    if len({t.m for _, t in weighted_tables}) != 1:
         raise LevelMismatch("table_lin_comb needs one or more tables of one "
-                            "index and parity")
+                            "index")
     m = weighted_tables[0][1].m
-    parity = weighted_tables[0][1].parity
     ranges = {}
     for r in range(m + 1):
         if all(r in t.ranges for _, t in weighted_tables):
@@ -142,7 +131,7 @@ def table_lin_comb(weighted_tables):
         for (D, r), v in t.entries.items():
             if r in ranges and ranges[r][0] <= D <= ranges[r][1]:
                 entries[(D, r)] = cadd(entries.get((D, r), 0), cmul(w, v))
-    return CoeffTable(m, parity, entries, ranges)
+    return CoeffTable(m, entries, ranges)
 
 
 # -- Eichler--Zagier action ----------------------------------------------
@@ -150,7 +139,7 @@ def table_lin_comb(weighted_tables):
 def ez_apply(t, a):
     """phi . a: C'(D, r) = C(D, r a), for a in O_m.  Each residue keeps the
     window of r a, and each entry the congruence D = (r a)^2 = r^2 mod 4m."""
-    m, parity = t.m, t.parity
+    m = t.m
     if (a * a - 1) % (4 * m):
         raise CongruenceViolation(
             f"{a} is not in O_{m}: a^2 != 1 mod {4 * m}")
@@ -159,49 +148,40 @@ def ez_apply(t, a):
         by_res.setdefault(r, []).append((D, v))
     ranges, entries = {}, {}
     for r in range(m + 1):
-        sc, sign = _canonical(m, parity, r * a)
+        sc, sign = _canonical(m, r * a)
         if not sign:
             ranges[r] = (NEG_INF, POS_INF)
         elif sc in t.ranges:
             ranges[r] = t.ranges[sc]
             for D, v in by_res.get(sc, ()):
                 entries[(D, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m, parity, entries, ranges)
+    return CoeffTable(m, entries, ranges)
 
 
 # -- the lift -------------------------------------------------------------
 
-def sz_lift(t, D, r, k, order):
-    """The lift S_{D,r}: n-th coefficient sum_{d|n} d^{k-2} (D/d)
-    C(n^2 D / d^2, n r / d), for D fundamental.
+def sz_lift(t, order):
+    """The lift S_{1,1} of a table at weight 2: n-th coefficient
+    sum_{e|n} C(e^2, e).
 
-    A Dirichlet sieve: with e = n / d the read is C(e^2 D, e r), so the
-    c_e for e < order are read first, each weight d^{k-2} (D/d) is taken
-    once, and each c_e != 0 adds its product with every weight to the
-    coefficient at n = d e.  The sums are native when every c_e is an int
-    or Fraction, else cadd/cmul for the whole lift.
+    The table's form has weight 1, so it is odd, C(D, -r) = -C(D, r), and
+    S_{1,-1} = -S_{1,1}.  A Dirichlet sieve: each C(e^2, e) for e < order
+    is read once and added at every multiple of e.  The sums are native
+    when every read is an int or Fraction, else cadd for the whole lift.
 
     The n = 0 coefficient is emitted as 0 (the lift's constant term is a
     multiple of an inner product not visible from the table; comparisons
     should use n >= 1).  The window `order` may be rational: the
     coefficients are those of n < order.
     """
-    if not is_fundamental(D):
-        raise NotFundamental(D)
     count = max(0, math.ceil(order))
-    c = [t.get(e * e * D, e * r) for e in range(1, count)]
-    # d^(k-2) exactly: d ** (k - 2) is a float for k < 2
-    w = [(d, x * d ** (k - 2) if k >= 2 else Fraction(x, d ** (2 - k)))
-         for d, x in enumerate(kronecker_row(D, count)) if x]
-    add, mul = ((operator.add, operator.mul)
-                if all(type(v) in _RATIONAL for v in c) else (cadd, cmul))
+    c = [t.get(e * e, e) for e in range(1, count)]
+    add = operator.add if all(type(v) in _RATIONAL for v in c) else cadd
     out = [0] * count
     for e, v in enumerate(c, start=1):
         if not ciszero(v):
-            for d, x in w:
-                if d * e >= count:
-                    break
-                out[d * e] = add(out[d * e], mul(x, v))
+            for n in range(e, count, e):
+                out[n] = add(out[n], v)
     return QSeries(dict(enumerate(out)), order)
 
 
@@ -215,8 +195,8 @@ def shadow_kernel(eta_quotient, m, depth):
     where j^2 = r^2 mod 4m.  The Omega entries and the congruence depend
     on j only through s = j mod 2m, so C(j^2, r) = j w(s, r), with the sum
     w(s, r) formed once per s < 2m and per r <= m of the square class of
-    s^2 mod 4m (w(0, r) = 0, as its two Omega terms agree).  Parity -1 is
-    structural.  Every D in the range (-inf, depth] other than the stored
+    s^2 mod 4m (w(0, r) = 0, as its two Omega terms agree).  The kernel is
+    odd, as Omega_m(n)_{j,-r} = Omega_m(n)_{-j,r}.  Every D in the range (-inf, depth] other than the stored
     squares j^2 reads 0, so no residue runs out of depth below D = 0.
     """
     for n, _ in eta_quotient.factors:
@@ -238,7 +218,7 @@ def shadow_kernel(eta_quotient, m, depth):
     entries = {(j * j, r): j * w for j in range(1, top + 1)
                for r, w in weights[j % (2 * m)]}
     ranges = {r: (NEG_INF, depth) for r in range(m + 1)}
-    return CoeffTable(m, -1, entries, ranges)
+    return CoeffTable(m, entries, ranges)
 
 
 # -- H-streams ------------------------------------------------------------
@@ -248,7 +228,7 @@ def _stream_window(t, r):
     unjustified D = r^2 mod 4m, the largest of the class below the table's
     range for r; math.inf when no D is missing."""
     m = t.m
-    rc, sign = _canonical(m, t.parity, r)
+    rc, sign = _canonical(m, r)
     if not sign:
         return math.inf
     if rc not in t.ranges:
@@ -270,7 +250,7 @@ def h_stream(t, r, order):
     """
     m = t.m
     order = Fraction(order)
-    rc, sign = _canonical(m, t.parity, r)
+    rc, sign = _canonical(m, r)
     if not sign:
         return QSeries({}, order, 4 * m)
     if order > _stream_window(t, r):

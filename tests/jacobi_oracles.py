@@ -45,7 +45,7 @@ def h_stream_by_walk(t, r, order):
     bottom."""
     m = t.m
     order = Fraction(order)
-    rc, sign = _canonical(m, t.parity, r)
+    rc, sign = _canonical(m, r)
     if not sign:
         return QSeries({}, order, 4 * m)
     window = _stream_window(t, r)

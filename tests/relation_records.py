@@ -44,7 +44,7 @@ def polar_records(symbol):
     there."""
     lam = get_lambency(symbol)
     m = lam.m
-    orbit = dict(_canonical(m, -1, a) for a in lam.K)
+    orbit = dict(_canonical(m, a) for a in lam.K)
     return [(symbol, "1A", r, 1, -2 * orbit.get(r, 0))
             for r in range(1, m) if (r * r - 1) % (4 * m) == 0]
 

@@ -22,12 +22,9 @@ from mjtheta.catalog import (
 )
 from mjtheta.cli import (
     fixture_report, fricke_report, invariance_report, lift_report,
-    mult_relation_report, positivity_report,
+    mocktheta_report, mult_relation_report, positivity_report,
 )
 from mjtheta.errors import InsufficientDepth, MissingSource
-from mjtheta.mocktheta import (
-    verify_andrews_hickerson, verify_table14_15, verify_watson,
-)
 from mjtheta.series import QSeries, series_add, series_mul, series_verdict
 from relation_records import polar_records, write_records
 
@@ -90,20 +87,21 @@ MOCK_ROWS = [("3:psi", 3), ("3:nu", 3),
 def test_05_mock_theta_rows():
     # orders are the mock theta function orders; compare at full table depth
     for name, _mto in MOCK_ROWS:
-        rep = verify_table14_15(name, order=12)
-        assert rep["status"] == "verified", rep
-        assert rep["depth"] >= 6, rep
+        rep = mocktheta_report(name, 12, None)
+        assert rep["status"] == "pass", rep
+        assert Fraction(rep["depth"]) >= 6, rep
     report(5, True, f"{len(MOCK_ROWS)}/{len(MOCK_ROWS)} internal table "
            "rows exact after shift resolution")
 
 
 def test_06_watson_andrews_hickerson():
     t0 = time.monotonic()
-    reps = verify_watson(100) + verify_andrews_hickerson(100)
+    reps = [mocktheta_report(name, 100, None)
+            for name in ("watson", "andrews-hickerson")]
     dt = time.monotonic() - t0
-    ok = all(r["status"] == "verified" for r in reps)
-    report(6, ok and dt < 10,
-           f"{len(reps)} identities exact to order 100 in {dt:.1f}s")
+    ok = all(r == {"status": "pass", "depth": 100} for r in reps)
+    report(6, ok and dt < 10, "the Watson and Andrews-Hickerson identities "
+           f"exact to order 100 in {dt:.1f}s")
 
 
 def test_07_positivity_audits():

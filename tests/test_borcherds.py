@@ -412,7 +412,7 @@ def test_psi_real_form():
 
 
 def test_psi_zero_table_is_one():
-    zero = CoeffTable(6, -1, {}, {r: (-10 ** 6, 10 ** 6)
+    zero = CoeffTable(6, {}, {r: (-10 ** 6, 10 ** 6)
                                   for r in range(7)})
     psi = psi_expand("6+2", -20, 2, order=10, table=zero)
     assert psi.items() == [(0, 1)]
@@ -432,10 +432,14 @@ def test_psi_excluded_discriminant():
 
 
 def test_psi_bad_inputs():
+    # -32 = 4^2 mod 24 and inside the table, but not fundamental
     with pytest.raises(BadDiscriminant):
-        psi_expand("6+2", -12, 2)
+        psi_expand("6+2", -32, 4)
     with pytest.raises(CongruenceViolation):
         psi_expand("6+2", -8, 2)
+    # a D far beyond the table fails on depth before it is factored
+    with pytest.raises(InsufficientDepth):
+        psi_expand("6+2", 1 - 24 * 10 ** 40, 1)
 
 
 def test_heegner_needs_negative_discriminant():
@@ -465,6 +469,16 @@ def test_fit_no_solution():
     with pytest.raises(NoSolutionWithinDegree):
         borcherds._fit_coords(*borcherds._psi_coords(c, -4), -4,
                               T_series(), 2)
+
+
+def test_fit_rejects_a_divisor_of_non_integral_degree(monkeypatch):
+    # no catalog case has one; the divisor of (6+2, -8, 4), of degree 2,
+    # with its weights divided by 3 has degree 2/3, which no S can have
+    divisor = [(Q, w / 3) for Q, w in heegner_divisor("6+2", -8, 4)]
+    monkeypatch.setattr(borcherds, "heegner_divisor",
+                        lambda *_args: divisor)
+    with pytest.raises(NoSolutionWithinDegree, match="degree 2/3"):
+        fit_case("6+2", -8, 4)
 
 
 def test_fit_underdetermined():

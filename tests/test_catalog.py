@@ -249,7 +249,7 @@ def optimal_polar_part(symbol):
     entries = {}
     for a in lam.K:
         entries[(1, a) if a <= m else (1, 2 * m - a)] = -2 if a <= m else 2
-    return CoeffTable(m, -1, entries, {r: (1, 1) for r in range(m + 1)})
+    return CoeffTable(m, entries, {r: (1, 1) for r in range(m + 1)})
 
 
 def test_construct_averaged_plumbing():
@@ -362,7 +362,7 @@ def phi_by_epsilon(t):
     for (D, r), v in t.entries.items():
         if D >= 0:
             continue
-        want = _canonical(t.m, -1, r)[1]
+        want = _canonical(t.m, r)[1]
         got = 0 if v == 0 else (1 if v > 0 else -1)
         if got != 0 and got != want:
             return False
@@ -384,13 +384,13 @@ def odd_tables(draw):
         for D in range(r * r, r * r - 24 * m, -4 * m):
             entries[(D, r)] = draw(values)
     ranges = {r: (-inf, inf) for r in range(m + 1)}
-    return CoeffTable(m, -1, entries, ranges)
+    return CoeffTable(m, entries, ranges)
 
 
 @settings(max_examples=300, deadline=None)
 @given(t=odd_tables())
 # a negative entry at D = 0 is not polar, so it passes
-@example(t=CoeffTable(9, -1, {(0, 6): -1, (-36, 6): 1}, {6: (-36, 0)}))
+@example(t=CoeffTable(9, {(0, 6): -1, (-36, 6): 1}, {6: (-36, 0)}))
 def test_positivity_phi_against_epsilon(t):
     lam = get_lambency("2")
     assert check_positivity_phi(lam, t) == phi_by_epsilon(t)
@@ -404,13 +404,13 @@ def test_positivity_phi_fails_on_all_fixtures():
 
 def test_positivity_phi_vacuous_and_passing():
     m = 2
-    zero = CoeffTable(m, -1, {}, {1: (-100, 1)})
+    zero = CoeffTable(m, {}, {1: (-100, 1)})
     lam = get_lambency("2")
     assert check_positivity_phi(lam, zero)
-    pos = CoeffTable(m, -1, {(1, 1): Fraction(-2), (-7, 1): Fraction(4488)},
+    pos = CoeffTable(m, {(1, 1): Fraction(-2), (-7, 1): Fraction(4488)},
                      {1: (-7, 1)})
     assert check_positivity_phi(lam, pos)
-    neg = CoeffTable(m, -1, {(-7, 1): Fraction(-4488)}, {1: (-7, 1)})
+    neg = CoeffTable(m, {(-7, 1): Fraction(-4488)}, {1: (-7, 1)})
     assert not check_positivity_phi(lam, neg)
 
 

@@ -17,6 +17,10 @@ from mjtheta.cli import DATA_ENV, main
 from mjtheta.jacobi import CoeffTable
 from relation_records import synthesize, write_records
 
+# 1 - 24 * 10^40: congruent to 1^2 mod 4m for 6+2, 10+2 and 2, and far
+# beyond every table, so fit must fail on depth before it factors D
+HUGE_D = "-239999999999999999999999999999999999999999"
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -184,11 +188,12 @@ def test_verify_all_records_do_not_depend_on_asserts():
 @pytest.mark.parametrize("argv", [
     ["fit", "--lambency", "99", "--D", "-3", "--r", "1"],
     ["expand", "--eta", "1^2^3"],
-    ["fit", "--lambency", "6+2", "--D", "-12", "--r", "6"],
+    ["fit", "--lambency", "6+2", "--D", "-32", "--r", "4"],
     ["verify", "fricke", "--order", "0"],
     ["verify", "positivity", "--data", "/nonexistent.csv"],
+    ["fit", "--lambency", "6+2", "--D", HUGE_D, "--r", "1"],
 ], ids=["unknown-lambency", "bad-eta", "non-fundamental-D", "order-0",
-        "unreadable-data"])
+        "unreadable-data", "huge-D"])
 def test_bad_input_without_asserts_is_one_error_line(argv):
     # python -O strips asserts: the exit code and the one line must not
     # rest on them
@@ -233,7 +238,7 @@ def bumped(t, key):
     """t with the one entry at key raised by 1."""
     entries = dict(t.entries)
     entries[key] += 1
-    return CoeffTable(t.m, t.parity, entries, t.ranges)
+    return CoeffTable(t.m, entries, t.ranges)
 
 
 def test_reports_name_an_entry_the_group_moves(monkeypatch):
@@ -514,7 +519,8 @@ def argvs(draw, data_paths):
         opts += [draw(optional("--order", ORDERS)), draw(data), draw(fmt)]
     elif command == "fit":
         opts += [["--lambency", draw(SYMBOLS)],
-                 ["--D", draw(st.sampled_from(["-8", "-4", "-3", "0", "x"]))],
+                 ["--D", draw(st.sampled_from(
+                     ["-8", "-4", "-3", "0", "x", HUGE_D]))],
                  ["--r", draw(st.sampled_from(["4", "6", "1", "-1", ""]))],
                  draw(data), draw(fmt)]
     opts.append(draw(st.sampled_from([[]] * 6 + [["--nope"], [""]])))

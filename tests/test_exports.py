@@ -1,7 +1,8 @@
 """Every name in a module's __all__ exists, so a deletion that leaves a
 stale export fails here and not at the first `from mjtheta.x import *`;
-and every name a module, test, demo or tool imports is used there or
-exported, so a deletion leaves no import behind."""
+every name a module, test, demo or tool imports is used there or
+exported, so a deletion leaves no import behind; and every error class is
+raised somewhere in the package, so a deletion leaves no error behind."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import pkgutil
 import pytest
 
 import mjtheta
+from mjtheta import errors
 
 MODULES = [name for name in ["mjtheta"] + [
     f"mjtheta.{m.name}" for m in pkgutil.iter_modules(mjtheta.__path__)]
@@ -59,3 +61,26 @@ SOURCES = sorted(pathlib.Path(mjtheta.__path__[0]).glob("*.py")) + sorted(
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert imported_but_unused(path.read_text()) == []
+
+
+def raised_names(source):
+    """Names read in the exceptions that `raise` statements in `source`
+    raise."""
+    return {n.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+
+
+def test_raise_check_sees_them():
+    assert raised_names(
+        "raise A(f(x)) from None\nraise\ny = B\n"
+        "try:\n    pass\nexcept C:\n    raise\n") == {"A", "f", "x"}
+
+
+def test_every_error_class_is_raised():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.MJTError)
+               and obj is not errors.MJTError}
+    raised = set().union(*(raised_names(p.read_text()) for p in SOURCES
+                           if p.parent.name == "mjtheta"))
+    assert sorted(classes - raised) == []

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, gcd, inf
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from mjtheta.arith import divisors, is_fundamental, kronecker, kronecker_row
 from mjtheta.catalog import _a_of
 from mjtheta.cyclo import cadd, ciszero, cmul, ex
-from mjtheta.errors import BadDiscriminant, InsufficientDepth, NotFundamental
+from mjtheta.errors import BadDiscriminant, InsufficientDepth
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
     CoeffTable, ez_apply, sz_lift, shadow_kernel, h_stream,
@@ -110,7 +109,7 @@ def test_shadow_coeff_lambency2():
     assert shadow_coeff(e, 2, 2, 0) == 0  # not a square
     t = lam2_kernel()
     assert t.get(1, 1) == 48
-    assert t.get(9, 3) == -t.get(9, 1)  # 3 = -1 mod 4: one parity flip
+    assert t.get(9, 3) == -t.get(9, 1)  # 3 = -1 mod 4: one sign flip
 
 
 def test_shadow_kernel_parity_and_support():
@@ -152,13 +151,12 @@ def test_shadow_kernel_against_shadow_coeff():
                                  if k[0] <= depth}, (lam.symbol, depth)
             assert all(type(v) is int for v in t.entries.values())
             assert t.ranges == {r: (-inf, depth) for r in range(m + 1)}
-            assert t.parity == -1
 
 
 # -- EZ action ------------------------------------------------------------
 
 def tables_agree(t1, t2):
-    assert t1.m == t2.m and t1.parity == t2.parity
+    assert t1.m == t2.m
     for r in set(t1.ranges) & set(t2.ranges):
         lo = max(t1.ranges[r][0], t2.ranges[r][0])
         hi = min(t1.ranges[r][1], t2.ranges[r][1])
@@ -188,8 +186,9 @@ def test_ez_spec_example():
 # -- the lift -------------------------------------------------------------
 
 def sz_lift_by_pairs(t, D, r, k, order):
-    """Oracle: the lift with (D/d) taken per (n, d) pair, summed from
-    Fraction(0), every weight factor d^(k-2) a Fraction, for n < order."""
+    """Oracle: the lift S_{D,r} at weight k, with (D/d) taken per (n, d)
+    pair, summed from Fraction(0), every weight factor d^(k-2) a Fraction,
+    for n < order.  sz_lift is its case D = r = 1, k = 2."""
     coeffs = {}
     for n in range(1, ceil(order)):
         acc = Fraction(0)
@@ -204,18 +203,18 @@ def sz_lift_by_pairs(t, D, r, k, order):
     return QSeries(coeffs, order)
 
 
-def lift_or_depth(lift, t, D, r, k, order):
+def lift_or_depth(lift, *args):
     try:
-        return lift(t, D, r, k, order)
+        return lift(*args)
     except InsufficientDepth:
         return InsufficientDepth
 
 
-def lift_agrees_with_pairs(t, D, r, k, order):
+def lift_agrees_with_pairs(t, order):
     """sz_lift and sz_lift_by_pairs give the same series, or both raise
     InsufficientDepth; returns the series or InsufficientDepth."""
-    got = lift_or_depth(sz_lift, t, D, r, k, order)
-    want = lift_or_depth(sz_lift_by_pairs, t, D, r, k, order)
+    got = lift_or_depth(sz_lift, t, order)
+    want = lift_or_depth(sz_lift_by_pairs, t, 1, 1, 2, order)
     if want is InsufficientDepth:
         assert got is InsufficientDepth
     else:
@@ -225,46 +224,38 @@ def lift_agrees_with_pairs(t, D, r, k, order):
 
 
 def test_sz_lift_against_pair_loop():
-    # every fixture table and canonical residue, k = 2 and 3; reads off the
-    # congruence are zeros, and the deeper lifts run out of table, when
-    # both raise
+    # every fixture table, and every catalog kernel to depth 50, whose
+    # lifts at order 12 read C(e^2, e) past D = 50 and run out of table,
+    # when both raise
     from mjtheta.catalog import load_catalog
     depth_errors = nonzero = 0
     for lam in load_catalog():
-        t = lam.fixture
-        if t is None:
-            continue
-        for D in (1, -3, -4, 5, -7, 8):
-            for r in range(t.m + 1):
-                for k in (2, 3):
-                    for order in (4, 12):
-                        got = lift_agrees_with_pairs(t, D, r, k, order)
-                        if got is InsufficientDepth:
-                            depth_errors += 1
-                        else:
-                            nonzero += bool(got.coeffs)
+        tables = [shadow_kernel(lam.eta, lam.m, 50)]
+        if lam.fixture is not None:
+            tables.append(lam.fixture)
+        for t in tables:
+            for order in (4, 12):
+                got = lift_agrees_with_pairs(t, order)
+                if got is InsufficientDepth:
+                    depth_errors += 1
+                else:
+                    nonzero += bool(got.coeffs)
     assert depth_errors and nonzero
 
 
 def test_kernel_lift_values_are_int():
     e = parse_eta("1^24 / 2^24")
     t = shadow_kernel(e, 2, 31 ** 2)
-    lift = sz_lift(t, 1, 1, 2, 30)
+    lift = sz_lift(t, 30)
     assert lift.coeffs == sz_lift_by_pairs(t, 1, 1, 2, 30).coeffs
     assert all(type(v) is int for v in lift.coeffs.values())
     # an absent entry reads as int 0, equal and hash-equal to Fraction(0)
     # (off the congruence, at a structural zero, at a non-square D inside
     # the window)
     for v in (t.get(5, 1), t.get(16, 0), t.get(17, 1),
-              CoeffTable(2, 1, {}, {1: (-inf, 9)}).get(1, 1)):
+              CoeffTable(2, {}, {1: (-inf, 9)}).get(1, 1)):
         assert type(v) is int and v == 0
     assert hash(0) == hash(Fraction(0))
-
-
-def test_sz_lift_requires_fundamental():
-    t = lam2_kernel()
-    with pytest.raises(NotFundamental):
-        sz_lift(t, 9, 3, 2, 10)
 
 
 def test_sz_lift_rational_windows():
@@ -273,11 +264,11 @@ def test_sz_lift_rational_windows():
     t = lam2_kernel()
     for order, whole in ((Fraction(5, 2), 3), (Fraction(1, 3), 1),
                          (0, 0), (-3, -3)):
-        got, want = sz_lift(t, 1, 1, 2, order), sz_lift(t, 1, 1, 2, whole)
+        got, want = sz_lift(t, order), sz_lift(t, whole)
         assert got.order == order
         assert got.coeffs == {k: v for k, v in want.coeffs.items()
                               if k < order}
-    assert sz_lift(t, 1, 1, 2, Fraction(5, 2)).coeffs == {1: 48, 2: 48}
+    assert sz_lift(t, Fraction(5, 2)).coeffs == {1: 48, 2: 48}
 
 
 def test_shadow_lift_proportional_to_dlog():
@@ -285,7 +276,7 @@ def test_shadow_lift_proportional_to_dlog():
     e = parse_eta("1^24 / 2^24")
     N = 50
     t = shadow_kernel(e, 2, (N + 1) ** 2)
-    lift = sz_lift(t, 1, 1, 2, N)
+    lift = sz_lift(t, N)
     dl = eta_dlog(e, N)
     for n in range(1, N):
         assert lift.coeff(n) == -2 * dl.coeff(n), n
@@ -313,10 +304,11 @@ def stream_against_walk(t, r, order):
 
 def test_stream_window_is_the_largest_accepted_order():
     from mjtheta.catalog import load_catalog
-    # lower bounds off and on the residue classes D = r^2 mod 8
-    t = CoeffTable(2, 1, {}, {0: (-41, 0), 1: (-38, 1), 2: (-36, 4)})
-    assert [_stream_window(t, r) for r in range(3)] == \
-        [6, Fraction(39, 8), Fraction(44, 8)]
+    # lower bounds off and on the residue classes D = r^2 mod 12; r = 0
+    # and r = 3 are zeros at every depth
+    t = CoeffTable(3, {}, {1: (-38, 1), 2: (-44, 4)})
+    assert [_stream_window(t, r) for r in range(4)] == \
+        [inf, Fraction(47, 12), Fraction(56, 12), inf]
     tables = [t] + [lam.fixture for lam in load_catalog() if lam.fixture]
     for t in tables:
         for r in t.ranges:
@@ -336,32 +328,8 @@ def test_h_stream_of_kernel():
     assert h.coeff(Fraction(-9, 8)) == t.get(9, 1)
 
 
-# -- exact at every weight ------------------------------------------------
-
-@lru_cache(maxsize=None)
-def weight_kernel():
-    return lam2_kernel(400)
-
-
-def exact_values(values):
-    return all(type(v) in (int, Fraction) for v in values)
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.sampled_from([-1, 0, 1, 2, 3]), D=st.sampled_from([1, 5]),
-       r=st.sampled_from([1, 2, 3]), order=st.integers(2, 12))
-@example(k=1, D=1, r=1, order=5)  # 1/3 is not a binary float
-def test_sz_lift_exact_at_every_weight(k, D, r, order):
-    t = weight_kernel()
-    got = sz_lift(t, D, r, k, order)
-    want = sz_lift_by_pairs(t, D, r, k, order)
-    assert got.coeffs == want.coeffs
-    assert exact_values(got.coeffs.values())
-
-
 # -- the lift on tables that mix int, Fraction and Cyc ------------------
 
-FUNDAMENTAL = [D for D in range(-30, 31) if is_fundamental(D)]
 MIXED_VALUES = st.one_of(
     st.integers(-3, 3).filter(bool),
     st.fractions(-2, 2, max_denominator=6).filter(bool),
@@ -371,25 +339,18 @@ MIXED_VALUES = st.one_of(
 
 @st.composite
 def lift_cases(draw):
-    """(t, D, r, k, order): a table of index m <= 4 holding mixed values at
-    the reads the lift makes, each canonical residue justified up to a
-    drawn bound or not at all, so that some lifts run out of table."""
-    D = draw(st.sampled_from(FUNDAMENTAL))
-    # an index where D is a square, so the reads are on the congruence
-    m = draw(st.sampled_from([m for m in range(1, 5) if any(
-        (r * r - D) % (4 * m) == 0 for r in range(2 * m))]))
-    r = draw(st.sampled_from(
-        [r for r in range(2 * m) if (r * r - D) % (4 * m) == 0]))
-    # an odd table vanishes at every read e r when r = 0 or m mod 2m
-    parity = draw(st.sampled_from([1, -1] if r % m else [1]))
+    """(t, order): a table of index m <= 4 holding mixed values at the
+    reads C(e^2, e) the lift makes, each canonical residue justified up to
+    a drawn bound or not at all, so that some lifts run out of table."""
+    m = draw(st.integers(1, 4))
     order = draw(st.one_of(st.integers(1, 13),
                            st.fractions(1, 13, max_denominator=4)))
     count = ceil(order)
     # the largest discriminant read at each canonical residue
     reads = {}
     for e in range(1, count):
-        rc = _canonical(m, parity, e * r)[0]
-        reads[rc] = max(reads.get(rc, -inf), e * e * D)
+        rc = _canonical(m, e)[0]
+        reads[rc] = max(reads.get(rc, -inf), e * e)
     ranges = {}
     for rc in range(m + 1):
         top = reads.get(rc, 0)
@@ -398,19 +359,18 @@ def lift_cases(draw):
             ranges[rc] = (-inf, top)
     entries = {}
     for e in range(1, count):
-        rc, sign = _canonical(m, parity, e * r)
-        if sign and rc in ranges and e * e * D <= ranges[rc][1]:
-            entries[(e * e * D, rc)] = draw(MIXED_VALUES)
-    k = draw(st.integers(-1, 3))
-    return CoeffTable(m, parity, entries, ranges), D, r, k, order
+        rc, sign = _canonical(m, e)
+        if sign and rc in ranges and e * e <= ranges[rc][1]:
+            entries[(e * e, rc)] = draw(MIXED_VALUES)
+    return CoeffTable(m, entries, ranges), order
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=lift_cases())
-# a Cyc read beside an int read: the lift is
-# z3 q + (2 + z3) q^2 + z3 q^3, and adds with cadd throughout
-@example(case=(CoeffTable(1, 1, {(1, 1): ex("1/3"), (4, 0): 2},
-                          {0: (-inf, inf), 1: (-inf, inf)}), 1, 1, 2, 4))
+# a Cyc read beside an int read, C(9, 3) = -C(9, 1) = -2: the lift is
+# z3 q + z3 q^2 + (z3 - 2) q^3, and adds with cadd throughout
+@example(case=(CoeffTable(2, {(1, 1): ex("1/3"), (9, 1): 2},
+                          {1: (-inf, inf), 2: (-inf, inf)}), 4))
 def test_sz_lift_on_mixed_values(case):
     lift_agrees_with_pairs(*case)
 
@@ -419,13 +379,11 @@ def test_sz_lift_on_mixed_values(case):
 
 @st.composite
 def stream_cases(draw):
-    """(t, r, order, must_raise): a table of index m <= 5 and either
-    parity, each canonical residue justified on a drawn range (either end
-    finite or infinite, on or off the class) or not at all, holding mixed
-    values; r anywhere in [-3m, 3m); order a rational, or exactly the
+    """(t, r, order, must_raise): a table of index m <= 5, each canonical
+    residue justified on a drawn range (either end finite or infinite, on
+    or off the class) or not at all, holding mixed values; r anywhere in [-3m, 3m); order a rational, or exactly the
     stream window (must_raise False) or 1/4m past it (must_raise True)."""
     m = draw(st.integers(1, 5))
-    parity = draw(st.sampled_from([1, -1]))
     ranges, entries = {}, {}
     for rc in range(m + 1):
         sq = rc * rc
@@ -436,7 +394,7 @@ def stream_cases(draw):
         hi = draw(st.sampled_from(
             [inf, draw(st.integers(max(lo, sq - 40 * m), sq + 12 * m))]))
         ranges[rc] = (lo, hi)
-        if not _canonical(m, parity, rc)[1]:
+        if not _canonical(m, rc)[1]:
             continue
         ds = [D for D in range(sq + 8 * m, sq - 44 * m, -4 * m)
               if lo <= D <= hi]
@@ -444,7 +402,7 @@ def stream_cases(draw):
             for D in draw(st.lists(st.sampled_from(ds), min_size=1,
                                    max_size=6, unique=True)):
                 entries[(D, rc)] = draw(MIXED_VALUES)
-    t = CoeffTable(m, parity, entries, ranges)
+    t = CoeffTable(m, entries, ranges)
     r = draw(st.integers(-3 * m, 3 * m - 1))
     try:
         w = _stream_window(t, r)

@@ -664,7 +664,7 @@ def test_mismatch_is_reported():
     key = (4 - 96, 2)
     entries[key] = entries[key] + 2
     from mjtheta.jacobi import CoeffTable
-    bad = CoeffTable(f.m, f.parity, entries, f.ranges)
+    bad = CoeffTable(f.m, entries, f.ranges)
     rep = verify_table14_15("3:psi", source=bad, order=4)
     assert rep["status"] == "mismatch"
     x = Fraction(92, 96) - Fraction(-1, 24)

@@ -22,13 +22,13 @@ FIXTURES = [lam for lam in CATALOG if lam.fixture is not None]
 
 # -- oracles --------------------------------------------------------------
 
-def canonical_oracle(m, parity, r):
+def canonical_oracle(m, r):
     """(canonical residue, sign) as the earlier CoeffTable.canonical gave
-    them, and whether the inline test `parity == -1 and rc in (0, m)` made
+    them for an odd table, and whether the inline test `rc in (0, m)` made
     the read a structural zero."""
     r %= 2 * m
-    rc, sign = (2 * m - r, parity) if r > m else (r, 1)
-    return rc, sign, parity == -1 and rc in (0, m)
+    rc, sign = (2 * m - r, -1) if r > m else (r, 1)
+    return rc, sign, rc in (0, m)
 
 
 def ez_apply_oracle(t, a):
@@ -39,7 +39,7 @@ def ez_apply_oracle(t, a):
         by_res.setdefault(r, []).append((D, v))
     ranges, entries = {}, {}
     for r in range(m + 1):
-        sc, sign, zero = canonical_oracle(m, t.parity, r * a)
+        sc, sign, zero = canonical_oracle(m, r * a)
         if zero:
             ranges[r] = (NEG_INF, POS_INF)
             continue
@@ -48,7 +48,7 @@ def ez_apply_oracle(t, a):
         ranges[r] = t.ranges[sc]
         for D, v in by_res.get(sc, []):
             entries[(D, r)] = v if sign == 1 else cmul(sign, v)
-    return CoeffTable(m, t.parity, entries, ranges)
+    return CoeffTable(m, entries, ranges)
 
 
 def orbit_oracle(m, K, r):
@@ -64,7 +64,7 @@ def orbit_oracle(m, K, r):
 def runs_out_oracle(t, r):
     """True if reads of t at residue r raise InsufficientDepth below some
     D < 0, False if they are structural zeros at every depth."""
-    rc, _sign, zero = canonical_oracle(t.m, t.parity, r)
+    rc, _sign, zero = canonical_oracle(t.m, r)
     if zero:
         return False
     return rc not in t.ranges or t.ranges[rc][0] != NEG_INF
@@ -77,17 +77,16 @@ def kernels(depth=50):
 
 
 def same_table(got, want):
-    assert (got.m, got.parity) == (want.m, want.parity)
+    assert got.m == want.m
     assert got.ranges == want.ranges
     assert got.entries == want.entries
 
 
 def test_canonical_against_inline_rules():
     for m in range(1, 61):
-        for parity in (1, -1):
-            for r in range(-4 * m, 4 * m + 1):
-                rc, sign, zero = canonical_oracle(m, parity, r)
-                assert _canonical(m, parity, r) == (rc, 0 if zero else sign)
+        for r in range(-4 * m, 4 * m + 1):
+            rc, sign, zero = canonical_oracle(m, r)
+            assert _canonical(m, r) == (rc, 0 if zero else sign)
 
 
 def test_ez_apply_on_fixtures_under_K():
@@ -103,11 +102,12 @@ def test_ez_apply_on_kernels_under_O_m():
             same_table(ez_apply(t, a), ez_apply_oracle(t, a))
 
 
-def test_ez_apply_on_even_tables():
-    # parity +1 keeps r = 0 and r = m, and a finite lower bound carries over
-    t = CoeffTable(3, 1, {(-12, 0): 4, (-15, 3): -2, (-11, 1): 7},
-                   {0: (-40, 0), 1: (-35, 1), 3: (-39, 9)})
-    for a in om_elements(3):
+def test_ez_apply_carries_finite_bounds():
+    # a finite lower bound moves to the residue of r a, with its sign, and
+    # residues 3 and 4 (fixed by O_6 up to sign) stay without data
+    t = CoeffTable(6, {(-23, 1): 7, (-47, 5): -2, (-20, 2): 4},
+                   {1: (-40, 1), 2: (-44, 4), 5: (-71, 25)})
+    for a in om_elements(6):
         same_table(ez_apply(t, a), ez_apply_oracle(t, a))
 
 
@@ -129,20 +129,21 @@ def test_fixture_closure_against_orbits():
                 assert f.ranges[r][1] == POS_INF and f.ranges[r][0] > NEG_INF
             # every orbit sign agrees with the rule, 0 at 0 and m
             for a, (t, sg) in zip(lam.K, orbit_oracle(m, lam.K, r)):
-                assert _canonical(m, -1, r * a) == \
+                assert _canonical(m, r * a) == \
                     (t, 0 if t in (0, m) else sg)
 
 
 def runs_out_tables():
-    odd = CoeffTable(4, -1, {(-15, 1): 3},
+    odd = CoeffTable(4, {(-15, 1): 3},
                      {1: (-63, 1), 2: (NEG_INF, POS_INF), 3: (-55, 9)})
-    even = CoeffTable(4, 1, {(-16, 0): 2, (-12, 2): 5},
-                      {0: (-48, 0), 2: (NEG_INF, 4), 4: (-32, 16)})
+    # finite bounds at r = 0 and r = m: those reads are zeros at any depth
+    bounded_zeros = CoeffTable(4, {(-12, 2): 5},
+                               {0: (-48, 0), 2: (NEG_INF, 4), 4: (-32, 16)})
     # square entries alone no longer make a finite lower bound harmless
-    square = CoeffTable(4, -1, {(1, 1): 2, (9, 3): -2},
+    square = CoeffTable(4, {(1, 1): 2, (9, 3): -2},
                         {1: (-15, 100), 3: (-7, 100)})
     return ([lam.fixture for lam in FIXTURES] + [t for _l, t in kernels()]
-            + [odd, even, square])
+            + [odd, bounded_zeros, square])
 
 
 def test_runs_out_against_oracle():

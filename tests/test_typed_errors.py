@@ -21,27 +21,26 @@ from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb
 from mjtheta.cyclo import ex
 from mjtheta.mocktheta import verify_andrews_hickerson, verify_watson
 from mjtheta.series import QSeries, series_slice
-T5 = CoeffTable(5, 1, {}, {1: (-100, 1)})
+T5 = CoeffTable(5, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
 """
 
 # name: (error class, expression)
 CASES = {
-    "parity 0": ("BadParity", "CoeffTable(5, 0, {}, {})"),
     "residue above m": ("CongruenceViolation",
-                        "CoeffTable(5, 1, {(-4, 6): 2}, {6: (-100, 1)})"),
+                        "CoeffTable(5, {(-4, 6): 2}, {6: (-100, 1)})"),
     "D not r^2 mod 4m": ("CongruenceViolation",
-                         "CoeffTable(5, -1, {(3, 1): 2}, {1: (-100, 1)})"),
+                         "CoeffTable(5, {(3, 1): 2}, {1: (-100, 1)})"),
     "D outside range": ("InsufficientDepth",
-                        "CoeffTable(5, -1, {(-119, 1): 2}, {1: (-100, 1)})"),
+                        "CoeffTable(5, {(-119, 1): 2}, {1: (-100, 1)})"),
     "residue without range": ("InsufficientDepth",
-                              "CoeffTable(5, -1, {(-19, 1): 2}, {})"),
+                              "CoeffTable(5, {(-19, 1): 2}, {})"),
     "odd table nonzero at r = 0": (
         "CongruenceViolation",
-        "CoeffTable(5, -1, {(-20, 0): 2}, {0: (-100, 1)})"),
+        "CoeffTable(5, {(-20, 0): 2}, {0: (-100, 1)})"),
     "odd table nonzero at r = m": (
         "CongruenceViolation",
-        "CoeffTable(5, -1, {(5, 5): 2}, {5: (-100, 5)})"),
+        "CoeffTable(5, {(5, 5): 2}, {5: (-100, 5)})"),
     # doubled exponents give Psi^2 = conj S(T)^4 / S(T)^4, which is no
     # conj S^2 / S^2 of the divisor's degree 2
     "fit of a product off the divisor's shape": (
@@ -50,12 +49,6 @@ CASES = {
     # a 2-coefficient window against S of degree 20
     "fit of a degree the window cannot pin": (
         "Underdetermined", "fit_case('20+4', -119, 11)"),
-    # at D = -3 the one Heegner point of level 3 is elliptic, of weight
-    # 2/3; an even table keeps r = 3 from being a structural zero
-    "fit of a divisor of degree 2/3": (
-        "NoSolutionWithinDegree",
-        "fit_case('3', -3, 3, "
-        "table=CoeffTable(3, 1, {}, {r: (-100, 1) for r in range(4)}))"),
     "genus_char with m not dividing A": (
         "LevelMismatch", "genus_char(QuadForm(1, 1, 1), -3, 2)"),
     # a level m < 1 divides by 0, or passes every "m | A" test
@@ -82,10 +75,7 @@ CASES = {
     "table_lin_comb of nothing": ("LevelMismatch", "table_lin_comb([])"),
     "table_lin_comb across indices": (
         "LevelMismatch",
-        "table_lin_comb([(1, T5), (1, CoeffTable(6, 1, {}, {}))])"),
-    "table_lin_comb across parities": (
-        "LevelMismatch",
-        "table_lin_comb([(1, T5), (1, CoeffTable(5, -1, {}, {}))])"),
+        "table_lin_comb([(1, T5), (1, CoeffTable(6, {}, {}))])"),
     # an order <= 0 compares nothing, so no verdict can be given
     "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
     "Andrews-Hickerson at order -3": (
@@ -95,11 +85,11 @@ CASES = {
 # Good arguments near the bad ones, with the value each must give.
 # name: (value, expression)
 VALUES = {
-    # an even table keeps its entries at r = 0 and r = m
-    "even table at r = 0 and r = m": (
-        {(-20, 0): 2, (5, 5): 3},
-        "CoeffTable(5, 1, {(-20, 0): 2, (5, 5): 3}, "
-        "{0: (-100, 1), 5: (-100, 5)}).entries"),
+    # zeros at r = 0 and r = m obey the residue rule and are not stored
+    "zero entries at r = 0 and r = m": (
+        {(-19, 1): 2},
+        "CoeffTable(5, {(-20, 0): 0, (5, 5): Fraction(0), (-19, 1): 2}, "
+        "{0: (-100, 1), 1: (-100, 1), 5: (-100, 5)}).entries"),
     # integral exponents held as Fractions give the product of the ints
     "Borcherds exponents as Fractions": (
         True, "psi_expand('6+2', -20, 2, "
