@@ -6,7 +6,7 @@ from math import isqrt
 from .errors import BadDiscriminant
 
 __all__ = [
-    "kronecker", "kronecker_row", "is_fundamental", "is_square", "divisors",
+    "kronecker", "kronecker_row", "is_fundamental", "divisors",
     "sigma1", "prime_factorization",
 ]
 
@@ -31,10 +31,6 @@ def divisors(n):
     out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     out += [n // d for d in reversed(out) if d * d != n]
     return tuple(out)
-
-
-def is_square(n):
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 @lru_cache(maxsize=None)

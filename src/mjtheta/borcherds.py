@@ -18,12 +18,14 @@ from operator import mul
 from .arith import (
     divisors, is_fundamental, kronecker, kronecker_row, prime_factorization,
 )
-from .cyclo import Cyc, cformat
+from .catalog import get_lambency
+from .cyclo import Cyc
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, LevelMismatch, MissingSource, NonIntegralExponent,
-    NoSolutionWithinDegree, Underdetermined,
+    InsufficientDepth, LevelMismatch, MissingSource, NoSolutionWithinDegree,
+    Underdetermined,
 )
+from .eta import eta_expand
 from .jacobi import _stream_window
 from .series import QSeries, series_mul
 
@@ -255,7 +257,6 @@ def heegner_divisor(symbol, D, r):
     of the lambency with this catalog symbol: list of (QuadForm, weight)
     with weight = -4 chi_D(Q) / #Gamma_0(m)_Q, summed over the group
     translates of r."""
-    from .catalog import get_lambency
     lam = get_lambency(symbol)
     m = lam.m
     out = {}
@@ -294,7 +295,6 @@ def psi_expand(symbol, D, r, order=None, table=None):
 def _psi_log(symbol, D, r, order=None, table=None):
     """(c, window): the window of psi_expand, and the integers c_N of
     q d/dq log Psi = -G sum_N c_N q^N for 0 <= N < window (c_0 = 0)."""
-    from .catalog import get_lambency
     lam = get_lambency(symbol)
     m = lam.m
     need = f"need a negative fundamental D, got {D}"
@@ -308,26 +308,22 @@ def _psi_log(symbol, D, r, order=None, table=None):
         table = lam.fixture
         if table is None:
             raise MissingSource(f"{lam.symbol} has no coefficient table")
-    order = inf if order is None else Fraction(order)
-    if order == inf and not any(_runs_out(table, r * n)
-                                for n in range(1, 2 * m + 1)):
+    elif table.m != m:
+        raise LevelMismatch(f"{lam.symbol} needs index {m}, not {table.m}")
+    if not any(_runs_out(table, r * n) for n in range(1, 2 * m + 1)):
         raise ExcludedDiscriminant(
             f"{lam.symbol} D={D} r={r}: every C(D n^2, r n) is a "
             f"structural zero, so Psi is identically 1")
+    order = inf if order is None else Fraction(order)
     exponents = []
     n = 1
-    while n < order:
+    while n < max(order, 2):  # C(D, r) even at an order that needs none
         try:
-            e = table.get(D * n * n, r * n)
+            exponents.append(table.get(D * n * n, r * n))
         except InsufficientDepth:
             break
-        if isinstance(e, Cyc) or e % 1:
-            raise NonIntegralExponent(
-                f"{lam.symbol}: the exponent C({D * n * n}, {r * n}) = "
-                f"{cformat(e)} is not an integer")
-        exponents.append(int(e))
         n += 1
-    if not exponents and order > 1:
+    if not exponents:
         raise InsufficientDepth(
             f"table gives no C({D}, {r}): cannot start the product")
     # after the reads: factoring a D far beyond the table takes forever
@@ -501,8 +497,6 @@ def fit_case(symbol, D, r, table=None):
     R = Psi^(1/k) comes from Psi's recurrence with c_N / k, and one solve
     of R S(T) = conj S(T) gives S of degree d / k.  Psi stays in its
     rational coordinates X + G Y throughout; "max_deg" is d."""
-    from .catalog import get_lambency
-    from .eta import eta_expand
     lam = get_lambency(symbol)
     c, window = _psi_log(symbol, D, r, table=table)
     ws = [abs(w) for _q, w in heegner_divisor(symbol, D, r)]

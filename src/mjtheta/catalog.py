@@ -31,7 +31,7 @@ from .errors import (
 from .eta import parse_eta
 from .jacobi import (
     NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply,
-    shadow_kernel, stream_combination, table_lin_comb,
+    shadow_kernel, stream_combination, table_sum,
 )
 from .series import series_verdict
 
@@ -307,7 +307,7 @@ def construct_averaged(symbol, h):
         raise UnknownLambency(f"{symbol} is not an averaged lambency")
     source, n = AVERAGED_FROM[symbol]
     t = h.get(source)
-    return table_lin_comb([(1, t), (1, ez_apply(t, _a_of(t.m, n)))])
+    return table_sum([t, ez_apply(t, _a_of(t.m, n))])
 
 
 # -- multiplicative relations ---------------------------------------------

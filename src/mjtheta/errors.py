@@ -13,8 +13,9 @@ class LevelMismatch(MJTError):
     """An eta factor n_i is not a positive divisor of the ambient level m,
     or the quotient's Fricke multiplier at level m is irrational; also a
     level m < 1 (enumerate_heegner, genus_char), a form whose
-    A the level m does not divide (genus_char), and a linear combination
-    of no tables or of tables of different index (table_lin_comb)."""
+    A the level m does not divide (genus_char), a sum of no tables or of
+    tables of different index (table_sum), and a caller's table whose
+    index is not the lambency's (psi_expand, fit_case, verify_table14_15)."""
 
 
 class NotConstant(MJTError):
@@ -70,8 +71,9 @@ class BadDiscriminant(MJTError):
     fundamental D (psi_expand, fit_case)."""
 
 
-class NonIntegralExponent(MJTError):
-    """A Borcherds product exponent C(D n^2, r n) is not an integer."""
+class NonIntegralCoefficient(MJTError):
+    """A coefficient table is given a value that is not an int.  Table
+    values are ints, so every Borcherds exponent C(D n^2, r n) is one."""
 
 
 class ExcludedDiscriminant(MJTError):

@@ -20,12 +20,13 @@ On top of the tables live:
 """
 
 import math
-import operator
 from fractions import Fraction
 from math import isqrt
 
-from .cyclo import _RATIONAL, cadd, ciszero, cmul
-from .errors import CongruenceViolation, InsufficientDepth, LevelMismatch
+from .errors import (
+    CongruenceViolation, InsufficientDepth, LevelMismatch,
+    NonIntegralCoefficient,
+)
 from .series import (
     QSeries, _arg_transform, series_add, series_scale, series_slice,
 )
@@ -62,7 +63,11 @@ class CoeffTable:
     [lo, hi] an absent key means the coefficient is zero; outside it any
     read raises InsufficientDepth.
 
-    entries: {(D, r): value} with 0 <= r <= m, D = r^2 mod 4m, value != 0.
+    Every value is an int, as a Borcherds exponent C(D n^2, r n) must be
+    (Borcherds, Invent. Math. 132, 1998); any other type raises
+    NonIntegralCoefficient.
+
+    entries: {(D, r): int} with 0 <= r <= m, D = r^2 mod 4m; zeros dropped.
     ranges: {r: (lo, hi)} justified discriminant window per canonical
         residue; residues missing from `ranges` carry no data at all.
     """
@@ -74,7 +79,10 @@ class CoeffTable:
         self.ranges = dict(ranges)
         self.entries = {}
         for (D, r), v in entries.items():
-            if ciszero(v):
+            if type(v) is not int:
+                raise NonIntegralCoefficient(
+                    f"C({D}, {r}) = {v!r}: table values are ints")
+            if not v:
                 continue
             if not 0 <= r <= m or (D - r * r) % (4 * m):
                 raise CongruenceViolation(
@@ -100,37 +108,35 @@ class CoeffTable:
         if not lo <= D <= hi:
             raise InsufficientDepth(
                 f"C({D}, {r}) outside justified range [{lo}, {hi}]")
-        v = self.entries.get((D, rc), 0)
-        return v if sign == 1 else cmul(sign, v)
+        return sign * self.entries.get((D, rc), 0)
 
     def __repr__(self):
         return (f"<CoeffTable m={self.m} residues={sorted(self.ranges)} "
                 f"entries={len(self.entries)}>")
 
 
-def table_lin_comb(weighted_tables):
-    """Exact linear combination of tables of one index m.
+def table_sum(tables):
+    """The sum of tables of one index m.
 
     Justified ranges intersect; residues must be known in every summand to
     survive.
     """
-    weighted_tables = list(weighted_tables)
-    if len({t.m for _, t in weighted_tables}) != 1:
-        raise LevelMismatch("table_lin_comb needs one or more tables of one "
-                            "index")
-    m = weighted_tables[0][1].m
+    tables = list(tables)
+    if len({t.m for t in tables}) != 1:
+        raise LevelMismatch("table_sum needs one or more tables of one index")
+    m = tables[0].m
     ranges = {}
     for r in range(m + 1):
-        if all(r in t.ranges for _, t in weighted_tables):
-            lo = max(t.ranges[r][0] for _, t in weighted_tables)
-            hi = min(t.ranges[r][1] for _, t in weighted_tables)
+        if all(r in t.ranges for t in tables):
+            lo = max(t.ranges[r][0] for t in tables)
+            hi = min(t.ranges[r][1] for t in tables)
             if lo <= hi:
                 ranges[r] = (lo, hi)
     entries = {}
-    for w, t in weighted_tables:
+    for t in tables:
         for (D, r), v in t.entries.items():
             if r in ranges and ranges[r][0] <= D <= ranges[r][1]:
-                entries[(D, r)] = cadd(entries.get((D, r), 0), cmul(w, v))
+                entries[(D, r)] = entries.get((D, r), 0) + v
     return CoeffTable(m, entries, ranges)
 
 
@@ -154,7 +160,7 @@ def ez_apply(t, a):
         elif sc in t.ranges:
             ranges[r] = t.ranges[sc]
             for D, v in by_res.get(sc, ()):
-                entries[(D, r)] = v if sign == 1 else cmul(sign, v)
+                entries[(D, r)] = sign * v
     return CoeffTable(m, entries, ranges)
 
 
@@ -166,8 +172,7 @@ def sz_lift(t, order):
 
     The table's form has weight 1, so it is odd, C(D, -r) = -C(D, r), and
     S_{1,-1} = -S_{1,1}.  A Dirichlet sieve: each C(e^2, e) for e < order
-    is read once and added at every multiple of e.  The sums are native
-    when every read is an int or Fraction, else cadd for the whole lift.
+    is read once and added at every multiple of e.
 
     The n = 0 coefficient is emitted as 0 (the lift's constant term is a
     multiple of an inner product not visible from the table; comparisons
@@ -175,13 +180,11 @@ def sz_lift(t, order):
     coefficients are those of n < order.
     """
     count = max(0, math.ceil(order))
-    c = [t.get(e * e, e) for e in range(1, count)]
-    add = operator.add if all(type(v) in _RATIONAL for v in c) else cadd
     out = [0] * count
-    for e, v in enumerate(c, start=1):
-        if not ciszero(v):
+    for e in range(1, count):
+        if v := t.get(e * e, e):
             for n in range(e, count, e):
-                out[n] = add(out[n], v)
+                out[n] += v
     return QSeries(dict(enumerate(out)), order)
 
 
@@ -260,9 +263,8 @@ def h_stream(t, r, order):
         raise InsufficientDepth(
             f"residue {r}: justified down to D={t.ranges[rc][0]}, "
             f"need D>={need}")
-    return QSeries({-D: v if sign == 1 else cmul(sign, v)
-                    for (D, rr), v in t.entries.items() if rr == rc},
-                   order, 4 * m)
+    return QSeries({-D: sign * v for (D, rr), v in t.entries.items()
+                    if rr == rc}, order, 4 * m)
 
 
 def stream_combination(t, terms, order, s=0, b=1, arg=(1, 0), pre=1,

@@ -25,8 +25,11 @@ import math
 from fractions import Fraction
 from itertools import count, takewhile, zip_longest
 
+from .catalog import get_lambency
 from .cyclo import ex
-from .errors import InsufficientDepth, MissingSource, UnknownName
+from .errors import (
+    InsufficientDepth, LevelMismatch, MissingSource, UnknownName,
+)
 from .jacobi import stream_combination
 from .series import (
     QSeries, _slot_bytes, _unpack, series_add, series_half_shift,
@@ -322,19 +325,21 @@ def verify_table14_15(name, source=None, order=None):
     the source justifies); order defaults to 15.
 
     source: CoeffTable for the row's lambency (defaults to the catalog
-    fixture; MissingSource when there is none).  Returns the series_verdict
-    with the row's name; InsufficientDepth when the source reaches no
-    coefficient.
+    fixture; MissingSource when there is none, LevelMismatch when its index
+    is not the lambency's).  Returns the series_verdict with the row's
+    name; InsufficientDepth when the source reaches no coefficient.
     """
-    from .catalog import get_lambency
     if name not in ROWS:
         raise UnknownName(name)
     row = ROWS[name]
+    lam = get_lambency(row.lambency)
     if source is None:
-        source = get_lambency(row.lambency).fixture
+        source = lam.fixture
         if source is None:
             raise MissingSource(
                 f"{row.lambency} needs ingested data for row {name}")
+    elif source.m != lam.m:
+        raise LevelMismatch(f"row {name} needs index {lam.m}, not {source.m}")
     rhs = stream_combination(source, row.terms,
                              15 if order is None else order, row.s, row.b,
                              row.arg, row.pre, row.const)

@@ -8,13 +8,16 @@ import math
 from fractions import Fraction
 from math import isqrt
 
-from mjtheta.arith import is_square
 from mjtheta.cyclo import ciszero
 from mjtheta.errors import InsufficientDepth
 from mjtheta.jacobi import (
     NEG_INF, POS_INF, _canonical, _stream_window,
 )
 from mjtheta.series import QSeries
+
+
+def is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def omega_entry(m, n, r, rp):

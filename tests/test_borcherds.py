@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, isqrt
@@ -452,8 +455,33 @@ def test_psi_structural_zero_orbit_raises():
     # 6+2 and 0, 6 by antisymmetry, so no read ever runs out of depth
     with pytest.raises(ExcludedDiscriminant, match=r"6\+2 D=-15 r=3"):
         psi_expand("6+2", -15, 3)
-    # an explicit order still truncates the (trivial) product
-    assert psi_expand("6+2", -15, 3, order=6).items() == [(0, 1)]
+    # so does an explicit order
+    with pytest.raises(ExcludedDiscriminant, match=r"6\+2 D=-15 r=3"):
+        psi_expand("6+2", -15, 3, order=6)
+
+
+# a D of 42 digits takes trial division forever, so each of these must
+# fail before is_fundamental sees it: at the structural zeros of r = 3,
+# and at the first read, which an order of 1 makes too
+HUGE_D = {
+    "ExcludedDiscriminant": "psi_expand('6+2', 9 - 24 * 10 ** 40, 3, order=6)",
+    "InsufficientDepth": "psi_expand('6+2', 1 - 24 * 10 ** 40, 1, order=1)",
+}
+
+
+@pytest.mark.parametrize("error", HUGE_D)
+def test_psi_huge_discriminant_at_an_explicit_order_fails_fast(error):
+    # in a child with a timeout, so that a regression fails and does not
+    # hang the suite
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("from mjtheta.borcherds import psi_expand\n"
+             f"try:\n    {HUGE_D[error]}\n"
+             "except Exception as e:\n    print(type(e).__name__)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, f"{error}\n"), proc.stderr
 
 
 # -- rational fitting -----------------------------------------------------

@@ -1,8 +1,9 @@
 """Every name in a module's __all__ exists, so a deletion that leaves a
 stale export fails here and not at the first `from mjtheta.x import *`;
 every name a module, test, demo or tool imports is used there or
-exported, so a deletion leaves no import behind; and every error class is
-raised somewhere in the package, so a deletion leaves no error behind."""
+exported, so a deletion leaves no import behind; every error class is
+raised somewhere in the package, so a deletion leaves no error behind;
+and every module imports only from the layers below it."""
 
 import ast
 import importlib
@@ -84,3 +85,40 @@ def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(p.read_text()) for p in SOURCES
                            if p.parent.name == "mjtheta"))
     assert sorted(classes - raised) == []
+
+
+# the package's modules, lowest layer first
+LAYERS = ["errors", "arith", "cyclo", "series", "eta", "jacobi", "catalog",
+          "mocktheta", "borcherds", "cli"]
+
+
+def package_imports(source):
+    """The package modules that `source` imports from by relative import,
+    at module or function level."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(a.name for a in node.names)
+    return out
+
+
+def test_package_import_check_sees_them():
+    assert package_imports(
+        "import os\nfrom .a import b\nfrom . import c\n"
+        "def f():\n    from .d.e import g\n") == {"a", "c", "d"}
+
+
+def test_imports_follow_the_layers():
+    package = pathlib.Path(mjtheta.__path__[0])
+    # the package root only re-exports
+    assert sorted(p.stem for p in package.glob("*.py")
+                  if p.stem != "__init__") == sorted(LAYERS)
+    for i, name in enumerate(LAYERS):
+        imported = package_imports((package / f"{name}.py").read_text())
+        assert imported <= set(LAYERS[:i]), (name, imported)
+    # tables hold ints: no cyclotomic arithmetic reaches them
+    assert "cyclo" not in package_imports(
+        (package / "jacobi.py").read_text())

@@ -17,12 +17,15 @@ from fractions import Fraction
 from mjtheta.borcherds import QuadForm, enumerate_heegner, fit_case, \\
     genus_char, psi_expand
 from mjtheta.catalog import get_lambency
-from mjtheta.jacobi import CoeffTable, ez_apply, table_lin_comb
+from mjtheta.jacobi import CoeffTable, ez_apply, table_sum
 from mjtheta.cyclo import ex
-from mjtheta.mocktheta import verify_andrews_hickerson, verify_watson
+from mjtheta.mocktheta import (
+    verify_andrews_hickerson, verify_table14_15, verify_watson,
+)
 from mjtheta.series import QSeries, series_slice
 T5 = CoeffTable(5, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
+F102 = get_lambency("10+2").fixture
 """
 
 # name: (error class, expression)
@@ -45,7 +48,7 @@ CASES = {
     # conj S^2 / S^2 of the divisor's degree 2
     "fit of a product off the divisor's shape": (
         "NoSolutionWithinDegree",
-        "fit_case('6+2', -8, 4, table=table_lin_comb([(2, F62)]))"),
+        "fit_case('6+2', -8, 4, table=table_sum([F62, F62]))"),
     # a 2-coefficient window against S of degree 20
     "fit of a degree the window cannot pin": (
         "Underdetermined", "fit_case('20+4', -119, 11)"),
@@ -64,18 +67,42 @@ CASES = {
     "slice modulo -1": ("Divergent",
                         "series_slice(QSeries({0: 1}, 5), 0, -1)"),
     "ez_apply outside O_m": ("CongruenceViolation", "ez_apply(T5, 2)"),
-    # C(-20, 2) = 16 becomes 16/3, and 16 zeta_3
+    # C(-20, 2) = 16 as 16/3, and as zeta_3: table values are ints, so
+    # the table that would give such an exponent cannot be built
     "Borcherds exponent not an integer": (
-        "NonIntegralExponent",
+        "NonIntegralCoefficient",
         "psi_expand('6+2', -20, 2, "
-        "table=table_lin_comb([(Fraction(1, 3), F62)]))"),
+        "table=CoeffTable(6, {(-20, 2): Fraction(16, 3)}, {2: (-20, 4)}))"),
     "Borcherds exponent not rational": (
-        "NonIntegralExponent",
-        "psi_expand('6+2', -20, 2, table=table_lin_comb([(ex('1/3'), F62)]))"),
-    "table_lin_comb of nothing": ("LevelMismatch", "table_lin_comb([])"),
-    "table_lin_comb across indices": (
-        "LevelMismatch",
-        "table_lin_comb([(1, T5), (1, CoeffTable(6, {}, {}))])"),
+        "NonIntegralCoefficient",
+        "psi_expand('6+2', -20, 2, "
+        "table=CoeffTable(6, {(-20, 2): ex('1/3')}, {2: (-20, 4)}))"),
+    # equal to an int or not, a value of another type is refused; a zero
+    # is checked like any other value
+    "table value a Fraction": (
+        "NonIntegralCoefficient",
+        "CoeffTable(5, {(-19, 1): Fraction(16)}, {1: (-100, 1)})"),
+    "table value a bool": (
+        "NonIntegralCoefficient",
+        "CoeffTable(5, {(-19, 1): True}, {1: (-100, 1)})"),
+    "table value a float": (
+        "NonIntegralCoefficient",
+        "CoeffTable(5, {(-19, 1): 2.0}, {1: (-100, 1)})"),
+    "table zero a Fraction": (
+        "NonIntegralCoefficient",
+        "CoeffTable(5, {(-19, 1): Fraction(0)}, {1: (-100, 1)})"),
+    "table_sum of nothing": ("LevelMismatch", "table_sum([])"),
+    "table_sum across indices": (
+        "LevelMismatch", "table_sum([T5, CoeffTable(6, {}, {})])"),
+    # an index-10 table read at index-6 discriminants: off its classes
+    # every read is 0 at any depth, so the product never ended and the
+    # row reported a false mismatch
+    "Borcherds product from a table of another index": (
+        "LevelMismatch", "psi_expand('6+2', -8, 4, table=F102)"),
+    "fit from a table of another index": (
+        "LevelMismatch", "fit_case('6+2', -8, 4, table=F102)"),
+    "table row from a table of another index": (
+        "LevelMismatch", "verify_table14_15('3:f', source=F102, order=12)"),
     # an order <= 0 compares nothing, so no verdict can be given
     "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
     "Andrews-Hickerson at order -3": (
@@ -88,13 +115,8 @@ VALUES = {
     # zeros at r = 0 and r = m obey the residue rule and are not stored
     "zero entries at r = 0 and r = m": (
         {(-19, 1): 2},
-        "CoeffTable(5, {(-20, 0): 0, (5, 5): Fraction(0), (-19, 1): 2}, "
+        "CoeffTable(5, {(-20, 0): 0, (5, 5): 0, (-19, 1): 2}, "
         "{0: (-100, 1), 1: (-100, 1), 5: (-100, 5)}).entries"),
-    # integral exponents held as Fractions give the product of the ints
-    "Borcherds exponents as Fractions": (
-        True, "psi_expand('6+2', -20, 2, "
-              "table=table_lin_comb([(Fraction(1), F62)]))"
-              ".coeffs == psi_expand('6+2', -20, 2).coeffs"),
     # the least order that reaches a coefficient: q^0
     "Watson and Andrews-Hickerson at order 1": (
         ["1"] * 6, "[str(r['depth']) for r in verify_watson(1) "
