@@ -323,9 +323,11 @@ def _psi_log(symbol, D, r, order=None, table=None):
         except InsufficientDepth:
             break
         n += 1
-    if not exponents:
-        raise InsufficientDepth(
-            f"table gives no C({D}, {r}): cannot start the product")
+    # reads that met only rows which never run out saw structural zeros
+    if not any(exponents) and not any(
+            _runs_out(table, r * n) for n in range(1, len(exponents) + 1)):
+        raise InsufficientDepth(f"table gives no C({D} n^2, {r} n) but "
+                                "structural zeros: cannot start the product")
     # after the reads: factoring a D far beyond the table takes forever
     if not is_fundamental(D):
         raise BadDiscriminant(need)

@@ -12,8 +12,8 @@ Q(zeta_N) = Q(zeta_{N/2})).  So two values are equal exactly when their
 
 A Cyc has no arithmetic operators.  Code elsewhere treats coefficient
 values as ``int | Fraction | Cyc`` and computes with the one set of
-helpers below (cadd, cmul, cneg, cinv, ciszero), which take any of the
-three; cadd, cmul and cneg keep int op int an int.
+helpers below (cadd, cmul, ciszero), which take any of the three; cadd
+and cmul keep int op int an int.
 """
 
 from fractions import Fraction
@@ -23,8 +23,7 @@ from math import lcm
 from .arith import divisors, prime_factorization
 
 __all__ = [
-    "Cyc", "ex", "cyclotomic_poly", "cadd", "cmul", "cneg", "cinv",
-    "ciszero", "cformat",
+    "Cyc", "ex", "cyclotomic_poly", "cadd", "cmul", "ciszero", "cformat",
 ]
 
 
@@ -208,12 +207,6 @@ def cadd(a, b):
     return Cyc.make(n, [x + y for x, y in zip(ca, cb)])
 
 
-def cneg(a):
-    if isinstance(a, Cyc):
-        return Cyc(a.n, tuple(-x for x in a.c))
-    return -a if type(a) in _RATIONAL else -Fraction(a)
-
-
 def cmul(a, b):
     if type(a) in _RATIONAL and type(b) in _RATIONAL:
         return a * b
@@ -230,58 +223,12 @@ def cmul(a, b):
     return Cyc.make(n, _poly_mul(_lift(a, n), _lift(b, n)))
 
 
-def cinv(a):
-    """Multiplicative inverse of a nonzero value."""
-    if not isinstance(a, Cyc):
-        return 1 / Fraction(a)
-    # extended Euclid in Q[x] against Phi_n
-    n = a.n
-    mod = [Fraction(c) for c in cyclotomic_poly(n)]
-    r0, r1 = mod, list(a.c)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(x != 0 for x in r1):
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 = gcd (a constant, since Phi_n is irreducible and a != 0 mod Phi_n)
-    while r0 and r0[-1] == 0:
-        r0.pop()
-    assert len(r0) == 1, "inverse of zero or non-unit"
-    inv_const = 1 / r0[0]
-    # a and 1/a generate the same field, so n stays minimal
-    return Cyc(n, _reduce_mod_phi([x * inv_const for x in s0], n))
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    while b and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / b[-1]
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db] if db > 0 else [Fraction(0)]
-
-
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
     return out
 
 

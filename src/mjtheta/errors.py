@@ -5,10 +5,6 @@ class MJTError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonInvertibleLeadingTerm(MJTError):
-    """Raised when a series reciprocal is requested but no leading term exists."""
-
-
 class LevelMismatch(MJTError):
     """An eta factor n_i is not a positive divisor of the ambient level m,
     or the quotient's Fricke multiplier at level m is irrational; also a
@@ -72,8 +68,10 @@ class BadDiscriminant(MJTError):
 
 
 class NonIntegralCoefficient(MJTError):
-    """A coefficient table is given a value that is not an int.  Table
-    values are ints, so every Borcherds exponent C(D n^2, r n) is one."""
+    """A coefficient table is given a value that is not an int, or
+    series_mul an operand with one.  Table values are ints, so every
+    Borcherds exponent C(D n^2, r n) is one; every product the package
+    forms is a product of int series."""
 
 
 class ExcludedDiscriminant(MJTError):

@@ -2,22 +2,22 @@
 
 A :class:`QSeries` is a finite q-expansion sum_x c(x) q^x where the exponents
 x are rationals with a common denominator ``den`` and the coefficients are
-exact (int / Fraction / Cyc).  Every series carries a justified window: all
-coefficients at exponents strictly below ``order`` (a Fraction) are known
-exactly, absent ones being zero.  Nothing at or above ``order`` may be
-trusted.  All operations propagate the window honestly.
+exact (int / Fraction / Cyc); products are formed of int series only.
+Every series carries a justified window: all coefficients at exponents
+strictly below ``order`` (a Fraction) are known exactly, absent ones being
+zero.  Nothing at or above ``order`` may be trusted.  All operations
+propagate the window honestly.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, gcd, lcm
 
-from .cyclo import cadd, cmul, cneg, cinv, ciszero, ex, cformat
-from .errors import Divergent, NonInvertibleLeadingTerm
+from .cyclo import cadd, cmul, ciszero, ex, cformat
+from .errors import Divergent, NonIntegralCoefficient
 
 __all__ = [
-    "QSeries", "series_add", "series_scale", "series_mul", "series_pow",
-    "series_rescale", "series_half_shift", "series_slice", "series_shift",
-    "series_verdict",
+    "QSeries", "series_add", "series_scale", "series_mul", "series_rescale",
+    "series_half_shift", "series_slice", "series_shift", "series_verdict",
 ]
 
 
@@ -96,34 +96,18 @@ def _lo_eff(s):
 
 
 def series_mul(a, b):
+    """a * b for series with int coefficients, which every product the
+    package forms has; any other value raises NonIntegralCoefficient."""
     den, ca, cb = _align(a, b)
+    if not all(type(v) is int for c in (ca, cb) for v in c.values()):
+        raise NonIntegralCoefficient("series_mul multiplies int series only")
     order = min(a.order + _lo_eff(b), b.order + _lo_eff(a))
-    cutoff = ceil(order * den)
-    if _all_int(ca) and _all_int(cb):
-        out = _mul_kronecker(ca, cb, cutoff)
-    else:
-        out = _mul_pairs(ca, cb, cutoff)
-    return QSeries(out, order, den)
-
-
-def _all_int(coeffs):
-    return all(type(v) is int for v in coeffs.values())
-
-
-def _mul_pairs(ca, cb, cutoff):
-    """Coefficients of the product at keys below the cutoff, one pair of
-    terms at a time: the kernel for Fraction and Cyc values."""
-    out = {}
-    for ka, va in ca.items():
-        for kb, vb in cb.items():
-            k = ka + kb
-            if k < cutoff:
-                out[k] = cadd(out.get(k, 0), cmul(va, vb))
-    return out
+    return QSeries(_mul_kronecker(ca, cb, ceil(order * den)), order, den)
 
 
 def _mul_kronecker(ca, cb, cutoff):
-    """_mul_pairs for int values by Kronecker substitution.
+    """Coefficients of the product of int series at keys below the cutoff,
+    by Kronecker substitution.
 
     Each operand becomes one integer with an s-byte slot per step g of its
     keys (g the gcd of all key offsets), so that a single bigint multiply
@@ -179,52 +163,6 @@ def _pack(coeffs, keys, lo, g, s, half):
         slots[(k - lo) // g] = (coeffs[k] + half).to_bytes(s, "little")
     return (int.from_bytes(b"".join(slots), "little")
             - int.from_bytes(zero * m, "little"))
-
-
-def _reciprocal(a):
-    """1/a for a series with nonempty support (Laurent inversion)."""
-    if not a.coeffs:
-        raise NonInvertibleLeadingTerm("series has no known nonzero term")
-    den = a.den
-    keys = sorted(a.coeffs)
-    l = keys[0]
-    c0 = a.coeffs[l]
-    # a lead of +-1 is its own inverse, so int series stay int
-    c0inv = c0 if c0 in (1, -1) else cinv(c0)
-    # a = q^(l/den) * c0 * (1 + u); invert the unit part by the standard
-    # recurrence, valid over the same relative window
-    rel = floor(a.order * den) - l  # relative window in key units
-    u = {k - l: cmul(v, c0inv) for k, v in a.coeffs.items() if k != l}
-    binv = {0: 1}
-    for n in range(1, rel):
-        acc = 0
-        for j, uj in u.items():
-            if j <= n and (n - j) in binv:
-                acc = cadd(acc, cmul(uj, binv[n - j]))
-        if not ciszero(acc):
-            binv[n] = cneg(acc)
-    out = {k - l: cmul(v, c0inv) for k, v in binv.items()}
-    return QSeries(out, Fraction(rel - l, den), den)
-
-
-def series_pow(a, e):
-    """a**e for integer e (negative allowed when a has an invertible leading
-    term)."""
-    if e == 0:
-        # the window of a**0 is still limited by the relative precision of a
-        return QSeries({0: Fraction(1)}, a.order - _lo_eff(a), a.den)
-    if e < 0:
-        return series_pow(_reciprocal(a), -e)
-    result = None
-    base = a
-    k = e
-    while k:
-        if k & 1:
-            result = base if result is None else series_mul(result, base)
-        k >>= 1
-        if k:
-            base = series_mul(base, base)
-    return result
 
 
 def series_rescale(a, t):

@@ -16,17 +16,16 @@ from mjtheta.borcherds import (
     psi_expand,
 )
 from mjtheta.catalog import get_lambency, load_catalog
-from mjtheta.cyclo import Cyc, cadd, cinv, ciszero, cmul, cneg, ex
+from mjtheta.cyclo import Cyc, cadd, ciszero, cmul, ex
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, NoSolutionWithinDegree, Underdetermined,
 )
 from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
-from mjtheta.series import (
-    QSeries, series_add, series_mul, series_pow, series_scale,
-)
+from mjtheta.series import QSeries, series_add, series_mul, series_scale
 
+from product_oracles import cinv, pair_mul, power
 from series_terms import from_terms
 
 rng = random.Random(20260824)
@@ -405,12 +404,11 @@ def test_psi_first_coefficient_oracle():
 def test_psi_real_form():
     # conjugation composed with b -> -b inverts the product, so
     # psi * conj(psi) = 1 exactly (the "modulus one" real-form check)
-    from mjtheta.series import series_mul
     for sym, D, r in [("6+2", -20, 2), ("10+2", -4, 6), ("12+3", -15, 9)]:
         psi = psi_expand(sym, D, r)
         conj = QSeries({k: cconj(v) for k, v in psi.coeffs.items()},
                        psi.order, psi.den)
-        prod = series_mul(psi, conj)
+        prod = pair_mul(psi, conj)
         assert prod.items() == [(0, 1)]
 
 
@@ -469,19 +467,34 @@ HUGE_D = {
 }
 
 
-@pytest.mark.parametrize("error", HUGE_D)
-def test_psi_huge_discriminant_at_an_explicit_order_fails_fast(error):
-    # in a child with a timeout, so that a regression fails and does not
-    # hang the suite
+def raised_in_a_child(call):
+    """The name of the error `call` raises, run in a child with a timeout,
+    so that a regression fails and does not hang the suite."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("from mjtheta.borcherds import psi_expand\n"
-             f"try:\n    {HUGE_D[error]}\n"
+    probe = ("from math import inf\n"
+             "from mjtheta.borcherds import psi_expand\n"
+             "from mjtheta.jacobi import CoeffTable\n"
+             f"try:\n    {call}\n"
              "except Exception as e:\n    print(type(e).__name__)\n")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=20)
-    assert (proc.returncode, proc.stdout) == (0, f"{error}\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("error", HUGE_D)
+def test_psi_huge_discriminant_at_an_explicit_order_fails_fast(error):
+    assert raised_in_a_child(HUGE_D[error]) == error
+
+
+def test_psi_huge_discriminant_past_an_unbounded_row_fails_fast():
+    # C(D, 1) = 0 comes from a row that never runs out, and C(4D, 2) is
+    # past its row: the table reached only structural zeros
+    assert raised_in_a_child(
+        "psi_expand('6+2', 1 - 24 * 10 ** 40, 1, table=CoeffTable(6, {}, "
+        "{1: (-inf, 1), 2: (-100, 4)}))") == "InsufficientDepth"
 
 
 # -- rational fitting -----------------------------------------------------
@@ -541,7 +554,7 @@ def test_fit_cases(sym, D, r, deg):
     assert rep["Q"][-1] == 1 and rep["P"][-1] == 1
     # real product: numerator and denominator are complex conjugates
     for p, q in zip(rep["P"], rep["Q"]):
-        assert ciszero(cadd(p, cneg(cconj(q)))), (sym, p, q)
+        assert ciszero(cadd(p, cmul(cconj(q), -1))), (sym, p, q)
 
 
 def test_fit_case_frozen_gaussian():
@@ -582,8 +595,8 @@ def cyc_product(lam, D, r, order=None):
             if k == 0:
                 continue
             zeta = ex(Fraction(b, D))
-            factor = from_terms([(0, 1), (n, cneg(zeta))], window)
-            out = series_mul(out, series_pow(factor, k * e))
+            factor = from_terms([(0, 1), (n, cmul(zeta, -1))], window)
+            out = pair_mul(out, power(factor, k * e))
     return out
 
 
@@ -603,7 +616,7 @@ def cyc_solve(rows, n_unknowns):
         rows[rank] = [cmul(inv, v) for v in rows[rank]]
         for i in range(len(rows)):
             if i != rank and not ciszero(rows[i][col]):
-                f = cneg(rows[i][col])
+                f = cmul(rows[i][col], -1)
                 rows[i] = [cadd(v, cmul(f, w))
                            for v, w in zip(rows[i], rows[rank])]
         pivots[col] = rank
@@ -632,9 +645,9 @@ def cyc_fit(psi, T, max_deg):
                    key=lambda p: (max(p), p[0] + p[1], p[1]))
     skipped_short = False
     for dp, dq in pairs:
-        cols = [series_mul(psi, Tpow[i]) for i in range(dq)]
+        cols = [pair_mul(psi, Tpow[i]) for i in range(dq)]
         cols += [series_scale(Tpow[j], -1) for j in range(dp + 1)]
-        rhs = series_scale(series_mul(psi, Tpow[dq]), -1)
+        rhs = series_scale(pair_mul(psi, Tpow[dq]), -1)
         window = min(s.order for s in cols + [rhs])
         lo = min(min([0] + [x for x, _v in s.items()]) for s in cols + [rhs])
         xs = range(int(lo), int(window))
@@ -646,8 +659,8 @@ def cyc_fit(psi, T, max_deg):
         if solved is None:
             continue
         sol, rank = solved
-        if all(ciszero(cadd(row[-1], cneg(reduce(
-                cadd, map(cmul, row[:-1], sol), 0))))
+        if all(ciszero(cadd(row[-1], cmul(reduce(
+                cadd, map(cmul, row[:-1], sol), 0), -1)))
                for row in rows):
             return list(sol[dq:]), list(sol[:dq]) + [1], rank
     if skipped_short:
@@ -660,7 +673,7 @@ def split(v, D):
     -G): x = (v + conj v) / 2, y = (v - conj v) / 2G."""
     G = borcherds._gauss_sum(D)
     x = cmul(Fraction(1, 2), cadd(v, cconj(v)))
-    y = cmul(cmul(Fraction(1, 2), cadd(v, cneg(cconj(v)))), cinv(G))
+    y = cmul(cmul(Fraction(1, 2), cadd(v, cmul(cconj(v), -1))), cinv(G))
     return as_fraction(x), as_fraction(y)
 
 
@@ -731,7 +744,7 @@ def test_psi_coords_take_the_kth_root(sym, D, r, k):
     root = QSeries({N: cadd(x, cmul(y, G)) for N, (x, y)
                     in enumerate(zip(*borcherds._psi_coords(c, D, k)))},
                    window)
-    assert series_pow(root, k).coeffs == psi_expand(sym, D, r).coeffs
+    assert power(root, k).coeffs == psi_expand(sym, D, r).coeffs
 
 
 BENCH_FITS = [("10+2", -4, 6), ("6+2", -8, 4), ("18+2", -8, 8),
@@ -765,9 +778,9 @@ def poly_root(Q, k):
     for i in range(1, e + 1):
         Sk = reduce(poly_mul, [S] * k)
         S[e - i] = cmul(Fraction(1, k),
-                        cadd(Q[k * e - i], cneg(Sk[k * e - i])))
+                        cadd(Q[k * e - i], cmul(Sk[k * e - i], -1)))
     Sk = reduce(poly_mul, [S] * k)
-    return S if all(ciszero(cadd(a, cneg(b)))
+    return S if all(ciszero(cadd(a, cmul(b, -1)))
                     for a, b in zip(Sk, Q)) else None
 
 
@@ -786,7 +799,7 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     Tpow = [QSeries({0: 1}, T.order)]
     for _ in range(4):
         Tpow.append(series_mul(Tpow[-1], T))
-    resid = series_add(series_mul(poly_in_T(Q, Tpow), psi),
+    resid = series_add(pair_mul(poly_in_T(Q, Tpow), psi),
                        series_scale(poly_in_T(P, Tpow), -1))
     assert resid.coeffs == {} and resid.order == psi.order - 4
     # the surplus rows check every coefficient of the window: changing one
@@ -800,7 +813,7 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     # S = sqrt Q lies in O_{Q(sqrt D)}[T]: its roots, the values of T at
     # the Heegner points, are algebraic integers (trace and norm in Z)
     S = poly_root(Q, 2)
-    assert S is not None and all(ciszero(cadd(p, cneg(cconj(q))))
+    assert S is not None and all(ciszero(cadd(p, cmul(cconj(q), -1)))
                                  for p, q in zip(P, Q))
     for v in S:
         x, y = split(v, D)
@@ -871,10 +884,10 @@ def test_fit_coords_matches_the_cyclotomic_fit(D, coords, e, k):
         Tpow.append(series_mul(Tpow[-1], T))
     S_T, conj_T = (poly_in_T([cadd(a, cmul(sign * b, G)) for a, b in S],
                              Tpow) for sign in (1, -1))
-    R = series_mul(conj_T, series_pow(S_T, -1))
+    R = pair_mul(conj_T, power(S_T, -1))
     X, Y = (list(c) for c in zip(*(split(R.coeff(N), D)
                                    for N in range(int(R.order)))))
-    P, Q, _rank = cyc_fit(series_pow(R, k), T, e * k)
+    P, Q, _rank = cyc_fit(power(R, k), T, e * k)
     if len(Q) - 1 < e * k:
         # S and conj S share a factor H over Q, so S H'/H solves for any
         # monic H' over Q of H's degree: a kernel
@@ -897,14 +910,15 @@ def test_product_and_fit_do_no_cyclotomic_arithmetic(monkeypatch):
         return wrapped
 
     def banned(*args):
-        raise AssertionError("Cyc.make or series_pow called")
+        raise AssertionError("Cyc.make called")
 
+    # the package has no field inverse, negation or power to call
+    assert not any(hasattr(mod, name) for mod in (cyclo, series)
+                   for name in ("cinv", "cneg", "series_pow"))
     for mod in (cyclo, series):
-        for name in ("cadd", "cmul", "cinv", "cneg"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name,
-                                    rational_only(getattr(cyclo, name)))
-    monkeypatch.setattr(series, "series_pow", banned)
+        for name in ("cadd", "cmul"):
+            monkeypatch.setattr(mod, name,
+                                rational_only(getattr(cyclo, name)))
     monkeypatch.setattr(Cyc, "make", banned)
     rep = fit_case("15+5", -11, 7)
     psi_expand("15+5", -11, 7)

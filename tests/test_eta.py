@@ -11,10 +11,9 @@ from mjtheta.eta import (
     EtaQuotient, parse_eta, format_eta, eta_expand, eta_fricke, eta_dlog,
     verify_fricke_constant, _dlog_coeffs, _unit_coeffs, _unit_recurrence,
 )
-from mjtheta.series import (
-    QSeries, series_mul, series_pow, series_rescale, series_verdict,
-)
+from mjtheta.series import QSeries, series_mul, series_rescale, series_verdict
 
+from product_oracles import pair_mul, power
 from series_terms import from_terms
 
 
@@ -52,8 +51,8 @@ def product_expand(e, order):
     for n, d in e.factors:
         # (E(q^n))^d needs E to relative order ceil(rel/n)
         need = max(int(rel / n) + 1, 1)
-        block = series_pow(series_rescale(_euler_product(need), n), d)
-        result = series_mul(result, block)
+        block = power(series_rescale(_euler_product(need), n), d)
+        result = pair_mul(result, block)
     # the product of unit series times a monomial is justified to `order`
     return QSeries(result.coeffs, min(result.order, order), result.den)
 
@@ -247,7 +246,7 @@ def numeric_dlog(e, order):
     f = eta_expand(e, order)
     theta = QSeries({k: v * Fraction(k, f.den) for k, v in f.coeffs.items()},
                     f.order, f.den)
-    return series_mul(theta, series_pow(f, -1))
+    return pair_mul(theta, power(f, -1))
 
 
 def test_dlog_against_log_derivative():

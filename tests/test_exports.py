@@ -3,7 +3,9 @@ stale export fails here and not at the first `from mjtheta.x import *`;
 every name a module, test, demo or tool imports is used there or
 exported, so a deletion leaves no import behind; every error class is
 raised somewhere in the package, so a deletion leaves no error behind;
-and every module imports only from the layers below it."""
+every private function of the package is read outside its own definition,
+so a deletion leaves no helper behind; and every module imports only from
+the layers below it."""
 
 import ast
 import importlib
@@ -85,6 +87,46 @@ def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(p.read_text()) for p in SOURCES
                            if p.parent.name == "mjtheta"))
     assert sorted(classes - raised) == []
+
+
+def unread_private_functions(sources):
+    """Names of the private functions (`_name`, not dunder) defined in
+    `sources` that no expression reads outside their own definitions, as
+    a name or as an attribute."""
+    defined, read = set(), set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name.startswith("_") and \
+                        not child.name.endswith("__"):
+                    defined.add(child.name)
+                visit(child, inside | {child.name})
+                continue
+            if isinstance(child, ast.Name) and child.id not in inside:
+                read.add(child.id)
+            elif isinstance(child, ast.Attribute) and \
+                    child.attr not in inside:
+                read.add(child.attr)
+            visit(child, inside)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return sorted(defined - read)
+
+
+def test_unread_private_function_check_sees_them():
+    assert unread_private_functions([
+        "def _a(n):\n    return _a(n - 1)\n"
+        "def _b():\n    pass\n"
+        "class C:\n    def _c(self):\n        pass\n"
+        "    def __eq__(self, o):\n        return self._c()\n",
+        "from .x import _b\nprint(_b)\n"]) == ["_a"]
+
+
+def test_every_private_function_is_read():
+    assert unread_private_functions(
+        p.read_text() for p in SOURCES if p.parent.name == "mjtheta") == []
 
 
 # the package's modules, lowest layer first

@@ -22,7 +22,7 @@ from mjtheta.cyclo import ex
 from mjtheta.mocktheta import (
     verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
-from mjtheta.series import QSeries, series_slice
+from mjtheta.series import QSeries, series_mul, series_slice
 T5 = CoeffTable(5, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
 F102 = get_lambency("10+2").fixture
@@ -91,6 +91,13 @@ CASES = {
     "table zero a Fraction": (
         "NonIntegralCoefficient",
         "CoeffTable(5, {(-19, 1): Fraction(0)}, {1: (-100, 1)})"),
+    # every product the package forms is one of int series
+    "series_mul of a Fraction series": (
+        "NonIntegralCoefficient",
+        "series_mul(QSeries({0: 1}, 5), QSeries({0: Fraction(1, 2)}, 5))"),
+    "series_mul of a Cyc series": (
+        "NonIntegralCoefficient",
+        "series_mul(QSeries({0: ex('1/3'), 1: 1}, 5), QSeries({0: 1}, 5))"),
     "table_sum of nothing": ("LevelMismatch", "table_sum([])"),
     "table_sum across indices": (
         "LevelMismatch", "table_sum([T5, CoeffTable(6, {}, {})])"),
