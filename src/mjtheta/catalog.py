@@ -15,6 +15,9 @@ with the residue rule of jacobi.CoeffTable -- copying rows with its sign,
 deriving forced-zero rows, and asserting consistency whenever two printed
 rows meet the same orbit.  Residues whose orbit meets no printed row carry
 no data at all (reads there raise InsufficientDepth rather than guessing).
+
+The multiplicative relations are data: pairs of jacobi.Stream, one over a
+fixture and one over an ingested table, that verify_mult_relation builds.
 """
 
 import csv
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .eta import parse_eta
 from .jacobi import (
-    NEG_INF, POS_INF, CoeffTable, _canonical, ez_apply,
+    NEG_INF, POS_INF, CoeffTable, Stream, _canonical, ez_apply,
     shadow_kernel, stream_combination, table_sum,
 )
 from .series import series_verdict
@@ -312,86 +315,66 @@ def construct_averaged(symbol, h):
 
 # -- multiplicative relations ---------------------------------------------
 
-class MultLine:
-    """One verification line: pre * sum_n H_{base+step*n}(a tau + b) on the
-    side of the catalog lambency, against rhs_pre * H_{class,r}(a' tau + b')
-    on the ingested side, for r in rset (residues of the ingested level)."""
-
-    def __init__(self, rset, base, step, count, arg, rhs_pre, rhs_arg=(1, 0),
-                 pre=None):
-        self.rset = rset
-        self.base = base          # callable r -> starting residue
-        self.step = step
-        self.count = count
-        self.arg = arg            # (a, b): tau -> a tau + b
-        self.pre = pre            # callable r -> scalar, default 1
-        self.rhs_pre = rhs_pre    # callable r -> scalar
-        self.rhs_arg = rhs_arg
+def _progression(lhs, rhs, rs, step, count, a, c=1):
+    """For each r in rs: sum_{i < count} H_{r + step i}(a tau) of lhs
+    against c H_r of rhs."""
+    return [(Stream(lhs, [(1, r + step * i) for i in range(count)],
+                    arg=(a, 0)), Stream(rhs, [(1, r)], pre=c)) for r in rs]
 
 
-def _line(rset, step, count, a, rhs_c):
-    return MultLine(rset, lambda r: r, step, count, (a, 0),
-                    lambda r: rhs_c)
+HALF = Fraction(1, 2)
 
-
+# row -> (class, [(catalog side, ingested side)]): each pair of Streams is
+# one identity, its catalog side over the fixture of the row's lambency,
+# its ingested side over the class's table of an L1+ lambency.
 MULT_RELATIONS = {
-    "15+5:5A": ("15+5", "3", "5A", [_line(range(6), 6, 5, 5, 2)]),
-    "20+4:2C": ("20+4", "5", "2C", [
-        MultLine([1, 3, 7, 9], lambda r: r, 10, 2, (4, 0), lambda r: 1),
-        MultLine([2, 4, 6, 8], lambda r: 2 * r, 0, 1, (1, 0),
-                 lambda r: ex(Fraction(r * r, 160)),
-                 rhs_arg=(1, Fraction(1, 2))),
-    ]),
-    "21+3:3AB": ("21+3", "7", "3AB", [_line(range(14), 14, 3, 3, 2)]),
-    "24+8:8CD": ("24+8", "3", "8CD", [_line(range(6), 12, 4, 8, 1)]),
-    "28+7:7AB": ("28+7", "4", "7AB", [_line(range(8), 8, 7, 7, 2)]),
-    "33+11:11AB": ("33+11", "3", "11AB", [_line(range(6), 6, 11, 11, 2)]),
-    "36+4:6C": ("36+4", "3", "6C", [
-        MultLine([1, 5], lambda r: r, 12, 6, (12, 0), lambda r: 1),
-        MultLine([2], lambda r: 2, 12, 3, (3, Fraction(3, 2)),
-                 lambda r: 1, pre=lambda r: ex(Fraction(1, 6))),
-    ]),
-    "36+4:2B": ("36+4", "9", "2B", [
-        MultLine([3, 15], lambda r: r, 18, 4, (4, 0), lambda r: 1),
-        MultLine([6], lambda r: 12, 0, 1, (1, 0), lambda r: -1,
-                 rhs_arg=(1, Fraction(1, 2))),
-    ]),
-    "60+12,15,20:2A": ("60+12,15,20", "30+6,10,15", "2A",
-                       [_line(range(60), 60, 2, 2, 1)]),
+    "15+5:5A": ("5A", _progression("15+5", "3", range(6), 6, 5, 5, 2)),
+    "20+4:2C": ("2C", _progression("20+4", "5", [1, 3, 7, 9], 10, 2, 4) + [
+        (Stream("20+4", [(1, 2 * r)]),
+         Stream("5", [(1, r)], arg=(1, HALF), pre=ex(Fraction(r * r, 160))))
+        for r in [2, 4, 6, 8]]),
+    "21+3:3AB": ("3AB", _progression("21+3", "7", range(14), 14, 3, 3, 2)),
+    "24+8:8CD": ("8CD", _progression("24+8", "3", range(6), 12, 4, 8)),
+    "28+7:7AB": ("7AB", _progression("28+7", "4", range(8), 8, 7, 7, 2)),
+    "33+11:11AB": ("11AB",
+                   _progression("33+11", "3", range(6), 6, 11, 11, 2)),
+    "36+4:6C": ("6C", _progression("36+4", "3", [1, 5], 12, 6, 12) + [
+        (Stream("36+4", [(1, 2), (1, 14), (1, 26)], arg=(3, Fraction(3, 2)),
+                pre=ex(Fraction(1, 6))), Stream("3", [(1, 2)]))]),
+    "36+4:2B": ("2B", _progression("36+4", "9", [3, 15], 18, 4, 4) + [
+        (Stream("36+4", [(1, 12)]),
+         Stream("9", [(1, 6)], arg=(1, HALF), pre=-1))]),
+    "60+12,15,20:2A": ("2A", _progression(
+        "60+12,15,20", "30+6,10,15", range(60), 60, 2, 2)),
 }
 
 
 def verify_mult_relation(row_id, h, order=None):
-    """Check one multiplicative-relation row against ingested data, for
-    each residue to min(order, the window both tables justify); order
-    defaults to FIXTURE_DEPTH_N.
-
-    Returns the series_verdict of the first residue that mismatches (with
-    its r), else "verified" with the least depth reached; raises
-    MissingSource when the ingested side is absent and InsufficientDepth
+    """Check one multiplicative-relation row against ingested data, pair
+    by pair, to min(order, the window both tables justify; default
+    FIXTURE_DEPTH_N).  Returns the series_verdict of the first pair that
+    mismatches (with its ingested residue r), else "verified" with the
+    least depth.  MissingSource when the catalog side reads a fixture row
+    the catalog lacks, or the ingested side is absent; InsufficientDepth
     when a stream reaches no coefficient."""
     if row_id not in MULT_RELATIONS:
         raise UnknownLambency(row_id)
-    lhs_sym, rhs_sym, cls, lines = MULT_RELATIONS[row_id]
-    lam = get_lambency(lhs_sym)
-    if lam.fixture is None:
-        raise MissingSource(f"{lhs_sym} has no fixture table")
-    rhs_t = h.get(rhs_sym, cls)
+    cls, pairs = MULT_RELATIONS[row_id]
+    lam = get_lambency(pairs[0][0].lambency)  # every pair reads its fixture
+    missing = sorted({rc for lhs, _rhs in pairs for _c, r in lhs.terms
+                      for rc, sign in [_canonical(lam.m, r)]
+                      if sign and rc not in lam.fixture.ranges})
+    if missing:
+        raise MissingSource(f"{lam.symbol} has no fixture rows {missing}")
     order = FIXTURE_DEPTH_N if order is None else order
     depths = []
-    for line in lines:
-        for r in line.rset:
-            terms = [(1, line.base(r) + line.step * i)
-                     for i in range(line.count)]
-            pre = 1 if line.pre is None else line.pre(r)
-            lhs = stream_combination(lam.fixture, terms, order, arg=line.arg,
-                                     pre=pre)
-            rhs = stream_combination(rhs_t, [(1, r)], order,
-                                     arg=line.rhs_arg, pre=line.rhs_pre(r))
-            rep = series_verdict(lhs, rhs)
-            if rep["status"] != "verified":
-                return {"row": row_id, "r": r, **rep}
-            depths.append(rep["depth"])
+    for lhs, rhs in pairs:
+        rep = series_verdict(
+            stream_combination(lam.fixture, lhs, order),
+            stream_combination(h.get(rhs.lambency, cls), rhs, order))
+        if rep["status"] != "verified":
+            return {"row": row_id, "r": rhs.terms[0][1], **rep}
+        depths.append(rep["depth"])
     return {"row": row_id, "status": "verified", "depth": min(depths)}
 
 

@@ -12,8 +12,9 @@ Q(zeta_N) = Q(zeta_{N/2})).  So two values are equal exactly when their
 
 A Cyc has no arithmetic operators.  Code elsewhere treats coefficient
 values as ``int | Fraction | Cyc`` and computes with the one set of
-helpers below (cadd, cmul, ciszero), which take any of the three; cadd
-and cmul keep int op int an int.
+helpers below (cadd and cmul), which take any of the three and keep
+int op int an int.  A Cyc is never rational, so never 0: ``v == 0``
+tests any of the three for zero.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from math import lcm
 from .arith import divisors, prime_factorization
 
 __all__ = [
-    "Cyc", "ex", "cyclotomic_poly", "cadd", "cmul", "ciszero", "cformat",
+    "Cyc", "ex", "cyclotomic_poly", "cadd", "cmul", "cformat",
 ]
 
 
@@ -230,12 +231,6 @@ def _poly_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def ciszero(a):
-    if type(a) in _RATIONAL:
-        return a == 0
-    return not isinstance(a, Cyc) and Fraction(a) == 0
 
 
 def cformat(a):

@@ -23,9 +23,9 @@ class NotConstant(MJTError):
 
 class InsufficientDepth(MJTError):
     """A coefficient table was read, or given an entry, outside its justified
-    range, or for a residue with no range; or the streams of a table row or
-    relation reach no coefficient (jacobi.stream_combination), or those of
-    a Watson or Andrews-Hickerson identity at an order <= 0."""
+    range, or for a residue with no range; or a jacobi.Stream (a table row,
+    or a side of a relation) reaches no coefficient, or the series of a
+    Watson or Andrews-Hickerson identity at an order <= 0."""
 
 
 class ParseError(MJTError):
@@ -44,7 +44,8 @@ class UnknownLambency(MJTError):
 
 
 class MissingSource(MJTError):
-    """A construction needs data that has not been ingested."""
+    """A construction needs data that has not been ingested, or a fixture
+    row that the catalog does not carry (verify_mult_relation)."""
 
 
 class UnreadableSource(MJTError):

@@ -17,6 +17,8 @@ On top of the tables live:
                        C(j^2, r) = j sum_i d_i (Omega_m(n_i)_{j,r}
                                                 - Omega_m(n_i)_{-j,r})
 * h_stream          -- the theta-decomposition components as q-series
+* Stream            -- a sliced, substituted combination of them, built by
+                       stream_combination
 """
 
 import math
@@ -33,7 +35,7 @@ from .series import (
 
 __all__ = [
     "CoeffTable", "ez_apply", "sz_lift", "shadow_kernel", "h_stream",
-    "stream_combination",
+    "Stream", "stream_combination",
 ]
 
 
@@ -267,32 +269,50 @@ def h_stream(t, r, order):
                     if rr == rc}, order, 4 * m)
 
 
-def stream_combination(t, terms, order, s=0, b=1, arg=(1, 0), pre=1,
-                       const=0):
+class Stream:
     """pre * (sum_i c_i H_{r_i}) | [s; b] (A tau + B) + const, for terms
-    [(c_i, r_i)] and arg (A, B), the H_r streams of the table t.
+    [(c_i, r_i)] and arg (A, B), the H_r streams of the named lambency's
+    table: a mock theta row, or one side of a multiplicative relation.
+    s and b are Fractions or strings such as "-1/24"."""
+
+    __slots__ = ("lambency", "terms", "s", "b", "arg", "pre", "const")
+
+    def __init__(self, lambency, terms, s=0, b=1, arg=(1, 0), pre=1,
+                 const=0):
+        self.lambency = lambency
+        self.terms = terms
+        self.s = Fraction(s)
+        self.b = Fraction(b)
+        self.arg = (Fraction(arg[0]), Fraction(arg[1]))
+        self.pre = pre
+        self.const = const
+
+
+def stream_combination(t, spec, order):
+    """The series of the Stream spec, its H_r read from the table t.
 
     Its window is min(order, the window t justifies through the slice and
     the substitution); InsufficientDepth when that window reaches no
     exponent (is <= 0).
     """
-    A, B = arg
-    s = Fraction(s)
-    avail = min(_stream_window(t, r) for _c, r in terms)
+    A, B = spec.arg
+    s = spec.s
+    avail = min(_stream_window(t, r) for _c, r in spec.terms)
     stream_order = min(avail, Fraction(order) / A + s)
     if stream_order <= s:
         raise InsufficientDepth(
-            f"residues {sorted({r for _c, r in terms})} of the index-{t.m} "
-            f"table: window {stream_order} reaches no exponent past the "
-            f"shift {s}")
+            f"residues {sorted({r for _c, r in spec.terms})} of the "
+            f"index-{t.m} table: window {stream_order} reaches no exponent "
+            f"past the shift {s}")
     g = None
-    for c, r in terms:
+    for c, r in spec.terms:
         f = h_stream(t, r, stream_order)
         f = f if c == 1 else series_scale(f, c)
         g = f if g is None else series_add(g, f)
-    if s or b != 1:
-        g = series_slice(g, s, b)
+    if s or spec.b != 1:
+        g = series_slice(g, s, spec.b)
     g = _arg_transform(g, A, B)
-    if pre != 1:
-        g = series_scale(g, pre)
-    return series_add(g, QSeries({0: const}, g.order)) if const else g
+    if spec.pre != 1:
+        g = series_scale(g, spec.pre)
+    return series_add(g, QSeries({0: spec.const}, g.order)) \
+        if spec.const else g

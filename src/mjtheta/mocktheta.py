@@ -12,7 +12,9 @@ Each table row states an identity
     eulerian(name)  =  pre * (sum_i c_i H_{r_i}) | [s; b] (A tau + B) + const
 
 where H_r is the r-th theta-coefficient stream of the named lambency's
-distinguished form (jacobi.stream_combination builds the right side).
+distinguished form.  ROWS holds the right sides as jacobi.Stream data,
+with pre = 1/2 unless a row says otherwise, and jacobi.stream_combination
+builds them.
 H_r lives on the exponents -r^2/4m + Z, so the slice meets its support
 only if s = -r^2/4m (mod b) for every term r.  The source prints some
 shifts only up to sign; the rows store them resolved, and that congruence
@@ -23,6 +25,7 @@ shift that lines the stream's lead up with the Eulerian lead.
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import count, takewhile, zip_longest
 
 from .catalog import get_lambency
@@ -30,7 +33,7 @@ from .cyclo import ex
 from .errors import (
     InsufficientDepth, LevelMismatch, MissingSource, UnknownName,
 )
-from .jacobi import stream_combination
+from .jacobi import Stream, stream_combination
 from .series import (
     QSeries, _slot_bytes, _unpack, series_add, series_half_shift,
     series_rescale, series_scale, series_shift, series_verdict,
@@ -244,75 +247,63 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-class Row:
-    """One table row: eulerian(name) = pre*(sum c_i H_{r_i})|[s;b](A t+B)
-    + const, with s and b given as Fractions or strings such as "-1/24"."""
-
-    def __init__(self, lambency, terms, s=0, b=1, arg=(1, 0), pre=HALF,
-                 const=0):
-        self.lambency = lambency
-        self.terms = terms
-        self.s = Fraction(s)
-        self.b = Fraction(b)
-        self.arg = (Fraction(arg[0]), Fraction(arg[1]))
-        self.pre = pre
-        self.const = const
-
+# a row's prefactor is 1/2 unless it says otherwise
+_row = partial(Stream, pre=HALF)
 
 ROWS = {
-    "3:psi": Row("24+8", [(1, 2)], "-1/24"),
-    "3:nu": Row("24+8", [(1, 8)], "1/3", arg=(1, -HALF)),
-    "3:f": Row("6", [(1, 5), (-1, 1)], "-1/24"),
-    "3:phi": Row("24+8", [(-1, 1), (1, 13), (-1, 25), (1, 37)],
-                 "-1/96", "1/4", arg=(4, 0)),
-    "3:chi": Row("18", [(1, r) for r in (1, 7, 13, 19, 25, 31)],
-                 "-1/72", "1/3", arg=(3, 0), pre=-HALF),
-    "3:omega": Row("6", [(1, 2), (1, 4)], "1/3", "1/2", arg=(2, 0),
-                   pre=QUARTER),
-    "3:rho": Row("18", [(1, r) for r in (2, 4, 14, 16, 26, 28)],
-                 "1/9", "1/6", arg=(6, 0), pre=-HALF),
-    "5:psi0": Row("60+12,15,20", [(1, 2)], "-1/60"),
-    "5:psi1": Row("60+12,15,20", [(1, 14)], "11/60"),
-    "5:chi0": Row("30+6,10,15", [(1, 1)], "-1/120", const=2),
-    "5:chi1": Row("30+6,10,15", [(1, 7)], "71/120"),
-    "5:phi0": Row("60+12,15,20", [(1, 1), (-1, 11)], "-1/240", "1/2",
-                  arg=(2, 0), pre=-HALF),
-    "5:phi1": Row("60+12,15,20", [(1, 7), (-1, 13)], "-49/240", "1/2",
-                  arg=(2, 0)),
-    "5:F0": Row("60+12,15,20", [(1, 2)], "-1/60", 2, arg=(HALF, 0),
-                const=1),
-    "5:F1": Row("60+12,15,20", [(1, 14)], "71/60", 2, arg=(HALF, 0)),
-    "6:sigma": Row("12", [(1, 2)], "-1/12"),
-    "6:psi": Row("12", [(1, 3), (-1, 9)], "-3/16", "1/2", arg=(2, 0),
-                 pre=-HALF),
-    "6:phi": Row("12", [(1, r) for r in (1, 5, 13, 17)],
-                 "-1/48", "1/2", arg=(2, 0), pre=-HALF),
-    "6:gamma": Row("18", [(1, r) for r in (1, 5, 13, 17, 25, 29)],
-                   "-1/72", "1/3", arg=(3, 0), pre=-HALF),
-    "7:F0": Row("42+6,14,21", [(1, 1)], "-1/168", pre=-HALF),
-    "7:F1": Row("42+6,14,21", [(1, 5)], "-25/168"),
-    "7:F2": Row("42+6,14,21", [(1, 11)], "47/168"),
-    "10:phi": Row("10", [(1, 4), (-1, 14)], "1/10", "1/2", arg=(2, 0)),
-    "10:psi": Row("10", [(1, 2), (-1, 12)], "-1/10", "1/2", arg=(2, 0)),
-    "10:X": Row("10", [(1, 1), (1, 11)], "-1/40", pre=-HALF),
-    "10:chi": Row("10", [(1, 3), (1, 13)], "-9/40", pre=-HALF),
-    "2:mu": Row("8", [(1, r) for r in (1, 5, 9, 13)], "-1/32", "1/4",
-                arg=(4, 0), pre=-HALF),
-    "2:A": Row("8", [(1, 2)], "-1/8", pre=QUARTER),
+    "3:psi": _row("24+8", [(1, 2)], "-1/24"),
+    "3:nu": _row("24+8", [(1, 8)], "1/3", arg=(1, -HALF)),
+    "3:f": _row("6", [(1, 5), (-1, 1)], "-1/24"),
+    "3:phi": _row("24+8", [(-1, 1), (1, 13), (-1, 25), (1, 37)],
+                  "-1/96", "1/4", arg=(4, 0)),
+    "3:chi": _row("18", [(1, r) for r in (1, 7, 13, 19, 25, 31)],
+                  "-1/72", "1/3", arg=(3, 0), pre=-HALF),
+    "3:omega": _row("6", [(1, 2), (1, 4)], "1/3", "1/2", arg=(2, 0),
+                    pre=QUARTER),
+    "3:rho": _row("18", [(1, r) for r in (2, 4, 14, 16, 26, 28)],
+                  "1/9", "1/6", arg=(6, 0), pre=-HALF),
+    "5:psi0": _row("60+12,15,20", [(1, 2)], "-1/60"),
+    "5:psi1": _row("60+12,15,20", [(1, 14)], "11/60"),
+    "5:chi0": _row("30+6,10,15", [(1, 1)], "-1/120", const=2),
+    "5:chi1": _row("30+6,10,15", [(1, 7)], "71/120"),
+    "5:phi0": _row("60+12,15,20", [(1, 1), (-1, 11)], "-1/240", "1/2",
+                   arg=(2, 0), pre=-HALF),
+    "5:phi1": _row("60+12,15,20", [(1, 7), (-1, 13)], "-49/240", "1/2",
+                   arg=(2, 0)),
+    "5:F0": _row("60+12,15,20", [(1, 2)], "-1/60", 2, arg=(HALF, 0),
+                 const=1),
+    "5:F1": _row("60+12,15,20", [(1, 14)], "71/60", 2, arg=(HALF, 0)),
+    "6:sigma": _row("12", [(1, 2)], "-1/12"),
+    "6:psi": _row("12", [(1, 3), (-1, 9)], "-3/16", "1/2", arg=(2, 0),
+                  pre=-HALF),
+    "6:phi": _row("12", [(1, r) for r in (1, 5, 13, 17)],
+                  "-1/48", "1/2", arg=(2, 0), pre=-HALF),
+    "6:gamma": _row("18", [(1, r) for r in (1, 5, 13, 17, 25, 29)],
+                    "-1/72", "1/3", arg=(3, 0), pre=-HALF),
+    "7:F0": _row("42+6,14,21", [(1, 1)], "-1/168", pre=-HALF),
+    "7:F1": _row("42+6,14,21", [(1, 5)], "-25/168"),
+    "7:F2": _row("42+6,14,21", [(1, 11)], "47/168"),
+    "10:phi": _row("10", [(1, 4), (-1, 14)], "1/10", "1/2", arg=(2, 0)),
+    "10:psi": _row("10", [(1, 2), (-1, 12)], "-1/10", "1/2", arg=(2, 0)),
+    "10:X": _row("10", [(1, 1), (1, 11)], "-1/40", pre=-HALF),
+    "10:chi": _row("10", [(1, 3), (1, 13)], "-9/40", pre=-HALF),
+    "2:mu": _row("8", [(1, r) for r in (1, 5, 9, 13)], "-1/32", "1/4",
+                 arg=(4, 0), pre=-HALF),
+    "2:A": _row("8", [(1, 2)], "-1/8", pre=QUARTER),
     # the congruence allows -1/2 too; +1/2 keeps the lead 1 at q^0
-    "2:B": Row("8", [(1, 4)], "1/2", pre=QUARTER),
-    "8:S0": Row("16", [(1, r) for r in (1, 9, 17, 25)], "-1/64", "1/4",
-                arg=(4, 0), pre=-HALF),
-    "8:S1": Row("16", [(1, r) for r in (3, 11, 19, 27)], "7/64", "1/4",
-                arg=(4, 0)),
-    "8:T0": Row("16", [(1, 2)], "-1/16", arg=(1, HALF)),
-    "8:T1": Row("16", [(1, 10)], "7/16", arg=(1, HALF)),
-    "8:U0": Row("16", [(1, 1 + 4 * k) for k in range(8)],
-                "-1/64", "1/8", arg=(8, 0), pre=-HALF),
-    "8:U1": Row("16", [(1, 2), (ex(Fraction(-1, 4)), 10)],
-                "-1/16", "1/2", arg=(2, HALF)),
-    "8:V0": Row("16", [(1, 8)], pre=1, const=1),
-    "8:V1": Row("16", [(1, 4)], "-1/4"),
+    "2:B": _row("8", [(1, 4)], "1/2", pre=QUARTER),
+    "8:S0": _row("16", [(1, r) for r in (1, 9, 17, 25)], "-1/64", "1/4",
+                 arg=(4, 0), pre=-HALF),
+    "8:S1": _row("16", [(1, r) for r in (3, 11, 19, 27)], "7/64", "1/4",
+                 arg=(4, 0)),
+    "8:T0": _row("16", [(1, 2)], "-1/16", arg=(1, HALF)),
+    "8:T1": _row("16", [(1, 10)], "7/16", arg=(1, HALF)),
+    "8:U0": _row("16", [(1, 1 + 4 * k) for k in range(8)],
+                 "-1/64", "1/8", arg=(8, 0), pre=-HALF),
+    "8:U1": _row("16", [(1, 2), (ex(Fraction(-1, 4)), 10)],
+                 "-1/16", "1/2", arg=(2, HALF)),
+    "8:V0": _row("16", [(1, 8)], pre=1, const=1),
+    "8:V1": _row("16", [(1, 4)], "-1/4"),
 }
 
 
@@ -340,9 +331,7 @@ def verify_table14_15(name, source=None, order=None):
                 f"{row.lambency} needs ingested data for row {name}")
     elif source.m != lam.m:
         raise LevelMismatch(f"row {name} needs index {lam.m}, not {source.m}")
-    rhs = stream_combination(source, row.terms,
-                             15 if order is None else order, row.s, row.b,
-                             row.arg, row.pre, row.const)
+    rhs = stream_combination(source, row, 15 if order is None else order)
     return {"row": name, **series_verdict(eulerian(name, rhs.order), rhs)}
 
 

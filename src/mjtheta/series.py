@@ -12,7 +12,7 @@ propagate the window honestly.
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .cyclo import cadd, cmul, ciszero, ex, cformat
+from .cyclo import cadd, cmul, ex, cformat
 from .errors import Divergent, NonIntegralCoefficient
 
 __all__ = [
@@ -34,7 +34,7 @@ class QSeries:
         # the least key at or above the window bound
         cutoff = ceil(self.order * den)
         self.coeffs = {k: v for k, v in coeffs.items()
-                       if not ciszero(v) and k < cutoff}
+                       if v != 0 and k < cutoff}
 
     # -- inspection -------------------------------------------------------
 

@@ -8,7 +8,6 @@ import math
 from fractions import Fraction
 from math import isqrt
 
-from mjtheta.cyclo import ciszero
 from mjtheta.errors import InsufficientDepth
 from mjtheta.jacobi import (
     NEG_INF, POS_INF, _canonical, _stream_window,
@@ -68,7 +67,7 @@ def h_stream_by_walk(t, r, order):
     D = top
     while -Fraction(D, 4 * m) < order and (lo == NEG_INF or D >= lo):
         v = t.get(D, r)
-        if not ciszero(v):
+        if v != 0:
             coeffs[-D] = v
         D -= 4 * m
     return QSeries(coeffs, order, 4 * m)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from mjtheta.cyclo import (
-    Cyc, cadd, ciszero, cmul, cyclotomic_poly, _poly_mul, _reduce_mod_phi,
+    Cyc, cadd, cmul, cyclotomic_poly, _poly_mul, _reduce_mod_phi,
 )
 from mjtheta.series import QSeries, _align, _lo_eff
 
@@ -45,7 +45,7 @@ def reciprocal(a):
         for j, uj in u.items():
             if j <= n and (n - j) in binv:
                 acc = cadd(acc, cmul(uj, binv[n - j]))
-        if not ciszero(acc):
+        if acc != 0:
             binv[n] = cmul(acc, -1)
     out = {k - l: cmul(v, c0inv) for k, v in binv.items()}
     return QSeries(out, Fraction(rel - l, den), den)

@@ -12,27 +12,31 @@ from mjtheta.series import series_add, series_rescale
 
 
 def synthesize(row_id, order):
-    """The records (lambency, class, r, D, coeff) of the right-hand side of
-    a single-line, shift-free relation row, for -D/4m < order."""
-    lhs_sym, rhs_sym, cls, lines = MULT_RELATIONS[row_id]
-    (line,) = lines
-    a, _b = line.arg
-    lam = get_lambency(lhs_sym)
-    mp = get_lambency(rhs_sym).m
+    """The records (lambency, class, r, D, coeff) of the ingested side of
+    a relation row whose every pair is sum_i H_{r_i}(a tau) of the catalog
+    fixture against c H_r, for -D/4m < order and each residue r <= m of
+    the ingested side that the row pairs."""
+    cls, pairs = MULT_RELATIONS[row_id]
     recs = []
-    for r in range(mp + 1):
+    for lhs, rhs in pairs:
+        ((_one, r),) = rhs.terms
+        mp = get_lambency(rhs.lambency).m
+        if r > mp:
+            continue
+        a, b = lhs.arg
+        assert b == 0 and rhs.arg == (1, 0) and lhs.pre == 1
+        fixture = get_lambency(lhs.lambency).fixture
         s = None
-        for i in range(line.count):
+        for _c, ri in lhs.terms:
             f = series_rescale(
-                h_stream(lam.fixture, r + line.step * i, Fraction(order, a)),
-                a)
+                h_stream(fixture, ri, Fraction(order) / a), a)
             s = f if s is None else series_add(s, f)
-        c = line.rhs_pre(r)
+        c = rhs.pre
         D = r * r
         while -Fraction(D, 4 * mp) < order:
             v = s.coeff(Fraction(-D, 4 * mp))
             assert v % c == 0
-            recs.append((rhs_sym, cls, r, D, int(v // c)))
+            recs.append((rhs.lambency, cls, r, D, int(v // c)))
             D -= 4 * mp
     return recs
 

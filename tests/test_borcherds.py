@@ -16,7 +16,7 @@ from mjtheta.borcherds import (
     psi_expand,
 )
 from mjtheta.catalog import get_lambency, load_catalog
-from mjtheta.cyclo import Cyc, cadd, ciszero, cmul, ex
+from mjtheta.cyclo import Cyc, cadd, cmul, ex
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
     InsufficientDepth, NoSolutionWithinDegree, Underdetermined,
@@ -554,7 +554,7 @@ def test_fit_cases(sym, D, r, deg):
     assert rep["Q"][-1] == 1 and rep["P"][-1] == 1
     # real product: numerator and denominator are complex conjugates
     for p, q in zip(rep["P"], rep["Q"]):
-        assert ciszero(cadd(p, cmul(cconj(q), -1))), (sym, p, q)
+        assert cadd(p, cmul(cconj(q), -1)) == 0, (sym, p, q)
 
 
 def test_fit_case_frozen_gaussian():
@@ -608,21 +608,21 @@ def cyc_solve(rows, n_unknowns):
     rank = 0
     for col in range(n_unknowns):
         piv = next((i for i in range(rank, len(rows))
-                    if not ciszero(rows[i][col])), None)
+                    if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = cinv(rows[rank][col])
         rows[rank] = [cmul(inv, v) for v in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and not ciszero(rows[i][col]):
+            if i != rank and rows[i][col] != 0:
                 f = cmul(rows[i][col], -1)
                 rows[i] = [cadd(v, cmul(f, w))
                            for v, w in zip(rows[i], rows[rank])]
         pivots[col] = rank
         rank += 1
     for row in rows[rank:]:
-        if not ciszero(row[-1]):
+        if row[-1] != 0:
             return None
     sol = [0] * n_unknowns
     for col, i in pivots.items():
@@ -659,8 +659,8 @@ def cyc_fit(psi, T, max_deg):
         if solved is None:
             continue
         sol, rank = solved
-        if all(ciszero(cadd(row[-1], cmul(reduce(
-                cadd, map(cmul, row[:-1], sol), 0), -1)))
+        if all(cadd(row[-1], cmul(reduce(
+                cadd, map(cmul, row[:-1], sol), 0), -1)) == 0
                for row in rows):
             return list(sol[dq:]), list(sol[:dq]) + [1], rank
     if skipped_short:
@@ -780,7 +780,7 @@ def poly_root(Q, k):
         S[e - i] = cmul(Fraction(1, k),
                         cadd(Q[k * e - i], cmul(Sk[k * e - i], -1)))
     Sk = reduce(poly_mul, [S] * k)
-    return S if all(ciszero(cadd(a, cmul(b, -1)))
+    return S if all(cadd(a, cmul(b, -1)) == 0
                     for a, b in zip(Sk, Q)) else None
 
 
@@ -813,7 +813,7 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     # S = sqrt Q lies in O_{Q(sqrt D)}[T]: its roots, the values of T at
     # the Heegner points, are algebraic integers (trace and norm in Z)
     S = poly_root(Q, 2)
-    assert S is not None and all(ciszero(cadd(p, cmul(cconj(q), -1)))
+    assert S is not None and all(cadd(p, cmul(cconj(q), -1)) == 0
                                  for p, q in zip(P, Q))
     for v in S:
         x, y = split(v, D)

@@ -1,3 +1,4 @@
+import re
 import runpy
 from fractions import Fraction
 from math import inf
@@ -19,8 +20,9 @@ from mjtheta.errors import (
 )
 from mjtheta.eta import EtaQuotient
 from mjtheta.jacobi import (
-    CoeffTable, NEG_INF, POS_INF, _canonical, ez_apply,
+    CoeffTable, NEG_INF, POS_INF, Stream, _canonical, ez_apply,
 )
+from mjtheta.mocktheta import ROWS
 from jacobi_oracles import shadow_coeff
 from om_group import a_by_search, exact_divisors, om_elements
 from relation_records import synthesize, write_records
@@ -285,11 +287,13 @@ def test_construct_averaged_missing_source():
 
 # -- multiplicative relations ---------------------------------------------
 
-def test_mult_relation_roundtrip(tmp_path):
-    order = 5
-    recs = synthesize("60+12,15,20:2A", order)
+@pytest.mark.parametrize("order", [3, 5, 15])
+@pytest.mark.parametrize("row_id", [
+    "15+5:5A", "21+3:3AB", "28+7:7AB", "33+11:11AB", "60+12,15,20:2A"])
+def test_mult_relation_roundtrip(tmp_path, row_id, order):
+    recs = synthesize(row_id, order)
     h = ingest_hdata(write_csv(tmp_path, recs))
-    rep = verify_mult_relation("60+12,15,20:2A", h, order=order)
+    rep = verify_mult_relation(row_id, h, order=order)
     assert rep["status"] == "verified"
     assert rep["depth"] == order
 
@@ -313,12 +317,53 @@ def test_mult_relation_missing_source():
         verify_mult_relation("15+5:5A", HData({}))
 
 
+@pytest.mark.parametrize("row_id, rows", [
+    ("20+4:2C", [12, 16]), ("24+8:8CD", [4, 10, 16, 20, 22]),
+    ("36+4:6C", [2, 14, 26])])
+def test_mult_relation_needs_fixture_rows_the_catalog_lacks(row_id, rows):
+    # raised before the ingested side is read: the empty HData would name
+    # the missing class instead
+    lhs = row_id.partition(":")[0]
+    with pytest.raises(MissingSource,
+                       match=re.escape(f"{lhs} has no fixture rows {rows}")):
+        verify_mult_relation(row_id, HData({}))
+
+
+def reachable(value):
+    """value and all that its containers and the attributes of its package
+    objects hold, recursively."""
+    yield value
+    if isinstance(value, dict):
+        inner = value.values()
+    elif isinstance(value, (list, tuple)):
+        inner = value
+    elif type(value).__module__.startswith("mjtheta."):
+        inner = [getattr(value, a)
+                 for a in getattr(type(value), "__slots__", ())]
+        inner += list(getattr(value, "__dict__", {}).values())
+    else:
+        return
+    for v in inner:
+        yield from reachable(v)
+
+
+def test_registries_hold_data_not_callables():
+    assert [v for v in reachable({"x": (1, [Stream("2", [(1, 1)],
+                                                   pre=len)])})
+            if callable(v)] == [len]
+    assert [v for v in reachable([ROWS, MULT_RELATIONS]) if callable(v)] \
+        == []
+
+
 def test_mult_relation_registry_shape():
     assert len(MULT_RELATIONS) == 9
-    for row_id, (lhs, rhs, cls, lines) in MULT_RELATIONS.items():
+    for row_id, (cls, pairs) in MULT_RELATIONS.items():
+        (lhs,) = {a.lambency for a, _b in pairs}
+        (rhs,) = {b.lambency for _a, b in pairs}
+        assert row_id == f"{lhs}:{cls}"
         assert get_lambency(lhs).fixture is not None
         assert get_lambency(rhs).in_L1_plus
-        assert lines
+        assert all(len(b.terms) == 1 for _a, b in pairs)
 
 
 # -- positivity -----------------------------------------------------------

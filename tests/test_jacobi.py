@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.arith import divisors, is_fundamental, kronecker, kronecker_row
 from mjtheta.catalog import _a_of
-from mjtheta.cyclo import cadd, ciszero, cmul
+from mjtheta.cyclo import cadd, cmul
 from mjtheta.errors import BadDiscriminant, InsufficientDepth
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
@@ -198,7 +198,7 @@ def sz_lift_by_pairs(t, D, r, k, order):
                 continue
             acc = cadd(acc, cmul(Fraction(d) ** (k - 2) * s,
                                  t.get(n * n * D // (d * d), n * r // d)))
-        if not ciszero(acc):
+        if acc != 0:
             coeffs[n] = acc
     return QSeries(coeffs, order)
 
