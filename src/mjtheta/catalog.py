@@ -9,12 +9,13 @@ The catalog (a static data file under ``mjtheta/data``) carries, per lambency
 * for the 16 remaining lambencies, the reference Fourier coefficients
   C(r^2 - 4mn, r) of the distinguished optimal form, to table depth n <= 15.
 
-The printed tables only list one residue per orbit of the symbol's group K
-(acting by r -> r*a mod 2m).  Loading closes the tables under that action
-with the residue rule of jacobi.CoeffTable -- copying rows with its sign,
-deriving forced-zero rows, and asserting consistency whenever two printed
-rows meet the same orbit.  Residues whose orbit meets no printed row carry
-no data at all (reads there raise InsufficientDepth rather than guessing).
+The packaged tables and ingested data files hold the same records
+symbol,class,r,D,coeff; one reader checks them and one builder makes them
+tables.  A printed table lists one residue per orbit of the symbol's group
+K (acting by r -> r*a mod 2m), so each printed record is also read at every
+r*a; two reads of one coefficient that disagree raise ParseError.  Residues
+whose orbit meets no printed row carry no data at all (reads there raise
+InsufficientDepth rather than guessing).
 
 The multiplicative relations are data: pairs of jacobi.Stream, one over a
 fixture and one over an ingested table, that verify_mult_relation builds.
@@ -25,11 +26,12 @@ import os
 from fractions import Fraction
 from importlib import resources
 from math import gcd
+from pathlib import Path
 
 from .cyclo import ex
 from .errors import (
-    CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
-    UnknownLambency, UnreadableSource,
+    CongruenceViolation, MissingSource, ParseError, UnknownLambency,
+    UnknownName, UnreadableSource,
 )
 from .eta import parse_eta
 from .jacobi import (
@@ -61,27 +63,24 @@ class Lambency:
     """One catalog entry.
 
     group_ns: the exact divisors {1, n, n', ...} named by the symbol, a
-    group under n * n' = nn'/(n,n')^2; the corresponding subgroup K of
-    O_m is {a(n) : n in group_ns} (see _a_of).
+    group under n * n' = nn'/(n,n')^2.
+    K: the corresponding subgroup {a(n) : n in group_ns} of O_m, as
+    ascending residues a mod 2m (see _a_of).
     fixture: CoeffTable of reference coefficients (the 16 entries outside
     the root-system class), else None.
     """
 
-    __slots__ = ("symbol", "m", "group_ns", "eta", "in_L1_plus",
+    __slots__ = ("symbol", "m", "group_ns", "K", "eta", "in_L1_plus",
                  "root_system", "fixture")
 
     def __init__(self, symbol, eta, root_system):
         self.symbol = symbol
         self.m, self.group_ns = _parse_symbol(symbol)
+        self.K = tuple(sorted(_a_of(self.m, n) for n in self.group_ns))
         self.eta = eta
         self.root_system = root_system or None
         self.in_L1_plus = bool(root_system)
         self.fixture = None
-
-    @property
-    def K(self):
-        """The subgroup K of O_m as residues a mod 2m."""
-        return tuple(sorted(_a_of(self.m, n) for n in self.group_ns))
 
     def __repr__(self):
         return f"<Lambency {self.symbol}>"
@@ -113,87 +112,107 @@ def _parse_symbol(symbol):
     return m, tuple(sorted(ns))
 
 
-# -- fixture closure ------------------------------------------------------
-
-def _build_fixture(lam, rows):
-    """The CoeffTable of lam from printed rows {r: {D: coeff}}, closed
-    under lam.K."""
-    symbol, m, K = lam.symbol, lam.m, lam.K
-    entries = {}
-    ranges = {0: (NEG_INF, POS_INF), m: (NEG_INF, POS_INF)}
-    lo_of = {t: min(row) for t, row in rows.items()}
-
-    def row_value(t, D):
-        # None if outside the printed window; above D = 1 the optimality
-        # support condition pins the value to zero
-        if D > 1:
-            return 0
-        if D < lo_of[t]:
-            return None
-        return rows[t].get(D, 0)
-
-    for r in range(1, m):
-        signs = {}  # canonical residue of r*a -> signs it is met with
-        for a in K:
-            t, sg = _canonical(m, r * a)
-            signs.setdefault(t, set()).add(sg)
-        # met with two signs (r a is never 0 or m mod 2m: a is a unit)
-        forced_zero = any(len(v) == 2 for v in signs.values())
-        printed = sorted(t for t in signs if t in rows)
-        if forced_zero:
-            for t in printed:
-                assert not any(rows[t].values()), \
-                    f"{symbol}: row {t} should vanish by symmetry"
-            ranges[r] = (NEG_INF, POS_INF)
-            continue
-        if not printed:
-            continue  # no data for this residue; reads will raise
-        # merge the printed sources, checking consistency on overlaps
-        merged = {}
-        for t in printed:
-            sg = next(iter(signs[t]))
-            for D, v in rows[t].items():
-                if v:
-                    merged.setdefault(D, sg * v)
-        for t in printed:
-            sg = next(iter(signs[t]))
-            for D, want in merged.items():
-                v = row_value(t, D)
-                assert v is None or sg * v == want, \
-                    f"{symbol}: rows disagree at C({D},{r})"
-        ranges[r] = (min(lo_of[t] for t in printed), POS_INF)
-        for D, v in merged.items():
-            entries[(D, r)] = v
-    return CoeffTable(m, entries, ranges)
-
-
-# -- catalog loading ------------------------------------------------------
+# -- coefficient records -------------------------------------------------
 
 CATALOG_CSV = resources.files(__package__) / "data" / "catalog.csv"
 
 
+def _csv_lines(source):
+    """Yield (line number, fields) for each line of the CSV file `source`,
+    after any byte-order mark, that is neither blank nor a comment."""
+    with source.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from ((reader.line_num, rec) for rec in reader
+                        if rec and not rec[0].startswith("#"))
+        except csv.Error as e:  # a field above csv.field_size_limit()
+            raise ParseError(f"line {reader.line_num}: {e}") from None
+
+
+def _read_records(lines, catalog, printed):
+    """{(symbol, class): {(D, rc): C(D, rc)}} from the records
+    symbol,class,r,D,coeff of `lines`, each checked.  A printed record
+    stands for its residue's K-orbit, so it is also read at every r*a; an
+    ingested one is read as given.  Reads that disagree raise ParseError."""
+    raw = {}
+    seen = set()
+    for lineno, rec in lines:
+        if lineno == 1 and rec[0] == "lambency":
+            continue  # the header
+        if len(rec) != 5:
+            raise ParseError(f"line {lineno}: expected 5 fields")
+        symbol, cls, r, D, c = rec
+        if symbol not in catalog:
+            raise UnknownLambency(f"line {lineno}: {symbol}")
+        m = catalog[symbol].m
+        try:
+            r, D, c = int(r), int(D), int(c)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field") from None
+        if not 0 <= r < 2 * m:
+            raise ParseError(f"line {lineno}: residue {r} out of range")
+        if (D - r * r) % (4 * m) != 0:
+            raise CongruenceViolation(
+                f"line {lineno}: D={D} != {r}^2 mod {4 * m}")
+        if (symbol, cls, r, D) in seen:
+            raise ParseError(f"line {lineno}: duplicate key "
+                             f"{symbol},{cls},{r},{D}")
+        seen.add((symbol, cls, r, D))
+        values = raw.setdefault((symbol, cls), {})
+        for a in catalog[symbol].K if printed else (1,):
+            rc, sign = _canonical(m, r * a)
+            if c and not sign:
+                raise ParseError(f"line {lineno}: C({D},{r}) = {c}, but the "
+                                 f"table is odd, so it vanishes at r = {r}")
+            if values.setdefault((D, rc), sign * c) != sign * c:
+                raise ParseError(f"line {lineno}: records for C({D},{r}) "
+                                 f"conflict under antisymmetry or K")
+    return raw
+
+
+def _build_tables(lines, catalog, printed):
+    """The CoeffTable of each (symbol, class) of _read_records, justified
+    at each residue over its records' span [min D, max D]; a printed one
+    has no bound above (optimality pins C(D > 1, r) to 0) and none at all
+    where the K-orbit of r meets both signs.  C(1, 1) = -2 where reached."""
+    tables = {}
+    for (symbol, cls), values in _read_records(lines, catalog,
+                                               printed).items():
+        m, K = catalog[symbol].m, catalog[symbol].K
+        column = {}
+        for D, rc in values:
+            column.setdefault(rc, []).append(D)
+        ranges = {rc: (min(Ds), POS_INF if printed else max(Ds))
+                  for rc, Ds in column.items()}
+        if printed:  # C(D, r) = C(D, ra) = -C(D, r) where ra = -r
+            ranges.update((r, (NEG_INF, POS_INF)) for r in range(m + 1)
+                          if any((r + r * a) % (2 * m) == 0 for a in K))
+        lo, hi = ranges.get(1, (POS_INF, NEG_INF))
+        if lo <= 1 <= hi and values.get((1, 1), 0) != -2:
+            raise ParseError(f"{symbol} {cls}: C(1,1) = "
+                             f"{values.get((1, 1), 0)}, expected -2")
+        tables[(symbol, cls)] = CoeffTable(m, values, ranges)
+    return tables
+
+
+# -- catalog loading ------------------------------------------------------
+
 def load_catalog():
-    """All 39 lambencies, in catalog order, from the packaged CSV."""
-    meta = []          # (symbol, eta text, root system)
-    rows = {}          # symbol -> {r: {D: coeff}}
-    with CATALOG_CSV.open() as fh:
-        for rec in csv.reader(x for x in fh if not x.startswith("#")):
-            if not rec:
-                continue
-            if rec[0] == "meta":
-                meta.append((rec[1], rec[2], rec[3]))
+    """All 39 lambencies, in catalog order, from the packaged CSV, where
+    each symbol's meta line comes before the printed rows of its table."""
+    by_symbol = {}
+
+    def rows():
+        for lineno, rec in _csv_lines(CATALOG_CSV):
+            if rec[0] != "meta":
+                yield lineno, rec
             else:
-                symbol, _cls, r, D, c = rec
-                rows.setdefault(symbol, {}).setdefault(
-                    int(r), {})[int(D)] = int(c)
-    out = []
-    for symbol, eta_text, roots in meta:
-        lam = Lambency(symbol, parse_eta(eta_text), roots)
-        if symbol in rows:
-            lam.fixture = _build_fixture(lam, rows[symbol])
-        out.append(lam)
-    assert len(out) == 39 and sum(x.in_L1_plus for x in out) == 23
-    return out
+                by_symbol[rec[1]] = Lambency(rec[1], parse_eta(rec[2]), rec[3])
+
+    tables = _build_tables(rows(), by_symbol, printed=True)
+    for (symbol, _cls), t in tables.items():
+        by_symbol[symbol].fixture = t
+    return list(by_symbol.values())
 
 
 _CATALOG = {}
@@ -235,69 +254,15 @@ class HData:
 
 
 def ingest_hdata(path):
-    """Read a coefficient CSV (header lambency,class,r,D,coeff)."""
-    catalog = catalog_by_symbol()
-    raw = {}
-    seen = set()
+    """Read a coefficient CSV (header lambency,class,r,D,coeff): one table
+    per (lambency, class), its records read as given."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        lines = list(_csv_lines(Path(path)))
     except (OSError, UnicodeDecodeError) as e:
         reason = getattr(e, "strerror", None) or e
         raise UnreadableSource(f"{os.fspath(path)}: {reason}") from None
-    for lineno, rec in enumerate(rows, start=1):
-        if not rec or rec[0].startswith("#"):
-            continue
-        if lineno == 1 and rec[:1] == ["lambency"]:
-            continue
-        if len(rec) != 5:
-            raise ParseError(f"line {lineno}: expected 5 fields")
-        symbol, cls, r, D, c = rec
-        if symbol not in catalog:
-            raise UnknownLambency(f"line {lineno}: {symbol}")
-        m = catalog[symbol].m
-        try:
-            r, D, c = int(r), int(D), int(c)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field") from None
-        if not 0 <= r < 2 * m:
-            raise ParseError(f"line {lineno}: residue {r} out of range")
-        if (D - r * r) % (4 * m) != 0:
-            raise CongruenceViolation(
-                f"line {lineno}: D={D} != {r}^2 mod {4 * m}")
-        key = (symbol, cls)
-        if (key, r, D) in seen:
-            raise ParseError(f"line {lineno}: duplicate key "
-                             f"{symbol},{cls},{r},{D}")
-        seen.add((key, r, D))
-        rc, sign = _canonical(m, r)
-        if c and not sign:
-            raise ParseError(f"line {lineno}: C({D},{r}) = {c}, but the "
-                             f"table is odd, so it vanishes at r = {r}")
-        store = raw.setdefault(key, {})
-        if (D, rc) in store and store[(D, rc)] != sign * c:
-            raise ParseError(
-                f"line {lineno}: records for C({D},{r}) conflict under "
-                f"antisymmetry")
-        store[(D, rc)] = sign * c
-    tables = {}
-    for (symbol, cls), store in raw.items():
-        m = catalog[symbol].m
-        ranges = {}
-        for (D, rc), _v in store.items():
-            lo, hi = ranges.get(rc, (D, D))
-            ranges[rc] = (min(lo, D), max(hi, D))
-        t = CoeffTable(m, store, ranges)
-        try:
-            c11 = t.get(1, 1)
-        except InsufficientDepth:
-            pass  # no record at D = 1 to check
-        else:
-            if c11 != -2:
-                raise ParseError(
-                    f"{symbol} {cls}: C(1,1) = {c11}, expected -2")
-        tables[(symbol, cls)] = t
-    return HData(tables, provenance=os.fspath(path))
+    return HData(_build_tables(lines, catalog_by_symbol(), printed=False),
+                 provenance=os.fspath(path))
 
 
 def construct_averaged(symbol, h):
@@ -358,7 +323,7 @@ def verify_mult_relation(row_id, h, order=None):
     the catalog lacks, or the ingested side is absent; InsufficientDepth
     when a stream reaches no coefficient."""
     if row_id not in MULT_RELATIONS:
-        raise UnknownLambency(row_id)
+        raise UnknownName(row_id)
     cls, pairs = MULT_RELATIONS[row_id]
     lam = get_lambency(pairs[0][0].lambency)  # every pair reads its fixture
     missing = sorted({rc for lhs, _rhs in pairs for _c, r in lhs.terms

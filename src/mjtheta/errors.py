@@ -29,7 +29,8 @@ class InsufficientDepth(MJTError):
 
 
 class ParseError(MJTError):
-    """Malformed input text; carries a line number when applicable."""
+    """Malformed input text, or coefficient records that disagree on one
+    C(D, r) or give C(1, 1) != -2; carries a line number when applicable."""
 
 
 class CongruenceViolation(MJTError):
@@ -53,7 +54,7 @@ class UnreadableSource(MJTError):
 
 
 class UnknownName(MJTError):
-    """No Eulerian series registered under the requested name."""
+    """No Eulerian series, table row or relation row of the given name."""
 
 
 class Divergent(MJTError):

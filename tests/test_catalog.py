@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mjtheta import catalog
 from mjtheta.arith import divisors
 from mjtheta.catalog import (
     AVERAGED_FROM, CATALOG_CSV, HData, MULT_RELATIONS, _a_of, _parse_symbol,
@@ -23,6 +24,7 @@ from mjtheta.jacobi import (
     CoeffTable, NEG_INF, POS_INF, Stream, _canonical, ez_apply,
 )
 from mjtheta.mocktheta import ROWS
+from fixture_oracle import build_fixture, printed_rows
 from jacobi_oracles import shadow_coeff
 from om_group import a_by_search, exact_divisors, om_elements
 from relation_records import synthesize, write_records
@@ -165,6 +167,30 @@ def test_uncovered_residues_raise():
         f.get(4 - 80, 2)
 
 
+def test_fixtures_match_the_row_closure_oracle():
+    rows = printed_rows()
+    fixtures = {lam.symbol: lam for lam in load_catalog() if lam.fixture}
+    assert sorted(rows) == sorted(fixtures)
+    for symbol, lam in fixtures.items():
+        want = build_fixture(lam, rows[symbol])
+        assert lam.fixture.entries == want.entries, symbol
+        assert lam.fixture.ranges == want.ranges, symbol
+
+
+@pytest.mark.parametrize("line", ["6+2,1A,5,1,-2", "6+2,1A,3,-15,1"])
+def test_conflicting_printed_row_names_its_line(tmp_path, monkeypatch,
+                                                 line):
+    # row 5 of 6+2 must be the negative of row 1 (5 * 7 = -1 mod 12), and
+    # row 3 must vanish (3 * 7 = -3 mod 12)
+    text = CATALOG_CSV.read_text()
+    path = tmp_path / "catalog.csv"
+    path.write_text(text + line + "\n")
+    monkeypatch.setattr(catalog, "CATALOG_CSV", path)
+    with pytest.raises(ParseError,
+                       match=f"^line {len(text.splitlines()) + 1}: records"):
+        load_catalog()
+
+
 def test_catalog_generator_reproduces_the_shipped_csv(tmp_path):
     root = Path(__file__).resolve().parent.parent
     tool = runpy.run_path(str(root / "tools" / "make_catalog.py"))
@@ -242,6 +268,17 @@ def test_ingest_accepts_zeros_at_structural_zeros(tmp_path):
     t = ingest_hdata(p).get("6+2")
     assert t.get(-24, 0) == 0 and t.get(12, 6) == 0
     assert list(t.entries) == [(1, 1)]
+
+
+def test_ingest_reads_past_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    plain = write_csv(tmp_path, [("2", "1A", 1, 1, -2),
+                                 ("2", "1A", 3, -7, -4488)])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = ingest_hdata(plain).get("2"), ingest_hdata(bom).get("2")
+    assert (got.entries, got.ranges) == (want.entries, want.ranges)
+    assert got.get(-7, 1) == 4488
 
 
 def test_ingest_bad_line(tmp_path):

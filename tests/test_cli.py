@@ -404,6 +404,15 @@ def test_value_at_structural_zero_is_one_error_line(capsys, tmp_path):
     assert err.startswith("error: ParseError: line 3")
 
 
+def test_oversized_csv_field_is_one_error_line(capsys, tmp_path):
+    p = tmp_path / "h.csv"
+    p.write_text("lambency,class,r,D,coeff\n2,1A,1,1," + "1" * 200000 + "\n")
+    rc, out, err = run(capsys, "verify", "positivity", "--data", str(p))
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ParseError: line 2: field larger than")
+
+
 def test_data_file_is_parsed_once_per_run(capsys, data_file, monkeypatch):
     from mjtheta import cli
     calls = []

@@ -129,6 +129,23 @@ def test_every_private_function_is_read():
         p.read_text() for p in SOURCES if p.parent.name == "mjtheta") == []
 
 
+def csv_reader_calls(source):
+    """The number of calls of csv.reader in `source`."""
+    return sum(isinstance(node, ast.Call) and ast.unparse(node.func) ==
+               "csv.reader" for node in ast.walk(ast.parse(source)))
+
+
+def test_csv_reader_call_check_sees_them():
+    assert csv_reader_calls("import csv\ncsv.reader(f)\nr = csv.reader\n"
+                            "list(csv.reader(x for x in g))\n") == 2
+
+
+def test_one_reader_of_csv_records():
+    # the packaged tables and --data files are read by one function
+    assert sum(csv_reader_calls(p.read_text()) for p in SOURCES
+               if p.parent.name == "mjtheta") == 1
+
+
 # the package's modules, lowest layer first
 LAYERS = ["errors", "arith", "cyclo", "series", "eta", "jacobi", "catalog",
           "mocktheta", "borcherds", "cli"]

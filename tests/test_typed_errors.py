@@ -14,9 +14,12 @@ from mjtheta import errors
 
 SETUP = """
 from fractions import Fraction
+from pathlib import Path
+from tempfile import TemporaryDirectory
+from mjtheta import catalog
 from mjtheta.borcherds import QuadForm, enumerate_heegner, fit_case, \\
     genus_char, psi_expand
-from mjtheta.catalog import get_lambency
+from mjtheta.catalog import HData, get_lambency, verify_mult_relation
 from mjtheta.jacobi import CoeffTable, ez_apply, table_sum
 from mjtheta.cyclo import ex
 from mjtheta.mocktheta import (
@@ -26,6 +29,17 @@ from mjtheta.series import QSeries, series_mul, series_slice
 T5 = CoeffTable(5, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
 F102 = get_lambency("10+2").fixture
+
+# load_catalog from a copy of the packaged CSV with `line` appended
+def load_patched(line):
+    with TemporaryDirectory() as d:
+        path = Path(d) / "catalog.csv"
+        path.write_text(catalog.CATALOG_CSV.read_text() + line + "\\n")
+        packaged, catalog.CATALOG_CSV = catalog.CATALOG_CSV, path
+        try:
+            return catalog.load_catalog()
+        finally:
+            catalog.CATALOG_CSV = packaged
 """
 
 # name: (error class, expression)
@@ -114,6 +128,15 @@ CASES = {
     "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
     "Andrews-Hickerson at order -3": (
         "InsufficientDepth", "verify_andrews_hickerson(-3)"),
+    "relation row not in the registry": (
+        "UnknownName", "verify_mult_relation('nope', HData({}))"),
+    # 6+2 prints row 1, and K = {1, 7} makes row 5 its negative: a printed
+    # row 5 must read C(1, 5) = 2
+    "printed row disagreeing with its orbit": (
+        "ParseError", "load_patched('6+2,1A,5,1,-2')"),
+    # 3 * 7 = -3 mod 12: row 3 of 6+2 meets both signs, so it vanishes
+    "printed value at a forced zero": (
+        "ParseError", "load_patched('6+2,1A,3,-15,1')"),
 }
 
 # Good arguments near the bad ones, with the value each must give.
@@ -128,6 +151,10 @@ VALUES = {
     "Watson and Andrews-Hickerson at order 1": (
         ["1"] * 6, "[str(r['depth']) for r in verify_watson(1) "
                  "+ verify_andrews_hickerson(1)]"),
+    # a printed row that agrees with its orbit is read, not refused
+    "printed row agreeing with its orbit": (
+        [2], "[lam.fixture.get(1, 5) for lam in load_patched('6+2,1A,5,1,2')"
+             " if lam.symbol == '6+2']"),
 }
 
 # Prints the optimization level, then one line per case: its name and the
