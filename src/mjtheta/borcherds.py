@@ -18,12 +18,11 @@ from operator import mul
 from .arith import (
     divisors, is_fundamental, kronecker, kronecker_row, prime_factorization,
 )
-from .catalog import get_lambency
+from .catalog import get_lambency, table_for
 from .cyclo import Cyc
 from .errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, LevelMismatch, MissingSource, NoSolutionWithinDegree,
-    Underdetermined,
+    InsufficientDepth, LevelMismatch, NoSolutionWithinDegree, Underdetermined,
 )
 from .eta import eta_expand
 from .jacobi import _stream_window
@@ -304,12 +303,7 @@ def _psi_log(symbol, D, r, order=None, table=None):
         raise ExcludedDiscriminant(f"D=-3 is excluded at m={m}")
     if (D - r * r) % (4 * m) != 0:
         raise CongruenceViolation(f"D={D} is not {r}^2 mod {4 * m}")
-    if table is None:
-        table = lam.fixture
-        if table is None:
-            raise MissingSource(f"{lam.symbol} has no coefficient table")
-    elif table.m != m:
-        raise LevelMismatch(f"{lam.symbol} needs index {m}, not {table.m}")
+    table = table_for(symbol, table)
     if not any(_runs_out(table, r * n) for n in range(1, 2 * m + 1)):
         raise ExcludedDiscriminant(
             f"{lam.symbol} D={D} r={r}: every C(D n^2, r n) is a "

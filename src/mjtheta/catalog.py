@@ -17,12 +17,16 @@ r*a; two reads of one coefficient that disagree raise ParseError.  Residues
 whose orbit meets no printed row carry no data at all (reads there raise
 InsufficientDepth rather than guessing).
 
+Every check reads its table through table_for: the caller's table, else
+the shipped fixture, else the ingested one.
+
 The multiplicative relations are data: pairs of jacobi.Stream, one over a
 fixture and one over an ingested table, that verify_mult_relation builds.
 """
 
 import csv
 import os
+import re
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -30,8 +34,8 @@ from pathlib import Path
 
 from .cyclo import ex
 from .errors import (
-    CongruenceViolation, MissingSource, ParseError, UnknownLambency,
-    UnknownName, UnreadableSource,
+    CongruenceViolation, LevelMismatch, MissingSource, ParseError,
+    UnknownLambency, UnknownName, UnreadableSource,
 )
 from .eta import parse_eta
 from .jacobi import (
@@ -42,7 +46,7 @@ from .series import series_verdict
 
 __all__ = [
     "Lambency", "HData", "load_catalog", "catalog_by_symbol", "get_lambency",
-    "ingest_hdata", "construct_averaged", "MULT_RELATIONS",
+    "table_for", "ingest_hdata", "construct_averaged", "MULT_RELATIONS",
     "verify_mult_relation", "check_positivity_sigma",
     "check_positivity_phi", "FIXTURE_DEPTH_N",
 ]
@@ -115,6 +119,7 @@ def _parse_symbol(symbol):
 # -- coefficient records -------------------------------------------------
 
 CATALOG_CSV = resources.files(__package__) / "data" / "catalog.csv"
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _csv_lines(source):
@@ -145,8 +150,10 @@ def _read_records(lines, catalog, printed):
         if symbol not in catalog:
             raise UnknownLambency(f"line {lineno}: {symbol}")
         m = catalog[symbol].m
-        try:
-            r, D, c = int(r), int(D), int(c)
+        try:  # int() alone takes " 7", "+7", "4_4" and non-ASCII digits
+            if not all(map(_INTEGER.fullmatch, (r, D, c))):
+                raise ValueError
+            r, D, c = int(r), int(D), int(c)  # ValueError past 4300 digits
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer field") from None
         if not 0 <= r < 2 * m:
@@ -230,6 +237,24 @@ def get_lambency(symbol):
         raise UnknownLambency(symbol) from None
 
 
+def table_for(symbol, table=None, hdata=None, cls="1A"):
+    """The coefficient table a check of `symbol` reads for class `cls`:
+    the caller's `table` (LevelMismatch unless its index is the
+    lambency's), else the shipped fixture (class 1A), else the table
+    ingested in `hdata`, else MissingSource.  So ingested data never
+    replaces a fixture."""
+    lam = get_lambency(symbol)
+    if table is not None:
+        if table.m != lam.m:
+            raise LevelMismatch(f"{symbol} needs index {lam.m}, not {table.m}")
+        return table
+    if cls == "1A" and lam.fixture is not None:
+        return lam.fixture
+    if hdata is not None and (symbol, cls) in hdata.tables:
+        return hdata.tables[(symbol, cls)]
+    raise MissingSource(f"no ingested data for {symbol} class {cls}")
+
+
 # -- ingestion ------------------------------------------------------------
 
 class HData:
@@ -244,13 +269,6 @@ class HData:
     def __init__(self, tables, provenance=""):
         self.tables = tables
         self.provenance = provenance
-
-    def get(self, symbol, cls="1A"):
-        try:
-            return self.tables[(symbol, cls)]
-        except KeyError:
-            raise MissingSource(f"no ingested data for {symbol} class {cls}") \
-                from None
 
 
 def ingest_hdata(path):
@@ -274,7 +292,7 @@ def construct_averaged(symbol, h):
     if symbol not in AVERAGED_FROM:
         raise UnknownLambency(f"{symbol} is not an averaged lambency")
     source, n = AVERAGED_FROM[symbol]
-    t = h.get(source)
+    t = table_for(source, hdata=h)
     return table_sum([t, ez_apply(t, _a_of(t.m, n))])
 
 
@@ -336,7 +354,8 @@ def verify_mult_relation(row_id, h, order=None):
     for lhs, rhs in pairs:
         rep = series_verdict(
             stream_combination(lam.fixture, lhs, order),
-            stream_combination(h.get(rhs.lambency, cls), rhs, order))
+            stream_combination(table_for(rhs.lambency, hdata=h, cls=cls),
+                               rhs, order))
         if rep["status"] != "verified":
             return {"row": row_id, "r": rhs.terms[0][1], **rep}
         depths.append(rep["depth"])
@@ -357,10 +376,8 @@ def check_positivity_sigma(lam):
 
 
 def check_positivity_phi(lam, table=None):
-    """True iff every stored C(D, r) with D < 0 is positive, within the
-    table's recorded depth (zeros pass).  The table is odd, so it stores
-    only 0 < r < m, where eps_m(r) = +1."""
-    t = table if table is not None else lam.fixture
-    if t is None:
-        raise MissingSource(f"{lam.symbol}: no table to audit")
+    """True iff every stored C(D, r) with D < 0 of table_for(lam.symbol,
+    table) is positive, within the table's recorded depth (zeros pass).
+    The table is odd, so it stores only 0 < r < m, where eps_m(r) = +1."""
+    t = table_for(lam.symbol, table)
     return all(v > 0 for (D, _r), v in t.entries.items() if D < 0)

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .catalog import (
     FIXTURE_DEPTH_N, MULT_RELATIONS, catalog_by_symbol, check_positivity_phi,
-    check_positivity_sigma, get_lambency, ingest_hdata, verify_mult_relation,
+    check_positivity_sigma, get_lambency, ingest_hdata, table_for,
+    verify_mult_relation,
 )
 from .cyclo import cformat
 from .errors import InsufficientDepth, MJTError, MissingSource
@@ -152,17 +153,13 @@ def mocktheta_report(name, order, hdata):
         if bad:
             return {"status": "fail", "detail": bad[0]["identity"]}
         return {"status": "pass", "depth": order}
-    source = None
     sym = ROWS[name].lambency
-    if hdata is not None and get_lambency(sym).fixture is None:
-        try:
-            source = hdata.get(sym)
-        except MissingSource:
-            pass
     try:
-        return _verdict(verify_table14_15(name, source=source, order=order))
-    except MissingSource as e:
-        return {"status": "skipped", "detail": str(e)}
+        source = table_for(sym, hdata=hdata)
+    except MissingSource:
+        return {"status": "skipped",
+                "detail": f"{sym} needs ingested data for row {name}"}
+    return _verdict(verify_table14_15(name, source=source, order=order))
 
 
 def positivity_report(symbol, _order, hdata):
@@ -171,16 +168,14 @@ def positivity_report(symbol, _order, hdata):
     lam = get_lambency(symbol)
     if check_positivity_sigma(lam) != lam.in_L1_plus:
         return {"status": "fail", "detail": "sigma partition"}
-    if lam.fixture is not None:
-        if check_positivity_phi(lam):
-            return {"status": "fail", "detail": "phi passed outside L1+"}
-    elif hdata is not None:
-        try:
-            table = hdata.get(lam.symbol)
-        except MissingSource:
-            return {"status": "pass", "detail": "sigma only (no phi data)"}
-        if not check_positivity_phi(lam, table):
-            return {"status": "fail", "detail": "phi failed on L1+ data"}
+    try:
+        table = table_for(symbol, hdata=hdata)
+    except MissingSource:
+        return {"status": "pass"} if hdata is None else \
+            {"status": "pass", "detail": "sigma only (no phi data)"}
+    if check_positivity_phi(lam, table) != lam.in_L1_plus:
+        return {"status": "fail", "detail": "phi failed on L1+ data"
+                if lam.in_L1_plus else "phi passed outside L1+"}
     return {"status": "pass"}
 
 
@@ -258,12 +253,10 @@ def cmd_verify(args, out=None):
 def cmd_fit(args, out=None):
     out = out or sys.stdout
     from .borcherds import fit_case
-    table = None
-    if args.data:
-        # read even where the fixture is the table: a bad file is an error
-        hdata = ingest_hdata(args.data)
-        if get_lambency(args.lambency).fixture is None:
-            table = hdata.get(args.lambency)
+    # without --data, fit_case picks the table after its checks of D and r;
+    # a --data file is read even where the fixture is the table
+    table = table_for(args.lambency, hdata=ingest_hdata(args.data)) \
+        if args.data else None
     rep = fit_case(args.lambency, args.D, args.r, table=table)
     if args.format == "records":
         out.write(json.dumps(

@@ -11,7 +11,8 @@ class LevelMismatch(MJTError):
     level m < 1 (enumerate_heegner, genus_char), a form whose
     A the level m does not divide (genus_char), a sum of no tables or of
     tables of different index (table_sum), and a caller's table whose
-    index is not the lambency's (psi_expand, fit_case, verify_table14_15)."""
+    index is not the lambency's (catalog.table_for, so psi_expand,
+    fit_case, verify_table14_15, check_positivity_phi)."""
 
 
 class NotConstant(MJTError):
@@ -45,8 +46,11 @@ class UnknownLambency(MJTError):
 
 
 class MissingSource(MJTError):
-    """A construction needs data that has not been ingested, or a fixture
-    row that the catalog does not carry (verify_mult_relation)."""
+    """A check needs a table that no caller, shipped fixture or ingested
+    data gives (catalog.table_for, so psi_expand, fit_case,
+    verify_table14_15, check_positivity_phi, construct_averaged and
+    verify_mult_relation), or a fixture row that the catalog does not
+    carry (verify_mult_relation)."""
 
 
 class UnreadableSource(MJTError):

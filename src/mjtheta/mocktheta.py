@@ -28,11 +28,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import count, takewhile, zip_longest
 
-from .catalog import get_lambency
+from .catalog import table_for
 from .cyclo import ex
-from .errors import (
-    InsufficientDepth, LevelMismatch, MissingSource, UnknownName,
-)
+from .errors import InsufficientDepth, UnknownName
 from .jacobi import Stream, stream_combination
 from .series import (
     QSeries, _slot_bytes, _unpack, series_add, series_half_shift,
@@ -315,23 +313,16 @@ def verify_table14_15(name, source=None, order=None):
     """Check one row against its Eulerian series, to min(order, the window
     the source justifies); order defaults to 15.
 
-    source: CoeffTable for the row's lambency (defaults to the catalog
-    fixture; MissingSource when there is none, LevelMismatch when its index
-    is not the lambency's).  Returns the series_verdict with the row's
-    name; InsufficientDepth when the source reaches no coefficient.
+    source: CoeffTable for the row's lambency, as catalog.table_for
+    resolves it (the catalog fixture by default).  Returns the
+    series_verdict with the row's name; InsufficientDepth when the source
+    reaches no coefficient.
     """
     if name not in ROWS:
         raise UnknownName(name)
     row = ROWS[name]
-    lam = get_lambency(row.lambency)
-    if source is None:
-        source = lam.fixture
-        if source is None:
-            raise MissingSource(
-                f"{row.lambency} needs ingested data for row {name}")
-    elif source.m != lam.m:
-        raise LevelMismatch(f"row {name} needs index {lam.m}, not {source.m}")
-    rhs = stream_combination(source, row, 15 if order is None else order)
+    rhs = stream_combination(table_for(row.lambency, source), row,
+                             15 if order is None else order)
     return {"row": name, **series_verdict(eulerian(name, rhs.order), rhs)}
 
 

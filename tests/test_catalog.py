@@ -12,12 +12,13 @@ from mjtheta import catalog
 from mjtheta.arith import divisors
 from mjtheta.catalog import (
     AVERAGED_FROM, CATALOG_CSV, HData, MULT_RELATIONS, _a_of, _parse_symbol,
-    check_positivity_phi, check_positivity_sigma, construct_averaged,
-    get_lambency, ingest_hdata, load_catalog, verify_mult_relation,
+    catalog_by_symbol, check_positivity_phi, check_positivity_sigma,
+    construct_averaged, get_lambency, ingest_hdata, load_catalog, table_for,
+    verify_mult_relation,
 )
 from mjtheta.errors import (
-    CongruenceViolation, InsufficientDepth, MissingSource, ParseError,
-    UnknownLambency,
+    CongruenceViolation, InsufficientDepth, LevelMismatch, MissingSource,
+    ParseError, UnknownLambency,
 )
 from mjtheta.eta import EtaQuotient
 from mjtheta.jacobi import (
@@ -211,7 +212,7 @@ def test_ingest_roundtrip(tmp_path):
     p = write_csv(tmp_path, [("2", "1A", 1, 1, -2), ("2", "1A", 1, -7, 4488),
                              ("2", "1A", 3, -7, -4488)])
     h = ingest_hdata(p)
-    t = h.get("2")
+    t = table_for("2", hdata=h)
     assert t.get(-7, 1) == 4488
     assert t.get(-7, 3) == -4488  # r = 3 = -1 mod 4
     assert h.provenance.endswith("h.csv")
@@ -265,7 +266,7 @@ def test_ingest_rejects_a_value_at_a_structural_zero(tmp_path, r):
 def test_ingest_accepts_zeros_at_structural_zeros(tmp_path):
     p = write_csv(tmp_path, [("6+2", "1A", 1, 1, -2), ("6+2", "1A", 0, -24, 0),
                              ("6+2", "1A", 6, 12, 0)])
-    t = ingest_hdata(p).get("6+2")
+    t = ingest_hdata(p).tables[("6+2", "1A")]
     assert t.get(-24, 0) == 0 and t.get(12, 6) == 0
     assert list(t.entries) == [(1, 1)]
 
@@ -276,7 +277,7 @@ def test_ingest_reads_past_a_byte_order_mark(tmp_path):
                                  ("2", "1A", 3, -7, -4488)])
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    want, got = ingest_hdata(plain).get("2"), ingest_hdata(bom).get("2")
+    want, got = (ingest_hdata(q).tables[("2", "1A")] for q in (plain, bom))
     assert (got.entries, got.ranges) == (want.entries, want.ranges)
     assert got.get(-7, 1) == 4488
 
@@ -286,6 +287,44 @@ def test_ingest_bad_line(tmp_path):
     with pytest.raises(ParseError) as e:
         ingest_hdata(p)
     assert "line 2" in str(e.value)
+
+
+# int() reads each of these, the first two as 4488 and 4
+@pytest.mark.parametrize("field", [
+    "44_88", "\u0664", " 4488", "4488 ", "+4488", "--4488", "4488.0", "",
+    "1" * 5000])
+def test_ingest_reads_only_ascii_integers(tmp_path, field):
+    p = write_csv(tmp_path, [("2", "1A", 1, -7, field)])
+    with pytest.raises(ParseError, match="^line 2: non-integer field$"):
+        ingest_hdata(p)
+
+
+# -- the table a check reads ----------------------------------------------
+
+def test_table_for_order():
+    f62, f102 = get_lambency("6+2").fixture, get_lambency("10+2").fixture
+    mine = CoeffTable(6, {}, {1: (-100, 1)})
+    theirs = CoeffTable(6, {}, {})
+    h = HData({("6+2", "1A"): theirs, ("6", "1A"): theirs,
+               ("6+2", "2A"): theirs})
+    # the caller's table first, checked against the lambency's index
+    assert table_for("6+2", mine, h) is mine
+    with pytest.raises(LevelMismatch, match="^6[+]2 needs index 6, not 10$"):
+        table_for("6+2", f102, h)
+    # then the fixture, for class 1A only: data never replaces it
+    assert table_for("6+2", hdata=h) is f62
+    assert table_for("6+2", hdata=h, cls="2A") is theirs
+    # then the ingested table
+    assert table_for("6", hdata=h) is theirs
+    for hdata in (None, h):
+        with pytest.raises(MissingSource,
+                           match="^no ingested data for 2 class 1A$"):
+            table_for("2", hdata=hdata)
+    with pytest.raises(MissingSource,
+                       match="^no ingested data for 6[+]2 class 3A$"):
+        table_for("6+2", hdata=h, cls="3A")
+    with pytest.raises(UnknownLambency):
+        table_for("1", mine)
 
 
 # -- averaging ------------------------------------------------------------
@@ -461,12 +500,16 @@ def phi_by_epsilon(t):
     return True
 
 
+# the catalog's indices up to 12: 2..10 and 12
+SMALL_INDICES = sorted({lam.m for lam in load_catalog() if lam.m <= 12})
+
+
 @st.composite
 def odd_tables(draw):
-    """An odd table of index m <= 12: entries on residues 0 < r < m at
-    discriminants of their class above and below 0, of either sign or
-    (for about half the tables) none negative."""
-    m = draw(st.integers(1, 12))
+    """An odd table of a catalog index m <= 12: entries on residues
+    0 < r < m at discriminants of their class above and below 0, of either
+    sign or (for about half the tables) none negative."""
+    m = draw(st.sampled_from(SMALL_INDICES))
     values = draw(st.sampled_from([st.integers(0, 9), st.integers(-3, 9)]))
     entries = {}
     for r in range(1, m):
@@ -481,7 +524,7 @@ def odd_tables(draw):
 # a negative entry at D = 0 is not polar, so it passes
 @example(t=CoeffTable(9, {(0, 6): -1, (-36, 6): 1}, {6: (-36, 0)}))
 def test_positivity_phi_against_epsilon(t):
-    lam = get_lambency("2")
+    lam = next(lam for lam in catalog_by_symbol().values() if lam.m == t.m)
     assert check_positivity_phi(lam, t) == phi_by_epsilon(t)
 
 

@@ -404,6 +404,30 @@ def test_value_at_structural_zero_is_one_error_line(capsys, tmp_path):
     assert err.startswith("error: ParseError: line 3")
 
 
+def test_data_never_replaces_a_fixture(capsys, tmp_path):
+    # the fixture of 6+2 has C(-23, 1) = -2; with 5 there, phi-positivity
+    # would pass and the fit would find no C(-8, 4)
+    p = tmp_path / "h.csv"
+    write_records(p, [("6+2", "1A", 1, -23, 5)])
+    fixtures = {s for s, lam in cli.catalog_by_symbol().items()
+                if lam.fixture is not None}
+
+    def on_fixtures(out):
+        # with --data, a distinguished lambency without data says so
+        return [line for line in out.splitlines()
+                if json.loads(line)["case"] in fixtures]
+
+    for argv, keep in (
+            (["verify", "mocktheta", "--format", "records"], str.splitlines),
+            (["verify", "positivity", "--format", "records"], on_fixtures),
+            (["fit", "--lambency", "6+2", "--D", "-8", "--r", "4"],
+             str.splitlines)):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and keep(out) and err == ""
+        rc, with_data, err = run(capsys, *argv, "--data", str(p))
+        assert (rc, keep(with_data), err) == (0, keep(out), ""), argv
+
+
 def test_oversized_csv_field_is_one_error_line(capsys, tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("lambency,class,r,D,coeff\n2,1A,1,1," + "1" * 200000 + "\n")

@@ -146,6 +146,24 @@ def test_one_reader_of_csv_records():
                if p.parent.name == "mjtheta") == 1
 
 
+def fixture_reads(source):
+    """The number of reads of a `.fixture` attribute in `source`."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "fixture"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_fixture_read_check_sees_them():
+    assert fixture_reads("t = lam.fixture\nfixture = 1\n"
+                         "f(get('2').fixture, x.fixtures)\n") == 2
+
+
+def test_verifiers_read_no_fixture():
+    # a verifier's table comes from catalog.table_for, not its own choice
+    package = pathlib.Path(mjtheta.__path__[0])
+    assert [fixture_reads((package / f"{name}.py").read_text())
+            for name in ("borcherds", "mocktheta")] == [0, 0]
+
+
 # the package's modules, lowest layer first
 LAYERS = ["errors", "arith", "cyclo", "series", "eta", "jacobi", "catalog",
           "mocktheta", "borcherds", "cli"]

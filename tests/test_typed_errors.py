@@ -19,7 +19,10 @@ from tempfile import TemporaryDirectory
 from mjtheta import catalog
 from mjtheta.borcherds import QuadForm, enumerate_heegner, fit_case, \\
     genus_char, psi_expand
-from mjtheta.catalog import HData, get_lambency, verify_mult_relation
+from mjtheta.catalog import (
+    HData, check_positivity_phi, get_lambency, ingest_hdata,
+    verify_mult_relation,
+)
 from mjtheta.jacobi import CoeffTable, ez_apply, table_sum
 from mjtheta.cyclo import ex
 from mjtheta.mocktheta import (
@@ -40,6 +43,14 @@ def load_patched(line):
             return catalog.load_catalog()
         finally:
             catalog.CATALOG_CSV = packaged
+
+# ingest_hdata of a data file holding the header and `line`
+def ingest_line(line):
+    with TemporaryDirectory() as d:
+        path = Path(d) / "h.csv"
+        path.write_text("lambency,class,r,D,coeff\\n" + line + "\\n",
+                        encoding="utf-8")
+        return ingest_hdata(path)
 """
 
 # name: (error class, expression)
@@ -124,6 +135,14 @@ CASES = {
         "LevelMismatch", "fit_case('6+2', -8, 4, table=F102)"),
     "table row from a table of another index": (
         "LevelMismatch", "verify_table14_15('3:f', source=F102, order=12)"),
+    # every negative entry of 6+2 at index 2 was read as an entry of 2
+    "positivity audit of a table of another index": (
+        "LevelMismatch", "check_positivity_phi(get_lambency('2'), F62)"),
+    # int() reads these as C(-7, 1) = 4488 and C(-15, 1) = 4
+    "data field with an underscore": (
+        "ParseError", "ingest_line('2,1A,1,-7, 44_88')"),
+    "data field with a non-ASCII digit": (
+        "ParseError", "ingest_line('2,1A,1,-15,\\u0664')"),
     # an order <= 0 compares nothing, so no verdict can be given
     "Watson at order 0": ("InsufficientDepth", "verify_watson(0)"),
     "Andrews-Hickerson at order -3": (
