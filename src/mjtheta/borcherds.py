@@ -12,7 +12,7 @@ enumerate_heegner).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, inf, isqrt, lcm
+from math import ceil, gcd, inf, isqrt
 from operator import mul
 
 from .arith import (
@@ -280,29 +280,39 @@ def psi_expand(symbol, D, r, order=None, table=None):
     L-functions and harmonic weak Maass forms", Ann. of Math. 2010,
     Thm 6.1).  q d/dq log Psi = -G sum_N c_N q^N with the integers
     c_N = sum_{n | N} n C(Dn^2, rn) (D/(N/n)) (see _psi_log), so
-    X = sum x_N q^N and Y = sum y_N q^N follow a recurrence from
-    x_0 = 1, y_0 = 0 (see _psi_coords); 2x_N and 2y_N are integers.  The
+    X = sum x_N q^N and Y = sum y_N q^N follow an integer recurrence
+    from x_0 = 1, y_0 = 0, kept over one common denominator L (see
+    _psi_coords); 2x_N and 2y_N are integers, so L is 1 or 2.  The
     coefficients are returned as the values x_N + G y_N.
     """
     c, window = _psi_log(symbol, D, r, order, table)
     G = _gauss_sum(D)
-    return QSeries({N: _quad_value(x, y, G)
-                    for N, (x, y) in enumerate(zip(*_psi_coords(c, D)))},
-                   window)
+    X, Y, L = _psi_coords(c, D)
+    return QSeries({N: _quad_value(Fraction(x, L), Fraction(y, L), G)
+                    for N, (x, y) in enumerate(zip(X, Y))}, window)
+
+
+def _check_case(symbol, D, r):
+    """The lambency with this catalog symbol, after the checks of D and r
+    that read no table: D < 0, D = -3 not at m = 7, 13 or 21, and
+    D = r^2 mod 4m.  They run before any table is chosen, so that a case
+    gets the same error whatever data is at hand (see cli.cmd_fit)."""
+    lam = get_lambency(symbol)
+    m = lam.m
+    if D >= 0:
+        raise BadDiscriminant(f"need a negative fundamental D, got {D}")
+    if D == -3 and m in (7, 13, 21):
+        raise ExcludedDiscriminant(f"D=-3 is excluded at m={m}")
+    if (D - r * r) % (4 * m) != 0:
+        raise CongruenceViolation(f"D={D} is not {r}^2 mod {4 * m}")
+    return lam
 
 
 def _psi_log(symbol, D, r, order=None, table=None):
     """(c, window): the window of psi_expand, and the integers c_N of
     q d/dq log Psi = -G sum_N c_N q^N for 0 <= N < window (c_0 = 0)."""
-    lam = get_lambency(symbol)
+    lam = _check_case(symbol, D, r)
     m = lam.m
-    need = f"need a negative fundamental D, got {D}"
-    if D >= 0:
-        raise BadDiscriminant(need)
-    if D == -3 and m in (7, 13, 21):
-        raise ExcludedDiscriminant(f"D=-3 is excluded at m={m}")
-    if (D - r * r) % (4 * m) != 0:
-        raise CongruenceViolation(f"D={D} is not {r}^2 mod {4 * m}")
     table = table_for(symbol, table)
     if not any(_runs_out(table, r * n) for n in range(1, 2 * m + 1)):
         raise ExcludedDiscriminant(
@@ -324,7 +334,7 @@ def _psi_log(symbol, D, r, order=None, table=None):
                                 "structural zeros: cannot start the product")
     # after the reads: factoring a D far beyond the table takes forever
     if not is_fundamental(D):
-        raise BadDiscriminant(need)
+        raise BadDiscriminant(f"need a negative fundamental D, got {D}")
     window = min(order, Fraction(len(exponents) + 1))
     count = max(1, ceil(window))
     chi = kronecker_row(D, count)
@@ -337,17 +347,33 @@ def _psi_log(symbol, D, r, order=None, table=None):
 
 
 def _psi_coords(c, D, k=1):
-    """(X, Y): the coordinates x_N, y_N (Fractions, 0 <= N < len(c)) of
-    Psi^(1/k) = X + G Y for the c_N of _psi_log.  Psi^(1/k) has
+    """(X, Y, L): the coordinates x_N = X[N] / L and y_N = Y[N] / L
+    (0 <= N < len(c)) of Psi^(1/k) = X + G Y for the c_N of _psi_log, as
+    lists of ints over one common denominator L.  Psi^(1/k) has
     q d/dq log = -G sum (c_N / k) q^N, so with x_0 = 1, y_0 = 0,
-    N k x_N = -D sum_j c_j y_{N-j} and N k y_N = -sum_j c_j x_{N-j}."""
-    X, Y = [Fraction(1)], [Fraction(0)]
+    N k x_N = -D sum_j c_j y_{N-j} and N k y_N = -sum_j c_j x_{N-j}.
+
+    Step N forms the integer sums dx, dy of these right sides over L,
+    so x_N = dx / (N k L); with g = gcd(dx, dy, N k) and s = N k / g, L
+    grows by the factor s (the earlier entries with it) and dx / g,
+    dy / g are appended.  As gcd(dx / g, dy / g, s) = 1, each prime of s
+    divides L s exactly as often as the denominator of x_N or y_N, and
+    no earlier entry loses a prime of L: L stays the lcm of the
+    denominators of all x_N, y_N."""
+    X, Y, L = [1], [0], 1
     for N in range(1, len(c)):
         cs = c[N:0:-1]  # c_N .. c_1 against the coordinates 0 .. N-1
-        xN = Fraction(-D * sum(map(mul, cs, Y)), N * k)
-        Y.append(Fraction(-sum(map(mul, cs, X)), N * k))
-        X.append(xN)
-    return X, Y
+        dx = -D * sum(map(mul, cs, Y))
+        dy = -sum(map(mul, cs, X))
+        g = gcd(dx, dy, N * k)
+        s = N * k // g
+        if s > 1:
+            L *= s
+            X = [s * v for v in X]
+            Y = [s * v for v in Y]
+        X.append(dx // g)
+        Y.append(dy // g)
+    return X, Y, L
 
 
 def _runs_out(t, r):
@@ -416,10 +442,11 @@ def _solve_int(rows, n_unknowns):
     return rank, sol
 
 
-def _fit_coords(X, Y, D, T, e):
+def _fit_coords(X, Y, L, D, T, e):
     """The monic S of degree e over Q(sqrt D) with R S(T) = conj S(T),
-    for R = X + G Y given by its coordinates X, Y (lists of Fractions at
-    q^0 .. q^(W-1), x_0 = 1, y_0 = 0), G the Gauss sum, G^2 = D.  Returns
+    for R = x + G y given by its coordinates x_N = X[N] / L, y_N = Y[N] / L
+    (X, Y lists of ints at q^0 .. q^(W-1), x_0 = 1, y_0 = 0, as
+    _psi_coords gives them), G the Gauss sum, G^2 = D.  Returns
     S as ascending coordinate pairs (u_j, v_j), s_j = u_j + G v_j, ending
     in (1, 0).
 
@@ -430,19 +457,19 @@ def _fit_coords(X, Y, D, T, e):
     series), so (X + 1) times the first equation is D Y times the second:
     each first row follows from second rows below it, and only the second
     rows count.  There is one for each exponent from 1 - e up to the
-    window of R T^e, W - 1 in all.  Scaled by L, the common denominator of
-    X and Y, they are integers, eliminated fraction-free.  Passes only at
-    full rank 2e with a surplus row, the one check of the solution; raises
+    window of R T^e, W - 1 in all.  Scaled by L they are the integer rows
+    of X, Y and L T^j, eliminated fraction-free.  Passes only at full rank
+    2e with a surplus row, the one check of the solution; raises
     NoSolutionWithinDegree if the rows are inconsistent, else
     Underdetermined."""
-    L = lcm(*(v.denominator for v in X + Y))
-    LX, LY = (QSeries({N: int(v * L) for N, v in enumerate(s)}, len(X))
-              for s in (X, Y))
-    cols = []  # L X T^j, L Y T^j and T^j for j = 0 .. e
+    LX, LY = (QSeries(dict(enumerate(s)), len(X)) for s in (X, Y))
+    # X T^j, Y T^j and T^j for j = 0 .. e in 3e - 1 products: none by
+    # T^0 = 1, whose window (T's) still bounds top, and T^1 is T
     t = QSeries({0: 1}, T.order)
-    for j in range(e + 1):
+    cols = [(LX, LY, t)]
+    for j in range(1, e + 1):
+        t = T if j == 1 else series_mul(t, T)
         cols.append((series_mul(LX, t), series_mul(LY, t), t))
-        t = series_mul(t, T)
     top = min(s.order for col in cols for s in col)
     rows = []
     for x in range(1 - e, ceil(top)):
@@ -491,8 +518,9 @@ def fit_case(symbol, D, r, table=None):
     that is an integer, else 1: a K-orbit of o classes of weight w is a
     root of multiplicity o |w| / |K|, so k divides every multiplicity.
     R = Psi^(1/k) comes from Psi's recurrence with c_N / k, and one solve
-    of R S(T) = conj S(T) gives S of degree d / k.  Psi stays in its
-    rational coordinates X + G Y throughout; "max_deg" is d."""
+    of R S(T) = conj S(T) gives S of degree d / k.  R stays in its
+    integer coordinates over one denominator (see _psi_coords), and
+    values in Q(sqrt D) are formed only for P and Q; "max_deg" is d."""
     lam = get_lambency(symbol)
     c, window = _psi_log(symbol, D, r, table=table)
     ws = [abs(w) for _q, w in heegner_divisor(symbol, D, r)]

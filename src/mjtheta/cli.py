@@ -252,9 +252,11 @@ def cmd_verify(args, out=None):
 
 def cmd_fit(args, out=None):
     out = out or sys.stdout
-    from .borcherds import fit_case
-    # without --data, fit_case picks the table after its checks of D and r;
-    # a --data file is read even where the fixture is the table
+    from .borcherds import _check_case, fit_case
+    # D and r are checked before a --data file's table is chosen, as
+    # fit_case checks them before it chooses one itself; the file is read
+    # even where the fixture is the table
+    _check_case(args.lambency, args.D, args.r)
     table = table_for(args.lambency, hdata=ingest_hdata(args.data)) \
         if args.data else None
     rep = fit_case(args.lambency, args.D, args.r, table=table)

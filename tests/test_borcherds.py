@@ -4,7 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -717,22 +717,51 @@ def test_psi_fractional_order_keeps_its_window():
 
 
 def test_psi_coordinates_are_half_integers():
-    # the whole window of every sweep case: 2x, 2y are ints, and x, y
-    # are ints when 4 | D
+    # the whole window of every sweep case: 2x, 2y are ints, so L is 1
+    # or 2, and x, y are ints when 4 | D
     for sym, D, r in SWEEP:
         try:
             c, window = borcherds._psi_log(sym, D, r)
         except (ExcludedDiscriminant, InsufficientDepth):
             continue
-        X, Y = borcherds._psi_coords(c, D)
-        assert len(X) == len(Y) == int(window) and X[0] == 1
-        assert all((2 * v).denominator == 1 for v in X + Y)
+        X, Y, L = borcherds._psi_coords(c, D)
+        assert len(X) == len(Y) == int(window) and X[0] == L
+        assert L in (1, 2)
         if D % 4 == 0:
-            assert all(v.denominator == 1 for v in X + Y), (sym, D, r)
+            assert L == 1, (sym, D, r)
         psi = psi_expand(sym, D, r)
         G = borcherds._gauss_sum(D)
-        assert all(psi.coeff(N) == cadd(X[N], cmul(Y[N], G))
+        assert all(psi.coeff(N) == cadd(Fraction(X[N], L),
+                                        cmul(Fraction(Y[N], L), G))
                    for N in range(len(X)))
+
+
+def psi_coords_by_fractions(c, D, k=1):
+    """Oracle: the coordinates x_N, y_N of Psi^(1/k) for the c_N of
+    _psi_log, as lists of Fractions, from x_0 = 1, y_0 = 0 and
+    N k x_N = -D sum_j c_j y_{N-j}, N k y_N = -sum_j c_j x_{N-j}: the
+    recurrence _psi_coords runs in integers over one denominator."""
+    X, Y = [Fraction(1)], [Fraction(0)]
+    for N in range(1, len(c)):
+        cs = c[N:0:-1]
+        xN = Fraction(-D * sum(a * y for a, y in zip(cs, Y)), N * k)
+        Y.append(Fraction(-sum(a * x for a, x in zip(cs, X)), N * k))
+        X.append(xN)
+    return X, Y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=25),
+       st.integers(max_value=-1, min_value=-200),
+       st.integers(min_value=1, max_value=4))
+def test_psi_coords_match_the_fraction_recurrence(c, D, k):
+    c = [0] + c[1:]  # c_0 = 0, as _psi_log gives it
+    X, Y, L = borcherds._psi_coords(c, D, k)
+    want_X, want_Y = psi_coords_by_fractions(c, D, k)
+    assert all(type(v) is int for v in X + Y + [L])
+    assert [Fraction(v, L) for v in X] == want_X
+    assert [Fraction(v, L) for v in Y] == want_Y
+    assert L == lcm(*(v.denominator for v in want_X + want_Y))
 
 
 @pytest.mark.parametrize("sym,D,r,k", [("6+2", -8, 4, 2), ("6+2", -20, 2, 2),
@@ -741,9 +770,9 @@ def test_psi_coords_take_the_kth_root(sym, D, r, k):
     # the coordinates from c_N / k are those of a k-th root of Psi
     c, window = borcherds._psi_log(sym, D, r)
     G = borcherds._gauss_sum(D)
-    root = QSeries({N: cadd(x, cmul(y, G)) for N, (x, y)
-                    in enumerate(zip(*borcherds._psi_coords(c, D, k)))},
-                   window)
+    X, Y, L = borcherds._psi_coords(c, D, k)
+    root = QSeries({N: cadd(Fraction(x, L), cmul(Fraction(y, L), G))
+                    for N, (x, y) in enumerate(zip(X, Y))}, window)
     assert power(root, k).coeffs == psi_expand(sym, D, r).coeffs
 
 
@@ -887,14 +916,16 @@ def test_fit_coords_matches_the_cyclotomic_fit(D, coords, e, k):
     R = pair_mul(conj_T, power(S_T, -1))
     X, Y = (list(c) for c in zip(*(split(R.coeff(N), D)
                                    for N in range(int(R.order)))))
+    L = lcm(*(v.denominator for v in X + Y))
+    X, Y = ([int(v * L) for v in s] for s in (X, Y))
     P, Q, _rank = cyc_fit(power(R, k), T, e * k)
     if len(Q) - 1 < e * k:
         # S and conj S share a factor H over Q, so S H'/H solves for any
         # monic H' over Q of H's degree: a kernel
         with pytest.raises(Underdetermined):
-            borcherds._fit_coords(X, Y, D, T, e)
+            borcherds._fit_coords(X, Y, L, D, T, e)
         return
-    assert borcherds._fit_coords(X, Y, D, T, e) == S
+    assert borcherds._fit_coords(X, Y, L, D, T, e) == S
     Sk = borcherds._pair_pow(S, k, D)
     assert [cadd(a, cmul(-b, G)) for a, b in Sk] == P
     assert [cadd(a, cmul(b, G)) for a, b in Sk] == Q

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -162,6 +163,16 @@ def test_fit_outputs_are_pinned(capsys, monkeypatch):
             out.append(text)
     golden = Path(__file__).parent / "data" / "fit_outputs.txt"
     assert "".join(out) == golden.read_text()
+
+
+def test_fit_census_is_pinned(monkeypatch):
+    # every census case of tools/fit_census.py: the fit's record, or the
+    # error with its row and rank counts, byte for byte
+    monkeypatch.delenv(DATA_ENV, raising=False)
+    root = Path(__file__).parent.parent
+    tool = runpy.run_path(str(root / "tools" / "fit_census.py"))
+    golden = root / "tests" / "data" / "fit_census.txt"
+    assert tool["render"]() == golden.read_text()
 
 
 def child_env():
@@ -344,6 +355,22 @@ def test_fit_excluded(capsys):
     rc, _out, err = run(capsys, "fit", "--lambency", "7", "--D", "-3",
                         "--r", "1")
     assert rc == 1 and "ExcludedDiscriminant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--D", "-3", "--r", "1"],  # D = -3 is excluded at m = 7
+    ["--D", "-4", "--r", "1"],  # no D = r^2 mod 28
+    ["--D", "5", "--r", "1"],
+])
+def test_fit_checks_D_and_r_before_the_data(capsys, tmp_path, argv):
+    # a --data file without lambency 7 changes none of these errors
+    p = tmp_path / "h.csv"
+    p.write_text("lambency,class,r,D,coeff\n2,1A,1,-7,90\n")
+    argv = ["fit", "--lambency", "7"] + argv
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == "" and err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "MissingSource" not in err
+    assert run(capsys, *argv, "--data", str(p)) == (rc, out, err)
 
 
 def test_fit_missing_source(capsys):
