@@ -82,10 +82,11 @@ def _check_level(m):
         raise LevelMismatch(f"the level must be a positive integer, got {m}")
 
 
-def enumerate_heegner(m, D, r):
-    """Canonical Gamma_0(m)-class representatives of Q(m, D, r), the forms
-    [A, B, C] of discriminant D < 0 with m | A and B = r mod 2m, with
-    stabilizer orders: sorted list of (QuadForm, #Gamma_0(m)_Q).
+def enumerate_heegner(m, D, r, K=(1,)):
+    """Canonical Gamma_0(m)-class representatives of Q(m, D, r a), a in K,
+    the forms [A, B, C] of discriminant D < 0 with m | A and B = r a mod
+    2m, and their stabilizer orders: sorted (QuadForm, #Gamma_0(m)_Q), a
+    class once for each a it meets.
 
     Theorem (completeness).  Every form of discriminant D is R|g for
     exactly one reduced R of discriminant D, primitive or not, and some
@@ -93,23 +94,25 @@ def enumerate_heegner(m, D, r):
     Gamma_0(m)-classes of forms with reduced form R are the double cosets
     Aut(R) \\ SL_2(Z) / Gamma_0(m).  The cosets g Gamma_0(m) are the
     points of P^1(Z/m), by the first column of g mod m (Cremona's
-    M-symbols), and the conditions m | A and B = r mod 2m on R|g depend on
-    the coset alone.  Hence the classes of Q(m, D, r) are, for each
-    reduced R, the orbits of g -> u g, u in Aut(R), on the points whose
-    R|g meets them: O(#reduced forms * #P^1(Z/m)) steps.  The stabilizer
-    of Q = R|g in Gamma_0(m) is g^-1 u g for the u in Aut(R) with
-    u g Gamma_0(m) = g Gamma_0(m), so its order is the number of u that
-    fix g's point.  See Gross--Kohnen--Zagier, Math. Ann. 278, 1987,
+    M-symbols), and m | A and B mod 2m on R|g depend on the coset alone.
+    Hence the classes are, for each reduced R, the orbits of g -> u g,
+    u in Aut(R), on the points whose R|g meets them: one walk serves all
+    of K, O(#reduced forms * #P^1(Z/m)) steps for each (m, D).  The
+    stabilizer of Q = R|g in Gamma_0(m) is g^-1 u g for the u in Aut(R)
+    with u g Gamma_0(m) = g Gamma_0(m), so its order is the number of u
+    that fix g's point.  See Gross--Kohnen--Zagier, Math. Ann. 278, 1987,
     section I.
 
     The representative of a class is its form with the least A, then the
     least B in (-A, A] (see _least_form).
     """
     _check_level(m)
-    if (D - r * r) % (4 * m) != 0:
-        raise CongruenceViolation(f"D={D} is not {r}^2 mod {4 * m}")
+    for a in K:
+        if (D - (r * a) ** 2) % (4 * m):
+            raise CongruenceViolation(f"D={D} is not {r * a}^2 mod {4 * m}")
     if D >= 0:
         raise BadDiscriminant(f"Heegner forms need D < 0, got {D}")
+    ts = [r * a % (2 * m) for a in K]
     ps = [(p, p ** k) for p, k in prime_factorization(m).items()]
     points = _p1(ps, m)
     reps = []
@@ -117,16 +120,15 @@ def enumerate_heegner(m, D, r):
         auts = _automorphs(R.key())
         seen = set()
         for key, g in points:
-            if key in seen:
+            a, c = g[0], g[2]
+            if key in seen or R.value(a, c) % m:
                 continue
             Q = R.transform(g)
-            if Q.A % m or (Q.B - r) % (2 * m):
-                continue
-            a, c = g[0], g[2]
-            images = [_p1_key(u[0] * a + u[1] * c, u[2] * a + u[3] * c, ps)
-                      for u in auts]
-            seen.update(images)
-            reps.append((_least_form(Q, m), images.count(key)))
+            if n := ts.count(Q.B % (2 * m)):
+                images = [_p1_key(u[0] * a + u[1] * c, u[2] * a + u[3] * c, ps)
+                          for u in auts]
+                seen.update(images)
+                reps += [(_least_form(Q, m), images.count(key))] * n
     reps.sort(key=lambda qs: qs[0].key())
     return reps
 
@@ -255,15 +257,14 @@ def heegner_divisor(symbol, D, r):
     """The weighted Heegner divisor of Eq-(3.23) type for the optimal form
     of the lambency with this catalog symbol: list of (QuadForm, weight)
     with weight = -4 chi_D(Q) / #Gamma_0(m)_Q, summed over the group
-    translates of r."""
+    translates r a, a in K, of one enumerate_heegner walk."""
     lam = get_lambency(symbol)
     m = lam.m
     out = {}
-    for a in lam.K:
-        for Q, stab in enumerate_heegner(m, D, (r * a) % (2 * m)):
-            w = Fraction(-4 * genus_char(Q, D, m), stab)
-            if w:
-                out[Q] = out.get(Q, 0) + w
+    for Q, stab in enumerate_heegner(m, D, r, lam.K):
+        w = Fraction(-4 * genus_char(Q, D, m), stab)
+        if w:
+            out[Q] = out.get(Q, 0) + w
     return sorted(out.items(), key=lambda qw: qw[0].key())
 
 
@@ -493,10 +494,10 @@ def _fit_coords(X, Y, L, D, T, e):
 
 
 def _pair_pow(S, k, D):
-    """S^k for S as ascending coordinate pairs (a, b) = a + G b, G^2 = D:
-    (a, b)(c, d) = (ac + D bd, ad + bc)."""
-    out = [(1, 0)]
-    for _ in range(k):
+    """S^k, k >= 1, for S as ascending coordinate pairs (a, b) = a + G b,
+    G^2 = D: k - 1 products (a, b)(c, d) = (ac + D bd, ad + bc)."""
+    out = S
+    for _ in range(k - 1):
         prod = [(0, 0)] * (len(out) + len(S) - 1)
         for i, (a, b) in enumerate(out):
             for j, (c, d) in enumerate(S):

@@ -1,10 +1,13 @@
 import os
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, isqrt, lcm
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,7 @@ from mjtheta.catalog import get_lambency, load_catalog
 from mjtheta.cyclo import Cyc, cadd, cmul, ex
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, NoSolutionWithinDegree, Underdetermined,
+    InsufficientDepth, MJTError, NoSolutionWithinDegree, Underdetermined,
 )
 from mjtheta.eta import eta_expand
 from mjtheta.jacobi import CoeffTable
@@ -886,6 +889,96 @@ def test_genus_char_matches_the_bounded_search_on_heegner_forms():
     assert len(forms) > 150
     for Q, D, m in forms:
         assert_genus_char_matches_the_bounded_search(Q, D, m)
+
+
+# -- the Heegner divisor: one walk for every translate --------------------
+
+def divisor_by_translates(symbol, D, r):
+    """Oracle: the Heegner divisor as the loop heegner_divisor replaced,
+    one single-residue enumerate_heegner call per a in K on r a mod 2m."""
+    lam = get_lambency(symbol)
+    m = lam.m
+    out = {}
+    for a in lam.K:
+        for Q, stab in enumerate_heegner(m, D, (r * a) % (2 * m)):
+            w = Fraction(-4 * genus_char(Q, D, m), stab)
+            if w:
+                out[Q] = out.get(Q, 0) + w
+    return sorted(out.items(), key=lambda qw: qw[0].key())
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the MJTError it raises."""
+    try:
+        return fn(*args)
+    except MJTError as e:
+        return type(e)
+
+
+def census_cases():
+    root = Path(__file__).parent.parent
+    return runpy.run_path(str(root / "tools" / "fit_census.py"))["cases"]()
+
+
+@pytest.mark.parametrize("cases", [census_cases(), BENCH_FITS + SWEEP],
+                         ids=["census", "bench-fits+sweep"])
+def test_heegner_divisor_matches_the_translate_loop(cases):
+    assert len(cases) > 100
+    for case in cases:
+        assert outcome(heegner_divisor, *case) == \
+            outcome(divisor_by_translates, *case), case
+
+
+def test_one_walk_lists_each_translate():
+    # the walk over K lists what the single-residue walks list together
+    for sym, D, r in BENCH_FITS + SWEEP:
+        lam = get_lambency(sym)
+        m = lam.m
+        joined = [qs for a in lam.K
+                  for qs in enumerate_heegner(m, D, r * a % (2 * m))]
+        joined.sort(key=lambda qs: qs[0].key())
+        assert enumerate_heegner(m, D, r, lam.K) == joined, (sym, D, r)
+
+
+def test_coinciding_translates_count_twice():
+    # (6+2, -8, 4): K = {1, 7} and 4 * 7 = 4 mod 12, so both translates
+    # are Q(6, -8, 4) and each class counts once for each
+    lam = get_lambency("6+2")
+    assert lam.K == (1, 7) and 4 * 7 % 12 == 4
+    single = enumerate_heegner(6, -8, 4)
+    assert single
+    assert enumerate_heegner(6, -8, 4, lam.K) == \
+        sorted(single * 2, key=lambda qs: qs[0].key())
+    once = [(Q, Fraction(-4 * genus_char(Q, -8, 6), s)) for Q, s in single]
+    assert all(w for _q, w in once)
+    div = heegner_divisor("6+2", -8, 4)
+    assert div == divisor_by_translates("6+2", -8, 4)
+    assert div == [(Q, 2 * w) for Q, w in once]
+
+
+def test_heegner_divisor_walks_once(monkeypatch):
+    calls = {"enumerate_heegner": 0, "_p1": 0}
+    for name in calls:
+        fn = getattr(borcherds, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(borcherds, name, counted)
+    assert len(get_lambency("33+11").K) == 2
+    borcherds.heegner_divisor("33+11", -8, 28)
+    assert calls == {"enumerate_heegner": 1, "_p1": 1}
+
+
+def test_a_bad_translate_is_a_congruence_violation(monkeypatch):
+    # -20 = 2^2 mod 24 but not 4^2: the translate 2 * 2 fails, and the
+    # walk raises rather than list no class for it
+    with pytest.raises(CongruenceViolation, match="not 4\\^2 mod 24"):
+        enumerate_heegner(6, -20, 2, (1, 2))
+    monkeypatch.setattr(borcherds, "get_lambency",
+                        lambda _s: SimpleNamespace(m=6, K=(1, 2)))
+    with pytest.raises(CongruenceViolation):
+        borcherds.heegner_divisor("6+2", -20, 2)
 
 
 def poly_in_T(coeffs, Tpow):
