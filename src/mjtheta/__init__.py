@@ -2,7 +2,8 @@
 
 Subpackages / modules:
 
-* :mod:`mjtheta.cyclo`     -- cyclotomic-rational scalars
+* :mod:`mjtheta.cyclo`     -- rational scalars, and the values x + y G_D
+                              of Q(sqrt D) that Borcherds products take
 * :mod:`mjtheta.series`    -- truncated q-series with justified windows
 * :mod:`mjtheta.eta`       -- eta quotients, Fricke involution, dlog
 * :mod:`mjtheta.jacobi`    -- coefficient tables, theta kernels, the lift
@@ -12,8 +13,8 @@ Subpackages / modules:
 * :mod:`mjtheta.cli`       -- command line front end
 """
 
-from .cyclo import Cyc, ex
+from .cyclo import Cyc
 from .series import QSeries
 
-__all__ = ["Cyc", "ex", "QSeries"]
+__all__ = ["Cyc", "QSeries"]
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ cosets g Gamma_0(m), the points of P^1(Z/m), for each reduced form R (see
 enumerate_heegner).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, inf, isqrt
@@ -261,8 +262,10 @@ def heegner_divisor(symbol, D, r):
     lam = get_lambency(symbol)
     m = lam.m
     out = {}
-    for Q, stab in enumerate_heegner(m, D, r, lam.K):
-        w = Fraction(-4 * genus_char(Q, D, m), stab)
+    # a class the walk lists n times, once per translate it meets, has
+    # its genus character computed once
+    for (Q, stab), n in Counter(enumerate_heegner(m, D, r, lam.K)).items():
+        w = Fraction(-4 * n * genus_char(Q, D, m), stab)
         if w:
             out[Q] = out.get(Q, 0) + w
     return sorted(out.items(), key=lambda qw: qw[0].key())
@@ -270,13 +273,14 @@ def heegner_divisor(symbol, D, r):
 
 def psi_expand(symbol, D, r, order=None, table=None):
     """The Borcherds product of the lambency with this catalog symbol,
-    prod_{n>0} prod_{b mod D} (1 - ex(b/D) q^n)^{(D/b) C(Dn^2, rn)}
+    prod_{n>0} prod_{b mod D} (1 - e(b/D) q^n)^{(D/b) C(Dn^2, rn)},
+    e(x) = e^{2 pi i x},
     expanded exactly; truncated at the first n whose exponent the table
     cannot justify (the returned window records this).
 
     Every coefficient lies in Q(sqrt D): for the primitive character
-    (D/.), sum_b (D/b) ex(bk/D) = (D/k) G with the Gauss sum
-    G = sum_b (D/b) ex(b/D), G^2 = D, so Psi = X + G Y with X, Y over Q.
+    (D/.), sum_b (D/b) e(bk/D) = (D/k) G with the Gauss sum
+    G = sum_b (D/b) e(b/D), G^2 = D, so Psi = X + G Y with X, Y over Q.
     This is the twisted product of Bruinier--Ono ("Heegner divisors,
     L-functions and harmonic weak Maass forms", Ann. of Math. 2010,
     Thm 6.1).  q d/dq log Psi = -G sum_N c_N q^N with the integers
@@ -284,12 +288,11 @@ def psi_expand(symbol, D, r, order=None, table=None):
     X = sum x_N q^N and Y = sum y_N q^N follow an integer recurrence
     from x_0 = 1, y_0 = 0, kept over one common denominator L (see
     _psi_coords); 2x_N and 2y_N are integers, so L is 1 or 2.  The
-    coefficients are returned as the values x_N + G y_N.
+    coefficients are returned as the values Cyc.make(D, x_N, y_N).
     """
     c, window = _psi_log(symbol, D, r, order, table)
-    G = _gauss_sum(D)
     X, Y, L = _psi_coords(c, D)
-    return QSeries({N: _quad_value(Fraction(x, L), Fraction(y, L), G)
+    return QSeries({N: Cyc.make(D, Fraction(x, L), Fraction(y, L))
                     for N, (x, y) in enumerate(zip(X, Y))}, window)
 
 
@@ -386,27 +389,6 @@ def _runs_out(t, r):
         return _stream_window(t, r) != inf
     except InsufficientDepth:
         return True
-
-
-@lru_cache(maxsize=None)
-def _gauss_sum(D):
-    """G = sum_{b mod |D|} (D/b) ex(b/D), with G^2 = D, for a negative
-    fundamental D: a Cyc at its minimal conductor |D|."""
-    n = -D
-    coeffs = [0] * n
-    for b in range(1, n):
-        coeffs[-b % n] += kronecker(D, b)  # ex(b/D) = zeta_n^(-b)
-    return Cyc.make(n, coeffs)
-
-
-def _quad_value(x, y, G):
-    """x + y G for rationals x, y, in normal form: the Fraction x when
-    y = 0, else a Cyc at G's conductor, the minimal one of Q(sqrt D)."""
-    if not y:
-        return x
-    c = [y * g for g in G.c]
-    c[0] += x
-    return Cyc(G.n, c)
 
 
 # -- rational-function fitting -------------------------------------------
@@ -534,9 +516,8 @@ def fit_case(symbol, D, r, table=None):
     k = g // K if g and g % K == 0 else 1
     S = _fit_coords(*_psi_coords(c, D, k), D, eta_expand(lam.eta, window),
                     int(d) // k)
-    G = _gauss_sum(D)
     Sk = _pair_pow(S, k, D)
     return {"lambency": symbol, "D": D, "r": r,
-            "P": [_quad_value(a, -b, G) for a, b in Sk],
-            "Q": [_quad_value(a, b, G) for a, b in Sk],
+            "P": [Cyc.make(D, a, -b) for a, b in Sk],
+            "Q": [Cyc.make(D, a, b) for a, b in Sk],
             "window": window, "max_deg": int(d)}

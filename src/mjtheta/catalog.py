@@ -32,7 +32,6 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
-from .cyclo import ex
 from .errors import (
     CongruenceViolation, LevelMismatch, MissingSource, ParseError,
     UnknownLambency, UnknownName, UnreadableSource,
@@ -314,7 +313,7 @@ MULT_RELATIONS = {
     "15+5:5A": ("5A", _progression("15+5", "3", range(6), 6, 5, 5, 2)),
     "20+4:2C": ("2C", _progression("20+4", "5", [1, 3, 7, 9], 10, 2, 4) + [
         (Stream("20+4", [(1, 2 * r)]),
-         Stream("5", [(1, r)], arg=(1, HALF), pre=ex(Fraction(r * r, 160))))
+         Stream("5", [(1, r, Fraction(r * r, 160))], arg=(1, HALF)))
         for r in [2, 4, 6, 8]]),
     "21+3:3AB": ("3AB", _progression("21+3", "7", range(14), 14, 3, 3, 2)),
     "24+8:8CD": ("8CD", _progression("24+8", "3", range(6), 12, 4, 8)),
@@ -322,8 +321,8 @@ MULT_RELATIONS = {
     "33+11:11AB": ("11AB",
                    _progression("33+11", "3", range(6), 6, 11, 11, 2)),
     "36+4:6C": ("6C", _progression("36+4", "3", [1, 5], 12, 6, 12) + [
-        (Stream("36+4", [(1, 2), (1, 14), (1, 26)], arg=(3, Fraction(3, 2)),
-                pre=ex(Fraction(1, 6))), Stream("3", [(1, 2)]))]),
+        (Stream("36+4", [(1, r, "1/6") for r in (2, 14, 26)],
+                arg=(3, Fraction(3, 2))), Stream("3", [(1, 2)]))]),
     "36+4:2B": ("2B", _progression("36+4", "9", [3, 15], 18, 4, 4) + [
         (Stream("36+4", [(1, 12)]),
          Stream("9", [(1, 6)], arg=(1, HALF), pre=-1))]),
@@ -344,7 +343,7 @@ def verify_mult_relation(row_id, h, order=None):
         raise UnknownName(row_id)
     cls, pairs = MULT_RELATIONS[row_id]
     lam = get_lambency(pairs[0][0].lambency)  # every pair reads its fixture
-    missing = sorted({rc for lhs, _rhs in pairs for _c, r in lhs.terms
+    missing = sorted({rc for lhs, _rhs in pairs for _c, r, _t in lhs.terms
                       for rc, sign in [_canonical(lam.m, r)]
                       if sign and rc not in lam.fixture.ranges})
     if missing:

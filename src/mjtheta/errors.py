@@ -69,8 +69,9 @@ class Divergent(MJTError):
 class BadDiscriminant(MJTError):
     """Kronecker symbol requires D nonzero and congruent to 0 or 1 mod 4;
     Heegner forms need D < 0 (enumerate_heegner), a genus character a
-    fundamental D (genus_char), and a Borcherds product a negative
-    fundamental D (psi_expand, fit_case)."""
+    fundamental D (genus_char), and a Borcherds product and a value
+    x + y G_D a negative fundamental D (psi_expand, fit_case,
+    cyclo.Cyc.make)."""
 
 
 class NonIntegralCoefficient(MJTError):
@@ -78,6 +79,13 @@ class NonIntegralCoefficient(MJTError):
     series_mul an operand with one.  Table values are ints, so every
     Borcherds exponent C(D n^2, r n) is one; every product the package
     forms is a product of int series."""
+
+
+class IrrationalPhase(MJTError):
+    """A half-shift whose phase e(turn + s x) at an exponent x with a
+    nonzero coefficient is not +-1, so the coefficient would be irrational
+    (series_half_shift, and a jacobi.Stream term c e(t) under
+    tau -> A tau + B, whose phase is e(t + B x); stream_combination)."""
 
 
 class ExcludedDiscriminant(MJTError):

@@ -30,7 +30,8 @@ from .errors import (
     NonIntegralCoefficient,
 )
 from .series import (
-    QSeries, _arg_transform, series_add, series_scale, series_slice,
+    QSeries, series_add, series_half_shift, series_rescale, series_scale,
+    series_slice,
 )
 
 __all__ = [
@@ -270,17 +271,20 @@ def h_stream(t, r, order):
 
 
 class Stream:
-    """pre * (sum_i c_i H_{r_i}) | [s; b] (A tau + B) + const, for terms
-    [(c_i, r_i)] and arg (A, B), the H_r streams of the named lambency's
-    table: a mock theta row, or one side of a multiplicative relation.
-    s and b are Fractions or strings such as "-1/24"."""
+    """pre * (sum_i c_i e(t_i) H_{r_i}) | [s; b] (A tau + B) + const, for
+    terms [(c_i, r_i)] or [(c_i, r_i, t_i)] and arg (A, B), the H_r
+    streams of the named lambency's table: a mock theta row, or one side
+    of a multiplicative relation.  Every value is rational: a root of
+    unity e(t) = e^{2 pi i t} is a term's turn t.  s, b and t are
+    Fractions or strings such as "-1/24"; terms are stored as (c, r, t)."""
 
     __slots__ = ("lambency", "terms", "s", "b", "arg", "pre", "const")
 
     def __init__(self, lambency, terms, s=0, b=1, arg=(1, 0), pre=1,
                  const=0):
         self.lambency = lambency
-        self.terms = terms
+        # (c, r) is (c, r, 0): Fraction() is 0
+        self.terms = [(c, r, Fraction(*t)) for c, r, *t in terms]
         self.s = Fraction(s)
         self.b = Fraction(b)
         self.arg = (Fraction(arg[0]), Fraction(arg[1]))
@@ -291,27 +295,33 @@ class Stream:
 def stream_combination(t, spec, order):
     """The series of the Stream spec, its H_r read from the table t.
 
-    Its window is min(order, the window t justifies through the slice and
-    the substitution); InsufficientDepth when that window reaches no
-    exponent (is <= 0).
+    Each term is sliced and multiplied, key by key, by its phase
+    e(t_i + B x) at the sliced exponent x, which must be +-1
+    (IrrationalPhase names the exponent where it is not); the sum is then
+    substituted q -> q^A.  Its window is min(order, the window t
+    justifies through the slice and the substitution); InsufficientDepth
+    when that window reaches no exponent (is <= 0).
     """
     A, B = spec.arg
     s = spec.s
-    avail = min(_stream_window(t, r) for _c, r in spec.terms)
+    avail = min(_stream_window(t, r) for _c, r, _t in spec.terms)
     stream_order = min(avail, Fraction(order) / A + s)
     if stream_order <= s:
         raise InsufficientDepth(
-            f"residues {sorted({r for _c, r in spec.terms})} of the "
+            f"residues {sorted({r for _c, r, _t in spec.terms})} of the "
             f"index-{t.m} table: window {stream_order} reaches no exponent "
             f"past the shift {s}")
     g = None
-    for c, r in spec.terms:
+    for c, r, turn in spec.terms:
         f = h_stream(t, r, stream_order)
+        if s or spec.b != 1:
+            f = series_slice(f, s, spec.b)
+        if B or turn:
+            f = series_half_shift(f, B, turn)
         f = f if c == 1 else series_scale(f, c)
         g = f if g is None else series_add(g, f)
-    if s or spec.b != 1:
-        g = series_slice(g, s, spec.b)
-    g = _arg_transform(g, A, B)
+    if A != 1:
+        g = series_rescale(g, A)
     if spec.pre != 1:
         g = series_scale(g, spec.pre)
     return series_add(g, QSeries({0: spec.const}, g.order)) \

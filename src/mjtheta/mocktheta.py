@@ -9,10 +9,13 @@ registered series integral.
 
 Each table row states an identity
 
-    eulerian(name)  =  pre * (sum_i c_i H_{r_i}) | [s; b] (A tau + B) + const
+    eulerian(name)  =  pre * (sum_i c_i e(t_i) H_{r_i}) | [s; b] (A tau + B)
+                       + const
 
 where H_r is the r-th theta-coefficient stream of the named lambency's
-distinguished form.  ROWS holds the right sides as jacobi.Stream data,
+distinguished form, c_i, pre and const are rationals, and the root of
+unity e(t_i) = e^{2 pi i t_i} is given by its turn t_i (0 unless a term
+says otherwise).  ROWS holds the right sides as jacobi.Stream data,
 with pre = 1/2 unless a row says otherwise, and jacobi.stream_combination
 builds them.
 H_r lives on the exponents -r^2/4m + Z, so the slice meets its support
@@ -29,7 +32,6 @@ from functools import partial
 from itertools import count, takewhile, zip_longest
 
 from .catalog import table_for
-from .cyclo import ex
 from .errors import InsufficientDepth, UnknownName
 from .jacobi import Stream, stream_combination
 from .series import (
@@ -298,7 +300,7 @@ ROWS = {
     "8:T1": _row("16", [(1, 10)], "7/16", arg=(1, HALF)),
     "8:U0": _row("16", [(1, 1 + 4 * k) for k in range(8)],
                  "-1/64", "1/8", arg=(8, 0), pre=-HALF),
-    "8:U1": _row("16", [(1, 2), (ex(Fraction(-1, 4)), 10)],
+    "8:U1": _row("16", [(1, 2), (1, 10, "-1/4")],
                  "-1/16", "1/2", arg=(2, HALF)),
     "8:V0": _row("16", [(1, 8)], pre=1, const=1),
     "8:V1": _row("16", [(1, 4)], "-1/4"),

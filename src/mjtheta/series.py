@@ -2,7 +2,7 @@
 
 A :class:`QSeries` is a finite q-expansion sum_x c(x) q^x where the exponents
 x are rationals with a common denominator ``den`` and the coefficients are
-exact (int / Fraction / Cyc); products are formed of int series only.
+ints or Fractions; products are formed of int series only.
 Every series carries a justified window: all coefficients at exponents
 strictly below ``order`` (a Fraction) are known exactly, absent ones being
 zero.  Nothing at or above ``order`` may be trusted.  All operations
@@ -12,8 +12,8 @@ propagate the window honestly.
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .cyclo import cadd, cmul, ex, cformat
-from .errors import Divergent, NonIntegralCoefficient
+from .cyclo import cadd, cmul, cformat
+from .errors import Divergent, IrrationalPhase, NonIntegralCoefficient
 
 __all__ = [
     "QSeries", "series_add", "series_scale", "series_mul", "series_rescale",
@@ -84,7 +84,7 @@ def series_add(a, b):
 
 
 def series_scale(a, c):
-    """c * a for a scalar c (int, Fraction or Cyc)."""
+    """c * a for a scalar c (int or Fraction)."""
     return QSeries({k: cmul(v, c) for k, v in a.coeffs.items()}, a.order,
                    a.den)
 
@@ -174,30 +174,26 @@ def series_rescale(a, t):
     return QSeries(coeffs, a.order * t, a.den * t.denominator)
 
 
-def series_half_shift(a, s):
-    """tau -> tau + s for rational s: coefficient at exponent x picks up
-    e^{2 pi i s x}."""
-    # e^{2 pi i t k}, t = s/den, depends on k only mod the den of t: one
-    # root per residue class met
-    t = Fraction(s) / a.den
-    roots = {}
+def series_half_shift(a, s, turn=0):
+    """tau -> tau + s for rational s, times e(turn) = e^{2 pi i turn}: the
+    coefficient at exponent x picks up e(turn + s x), which must be +-1
+    wherever it is nonzero; IrrationalPhase names the exponent where it
+    is not."""
+    s, turn = Fraction(s), Fraction(turn)
+    # 2 (turn + s k / den) = (u + v k) / w, an integer exactly at a sign
+    w = turn.denominator * s.denominator * a.den
+    u = 2 * turn.numerator * s.denominator * a.den
+    v = 2 * s.numerator * turn.denominator
     out = {}
-    for k, v in a.coeffs.items():
-        r = k % t.denominator
-        root = roots.get(r)
-        if root is None:
-            root = roots[r] = ex(t * r)
-        out[k] = cmul(v, root)
+    for k, c in a.coeffs.items():
+        h, rem = divmod(u + v * k, w)
+        if rem:
+            x = Fraction(k, a.den)
+            raise IrrationalPhase(
+                f"e({turn + s * x}) at q^({x}) is not +-1: the coefficient "
+                "would be irrational")
+        out[k] = cmul(c, -1) if h & 1 else c
     return QSeries(out, a.order, a.den)
-
-
-def _arg_transform(f, A, B):
-    """f(A tau + B): the half-shift by B, then q -> q^A."""
-    if B:
-        f = series_half_shift(f, B)
-    if A != 1:
-        f = series_rescale(f, A)
-    return f
 
 
 def series_shift(a, s):

@@ -19,7 +19,7 @@ def synthesize(row_id, order):
     cls, pairs = MULT_RELATIONS[row_id]
     recs = []
     for lhs, rhs in pairs:
-        ((_one, r),) = rhs.terms
+        ((_one, r, _t),) = rhs.terms
         mp = get_lambency(rhs.lambency).m
         if r > mp:
             continue
@@ -27,7 +27,7 @@ def synthesize(row_id, order):
         assert b == 0 and rhs.arg == (1, 0) and lhs.pre == 1
         fixture = get_lambency(lhs.lambency).fixture
         s = None
-        for _c, ri in lhs.terms:
+        for _c, ri, _t in lhs.terms:
             f = series_rescale(
                 h_stream(fixture, ri, Fraction(order) / a), a)
             s = f if s is None else series_add(s, f)

@@ -5,7 +5,6 @@ key dicts."""
 from fractions import Fraction
 from math import lcm
 
-from mjtheta.cyclo import cadd
 from mjtheta.series import QSeries
 
 
@@ -17,5 +16,5 @@ def from_terms(terms, order):
     coeffs = {}
     for x, c in terms:
         k = x.numerator * (den // x.denominator)
-        coeffs[k] = cadd(coeffs.get(k, 0), c)
+        coeffs[k] = coeffs.get(k, 0) + c
     return QSeries(coeffs, order, den)

@@ -18,37 +18,45 @@ from mjtheta.borcherds import (
     QuadForm, enumerate_heegner, fit_case, genus_char, heegner_divisor,
     psi_expand,
 )
-from mjtheta.catalog import get_lambency, load_catalog
-from mjtheta.cyclo import Cyc, cadd, cmul, ex
+from mjtheta.catalog import MULT_RELATIONS, get_lambency, load_catalog
+from mjtheta.cyclo import Cyc
 from mjtheta.errors import (
     BadDiscriminant, CongruenceViolation, ExcludedDiscriminant,
-    InsufficientDepth, MJTError, NoSolutionWithinDegree, Underdetermined,
+    InsufficientDepth, IrrationalPhase, MissingSource, MJTError,
+    NoSolutionWithinDegree, Underdetermined,
 )
 from mjtheta.eta import eta_expand
-from mjtheta.jacobi import CoeffTable
-from mjtheta.series import QSeries, series_add, series_mul, series_scale
+from mjtheta.jacobi import CoeffTable, stream_combination
+from mjtheta.mocktheta import row_names, verify_table14_15
+from mjtheta.series import QSeries, series_mul
 
-from product_oracles import cinv, pair_mul, power
+from jacobi_oracles import random_odd_table
+from product_oracles import (
+    Cyclotomic, add, cinv, gauss_sum, neg, pair_mul, power, root,
+)
 from series_terms import from_terms
 
 rng = random.Random(20260824)
 
 
 def as_fraction(a):
-    """Oracle: a as a Fraction, or ValueError if it is irrational."""
-    if isinstance(a, Cyc):
+    """Oracle: a value of the oracle field as a Fraction, or ValueError if
+    it is irrational."""
+    x = a.rational()
+    if x is None:
         raise ValueError(f"not rational: {a!r}")
-    return Fraction(a)
+    return x
 
 
-def cconj(a):
-    """Oracle: the complex conjugate, zeta_n -> zeta_n^-1."""
-    if not isinstance(a, Cyc):
-        return Fraction(a)
-    out = [0] * a.n
-    for i, x in enumerate(a.c):
-        out[-i % a.n] += x
-    return Cyc.make(a.n, out)
+def field(v, D):
+    """A package value (int, Fraction or Cyc of Q(sqrt D)) in the oracle
+    field Q(zeta_|D|)."""
+    return Cyclotomic.of(v, -D)
+
+
+def field_series(s, D):
+    return QSeries({k: field(v, D) for k, v in s.coeffs.items()}, s.order,
+                   s.den)
 
 
 def mat_mul(g, h):
@@ -392,24 +400,21 @@ def test_genus_char_matches_the_bounded_search_off_heegner_forms():
 # -- psi expansion --------------------------------------------------------
 
 def test_psi_first_coefficient_oracle():
-    # q^1 coefficient of prod_b (1 - ex(b/D) q)^{(D/b) C} is
-    # -C * sum_b (D/b) ex(b/D)
+    # q^1 coefficient of prod_b (1 - e(b/D) q)^{(D/b) C} is
+    # -C * sum_b (D/b) e(b/D)
     D, r, C1 = -20, 2, 16
     psi = psi_expand("6+2", D, r)
-    want = 0
-    for b in range(1, abs(D)):
-        k = kronecker(D, b)
-        if k:
-            want = cadd(want, cmul(-k * C1, ex(Fraction(b, D))))
-    assert psi.coeff(1) == want
+    want = sum(root(-D, Fraction(b, D)) * (-kronecker(D, b) * C1)
+               for b in range(1, abs(D)))
+    assert field(psi.coeff(1), D) == want
 
 
 def test_psi_real_form():
     # conjugation composed with b -> -b inverts the product, so
     # psi * conj(psi) = 1 exactly (the "modulus one" real-form check)
     for sym, D, r in [("6+2", -20, 2), ("10+2", -4, 6), ("12+3", -15, 9)]:
-        psi = psi_expand(sym, D, r)
-        conj = QSeries({k: cconj(v) for k, v in psi.coeffs.items()},
+        psi = field_series(psi_expand(sym, D, r), D)
+        conj = QSeries({k: v.conj() for k, v in psi.coeffs.items()},
                        psi.order, psi.den)
         prod = pair_mul(psi, conj)
         assert prod.items() == [(0, 1)]
@@ -557,14 +562,17 @@ def test_fit_cases(sym, D, r, deg):
     assert rep["Q"][-1] == 1 and rep["P"][-1] == 1
     # real product: numerator and denominator are complex conjugates
     for p, q in zip(rep["P"], rep["Q"]):
-        assert cadd(p, cmul(cconj(q), -1)) == 0, (sym, p, q)
+        assert field(p, D) == field(q, D).conj(), (sym, p, q)
 
 
 def test_fit_case_frozen_gaussian():
     rep = fit_case("10+2", -4, 6)
-    i = ex(Fraction(1, 4))
-    assert rep["P"][0] == cadd(3, cmul(4, i))
-    assert rep["Q"][0] == cadd(3, cmul(-4, i))
+    i = root(4, Fraction(1, 4))
+    assert field(rep["P"][0], -4) == 3 + 4 * i
+    assert field(rep["Q"][0], -4) == 3 - 4 * i
+    # G_-4 = zeta_4^-1 - zeta_4^-3 = -2i
+    assert (rep["P"][0], rep["Q"][0]) == (Cyc.make(-4, 3, -2),
+                                          Cyc.make(-4, 3, 2))
 
 
 def test_heegner_divisor_weights():
@@ -575,7 +583,7 @@ def test_heegner_divisor_weights():
 # -- the product and the fit over Q(zeta_|D|): oracles ---------------------
 
 def cyc_product(lam, D, r, order=None):
-    """Psi one factor (1 - ex(b/D) q^n)^{(D/b) C(Dn^2, rn)} at a time, in
+    """Psi one factor (1 - e(b/D) q^n)^{(D/b) C(Dn^2, rn)} at a time, in
     Q(zeta_|D|): the construction psi_expand replaced, as its oracle."""
     table = get_lambency(lam).fixture
     order = inf if order is None else Fraction(order)
@@ -586,7 +594,7 @@ def cyc_product(lam, D, r, order=None):
             e = table.get(D * n * n, r * n)
         except InsufficientDepth:
             break
-        exponents.append(int(as_fraction(e)))
+        exponents.append(e)
         n += 1
     window = min(order, Fraction(len(exponents) + 1))
     out = QSeries({0: 1}, window)
@@ -597,8 +605,8 @@ def cyc_product(lam, D, r, order=None):
             k = kronecker(D, b)
             if k == 0:
                 continue
-            zeta = ex(Fraction(b, D))
-            factor = from_terms([(0, 1), (n, cmul(zeta, -1))], window)
+            zeta = root(-D, Fraction(b, D))
+            factor = from_terms([(0, 1), (n, -zeta)], window)
             out = pair_mul(out, power(factor, k * e))
     return out
 
@@ -616,12 +624,11 @@ def cyc_solve(rows, n_unknowns):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = cinv(rows[rank][col])
-        rows[rank] = [cmul(inv, v) for v in rows[rank]]
+        rows[rank] = [inv * v for v in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
-                f = cmul(rows[i][col], -1)
-                rows[i] = [cadd(v, cmul(f, w))
-                           for v, w in zip(rows[i], rows[rank])]
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
         pivots[col] = rank
         rank += 1
     for row in rows[rank:]:
@@ -649,8 +656,8 @@ def cyc_fit(psi, T, max_deg):
     skipped_short = False
     for dp, dq in pairs:
         cols = [pair_mul(psi, Tpow[i]) for i in range(dq)]
-        cols += [series_scale(Tpow[j], -1) for j in range(dp + 1)]
-        rhs = series_scale(pair_mul(psi, Tpow[dq]), -1)
+        cols += [neg(Tpow[j]) for j in range(dp + 1)]
+        rhs = neg(pair_mul(psi, Tpow[dq]))
         window = min(s.order for s in cols + [rhs])
         lo = min(min([0] + [x for x, _v in s.items()]) for s in cols + [rhs])
         xs = range(int(lo), int(window))
@@ -662,8 +669,7 @@ def cyc_fit(psi, T, max_deg):
         if solved is None:
             continue
         sol, rank = solved
-        if all(cadd(row[-1], cmul(reduce(
-                cadd, map(cmul, row[:-1], sol), 0), -1)) == 0
+        if all(row[-1] == sum(a * x for a, x in zip(row[:-1], sol))
                for row in rows):
             return list(sol[dq:]), list(sol[:dq]) + [1], rank
     if skipped_short:
@@ -673,10 +679,11 @@ def cyc_fit(psi, T, max_deg):
 
 def split(v, D):
     """(x, y) with v = x + y G, G the Gauss sum of D (G^2 = D, conj G =
-    -G): x = (v + conj v) / 2, y = (v - conj v) / 2G."""
-    G = borcherds._gauss_sum(D)
-    x = cmul(Fraction(1, 2), cadd(v, cconj(v)))
-    y = cmul(cmul(Fraction(1, 2), cadd(v, cmul(cconj(v), -1))), cinv(G))
+    -G): x = (v + conj v) / 2, y = (v - conj v) / 2G, for a package value
+    or one of the oracle field."""
+    v = field(v, D)
+    x = (v + v.conj()) * Fraction(1, 2)
+    y = (v - v.conj()) * Fraction(1, 2) * gauss_sum(D).inverse()
     return as_fraction(x), as_fraction(y)
 
 
@@ -688,10 +695,11 @@ SWEEP = [(lam.symbol, D, r) for lam in load_catalog()
 
 def test_gauss_sum_squares_to_D():
     for D in sorted({D for _s, D, _r in SWEEP}):
-        G = borcherds._gauss_sum(D)
-        assert cmul(G, G) == D and G.n == -D
-        assert G == reduce(cadd, (cmul(kronecker(D, b), ex(Fraction(b, D)))
-                                  for b in range(1, -D)), 0)
+        # G's coordinates are the oracle's reduction of
+        # sum_b (D/b) zeta^(-b) modulo Phi_|D|
+        G = Cyc.make(D, 0, 1)
+        assert G.n == -D and field(G, D) == gauss_sum(D)
+        assert gauss_sum(D) * gauss_sum(D) == D
 
 
 @settings(max_examples=40, deadline=None)
@@ -704,7 +712,7 @@ def test_psi_matches_the_cyclotomic_product(case, order):
         return
     want = cyc_product(sym, D, r, order)
     assert psi.order == want.order
-    assert psi.coeffs == want.coeffs
+    assert field_series(psi, D).coeffs == want.coeffs
     for v in psi.coeffs.values():
         x, y = split(v, D)
         assert (2 * x).denominator == (2 * y).denominator == 1
@@ -733,9 +741,8 @@ def test_psi_coordinates_are_half_integers():
         if D % 4 == 0:
             assert L == 1, (sym, D, r)
         psi = psi_expand(sym, D, r)
-        G = borcherds._gauss_sum(D)
-        assert all(psi.coeff(N) == cadd(Fraction(X[N], L),
-                                        cmul(Fraction(Y[N], L), G))
+        assert all(psi.coeff(N) == Cyc.make(D, Fraction(X[N], L),
+                                            Fraction(Y[N], L))
                    for N in range(len(X)))
 
 
@@ -772,11 +779,12 @@ def test_psi_coords_match_the_fraction_recurrence(c, D, k):
 def test_psi_coords_take_the_kth_root(sym, D, r, k):
     # the coordinates from c_N / k are those of a k-th root of Psi
     c, window = borcherds._psi_log(sym, D, r)
-    G = borcherds._gauss_sum(D)
+    G = gauss_sum(D)
     X, Y, L = borcherds._psi_coords(c, D, k)
-    root = QSeries({N: cadd(Fraction(x, L), cmul(Fraction(y, L), G))
-                    for N, (x, y) in enumerate(zip(X, Y))}, window)
-    assert power(root, k).coeffs == psi_expand(sym, D, r).coeffs
+    R = QSeries({N: Fraction(x, L) + Fraction(y, L) * G
+                 for N, (x, y) in enumerate(zip(X, Y))}, window)
+    assert power(R, k).coeffs == \
+        field_series(psi_expand(sym, D, r), D).coeffs
 
 
 BENCH_FITS = [("10+2", -4, 6), ("6+2", -8, 4), ("18+2", -8, 8),
@@ -789,15 +797,16 @@ def test_fit_case_matches_the_cyclotomic_fit(sym, D, r):
     rep = fit_case(sym, D, r)
     psi = psi_expand(sym, D, r)
     T = eta_expand(get_lambency(sym).eta, psi.order + rep["max_deg"] + 1)
-    P, Q, _rank = cyc_fit(psi, T, rep["max_deg"])
-    assert (rep["P"], rep["Q"], rep["window"]) == (P, Q, psi.order)
+    P, Q, _rank = cyc_fit(field_series(psi, D), T, rep["max_deg"])
+    assert ([field(v, D) for v in rep["P"]], [field(v, D) for v in rep["Q"]],
+            rep["window"]) == (P, Q, psi.order)
 
 
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = cadd(out[i + j], cmul(x, y))
+            out[i + j] = out[i + j] + x * y
     return out
 
 
@@ -809,11 +818,9 @@ def poly_root(Q, k):
     S = [0] * e + [1]
     for i in range(1, e + 1):
         Sk = reduce(poly_mul, [S] * k)
-        S[e - i] = cmul(Fraction(1, k),
-                        cadd(Q[k * e - i], cmul(Sk[k * e - i], -1)))
+        S[e - i] = (Q[k * e - i] - Sk[k * e - i]) * Fraction(1, k)
     Sk = reduce(poly_mul, [S] * k)
-    return S if all(cadd(a, cmul(b, -1)) == 0
-                    for a, b in zip(Sk, Q)) else None
+    return S if all(a == b for a, b in zip(Sk, Q)) else None
 
 
 # the fits the 7-coefficient windows of the shipped 12+3 table decide at
@@ -822,7 +829,7 @@ def poly_root(Q, k):
 @pytest.mark.parametrize("sym,D,r", [("12+3", -15, 9), ("12+3", -15, 15)])
 def test_fit_case_decides_the_divisor_shape(sym, D, r):
     rep = fit_case(sym, D, r)
-    P, Q = rep["P"], rep["Q"]
+    P, Q = ([field(v, D) for v in rep[s]] for s in ("P", "Q"))
     assert rep["max_deg"] == len(P) - 1 == len(Q) - 1 == 4
     # Q(T) Psi - P(T) = 0 on its whole window, Psi from the oracle product
     psi = cyc_product(sym, D, r)
@@ -831,8 +838,7 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     Tpow = [QSeries({0: 1}, T.order)]
     for _ in range(4):
         Tpow.append(series_mul(Tpow[-1], T))
-    resid = series_add(pair_mul(poly_in_T(Q, Tpow), psi),
-                       series_scale(poly_in_T(P, Tpow), -1))
+    resid = add(pair_mul(poly_in_T(Q, Tpow), psi), neg(poly_in_T(P, Tpow)))
     assert resid.coeffs == {} and resid.order == psi.order - 4
     # the surplus rows check every coefficient of the window: changing one
     # c_N of q d/dq log Psi keeps R = Psi^(1/2) of norm 1, and leaves it
@@ -845,8 +851,7 @@ def test_fit_case_decides_the_divisor_shape(sym, D, r):
     # S = sqrt Q lies in O_{Q(sqrt D)}[T]: its roots, the values of T at
     # the Heegner points, are algebraic integers (trace and norm in Z)
     S = poly_root(Q, 2)
-    assert S is not None and all(cadd(p, cmul(cconj(q), -1)) == 0
-                                 for p, q in zip(P, Q))
+    assert S is not None and all(p == q.conj() for p, q in zip(P, Q))
     for v in S:
         x, y = split(v, D)
         assert (2 * x).denominator == (x * x - D * y * y).denominator == 1
@@ -982,9 +987,11 @@ def test_a_bad_translate_is_a_congruence_violation(monkeypatch):
 
 
 def poly_in_T(coeffs, Tpow):
+    """sum_j c_j T^j, for coefficients of any type."""
     out = QSeries({}, Tpow[0].order)
     for c, t in zip(coeffs, Tpow):
-        out = series_add(out, series_scale(t, c))
+        out = add(out, QSeries({k: c * v for k, v in t.coeffs.items()},
+                               t.order, t.den))
     return out
 
 
@@ -997,15 +1004,15 @@ def test_fit_coords_matches_the_cyclotomic_fit(D, coords, e, k):
     # R = conj S(T) / S(T) for a random monic S of degree e over
     # Q(sqrt D), and psi = R^k: the solve returns S, and conj S^k and S^k
     # are the P and Q of the cyclotomic fit at degree e k
-    G = borcherds._gauss_sum(D)
+    G = gauss_sum(D)
     S = [(Fraction(a, 2), Fraction(b, 2))
          for a, b in zip(coords[::2], coords[1::2])][:e] + [(1, 0)]
     T = eta_expand(get_lambency("6+2").eta, 16)
     Tpow = [QSeries({0: 1}, T.order)]
     for _ in range(e * k):
         Tpow.append(series_mul(Tpow[-1], T))
-    S_T, conj_T = (poly_in_T([cadd(a, cmul(sign * b, G)) for a, b in S],
-                             Tpow) for sign in (1, -1))
+    S_T, conj_T = (poly_in_T([a + sign * b * G for a, b in S], Tpow)
+                   for sign in (1, -1))
     R = pair_mul(conj_T, power(S_T, -1))
     X, Y = (list(c) for c in zip(*(split(R.coeff(N), D)
                                    for N in range(int(R.order)))))
@@ -1020,30 +1027,54 @@ def test_fit_coords_matches_the_cyclotomic_fit(D, coords, e, k):
         return
     assert borcherds._fit_coords(X, Y, L, D, T, e) == S
     Sk = borcherds._pair_pow(S, k, D)
-    assert [cadd(a, cmul(-b, G)) for a, b in Sk] == P
-    assert [cadd(a, cmul(b, G)) for a, b in Sk] == Q
+    assert [a - b * G for a, b in Sk] == P
+    assert [a + b * G for a, b in Sk] == Q
 
 
 def test_product_and_fit_do_no_cyclotomic_arithmetic(monkeypatch):
-    fit_case("15+5", -11, 7)  # caches the Gauss sum
-
     def rational_only(real):
         def wrapped(*args):
-            assert not any(isinstance(a, Cyc) for a in args), real.__name__
+            assert all(type(a) in (int, Fraction) for a in args), \
+                real.__name__
             return real(*args)
         return wrapped
 
-    def banned(*args):
-        raise AssertionError("Cyc.make called")
-
-    # the package has no field inverse, negation or power to call
+    # the package has no field inverse, negation, power or root of unity
     assert not any(hasattr(mod, name) for mod in (cyclo, series)
-                   for name in ("cinv", "cneg", "series_pow"))
+                   for name in ("cinv", "cneg", "series_pow", "ex"))
     for mod in (cyclo, series):
         for name in ("cadd", "cmul"):
             monkeypatch.setattr(mod, name,
                                 rational_only(getattr(cyclo, name)))
-    monkeypatch.setattr(Cyc, "make", banned)
+    # a value x + y G is formed from rational coordinates, and nothing
+    # computes with it
+    monkeypatch.setattr(Cyc, "make",
+                        staticmethod(rational_only(Cyc.make)))
     rep = fit_case("15+5", -11, 7)
     psi_expand("15+5", -11, 7)
     assert len(rep["P"]) == 3
+
+    def banned(*args):
+        raise AssertionError("Cyc.make called")
+
+    # the mock theta rows and the relations form no irrational value: a
+    # phase other than +-1 raises before any value is formed
+    monkeypatch.setattr(Cyc, "make", banned)
+    checked = 0
+    for name in row_names():
+        try:
+            verify_table14_15(name, order=6)
+            checked += 1
+        except MissingSource:
+            pass
+    assert checked == 12
+    gen = random.Random(5)
+    for _row, (_cls, pairs) in MULT_RELATIONS.items():
+        for spec in (s for pair in pairs for s in pair):
+            table = random_odd_table(get_lambency(spec.lambency).m, gen,
+                                     [8], range(1, 4))
+            try:
+                stream_combination(table, spec, 3)
+            except IrrationalPhase:
+                checked += 1
+    assert checked == 12 + 5

@@ -196,6 +196,18 @@ def test_imports_follow_the_layers():
     for i, name in enumerate(LAYERS):
         imported = package_imports((package / f"{name}.py").read_text())
         assert imported <= set(LAYERS[:i]), (name, imported)
-    # tables hold ints: no cyclotomic arithmetic reaches them
-    assert "cyclo" not in package_imports(
-        (package / "jacobi.py").read_text())
+    # tables and streams hold rationals: no irrational value reaches them
+    assert [name for name in ("jacobi", "catalog", "mocktheta")
+            if "cyclo" in package_imports(
+                (package / f"{name}.py").read_text())] == []
+
+
+def test_the_cyclotomic_field_is_retired():
+    # a root of unity is a stream term's turn, and the one irrational value
+    # is x + y G_D: no field arithmetic is left to export or define
+    from mjtheta import cyclo
+    assert "ex" not in mjtheta.__all__ and not hasattr(mjtheta, "ex")
+    assert [name for name in ("ex", "_descend", "_trace_down", "_lift",
+                              "_embed_powers", "_conductor", "_poly_mul",
+                              "_phi", "_reduce_mod_phi")
+            if hasattr(cyclo, name)] == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import ceil, gcd, inf
 
@@ -5,16 +6,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mjtheta.arith import divisors, is_fundamental, kronecker, kronecker_row
-from mjtheta.catalog import _a_of
+from mjtheta.catalog import MULT_RELATIONS, _a_of, get_lambency
 from mjtheta.cyclo import cadd, cmul
-from mjtheta.errors import BadDiscriminant, InsufficientDepth
+from mjtheta.errors import BadDiscriminant, InsufficientDepth, IrrationalPhase
 from mjtheta.eta import parse_eta, eta_dlog
 from mjtheta.jacobi import (
     CoeffTable, ez_apply, sz_lift, shadow_kernel, h_stream,
-    _canonical, _stream_window,
+    stream_combination, _canonical, _stream_window,
 )
+from mjtheta.mocktheta import ROWS
 from mjtheta.series import QSeries
-from jacobi_oracles import h_stream_by_walk, shadow_coeff
+from jacobi_oracles import (
+    h_stream_by_walk, random_odd_table, shadow_coeff, stream_in_field,
+)
 from om_group import a_by_search, exact_divisors, om_elements
 
 
@@ -422,3 +426,64 @@ def test_h_stream_against_walk(case):
     got = stream_against_walk(t, r, order)
     if must_raise is not None:
         assert isinstance(got, str) == must_raise
+
+
+# -- streams: signs against the field construction ---------------------------
+
+# every mock theta row and both sides of every relation pair
+STREAMS = list(ROWS.values()) + [
+    spec for _cls, pairs in MULT_RELATIONS.values() for pair in pairs
+    for spec in pair]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.fractions(min_value=Fraction(1, 8), max_value=5,
+                    max_denominator=8))
+def test_stream_combination_matches_the_field_construction(gen, order):
+    # each stream over a random odd table of its index, every residue
+    # justified to its own random window: where the field construction
+    # gives rational coefficients the signs give the same series, and
+    # where it gives an irrational one they raise IrrationalPhase
+    tables = {}
+    for spec in STREAMS:
+        m = get_lambency(spec.lambency).m
+        if m not in tables:
+            tables[m] = random_odd_table(m, gen, range(5))
+        t = tables[m]
+        try:
+            want = stream_in_field(t, spec, order)
+        except InsufficientDepth:
+            with pytest.raises(InsufficientDepth):
+                stream_combination(t, spec, order)
+            continue
+        values = [(x, v.rational()) for x, v in want.items()]
+        if any(v is None for _x, v in values):
+            with pytest.raises(IrrationalPhase):
+                stream_combination(t, spec, order)
+            continue
+        got = stream_combination(t, spec, order)
+        assert (got.items(), got.order) == (values, want.order)
+        assert all(type(v) in (int, Fraction) for v in got.coeffs.values())
+
+
+@pytest.mark.parametrize("row_id, side, count",
+                         [("20+4:2C", 1, 4), ("36+4:6C", 0, 1)])
+def test_relation_pairs_with_roots_of_unity_never_verify(row_id, side,
+                                                         count):
+    # the e(r^2/160) pairs of 20+4:2C and the e(1/6) pair of 36+4:6C: on
+    # a table with no zero entry the field construction gives a non-real
+    # coefficient at every key, so the signs raise IrrationalPhase
+    _cls, pairs = MULT_RELATIONS[row_id]
+    specs = [pair[side] for pair in pairs
+             if any(turn for _c, _r, turn in pair[side].terms)]
+    assert len(specs) == count
+    gen = random.Random(1)
+    for spec in specs:
+        t = random_odd_table(get_lambency(spec.lambency).m, gen, [6],
+                             range(1, 4))
+        want = stream_in_field(t, spec, 6)
+        assert want.coeffs
+        assert all(v.rational() is None for v in want.coeffs.values())
+        with pytest.raises(IrrationalPhase):
+            stream_combination(t, spec, 6)

@@ -18,8 +18,8 @@ from mjtheta.mocktheta import (
     verify_watson,
 )
 from mjtheta.series import (
-    QSeries, _arg_transform, _slot_bytes, _unpack, series_add, series_mul,
-    series_scale, series_shift, series_slice, series_verdict,
+    QSeries, _slot_bytes, _unpack, series_add, series_half_shift, series_mul,
+    series_rescale, series_scale, series_shift, series_slice, series_verdict,
 )
 
 from product_oracles import power as series_power
@@ -588,7 +588,7 @@ def meets_support(row, s):
     only then can the slice [s; b] pick a term of it."""
     m = get_lambency(row.lambency).m
     return all((s + Fraction(r * r, 4 * m)) % row.b == 0
-               for _c, r in row.terms)
+               for _c, r, _t in row.terms)
 
 
 @pytest.mark.parametrize("name", row_names())
@@ -613,16 +613,19 @@ def resolve_pm_shift(name, s0, order):
     row = ROWS[name]
     source = get_lambency(row.lambency).fixture
     candidates = [s0, -s0]
-    avail = min(_stream_window(source, r) for _c, r in row.terms)
+    avail = min(_stream_window(source, r) for _c, r, _t in row.terms)
     stream_order = min(avail, order / row.arg[0] + max(candidates))
+    A, B = row.arg
 
     def build(s):
         combined = None
-        for c, r in row.terms:
+        for c, r, _t in row.terms:
             f = h_stream(source, r, stream_order)
             f = series_scale(f, c) if c != 1 else f
             combined = f if combined is None else series_add(combined, f)
-        g = _arg_transform(series_slice(combined, s, 1), *row.arg)
+        # f(A tau + B): the half-shift by B, then q -> q^A
+        g = series_rescale(series_half_shift(series_slice(combined, s, 1),
+                                             B), A)
         g = series_scale(g, row.pre) if row.pre != 1 else g
         return series_add(g, QSeries({0: row.const}, g.order)) \
             if row.const else g

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mjtheta.cyclo import cadd, cmul, ex
-from mjtheta.errors import Divergent
+from mjtheta.cyclo import cmul
+from mjtheta.errors import Divergent, IrrationalPhase
 from mjtheta.series import (
     QSeries, series_add, series_mul, series_rescale, series_half_shift,
     series_scale, series_slice, series_shift, series_verdict,
@@ -106,33 +106,48 @@ def test_half_shift():
     a = poly({0: 1, 1: 1, 2: 1}, order=10)
     b = series_half_shift(a, Fraction(1, 2))
     assert b.coeff(0) == 1 and b.coeff(1) == -1 and b.coeff(2) == 1
-    # round trip through +s then -s is the identity, exactly
-    s = Fraction(3, 8)
+    # round trip through +s then -s is the identity, exactly, and so is
+    # a whole turn
+    s = Fraction(3, 2)
     c = series_half_shift(series_half_shift(a, s), -s)
-    assert agree(a, c)
+    assert agree(a, c) and agree(a, series_half_shift(a, 0, 1))
+    # a turn of 1/2 is the factor -1
+    assert series_half_shift(a, 0, Fraction(1, 2)).coeffs == \
+        {0: -1, 1: -1, 2: -1}
 
 
 def test_half_shift_fractional_exponents():
-    a = QSeries({1: Fraction(2)}, 3, 24)  # 2 q^{1/24}
-    b = series_half_shift(a, Fraction(1, 2))
-    assert b.coeff(Fraction(1, 24)) == cmul(2, ex(Fraction(1, 48)))
+    # 2 q^{1/24} picks up e(1/48): irrational, so refused, naming the
+    # exponent; with the turn -1/48 the phase is 1
+    a = QSeries({1: Fraction(2)}, 3, 24)
+    with pytest.raises(IrrationalPhase, match=r"e\(1/48\) at q\^\(1/24\)"):
+        series_half_shift(a, Fraction(1, 2))
+    b = series_half_shift(a, Fraction(1, 2), Fraction(-1, 48))
+    assert b.coeffs == a.coeffs
+    # a zero coefficient needs no phase: it is not stored
+    assert series_half_shift(QSeries({1: 0}, 3, 24), Fraction(1, 2)) \
+        .coeffs == {}
 
 
-_shift_values = st.one_of(
-    st.integers(-5, 5), st.fractions(max_denominator=4),
-    st.sampled_from([ex(Fraction(1, 3)), cmul(ex(Fraction(1, 4)), -1)]))
+_shift_values = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(st.integers(-40, 150), _shift_values, max_size=60),
        st.sampled_from([1, 2, 3, 24, 96]),
+       st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
-def test_half_shift_matches_one_root_per_coefficient(coeffs, den, s):
-    # the oracle takes e^{2 pi i s k/den} afresh at every key k; the
-    # package takes one root per residue of k
+def test_half_shift_matches_one_root_per_coefficient(coeffs, den, s, turn):
+    # the oracle takes the phase e(turn + s k/den) afresh at every key k,
+    # in Fractions: the factor +-1 when 2 (turn + s k/den) is an integer
     a = QSeries(coeffs, 200, den)
-    got = series_half_shift(a, s)
-    want = QSeries({k: cmul(v, ex(s * Fraction(k, den)))
+    phases = {k: 2 * (turn + s * Fraction(k, den)) for k in a.coeffs}
+    if any(h.denominator != 1 for h in phases.values()):
+        with pytest.raises(IrrationalPhase):
+            series_half_shift(a, s, turn)
+        return
+    got = series_half_shift(a, s, turn)
+    want = QSeries({k: -v if phases[k] % 2 else v
                     for k, v in a.coeffs.items()}, a.order, den)
     assert (got.coeffs, got.den, got.order) == \
         (want.coeffs, want.den, want.order)
@@ -346,10 +361,7 @@ def test_first_mismatch_example():
 
 # -- the scalar product against cmul one coefficient at a time -------------
 
-_scalars = st.one_of(
-    st.integers(-9, 9), st.fractions(max_denominator=6),
-    st.sampled_from([ex(Fraction(1, 3)), cmul(ex(Fraction(1, 4)), -1),
-                     cadd(Fraction(1, 2), ex(Fraction(2, 5)))]))
+_scalars = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=6))
 
 
 @settings(max_examples=200, deadline=None)

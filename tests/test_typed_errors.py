@@ -23,12 +23,14 @@ from mjtheta.catalog import (
     HData, check_positivity_phi, get_lambency, ingest_hdata,
     verify_mult_relation,
 )
-from mjtheta.jacobi import CoeffTable, ez_apply, table_sum
-from mjtheta.cyclo import ex
+from mjtheta.jacobi import CoeffTable, Stream, ez_apply, stream_combination, \\
+    table_sum
+from mjtheta.cyclo import Cyc
 from mjtheta.mocktheta import (
     verify_andrews_hickerson, verify_table14_15, verify_watson,
 )
-from mjtheta.series import QSeries, series_mul, series_slice
+from mjtheta.series import QSeries, series_half_shift, series_mul, \\
+    series_slice
 T5 = CoeffTable(5, {}, {1: (-100, 1)})
 F62 = get_lambency("6+2").fixture
 F102 = get_lambency("10+2").fixture
@@ -92,7 +94,7 @@ CASES = {
     "slice modulo -1": ("Divergent",
                         "series_slice(QSeries({0: 1}, 5), 0, -1)"),
     "ez_apply outside O_m": ("CongruenceViolation", "ez_apply(T5, 2)"),
-    # C(-20, 2) = 16 as 16/3, and as zeta_3: table values are ints, so
+    # C(-20, 2) = 16 as 16/3, and as sqrt(-3): table values are ints, so
     # the table that would give such an exponent cannot be built
     "Borcherds exponent not an integer": (
         "NonIntegralCoefficient",
@@ -101,7 +103,7 @@ CASES = {
     "Borcherds exponent not rational": (
         "NonIntegralCoefficient",
         "psi_expand('6+2', -20, 2, "
-        "table=CoeffTable(6, {(-20, 2): ex('1/3')}, {2: (-20, 4)}))"),
+        "table=CoeffTable(6, {(-20, 2): Cyc.make(-3, 0, 1)}, {2: (-20, 4)}))"),
     # equal to an int or not, a value of another type is refused; a zero
     # is checked like any other value
     "table value a Fraction": (
@@ -122,7 +124,19 @@ CASES = {
         "series_mul(QSeries({0: 1}, 5), QSeries({0: Fraction(1, 2)}, 5))"),
     "series_mul of a Cyc series": (
         "NonIntegralCoefficient",
-        "series_mul(QSeries({0: ex('1/3'), 1: 1}, 5), QSeries({0: 1}, 5))"),
+        "series_mul(QSeries({0: Cyc.make(-3, 0, 1), 1: 1}, 5), "
+        "QSeries({0: 1}, 5))"),
+    # a phase e(t + B x) other than +-1 would make the coefficient
+    # irrational: q^(1/24) under tau -> tau + 1/2, and the stream
+    # e(1/3) H_1 of an index-5 table
+    "half-shift to an irrational phase": (
+        "IrrationalPhase",
+        "series_half_shift(QSeries({1: 2}, 3, 24), Fraction(1, 2))"),
+    "stream term with an irrational turn": (
+        "IrrationalPhase",
+        "stream_combination(CoeffTable(5, {(-19, 1): 2}, {1: (-100, 1)}), "
+        "Stream('5', [(1, 1, '1/3')]), 5)"),
+    "Cyc of a nonfundamental D": ("BadDiscriminant", "Cyc.make(-12, 0, 1)"),
     "table_sum of nothing": ("LevelMismatch", "table_sum([])"),
     "table_sum across indices": (
         "LevelMismatch", "table_sum([T5, CoeffTable(6, {}, {})])"),
