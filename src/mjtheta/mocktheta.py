@@ -73,25 +73,37 @@ def _bits(P, N):
 
 
 def _changes(old, new, w):
-    """(c, e, d), one per factor that changes, e < w and c != 0: below q^w
-    the product of the specs `old` times each (1 - c q^e)^d is that of
+    """[(c, e, d)], one per factor that changes, e < w and c != 0: below
+    q^w the product of the specs `old` times each (1 - c q^e)^d is that of
     `new`.  Specs pair by position, a missing one empty (c = 0).  A pair
-    with equal c, k and power, and j apart by a multiple of k, changes only
-    at the ends of its runs ((-q; q)_n gains one factor a step); any other
-    pair is divided out and multiplied in whole."""
+    with equal c, j, k and power (most steps: only the count or the window
+    moves) gains or drops the factors between its two run ends; one with
+    equal c, k and power, and j apart by a multiple of k, changes only at
+    the ends of its runs; any other pair is divided out and multiplied in
+    whole."""
+    out = []
     for (c, i, k, m, p), (c2, j, k2, n, p2) in zip_longest(
             old, new, fillvalue=(0, 0, 1, 0, 0)):
         # factors of each spec below w: exponents i <= e < a1, j <= e < b1
-        a1 = i + k * min(m, max(-((i - w) // k), 0))
-        b1 = j + k2 * min(n, max(-((j - w) // k2), 0))
+        a1 = i + k * m if i + k * m < w else i if w <= i else w + (i - w) % k
+        b1 = (j + k2 * n if j + k2 * n < w else j if w <= j
+              else w + (j - w) % k2)
+        if i == j and c == c2 and k == k2 and p == p2:
+            if b1 < a1:  # the run shrank: drop its tail
+                a1, b1, p = b1, a1, -p
+            while c and a1 < b1:
+                out.append((c, a1, p))
+                a1 += k
+            continue
         if (c, k, p) != (c2, k2, p2) or (j - i) % k:
             runs = (c, k, i, a1, -p), (c2, k2, j, b1, p2)
         else:  # one progression: only the ends of the runs move
             runs = ((c, k, j, min(b1, i), p), (c, k, max(j, a1), b1, p),
                     (c, k, i, min(a1, j), -p), (c, k, max(i, b1), a1, -p))
         for c, k, lo, hi, d in runs:
-            for e in range(lo, hi, k) if c else ():
-                yield c, e, d
+            if c:
+                out += [(c, e, d) for e in range(lo, hi, k)]
+    return out
 
 
 def _packed_sum(plan, const, order):
@@ -101,16 +113,21 @@ def _packed_sum(plan, const, order):
     plan(W) yields the summands (lead_n, sign_n, specs_n) for the window
     W = max(math.ceil(order), 0); it runs once.  Summand n's product is
     n-1's masked to w_n = W - lead_n and stepped by _changes: a gained
-    factor is u - c (u << s e), a dropped one 1/(1 - y), y = c X^e, as
-    prod_j (1 + y^(2^j)).  Slots fit the bound above.  Leads must be >= 0
+    factor is one shift-subtract u - c (u << s e), a dropped one
+    1/(1 - y), y = c X^e, as prod_j (1 + y^(2^j)).  Slots fit the bound
+    above, with A, P and size read in one pass.  Leads must be >= 0
     and non-decreasing (else AssertionError): a wider window would read
     slots that were cut off and never stepped."""
     W = max(math.ceil(order), 0)
     summands = list(plan(W))
-    live = [specs for _lead, sign, specs in summands if sign]
-    A = max([1] + [abs(f[0]) for specs in live for f in specs])
-    P = max([0] + [sum(abs(f[4]) for f in specs) for specs in live])
-    size = abs(const) + sum(abs(sign) for _lead, sign, _specs in summands)
+    A, P, size = 1, 0, abs(const)
+    for _lead, sign, specs in summands:
+        if sign:
+            size += abs(sign)
+            p = 0
+            for c, _j, _k, _n, power in specs:
+                A, p = max(A, abs(c)), p + abs(power)
+            P = max(P, p)
     N = max(W - 1, 0)
     nbytes = _slot_bytes(size * A ** N << _bits(P, N))
     s = 8 * nbytes
@@ -122,13 +139,15 @@ def _packed_sum(plan, const, order):
         mask = (1 << (s * w)) - 1
         u &= mask
         for c, e, d in _changes(have, specs, w):
-            for _ in range(d):
+            while d > 0:
                 u = (u - c * (u << (s * e))) & mask
-            for _ in range(-d):
+                d -= 1
+            while d < 0:
                 y, t = c, e
                 while t < w:
                     u = (u + y * (u << (s * t))) & mask
                     y, t = y * y, 2 * t
+                d += 1
         have = specs
         total += sign * (u << (s * lead))
     return QSeries(_unpack(total, nbytes, W), order)
@@ -231,13 +250,13 @@ EULERIAN_NAMES = sorted(EULERIAN_DEFS)
 def eulerian(name, order):
     """The named series, truncated below `order`: one _packed_sum over the
     registry's summands, each product stepped from the one before by the
-    factors that change, at a window order - lead(n) that only shrinks."""
+    factors that change, at a window order - lead(n) that only shrinks;
+    lead(n) is called once per summand."""
     if name not in EULERIAN_DEFS:
         raise UnknownName(name)
     lead, factors, sign, const = EULERIAN_DEFS[name]
-
-    plan = lambda W: ((lead(n), sign(n), factors(n))
-                      for n in takewhile(lambda n: lead(n) < W, count()))
+    summands = ((lead(n), sign(n), factors(n)) for n in count())
+    plan = lambda W: takewhile(lambda t: t[0] < W, summands)
     return _packed_sum(plan, const, Fraction(order))
 
 

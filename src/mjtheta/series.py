@@ -148,10 +148,13 @@ def _unpack(packed, s, n, base=0, g=1):
     offset = int.from_bytes(half.to_bytes(s, "little") * n, "little")
     low = (packed + offset) & ((1 << (8 * s * n)) - 1)
     raw = low.to_bytes(s * n, "little")
-    return {base + g * j: v - half
-            for j, v in enumerate(int.from_bytes(raw[i:i + s], "little")
-                                  for i in range(0, s * n, s))
-            if v != half}
+    out, k, decode = {}, base, int.from_bytes
+    for i in range(0, s * n, s):
+        v = decode(raw[i:i + s], "little")
+        if v != half:
+            out[k] = v - half
+        k += g
+    return out
 
 
 def _pack(coeffs, keys, lo, g, s, half):

@@ -1,6 +1,8 @@
 import math
 import runpy
+from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -166,15 +168,18 @@ def test_registry_factors_pack():
 @pytest.mark.parametrize("name", EULERIAN_NAMES)
 def test_registry_steps_only_the_factors_that_change(name):
     # consecutive specs line up, so each summand costs one step per factor
-    # of the oracle's diff and no more, at every window eulerian uses
+    # of the oracle's diff and no more, at every window eulerian uses: the
+    # benchmark's order 100, Andrews-Hickerson's 150, and 300
     lead, factors, _sign, _const = EULERIAN_DEFS[name]
-    W, old, n = 300, [], 0
-    while lead(n) < W:
-        new, w = factors(n), W - lead(n)
-        steps = list(_changes(old, new, w))
-        assert len(steps) == len(full_diff(old, new, w)), (name, n)
-        assert stepped(old, new, w) == full_diff(old, new, w), (name, n)
-        old, n = new, n + 1
+    for W in (100, 150, 300):
+        old, n = [], 0
+        while lead(n) < W:
+            new, w = factors(n), W - lead(n)
+            steps = _changes(old, new, w)
+            assert len(steps) == len(full_diff(old, new, w)), (name, W, n)
+            assert stepped(old, new, w) == full_diff(old, new, w), \
+                (name, W, n)
+            old, n = new, n + 1
 
 
 # -- the packed kernel against the full-window product ---------------------
@@ -216,6 +221,24 @@ def stepped(old, new, w):
         assert type(e) is int and 1 <= e < w and c, (c, e, w)
         out[(c, e)] = out.get((c, e), 0) + d
     return {key: d for key, d in out.items() if d}
+
+
+def changes_by_runs(old, new, w):
+    """_changes by runs alone, as a generator: two runs per pair of specs,
+    or four where c, k and power agree and j moves along the progression;
+    each run's end found by min and max."""
+    for (c, i, k, m, p), (c2, j, k2, n, p2) in zip_longest(
+            old, new, fillvalue=(0, 0, 1, 0, 0)):
+        a1 = i + k * min(m, max(-((i - w) // k), 0))
+        b1 = j + k2 * min(n, max(-((j - w) // k2), 0))
+        if (c, k, p) != (c2, k2, p2) or (j - i) % k:
+            runs = (c, k, i, a1, -p), (c2, k2, j, b1, p2)
+        else:
+            runs = ((c, k, j, min(b1, i), p), (c, k, max(j, a1), b1, p),
+                    (c, k, i, min(a1, j), -p), (c, k, max(i, b1), a1, -p))
+        for c, k, lo, hi, d in runs:
+            for e in range(lo, hi, k) if c else ():
+                yield c, e, d
 
 
 def full_window_sum(summands, const, order):
@@ -307,6 +330,32 @@ def test_changes_match_the_full_diff(plan):
             old = specs
 
 
+@st.composite
+def _recounted(draw, spec):
+    """The spec with only its count redrawn, as most registry steps are."""
+    c, j, k, _count, power = spec
+    count = draw(st.one_of(st.integers(0, 8), st.just(math.inf)))
+    return c, j, k, count, power
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_plan(), st.data())
+def test_changes_match_the_runs_oracle(plan, data):
+    # the same steps as the run-by-run generator, in any order, at every
+    # summand's window W - lead (w <= j, and w <= 0 past the window), from
+    # the last specs to the next (infinite counts and specs moved off their
+    # progression included) and to the last ones recounted
+    summands, _const, order = plan
+    W, old = math.ceil(order), []
+    for lead, _sign, specs in summands:
+        for new in specs, [data.draw(_recounted(f)) for f in old]:
+            steps = _changes(old, new, W - lead)
+            assert type(steps) is list
+            assert Counter(steps) == \
+                Counter(changes_by_runs(old, new, W - lead))
+        old = specs
+
+
 @settings(max_examples=300, deadline=None)
 @given(spec_plan())
 @example(_EXAMPLES[0])
@@ -357,6 +406,44 @@ def test_slot_width_edge(k, monkeypatch):
         same_series(got, full_window_sum(dropped, 0, 3))
     assert widths == [k] * 4
     assert packed([], -top, 1).coeffs == {0: -top} and widths[-1] == k + 1
+
+
+def slot_by_slot(packed, s, n, base, g):
+    """{base + g j: a_j} over the nonzero a_j, slot by slot: a_j is the
+    lowest 8s bits read as signed, taken off before the next slot."""
+    top, out = 1 << (8 * s), {}
+    for j in range(n):
+        a = packed % top
+        a -= top if 2 * a >= top else 0
+        if a:
+            out[base + g * j] = a
+        packed = (packed - a) >> (8 * s)
+    return out
+
+
+@st.composite
+def packed_slots(draw):
+    """(packed, s, n, base, g, values): n values of s-byte signed slots,
+    packed with arbitrary bits above slot n."""
+    s, n = draw(st.integers(1, 12)), draw(st.integers(0, 40))
+    top = 1 << (8 * s - 1)
+    values = draw(st.lists(st.one_of(st.just(0), st.sampled_from(
+        [-top, top - 1, -1, 1]), st.integers(-top, top - 1)),
+        min_size=n, max_size=n))
+    above = draw(st.integers(-2 ** 80, 2 ** 80))
+    packed = sum(v << (8 * s * j) for j, v in enumerate(values))
+    return (packed + (above << (8 * s * n)), s, n,
+            draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 50)),
+            values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_slots())
+def test_unpack_matches_slot_by_slot(case):
+    packed, s, n, base, g, values = case
+    got = _unpack(packed, s, n, base, g)
+    assert got == slot_by_slot(packed, s, n, base, g) == \
+        {base + g * j: v for j, v in enumerate(values) if v}
 
 
 def test_eulerian_outputs_are_pinned():
